@@ -58,13 +58,20 @@
 //! * `--lines N` — lines written/read back per run;
 //! * `--metrics` — also print the merged metrics registry.
 //!
-//! Exits nonzero if any run panics, corrupts data, or fails where the
-//! scenario does not permit a typed failure — and, for `--media`, if
-//! disabling scrub does not raise the uncorrectable aggregate.
+//! Every mode ends in [`finish`]: it prints the table, gates
+//! the campaign's `BENCH_*.json` rows (when it writes any) against the
+//! previous file, writes the new one, and exits nonzero on any
+//! violation — a run that panics, corrupts data, or fails where the
+//! scenario does not permit a typed failure; for `--media`, disabling
+//! scrub not raising the uncorrectable aggregate; or a gated
+//! throughput below 0.8× its baseline.
 
+use std::process::ExitCode;
+
+use contutto_bench::report::finish;
 use contutto_bench::{chaos, checkpoint, failover, faults, media, overload, power, traffic};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
     let text = |name: &str| -> Option<&String> {
@@ -73,214 +80,86 @@ fn main() {
             .and_then(|i| args.get(i + 1))
     };
     let value = |name: &str| -> Option<u64> { text(name).and_then(|v| v.parse().ok()) };
+    let smoke = flag("--smoke");
+    let seeds = value("--seeds").map(|n| (1..=n.max(1)).collect::<Vec<u64>>());
+    let lines = value("--lines");
+    let show_metrics = flag("--metrics");
+    // The campaign's smoke or full configuration with `--seeds` and
+    // `--lines` applied; `--lines` sets `$size`, floored at `$min`.
+    macro_rules! config {
+        ($campaign:ident, $size:ident, $min:expr) => {{
+            let mut cfg = if smoke {
+                $campaign::CampaignConfig::smoke()
+            } else {
+                $campaign::CampaignConfig::full()
+            };
+            if let Some(seeds) = &seeds {
+                cfg.seeds = seeds.clone();
+            }
+            cfg.$size = lines.map_or(cfg.$size, |n| n.max($min));
+            cfg
+        }};
+    }
 
     if flag("--chaos") {
         if let Some(path) = text("--replay") {
-            let json = match std::fs::read_to_string(path) {
-                Ok(json) => json,
-                Err(e) => {
-                    eprintln!("cannot read reproducer {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let plan = match chaos::FaultPlan::from_json(&json) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("cannot parse reproducer {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            println!(
-                "replaying {path}: {} layout, seed {}, {} requests, {} actions",
-                plan.layout.name(),
-                plan.seed,
-                plan.requests,
-                plan.actions.len()
-            );
-            let report = chaos::run_plan(&plan);
-            println!(
-                "fingerprint {:016x}, {} applied, {} reboots, deterministic: {}",
-                report.fingerprint,
-                report.applied,
-                report.reboots,
-                if report.deterministic { "yes" } else { "NO" }
-            );
-            for v in &report.violations {
-                println!("VIOLATION: {v}");
-            }
-            if report.clean() {
-                println!("plan upheld the durability contract");
-            } else {
-                std::process::exit(1);
-            }
-            return;
+            return replay(path);
         }
-        let mut cfg = if flag("--smoke") {
-            chaos::CampaignConfig::smoke()
-        } else {
-            chaos::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.requests = n.max(16);
-        }
+        let cfg = config!(chaos, requests, 16);
         let report = chaos::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        let mut repro = 0usize;
-        for record in &report.records {
-            if let Some(plan) = &record.reproducer {
-                let path = format!("CHAOS_repro_{repro}.json");
-                match std::fs::write(&path, plan.to_json()) {
-                    Ok(()) => eprintln!(
-                        "wrote minimal reproducer {path} (seed {} plan {}) — replay with \
-                         `faults --chaos --replay {path}`",
-                        record.seed, record.index
-                    ),
-                    Err(e) => eprintln!("warning: could not write {path}: {e}"),
-                }
-                repro += 1;
-            }
-        }
-        let baseline = std::fs::read_to_string("BENCH_chaos.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        if let Err(e) = std::fs::write("BENCH_chaos.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_chaos.json: {e}");
-        } else {
-            println!("wrote BENCH_chaos.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("chaos campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        write_reproducers(&report);
+        return finish(
+            "chaos",
+            &report.render_table(),
+            None,
+            report.violations(),
+            Some(&report.bench()),
+        );
     }
 
     if flag("--traffic") {
-        let mut cfg = if flag("--smoke") {
-            traffic::CampaignConfig::smoke()
-        } else {
-            traffic::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.requests = n.max(30);
-        }
+        let cfg = config!(traffic, requests, 30);
         let report = traffic::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        if flag("--metrics") {
-            println!("\nmerged metrics across all runs:");
-            print!("{}", report.merged_metrics().render());
-        }
-        let baseline = std::fs::read_to_string("BENCH_traffic.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_traffic.json", &json) {
-            eprintln!("warning: could not write BENCH_traffic.json: {e}");
-        } else {
-            println!("wrote BENCH_traffic.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("traffic campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "traffic",
+            &report.render_table(),
+            show_metrics.then(|| report.merged_metrics()).as_ref(),
+            report.violations(),
+            Some(&report.bench()),
+        );
     }
 
     if flag("--overload") {
-        let mut cfg = if flag("--smoke") {
-            overload::CampaignConfig::smoke()
-        } else {
-            overload::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.requests = n.max(60);
-        }
+        let cfg = config!(overload, requests, 60);
         let report = overload::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        if flag("--metrics") {
-            println!("\nmerged metrics across all runs:");
-            print!("{}", report.merged_metrics().render());
-        }
-        let baseline = std::fs::read_to_string("BENCH_overload.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_overload.json", &json) {
-            eprintln!("warning: could not write BENCH_overload.json: {e}");
-        } else {
-            println!("wrote BENCH_overload.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("overload campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "overload",
+            &report.render_table(),
+            show_metrics.then(|| report.merged_metrics()).as_ref(),
+            report.violations(),
+            Some(&report.bench()),
+        );
     }
 
     if flag("--checkpoint") {
-        let mut cfg = if flag("--smoke") {
-            checkpoint::CampaignConfig::smoke()
-        } else {
-            checkpoint::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.lines = n.max(1);
-        }
+        let cfg = config!(checkpoint, lines, 1);
         let report = checkpoint::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        let baseline = std::fs::read_to_string("BENCH_checkpoint.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_checkpoint.json", &json) {
-            eprintln!("warning: could not write BENCH_checkpoint.json: {e}");
-        } else {
-            println!("wrote BENCH_checkpoint.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("checkpoint campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "checkpoint",
+            &report.render_table(),
+            None,
+            report.violations(),
+            Some(&report.bench()),
+        );
     }
 
     if flag("--power") {
-        let mut cfg = if flag("--smoke") {
-            power::CampaignConfig::smoke()
-        } else {
-            power::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.lines = n.max(1);
-        }
+        let mut cfg = config!(power, lines, 1);
         cfg.reuse_prefix = flag("--reuse-prefix");
         let report = power::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        println!(
-            "stores simulated: {}{}",
+        let table = format!(
+            "{}stores simulated: {}{}\n",
+            report.render_table(),
             report.stores_executed,
             if cfg.reuse_prefix {
                 " (prefix reused)"
@@ -288,93 +167,107 @@ fn main() {
                 ""
             }
         );
-        if flag("--metrics") {
-            println!("\nmerged metrics across all runs:");
-            print!("{}", report.merged_metrics().render());
-        }
-        if !report.violations().is_empty() {
-            eprintln!("power-fail campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "power-fail",
+            &table,
+            show_metrics.then(|| report.merged_metrics()).as_ref(),
+            report.violations(),
+            None,
+        );
     }
 
     if flag("--failover") {
-        let mut cfg = if flag("--smoke") {
-            failover::CampaignConfig::smoke()
-        } else {
-            failover::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.lines = n.max(1);
-        }
+        let cfg = config!(failover, lines, 1);
         let report = failover::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        if flag("--metrics") {
-            println!("\nmerged metrics across all runs:");
-            print!("{}", report.merged_metrics().render());
-        }
-        if !report.violations().is_empty() {
-            eprintln!("failover campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "failover",
+            &report.render_table(),
+            show_metrics.then(|| report.merged_metrics()).as_ref(),
+            report.violations(),
+            None,
+        );
     }
 
     if flag("--media") {
-        let mut cfg = if flag("--smoke") {
-            media::CampaignConfig::smoke()
-        } else {
-            media::CampaignConfig::full()
-        };
-        if let Some(n) = value("--seeds") {
-            cfg.seeds = (1..=n.max(1)).collect();
-        }
-        if let Some(n) = value("--lines") {
-            cfg.lines = n.max(1);
-        }
+        let cfg = config!(media, lines, 1);
         let report = media::run_campaign(&cfg);
-        print!("{}", report.render_table());
-        if flag("--metrics") {
-            println!("\nmerged metrics across all runs:");
-            print!("{}", report.merged_metrics().render());
-        }
-        if !report.violations().is_empty() {
-            eprintln!("media-fault campaign FAILED: see violations above");
-            std::process::exit(1);
-        }
-        if !report.scrub_helps() {
-            eprintln!("media-fault campaign FAILED: scrub showed no benefit");
-            std::process::exit(1);
-        }
-        return;
+        return finish(
+            "media-fault",
+            &report.render_table(),
+            show_metrics.then(|| report.merged_metrics()).as_ref(),
+            report.violations(),
+            None,
+        );
     }
 
-    let mut cfg = if flag("--smoke") {
-        faults::CampaignConfig::smoke()
-    } else {
-        faults::CampaignConfig::full()
-    };
-    if let Some(n) = value("--seeds") {
-        cfg.seeds = (1..=n.max(1)).collect();
-    }
-    if let Some(n) = value("--lines") {
-        cfg.lines = n.max(1);
-    }
-
+    let cfg = config!(faults, lines, 1);
     let report = faults::run_campaign(&cfg);
-    print!("{}", report.render_table());
+    finish(
+        "fault",
+        &report.render_table(),
+        show_metrics.then(|| report.merged_metrics()).as_ref(),
+        report.violations(),
+        None,
+    )
+}
 
-    if flag("--metrics") {
-        println!("\nmerged metrics across all runs:");
-        print!("{}", report.merged_metrics().render());
+/// Replays one chaos reproducer and reports its verdict.
+fn replay(path: &str) -> ExitCode {
+    let plan = match std::fs::read_to_string(path) {
+        Ok(json) => match chaos::FaultPlan::from_json(&json) {
+            Ok(plan) => plan,
+            Err(e) => {
+                eprintln!("cannot parse reproducer {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        Err(e) => {
+            eprintln!("cannot read reproducer {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "replaying {path}: {} layout, seed {}, {} requests, {} actions",
+        plan.layout.name(),
+        plan.seed,
+        plan.requests,
+        plan.actions.len()
+    );
+    let report = chaos::run_plan(&plan);
+    println!(
+        "fingerprint {:016x}, {} applied, {} reboots, deterministic: {}",
+        report.fingerprint,
+        report.applied,
+        report.reboots,
+        if report.deterministic { "yes" } else { "NO" }
+    );
+    for v in &report.violations {
+        println!("VIOLATION: {v}");
     }
+    if report.clean() {
+        println!("plan upheld the durability contract");
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
 
-    if !report.violations().is_empty() {
-        eprintln!("fault campaign FAILED: see violations above");
-        std::process::exit(1);
+/// Writes each failing plan's minimal reproducer to
+/// `CHAOS_repro_<n>.json`.
+fn write_reproducers(report: &chaos::CampaignReport) {
+    let plans = report
+        .records
+        .iter()
+        .filter_map(|r| Some((r, r.reproducer.as_ref()?)));
+    for (n, (record, plan)) in plans.enumerate() {
+        let path = format!("CHAOS_repro_{n}.json");
+        match std::fs::write(&path, plan.to_json()) {
+            Ok(()) => eprintln!(
+                "wrote minimal reproducer {path} (seed {} plan {}) — replay with \
+                 `faults --chaos --replay {path}`",
+                record.seed, record.index
+            ),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
     }
 }

@@ -2,58 +2,45 @@
 //! `BENCH_pipeline.json`.
 //!
 //! ```text
-//! pipeline [--smoke] [--reads N] [--out PATH]
+//! pipeline [--smoke] [--reads N]
 //! ```
 //!
 //! * `--smoke`  — the quick `scripts/verify.sh` gate (256 reads per
 //!   depth instead of 2048);
-//! * `--reads N` — override the reads per depth;
-//! * `--out PATH` — where to write the JSON report (default
-//!   `BENCH_pipeline.json` in the working directory).
+//! * `--reads N` — override the reads per depth.
 //!
 //! Each window depth runs twice and must replay to byte-identical
 //! trace fingerprints. Exits nonzero if determinism breaks, if
 //! depth-16 throughput is not at least 4x depth-1, or if any depth's
 //! simulated throughput regressed more than 20 % against the previous
-//! report at `--out` (the old file, when present, is the baseline and
-//! is only overwritten after the comparison).
+//! `BENCH_pipeline.json` row of the same depth and read count (the old
+//! file is only overwritten after the comparison).
+
+use std::process::ExitCode;
 
 use contutto_bench::pipeline::{run_sweep, PipelineConfig};
+use contutto_bench::report::finish;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let mut cfg = if flag("--smoke") {
+    let mut cfg = if args.iter().any(|a| a == "--smoke") {
         PipelineConfig::smoke()
     } else {
         PipelineConfig::full()
     };
-    if let Some(n) = value("--reads").and_then(|v| v.parse().ok()) {
+    let reads = args
+        .iter()
+        .position(|a| a == "--reads")
+        .and_then(|i| args.get(i + 1)?.parse().ok());
+    if let Some(n) = reads {
         cfg.reads = std::cmp::max(1u64, n);
     }
-    let out = value("--out").unwrap_or_else(|| "BENCH_pipeline.json".into());
-
-    let baseline = std::fs::read_to_string(&out).ok();
     let report = run_sweep(&cfg);
-    print!("{}", report.render_table());
-
-    let violations = report.violations(baseline.as_deref());
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out}");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("pipeline gate FAILED: {v}");
-        }
-        std::process::exit(1);
-    }
+    finish(
+        "pipeline",
+        &report.render_table(),
+        None,
+        report.violations(),
+        Some(&report.bench()),
+    )
 }

@@ -57,6 +57,7 @@ use contutto_workloads::chaos_load::{
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
+use crate::report::{Bench, Row};
 
 /// Keys the chaos load spreads across the memory map.
 const LOAD_KEYS: u64 = 64;
@@ -1256,9 +1257,8 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Contract breaches plus regression-gate failures against a
-    /// previous `BENCH_chaos.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract breaches, one line per oracle violation.
+    pub fn violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         for r in &self.records {
             for v in &r.report.violations {
@@ -1268,16 +1268,6 @@ impl CampaignReport {
                     r.seed,
                     r.index
                 ));
-            }
-        }
-        if let Some(json) = baseline_json {
-            if let Some((old_requests, old_pps)) = parse_baseline(json) {
-                if old_requests == self.requests && self.plans_per_sec < 0.8 * old_pps {
-                    out.push(format!(
-                        "chaos: {:.2} plans/sec regressed >20% from baseline {:.2}",
-                        self.plans_per_sec, old_pps
-                    ));
-                }
             }
         }
         out
@@ -1332,37 +1322,22 @@ impl CampaignReport {
         out
     }
 
-    /// Serializes the campaign aggregate (hand-rolled JSON).
-    pub fn to_json(&self) -> String {
+    /// The one-row `BENCH_chaos.json`: plans/sec (gated), keyed on
+    /// the requests per plan.
+    pub fn bench(&self) -> Bench {
         let violations: usize = self.records.iter().map(|r| r.report.violations.len()).sum();
-        format!(
-            "{{\n  \"benchmark\": \"chaos\",\n  \"plans\": {},\n  \
-             \"requests_per_plan\": {},\n  \"plans_per_sec\": {:.3},\n  \
-             \"violations\": {}\n}}\n",
-            self.records.len(),
-            self.requests,
-            self.plans_per_sec,
-            violations,
-        )
+        let row = Row::new()
+            .int("plans", self.records.len() as u64)
+            .int("requests_per_plan", self.requests)
+            .num("plans_per_sec", self.plans_per_sec)
+            .int("violations", violations as u64);
+        Bench {
+            name: "chaos",
+            rows: vec![row],
+            key: &["requests_per_plan"],
+            gated: &["plans_per_sec"],
+        }
     }
-}
-
-/// Extracts `(requests_per_plan, plans_per_sec)` from a previous
-/// `BENCH_chaos.json`. Tolerant: unparseable input yields no gate.
-fn parse_baseline(json: &str) -> Option<(u64, f64)> {
-    let num = |key: &str| -> Option<f64> {
-        let rest = json.split(key).nth(1)?;
-        let text: String = rest
-            .trim_start_matches([':', ' '])
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        text.parse().ok()
-    };
-    Some((
-        num("\"requests_per_plan\"")? as u64,
-        num("\"plans_per_sec\"")?,
-    ))
 }
 
 /// Runs the campaign: per seed, `plans_per_seed` generated plans with
@@ -1720,10 +1695,8 @@ mod tests {
     #[test]
     fn smoke_campaign_is_clean() {
         let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(violations.is_empty(), "{violations:?}");
         assert!(report.plans_per_sec > 0.0);
-        // Fresh report never regresses against itself.
-        assert!(report.violations(Some(&report.to_json())).is_empty());
     }
 }

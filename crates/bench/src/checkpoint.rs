@@ -6,9 +6,9 @@
 //! 1. **Throughput** — a steady-state testbed (stores landed, loads
 //!    in flight, tracer live) is snapshotted and restored in a tight
 //!    loop; `BENCH_checkpoint.json` records snapshots/sec and
-//!    restores/sec behind the standard ≥0.8× regression gate. The
-//!    image size is byte-deterministic, so it doubles as the
-//!    baseline-comparability key.
+//!    restores/sec behind the shared [`crate::report`] regression
+//!    gate. The image size is byte-deterministic, so it doubles as
+//!    the baseline-comparability key.
 //!
 //! 2. **Prefix reuse** — the power crash-point sweep is run twice,
 //!    straight and with [`crate::power::CampaignConfig::reuse_prefix`]
@@ -29,6 +29,7 @@ use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 
 use crate::power;
+use crate::report::{Bench, Row};
 
 /// Campaign knobs.
 #[derive(Debug, Clone)]
@@ -97,9 +98,9 @@ impl CampaignReport {
         }
     }
 
-    /// Contract breaches plus regression-gate failures against a
-    /// previous `BENCH_checkpoint.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract breaches: identity failures and a prefix that was not
+    /// skipped.
+    pub fn violations(&self) -> Vec<String> {
         let mut out = self.failures.clone();
         if self.stores_reused >= self.stores_straight {
             out.push(format!(
@@ -107,28 +108,6 @@ impl CampaignReport {
                  the prefix was not skipped",
                 self.stores_reused, self.stores_straight
             ));
-        }
-        if let Some(json) = baseline_json {
-            if let Some(b) = parse_baseline(json) {
-                // Only gate against a baseline of the same image — a
-                // format or testbed change resets the comparison.
-                if b.snapshot_bytes == self.snapshot_bytes {
-                    if self.snapshots_per_sec < 0.8 * b.snapshots_per_sec {
-                        out.push(format!(
-                            "checkpoint: {:.1} snapshots/sec regressed >20% from \
-                             baseline {:.1}",
-                            self.snapshots_per_sec, b.snapshots_per_sec
-                        ));
-                    }
-                    if self.restores_per_sec < 0.8 * b.restores_per_sec {
-                        out.push(format!(
-                            "checkpoint: {:.1} restores/sec regressed >20% from \
-                             baseline {:.1}",
-                            self.restores_per_sec, b.restores_per_sec
-                        ));
-                    }
-                }
-            }
         }
         out
     }
@@ -176,55 +155,27 @@ impl CampaignReport {
         out
     }
 
-    /// Serializes the campaign aggregate (hand-rolled JSON).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"checkpoint\",\n  \
-             \"snapshot_bytes\": {},\n  \
-             \"snapshots_per_sec\": {:.3},\n  \
-             \"restores_per_sec\": {:.3},\n  \
-             \"straight_secs\": {:.3},\n  \
-             \"reused_secs\": {:.3},\n  \
-             \"prefix_reuse_speedup\": {:.3},\n  \
-             \"stores_straight\": {},\n  \
-             \"stores_reused\": {},\n  \
-             \"violations\": {}\n}}\n",
-            self.snapshot_bytes,
-            self.snapshots_per_sec,
-            self.restores_per_sec,
-            self.straight_secs,
-            self.reused_secs,
-            self.speedup(),
-            self.stores_straight,
-            self.stores_reused,
-            self.failures.len(),
-        )
+    /// The one-row `BENCH_checkpoint.json`: snapshot and restore
+    /// throughput (both gated), keyed on the image size so a format or
+    /// testbed change resets the comparison.
+    pub fn bench(&self) -> Bench {
+        let row = Row::new()
+            .int("snapshot_bytes", self.snapshot_bytes)
+            .num("snapshots_per_sec", self.snapshots_per_sec)
+            .num("restores_per_sec", self.restores_per_sec)
+            .num("straight_secs", self.straight_secs)
+            .num("reused_secs", self.reused_secs)
+            .num("prefix_reuse_speedup", self.speedup())
+            .int("stores_straight", self.stores_straight)
+            .int("stores_reused", self.stores_reused)
+            .int("violations", self.failures.len() as u64);
+        Bench {
+            name: "checkpoint",
+            rows: vec![row],
+            key: &["snapshot_bytes"],
+            gated: &["snapshots_per_sec", "restores_per_sec"],
+        }
     }
-}
-
-/// Baseline numbers extracted from a previous `BENCH_checkpoint.json`.
-struct Baseline {
-    snapshot_bytes: u64,
-    snapshots_per_sec: f64,
-    restores_per_sec: f64,
-}
-
-/// Tolerant extractor: unparseable input yields no gate.
-fn parse_baseline(json: &str) -> Option<Baseline> {
-    let num = |key: &str| -> Option<f64> {
-        let rest = json.split(key).nth(1)?;
-        let text: String = rest
-            .trim_start_matches([':', ' '])
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        text.parse().ok()
-    };
-    Some(Baseline {
-        snapshot_bytes: num("\"snapshot_bytes\"")? as u64,
-        snapshots_per_sec: num("\"snapshots_per_sec\"")?,
-        restores_per_sec: num("\"restores_per_sec\"")?,
-    })
 }
 
 /// Boots the throughput testbed: steady state with stores landed,
@@ -361,71 +312,13 @@ mod tests {
     #[test]
     fn smoke_campaign_is_clean_and_skips_the_prefix() {
         let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
         assert!(report.stores_reused < report.stores_straight);
         assert!(report.snapshots_per_sec > 0.0);
         assert!(report.restores_per_sec > 0.0);
         let table = report.render_table();
         assert!(table.contains("prefix-reuse speedup"), "{table}");
-    }
-
-    #[test]
-    fn regression_gate_fires_against_an_inflated_baseline() {
-        let report = CampaignReport {
-            snapshots_per_sec: 10.0,
-            restores_per_sec: 10.0,
-            snapshot_bytes: 1234,
-            straight_secs: 1.0,
-            reused_secs: 0.5,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let baseline = "{\n  \"benchmark\": \"checkpoint\",\n  \
-                        \"snapshot_bytes\": 1234,\n  \
-                        \"snapshots_per_sec\": 100.0,\n  \
-                        \"restores_per_sec\": 100.0\n}";
-        let violations = report.violations(Some(baseline));
-        assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(violations[0].contains("snapshots/sec regressed"));
-        assert!(violations[1].contains("restores/sec regressed"));
-    }
-
-    #[test]
-    fn regression_gate_skips_baselines_of_a_different_image() {
-        let report = CampaignReport {
-            snapshots_per_sec: 10.0,
-            restores_per_sec: 10.0,
-            snapshot_bytes: 1234,
-            straight_secs: 1.0,
-            reused_secs: 0.5,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let baseline = "{\n  \"snapshot_bytes\": 9999,\n  \
-                        \"snapshots_per_sec\": 100.0,\n  \
-                        \"restores_per_sec\": 100.0\n}";
-        assert!(report.violations(Some(baseline)).is_empty());
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = CampaignReport {
-            snapshots_per_sec: 123.456,
-            restores_per_sec: 78.9,
-            snapshot_bytes: 4096,
-            straight_secs: 2.0,
-            reused_secs: 1.0,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let b = parse_baseline(&report.to_json()).expect("parses");
-        assert_eq!(b.snapshot_bytes, 4096);
-        assert!((b.snapshots_per_sec - 123.456).abs() < 1e-6);
-        assert!((b.restores_per_sec - 78.9).abs() < 1e-6);
     }
 
     #[test]
@@ -440,7 +333,7 @@ mod tests {
             stores_reused: 100,
             failures: Vec::new(),
         };
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("prefix was not skipped"));
     }

@@ -249,9 +249,26 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Runs that break the zero-loss contract.
-    pub fn violations(&self) -> Vec<&RunReport> {
-        self.runs.iter().filter(|r| r.is_violation()).collect()
+    /// Runs that break the zero-loss contract, one line each.
+    pub fn violations(&self) -> Vec<String> {
+        self.runs
+            .iter()
+            .filter(|r| r.is_violation())
+            .map(|r| {
+                let rerun = if r.deterministic {
+                    ""
+                } else {
+                    ", rerun diverged"
+                };
+                format!(
+                    "{} seed {}: {} after {} failovers{rerun}",
+                    r.scenario.name(),
+                    r.seed,
+                    r.outcome,
+                    r.failovers
+                )
+            })
+            .collect()
     }
 
     /// All run metrics merged (counters accumulate).
@@ -506,15 +523,7 @@ mod tests {
             lines: 12,
         });
         let violations = report.violations();
-        assert!(
-            violations.is_empty(),
-            "{}",
-            violations
-                .iter()
-                .map(|r| format!("{} seed {}: {}", r.scenario.name(), r.seed, r.outcome))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 
     #[test]

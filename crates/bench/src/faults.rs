@@ -234,9 +234,25 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Runs that break the no-panic / no-corruption / typed-failure
-    /// contract.
-    pub fn violations(&self) -> Vec<&RunReport> {
-        self.runs.iter().filter(|r| r.is_violation()).collect()
+    /// contract, one line each.
+    pub fn violations(&self) -> Vec<String> {
+        self.runs
+            .iter()
+            .filter(|r| r.is_violation())
+            .map(|r| {
+                let rerun = if r.deterministic {
+                    ""
+                } else {
+                    ", rerun diverged"
+                };
+                format!(
+                    "{} seed {}: {}{rerun}",
+                    r.scenario.name(),
+                    r.seed,
+                    r.outcome
+                )
+            })
+            .collect()
     }
 
     /// All run metrics merged (counters accumulate).
@@ -536,16 +552,7 @@ mod tests {
             lines: 3,
         });
         let violations = report.violations();
-        assert!(
-            violations.is_empty(),
-            "{}",
-            report
-                .violations()
-                .iter()
-                .map(|r| format!("{} seed {}: {}", r.scenario.name(), r.seed, r.outcome))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod media;
 pub mod overload;
 pub mod pipeline;
 pub mod power;
+pub mod report;
 pub mod traffic;
 
 use contutto_centaur::{Centaur, CentaurConfig};

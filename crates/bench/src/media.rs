@@ -15,7 +15,7 @@
 //! * **scrub measurably helps** — the aggregate uncorrectable count
 //!   with scrub disabled must exceed the scrub-enabled aggregate
 //!   ([`CampaignReport::scrub_benefit`]), or the scrubber is dead
-//!   weight.
+//!   weight; [`CampaignReport::violations`] reports it otherwise.
 //!
 //! Runs are deterministic: the same scenario and seed produce a
 //! byte-identical trace fingerprint, printed in the table.
@@ -226,14 +226,40 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Runs that break the no-silent-corruption contract.
-    pub fn violations(&self) -> Vec<&RunReport> {
-        self.runs.iter().filter(|r| r.is_violation()).collect()
+    /// Runs that break the no-silent-corruption contract, one line
+    /// each, plus one line when disabling scrub did not raise the
+    /// aggregate uncorrectable count.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .runs
+            .iter()
+            .filter(|r| r.is_violation())
+            .map(|r| {
+                let rerun = if r.deterministic {
+                    ""
+                } else {
+                    ", rerun diverged"
+                };
+                format!(
+                    "{} seed {}: {}{rerun}",
+                    r.scenario.name(),
+                    r.seed,
+                    r.outcome
+                )
+            })
+            .collect();
+        let (on, off) = self.scrub_benefit();
+        if off <= on {
+            v.push(format!(
+                "scrub showed no benefit: {on} uncorrectable with scrub, {off} without"
+            ));
+        }
+        v
     }
 
     /// Aggregate demand-read uncorrectable counts as (scrub on, scrub
     /// off). The off total exceeding the on total is the scrubber's
-    /// measurable benefit; [`CampaignReport::scrub_helps`] checks it.
+    /// measurable benefit.
     pub fn scrub_benefit(&self) -> (u64, u64) {
         let mut on = 0;
         let mut off = 0;
@@ -245,13 +271,6 @@ impl CampaignReport {
             }
         }
         (on, off)
-    }
-
-    /// Whether disabling scrub measurably raised the aggregate
-    /// uncorrectable count.
-    pub fn scrub_helps(&self) -> bool {
-        let (on, off) = self.scrub_benefit();
-        off > on
     }
 
     /// All run metrics merged (counters accumulate).
@@ -454,20 +473,41 @@ mod tests {
             lines: 8,
         });
         let violations = report.violations();
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
+        let (on, off) = report.scrub_benefit();
         assert!(
-            violations.is_empty(),
-            "{}",
-            violations
-                .iter()
-                .map(|r| format!("{} seed {}: {}", r.scenario.name(), r.seed, r.outcome))
-                .collect::<Vec<_>>()
-                .join("\n")
+            off > on,
+            "disabling scrub must raise the uncorrectable aggregate"
         );
-        assert!(
-            report.scrub_helps(),
-            "disabling scrub must raise the uncorrectable aggregate: {:?}",
-            report.scrub_benefit()
-        );
+    }
+
+    #[test]
+    fn scrub_without_benefit_is_a_violation() {
+        let run = |scrub: bool, uncorrectable: u64| RunReport {
+            scenario: Scenario {
+                media: Media::Dram,
+                scrub,
+            },
+            seed: 1,
+            outcome: Outcome::Degraded,
+            corrected: 0,
+            uncorrectable,
+            scrub_passes: 0,
+            pages_retired: 0,
+            poisoned_reads: uncorrectable,
+            fingerprint: 1,
+            deterministic: true,
+            metrics: MetricsRegistry::new(),
+        };
+        let report = |on: u64, off: u64| CampaignReport {
+            runs: vec![run(true, on), run(false, off)],
+        };
+        assert!(report(1, 2).violations().is_empty());
+        for (on, off) in [(2, 2), (3, 1)] {
+            let v = report(on, off).violations();
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains("scrub showed no benefit"), "{}", v[0]);
+        }
     }
 
     #[test]

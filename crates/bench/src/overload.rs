@@ -44,6 +44,7 @@ use contutto_workloads::traffic::{
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
+use crate::report::{Bench, Row};
 
 /// How long the trigger holds: the victim channel's in-flight window is
 /// collapsed to one tag and its links are noisy for this long, then
@@ -424,10 +425,9 @@ impl CampaignReport {
         }
     }
 
-    /// Runs that break the contract — structural per-run clauses, the
-    /// campaign-level metastability verdicts, and regression-gate
-    /// failures against a previous `BENCH_overload.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Runs that break the contract — structural per-run clauses and
+    /// the campaign-level metastability verdicts.
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for r in &self.runs {
             if let Some(reason) = r.violation_reason() {
@@ -462,20 +462,6 @@ impl CampaignReport {
                     ));
                 }
                 _ => {}
-            }
-        }
-        if let Some(json) = baseline_json {
-            for (name, old_requests, old_rps) in parse_baseline(json) {
-                if old_requests != self.requests {
-                    continue;
-                }
-                if let Some(rps) = self.scenario_rps(&name) {
-                    if rps < 0.8 * old_rps {
-                        v.push(format!(
-                            "{name}: {rps:.0} req/sec regressed >20% from baseline {old_rps:.0}"
-                        ));
-                    }
-                }
             }
         }
         v
@@ -577,70 +563,42 @@ impl CampaignReport {
             "\n{} runs, {} violations (p99 latencies in µs; r/s = recovery p99 : merged \
              steady p99 ({:.1} µs); retries = granted/denied)",
             self.runs.len(),
-            self.violations(None).len(),
+            self.violations().len(),
             steady_ref as f64 / 1_000_000.0,
         );
         out
     }
 
-    /// Serializes the per-scenario aggregate (hand-rolled JSON, no
-    /// external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"overload\",\n  \"scenarios\": [\n");
-        let names: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        for (i, name) in names.iter().enumerate() {
-            let rps = self.scenario_rps(name).unwrap_or(0.0);
-            let ratio = self.worst_recovery_ratio(name);
-            let (shed, hedges): (u64, u64) = self
-                .scenario_runs(name)
-                .map(|r| {
+    /// The `BENCH_overload.json` rows, one per scenario: requests/sec
+    /// (gated), worst recovery ratio and what the defenses did, keyed
+    /// on the request count per run.
+    pub fn bench(&self) -> Bench {
+        let rows = Scenario::all()
+            .into_iter()
+            .map(|s| {
+                let name = s.name();
+                let (shed, hedges) = self.scenario_runs(name).fold((0, 0), |(s, h), r| {
                     (
-                        r.report.shed.iter().sum::<u64>(),
-                        r.report.hedges.iter().sum::<u64>(),
+                        s + r.report.shed.iter().sum::<u64>(),
+                        h + r.report.hedges.iter().sum::<u64>(),
                     )
-                })
-                .fold((0, 0), |(s, h), (a, b)| (s + a, h + b));
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"requests_per_run\": {}, \
-                 \"requests_per_sec\": {:.3}, \
-                 \"recovery_ratio\": {:.3}, \"shed\": {}, \"hedges\": {}}}",
-                name, self.requests, rps, ratio, shed, hedges,
-            );
-            out.push_str(if i + 1 < names.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Extracts `(scenario, requests_per_run, requests_per_sec)` triples
-/// from a previous report's JSON. Tolerant scanner; unparseable input
-/// yields no entries (no gate).
-fn parse_baseline(json: &str) -> Vec<(String, u64, f64)> {
-    let number_after = |chunk: &str, key: &str| -> Option<f64> {
-        let rest = chunk.split(key).nth(1)?;
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+                });
+                Row::new()
+                    .text("scenario", name)
+                    .int("requests_per_run", self.requests)
+                    .num("requests_per_sec", self.scenario_rps(name).unwrap_or(0.0))
+                    .num("recovery_ratio", self.worst_recovery_ratio(name))
+                    .int("shed", shed)
+                    .int("hedges", hedges)
+            })
             .collect();
-        num.parse().ok()
-    };
-    let mut entries = Vec::new();
-    for chunk in json.split("\"scenario\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(requests) = number_after(chunk, "\"requests_per_run\":") else {
-            continue;
-        };
-        let Some(rps) = number_after(chunk, "\"requests_per_sec\":") else {
-            continue;
-        };
-        entries.push((name.to_string(), requests as u64, rps));
+        Bench {
+            name: "overload",
+            rows,
+            key: &["scenario", "requests_per_run"],
+            gated: &["requests_per_sec"],
+        }
     }
-    entries
 }
 
 #[cfg(test)]
@@ -653,7 +611,7 @@ mod tests {
             seeds: vec![1],
             requests: 420,
         });
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(
             violations.is_empty(),
             "{violations:?}\n{}",
@@ -668,25 +626,5 @@ mod tests {
             naive.recovery_p99(),
             protected.recovery_p99()
         );
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1],
-            requests: 420,
-        });
-        let json = report.to_json();
-        let pairs = parse_baseline(&json);
-        assert_eq!(pairs.len(), Scenario::all().len());
-        assert!(report
-            .violations(Some(&json))
-            .iter()
-            .all(|v| !v.contains("regressed")));
-        let inflated = json.replace("\"requests_per_sec\": ", "\"requests_per_sec\": 9");
-        assert!(report
-            .violations(Some(&inflated))
-            .iter()
-            .any(|v| v.contains("regressed")));
     }
 }

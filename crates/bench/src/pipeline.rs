@@ -10,23 +10,29 @@
 //! * **achieved MLP** — Little's-law concurrency (Σ per-read latency ÷
 //!   elapsed time), which saturates at the channel's frame-slot
 //!   bandwidth no matter how deep the window goes;
-//! * **events/sec** — simulator wall-clock throughput (completions per
-//!   host second), the cost of running the model itself.
+//! * **reads/wall-sec** — simulator wall-clock throughput: reads per
+//!   host second over both passes of a depth, boots included, the cost
+//!   of running the model itself.
 //!
 //! Every depth runs **twice** and the two trace fingerprints must be
 //! byte-identical — the determinism invariant holds at any depth. The
 //! report gates on depth-16 achieving at least 4x the depth-1
-//! throughput, and (when a previous `BENCH_pipeline.json` exists) on
-//! no depth regressing its simulated throughput by more than 20 %.
+//! throughput, and [`PipelineReport::bench`] lets the shared
+//! [`crate::report`] gate hold each `(depth, reads)` row's simulated
+//! throughput to its previous `BENCH_pipeline.json` value.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use contutto_core::ContuttoConfig;
 use contutto_dmi::command::CacheLine;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 use contutto_sim::SimTime;
+
+use crate::harness::run_twice_assert_identical;
+use crate::report::{Bench, Row};
 
 /// Slot of the ConTutto card in the single-card latency layout.
 const CONTUTTO_SLOT: usize = 2;
@@ -78,12 +84,16 @@ pub struct DepthRun {
     pub wall_seconds: f64,
     /// Simulated read throughput.
     pub lines_per_sec: f64,
-    /// Completions per host wall-clock second.
-    pub events_per_sec: f64,
+    /// Reads per host wall-clock second, counted over both passes and
+    /// both boots: `2 × reads ÷ wall_seconds`.
+    pub reads_per_wall_sec: f64,
     /// Little's-law concurrency actually achieved.
     pub achieved_mlp: f64,
-    /// Trace fingerprint (identical across both runs).
+    /// Trace fingerprint of the first pass.
     pub fingerprint: u64,
+    /// The second pass matched the first: same fingerprint, simulated
+    /// time and latency sum.
+    pub deterministic: bool,
 }
 
 /// The sweep report.
@@ -164,28 +174,26 @@ fn one_pass(cfg: &PipelineConfig, depth: usize) -> (f64, f64, u64) {
     (elapsed, latency_sum, tracer.fingerprint())
 }
 
-/// Runs the sweep. Each depth runs twice; the two trace fingerprints
-/// must match or the depth is reported as a determinism violation by
-/// [`PipelineReport::violations`] (the run itself records the
-/// mismatch by storing fingerprint 0, which never collides with a
-/// real FNV-1a fingerprint of a non-empty trace).
+/// Runs the sweep. Each depth runs twice; a second pass that differs
+/// from the first clears [`DepthRun::deterministic`], which
+/// [`PipelineReport::violations`] reports.
 pub fn run_sweep(cfg: &PipelineConfig) -> PipelineReport {
     let mut runs = Vec::with_capacity(cfg.depths.len());
     for &depth in &cfg.depths {
-        let wall = std::time::Instant::now();
-        let (sim_a, lat_a, fp_a) = one_pass(cfg, depth);
-        let (sim_b, lat_b, fp_b) = one_pass(cfg, depth);
+        let wall = Instant::now();
+        let ((sim, lat, fingerprint), deterministic) =
+            run_twice_assert_identical(|| one_pass(cfg, depth), |a, b| a == b);
         let wall_seconds = wall.elapsed().as_secs_f64();
-        let deterministic = fp_a == fp_b && sim_a == sim_b && lat_a == lat_b;
         runs.push(DepthRun {
             depth,
             reads: cfg.reads,
-            sim_seconds: sim_a,
+            sim_seconds: sim,
             wall_seconds,
-            lines_per_sec: cfg.reads as f64 / sim_a,
-            events_per_sec: 2.0 * cfg.reads as f64 / wall_seconds.max(1e-9),
-            achieved_mlp: lat_a / sim_a,
-            fingerprint: if deterministic { fp_a } else { 0 },
+            lines_per_sec: cfg.reads as f64 / sim,
+            reads_per_wall_sec: 2.0 * cfg.reads as f64 / wall_seconds.max(1e-9),
+            achieved_mlp: lat / sim,
+            fingerprint,
+            deterministic,
         });
     }
     PipelineReport { runs }
@@ -204,13 +212,12 @@ impl PipelineReport {
         Some(at(16)? / at(1)?)
     }
 
-    /// Gate violations: determinism, the 4x depth-16 speedup floor,
-    /// and (given a previous report's JSON) any depth more than 20 %
-    /// slower in simulated throughput than it used to be.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract violations: determinism and the 4x depth-16 speedup
+    /// floor.
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for r in &self.runs {
-            if r.fingerprint == 0 {
+            if !r.deterministic {
                 v.push(format!(
                     "depth {}: trace fingerprints differ between identical runs",
                     r.depth
@@ -224,18 +231,6 @@ impl PipelineReport {
             Some(_) => {}
             None => v.push("sweep must include depths 1 and 16".into()),
         }
-        if let Some(json) = baseline_json {
-            for (depth, old) in parse_baseline(json) {
-                if let Some(r) = self.runs.iter().find(|r| r.depth == depth) {
-                    if r.lines_per_sec < 0.8 * old {
-                        v.push(format!(
-                            "depth {}: {:.0} lines/sec regressed >20% from baseline {:.0}",
-                            depth, r.lines_per_sec, old
-                        ));
-                    }
-                }
-            }
-        }
         v
     }
 
@@ -244,18 +239,18 @@ impl PipelineReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>6} {:>14} {:>13} {:>13} {:>11} {:>18}",
-            "depth", "lines/sec", "achieved MLP", "sim ms", "events/s", "fingerprint"
+            "{:>6} {:>14} {:>13} {:>13} {:>12} {:>18}",
+            "depth", "lines/sec", "achieved MLP", "sim ms", "reads/wall-s", "fingerprint"
         );
         for r in &self.runs {
             let _ = writeln!(
                 out,
-                "{:>6} {:>14.0} {:>13.2} {:>13.4} {:>11.0} {:>#18x}",
+                "{:>6} {:>14.0} {:>13.2} {:>13.4} {:>12.0} {:>#18x}",
                 r.depth,
                 r.lines_per_sec,
                 r.achieved_mlp,
                 r.sim_seconds * 1e3,
-                r.events_per_sec,
+                r.reads_per_wall_sec,
                 r.fingerprint
             );
         }
@@ -265,64 +260,31 @@ impl PipelineReport {
         out
     }
 
-    /// Serializes the report (hand-rolled JSON; no external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"pipeline\",\n  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"depth\": {}, \"reads\": {}, \"lines_per_sec\": {:.3}, \
-                 \"achieved_mlp\": {:.4}, \"sim_seconds\": {:.9}, \
-                 \"events_per_sec\": {:.1}, \"fingerprint\": \"{:#x}\"}}",
-                r.depth,
-                r.reads,
-                r.lines_per_sec,
-                r.achieved_mlp,
-                r.sim_seconds,
-                r.events_per_sec,
-                r.fingerprint
-            );
-            out.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"speedup_depth16_vs_depth1\": {:.3}",
-            self.speedup_16_vs_1().unwrap_or(0.0)
-        );
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Extracts `(depth, lines_per_sec)` pairs from a previous report's
-/// JSON. Tolerant scanner over the format [`PipelineReport::to_json`]
-/// emits; unparseable input yields no pairs (no gate).
-fn parse_baseline(json: &str) -> Vec<(usize, f64)> {
-    let mut pairs = Vec::new();
-    for chunk in json.split("\"depth\":").skip(1) {
-        let depth: usize = match chunk
-            .trim_start()
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .and_then(|d| d.parse().ok())
-        {
-            Some(d) => d,
-            None => continue,
-        };
-        let Some(rest) = chunk.split("\"lines_per_sec\":").nth(1) else {
-            continue;
-        };
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+    /// The `BENCH_pipeline.json` rows, one per depth, gated on
+    /// simulated throughput against a baseline of the same depth and
+    /// read count.
+    pub fn bench(&self) -> Bench {
+        let rows = self
+            .runs
+            .iter()
+            .map(|r| {
+                Row::new()
+                    .int("depth", r.depth as u64)
+                    .int("reads", r.reads)
+                    .num("lines_per_sec", r.lines_per_sec)
+                    .num("achieved_mlp", r.achieved_mlp)
+                    .num("sim_seconds", r.sim_seconds)
+                    .num("reads_per_wall_sec", r.reads_per_wall_sec)
+                    .text("fingerprint", format!("{:#x}", r.fingerprint))
+            })
             .collect();
-        if let Ok(v) = num.parse() {
-            pairs.push((depth, v));
+        Bench {
+            name: "pipeline",
+            rows,
+            key: &["depth", "reads"],
+            gated: &["lines_per_sec"],
         }
     }
-    pairs
 }
 
 #[cfg(test)]
@@ -343,7 +305,7 @@ mod tests {
         let report = run_sweep(&tiny());
         let s = report.speedup_16_vs_1().unwrap();
         assert!(s >= 4.0, "speedup {s}");
-        assert!(report.violations(None).is_empty());
+        assert!(report.violations().is_empty());
     }
 
     #[test]
@@ -360,26 +322,26 @@ mod tests {
     fn double_runs_are_fingerprint_identical() {
         let report = run_sweep(&tiny());
         for r in &report.runs {
-            assert_ne!(r.fingerprint, 0, "depth {} not deterministic", r.depth);
+            assert!(r.deterministic, "depth {} not deterministic", r.depth);
         }
     }
 
     #[test]
-    fn json_round_trips_through_the_baseline_parser() {
+    fn gate_keys_on_depth_and_reads() {
         let report = run_sweep(&tiny());
-        let pairs = parse_baseline(&report.to_json());
-        assert_eq!(pairs.len(), report.runs.len());
-        for ((d, v), r) in pairs.iter().zip(&report.runs) {
-            assert_eq!(*d, r.depth);
-            assert!((v - r.lines_per_sec).abs() < 0.01);
-        }
-        // A fresh report never regresses against its own numbers.
-        assert!(report.violations(Some(&report.to_json())).is_empty());
-        // A 10x faster fake baseline trips the 20% gate.
-        let inflated = report
-            .to_json()
-            .replace("\"lines_per_sec\": ", "\"lines_per_sec\": 9")
-            .replace("\"benchmark\"", "\"benchmark_inflated\"");
-        assert!(!report.violations(Some(&inflated)).is_empty());
+        let bench = report.bench();
+        assert!(bench.gate(&bench.to_json()).is_empty());
+        let inflated = |reads: u64| {
+            let mut old = report.clone();
+            for r in &mut old.runs {
+                r.reads = reads;
+                r.lines_per_sec *= 10.0;
+            }
+            old.bench().to_json()
+        };
+        // Same depth, same read count: a 10x faster baseline gates.
+        assert_eq!(bench.gate(&inflated(48)).len(), report.runs.len());
+        // Same depths at a different read count are another workload.
+        assert!(bench.gate(&inflated(2048)).is_empty());
     }
 }

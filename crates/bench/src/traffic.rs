@@ -43,6 +43,7 @@ use contutto_workloads::traffic::{
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
+use crate::report::{Bench, Row};
 
 /// Flips rained on the victim during the scrub storm. Spread across a
 /// wide hot range so they stay single-bit per ECC word (corrected, not
@@ -360,9 +361,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 }
 
 impl CampaignReport {
-    /// Runs that break the contract, plus regression-gate failures
-    /// against a previous `BENCH_traffic.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Runs that break the contract.
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for r in &self.runs {
             if let Some(msg) = &r.panicked {
@@ -387,20 +387,6 @@ impl CampaignReport {
                     r.report.orphaned,
                     r.fault_fired,
                 ));
-            }
-        }
-        if let Some(json) = baseline_json {
-            for (name, old_requests, old_rps) in parse_baseline(json) {
-                if old_requests != self.requests {
-                    continue;
-                }
-                if let Some(rps) = self.scenario_rps(&name) {
-                    if rps < 0.8 * old_rps {
-                        v.push(format!(
-                            "{name}: {rps:.0} req/sec regressed >20% from baseline {old_rps:.0}"
-                        ));
-                    }
-                }
             }
         }
         v
@@ -488,70 +474,38 @@ impl CampaignReport {
             out,
             "\n{} runs, {} violations (latencies in µs)",
             self.runs.len(),
-            self.violations(None).len(),
+            self.violations().len(),
         );
         out
     }
 
-    /// Serializes the per-scenario aggregate (hand-rolled JSON, no
-    /// external deps): requests/sec, merged p99.9, SLO violations.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"traffic\",\n  \"scenarios\": [\n");
-        let names: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        for (i, name) in names.iter().enumerate() {
-            let rps = self.scenario_rps(name).unwrap_or(0.0);
-            let merged = self.merged_latency(name);
-            let slo: u64 = self
-                .scenario_runs(name)
-                .map(|r| r.report.steady_slo_violations + r.report.fault_slo_violations)
-                .sum();
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"requests_per_run\": {}, \
-                 \"requests_per_sec\": {:.3}, \
-                 \"p999_ns\": {}, \"slo_violations\": {}}}",
-                name,
-                self.requests,
-                rps,
-                merged.quantile(0.999),
-                slo,
-            );
-            out.push_str(if i + 1 < names.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Extracts `(scenario, requests_per_run, requests_per_sec)` triples
-/// from a previous report's JSON. Tolerant scanner; unparseable input
-/// yields no entries (no gate). Entries without a `requests_per_run`
-/// (older baselines) are skipped — their workload size is unknown, so
-/// they cannot be compared fairly.
-fn parse_baseline(json: &str) -> Vec<(String, u64, f64)> {
-    let number_after = |chunk: &str, key: &str| -> Option<f64> {
-        let rest = chunk.split(key).nth(1)?;
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+    /// The `BENCH_traffic.json` rows, one per scenario: requests/sec
+    /// (gated), merged p99.9 and SLO violations, keyed on the request
+    /// count per run.
+    pub fn bench(&self) -> Bench {
+        let rows = Scenario::all()
+            .into_iter()
+            .map(|s| {
+                let name = s.name();
+                let slo: u64 = self
+                    .scenario_runs(name)
+                    .map(|r| r.report.steady_slo_violations + r.report.fault_slo_violations)
+                    .sum();
+                Row::new()
+                    .text("scenario", name)
+                    .int("requests_per_run", self.requests)
+                    .num("requests_per_sec", self.scenario_rps(name).unwrap_or(0.0))
+                    .int("p999_ns", self.merged_latency(name).quantile(0.999))
+                    .int("slo_violations", slo)
+            })
             .collect();
-        num.parse().ok()
-    };
-    let mut entries = Vec::new();
-    for chunk in json.split("\"scenario\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(requests) = number_after(chunk, "\"requests_per_run\":") else {
-            continue;
-        };
-        let Some(rps) = number_after(chunk, "\"requests_per_sec\":") else {
-            continue;
-        };
-        entries.push((name.to_string(), requests as u64, rps));
+        Bench {
+            name: "traffic",
+            rows,
+            key: &["scenario", "requests_per_run"],
+            gated: &["requests_per_sec"],
+        }
     }
-    entries
 }
 
 #[cfg(test)]
@@ -592,27 +546,5 @@ mod tests {
         let r = run_scenario(Scenario::ScrubStorm, 1, 90);
         assert!(!r.is_violation(), "scrub-storm run violated the contract");
         assert!(r.metrics.counter("buffer.media.scrub_passes") > 0);
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1],
-            requests: 60,
-        });
-        let json = report.to_json();
-        let pairs = parse_baseline(&json);
-        assert_eq!(pairs.len(), Scenario::all().len());
-        // A fresh report never regresses against its own numbers.
-        assert!(report
-            .violations(Some(&json))
-            .iter()
-            .all(|v| !v.contains("regressed")));
-        // A 10x faster fake baseline trips the 20% gate.
-        let inflated = json.replace("\"requests_per_sec\": ", "\"requests_per_sec\": 9");
-        assert!(report
-            .violations(Some(&inflated))
-            .iter()
-            .any(|v| v.contains("regressed")));
     }
 }

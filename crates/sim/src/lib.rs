@@ -4,10 +4,9 @@
 //! crate in the ConTutto reproduction.
 //!
 //! The kernel is deliberately small: a monotonically increasing
-//! picosecond clock ([`SimTime`]), an event queue with stable FIFO
-//! ordering for simultaneous events ([`EventQueue`]), typed frequency /
-//! cycle arithmetic ([`Frequency`], [`Cycles`]), bounded latency queues
-//! for modelling pipelines and wires ([`queue::DelayQueue`]), statistics
+//! picosecond clock ([`SimTime`]), typed frequency / cycle arithmetic
+//! ([`Frequency`], [`Cycles`]), bounded latency queues for modelling
+//! pipelines and wires ([`queue::DelayQueue`]), statistics
 //! collectors ([`stats`]) aggregated under hierarchical names by a
 //! [`MetricsRegistry`], a frozen-stream deterministic PRNG ([`SimRng`]),
 //! and ring-buffered structured protocol tracing ([`trace`]).
@@ -19,16 +18,16 @@
 //! ## Example
 //!
 //! ```
-//! use contutto_sim::{EventQueue, SimTime};
+//! use contutto_sim::{DelayQueue, SimTime};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_ns(5), "b");
-//! q.schedule(SimTime::from_ns(1), "a");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t, ev), (SimTime::from_ns(1), "a"));
+//! let mut wire = DelayQueue::with_latency(SimTime::from_ns(4));
+//! wire.push(SimTime::from_ns(1), "a").unwrap();
+//! wire.push(SimTime::from_ns(2), "b").unwrap();
+//! assert_eq!(wire.pop_ready(SimTime::from_ns(4)), None);
+//! assert_eq!(wire.pop_ready(SimTime::from_ns(5)), Some("a"));
+//! assert_eq!(wire.next_ready_time(), Some(SimTime::from_ns(6)));
 //! ```
 
-pub mod event;
 pub mod queue;
 pub mod registry;
 pub mod rng;
@@ -37,7 +36,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventId, EventQueue};
 pub use queue::DelayQueue;
 pub use registry::{Metric, MetricsRegistry};
 pub use rng::SimRng;
@@ -45,6 +43,6 @@ pub use snapshot::{
     crc32, Persist, RestoreError, SnapReader, SnapshotImage, SnapshotWriter, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
 };
-pub use stats::{Counter, Histogram, LatencyStats, LogHistogram, QuantileOutcome};
+pub use stats::{Counter, LatencyStats, LogHistogram};
 pub use time::{Cycles, Frequency, SimTime};
 pub use trace::{LinkDir, TraceEvent, TraceRecord, Tracer};

@@ -25,23 +25,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::snapshot::{Persist, RestoreError, SnapReader};
-use crate::stats::{Counter, Histogram, LatencyStats, LogHistogram, QuantileOutcome};
+use crate::stats::{Counter, LatencyStats, LogHistogram};
 
 /// One registered metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Metric {
     Counter(Counter),
     Latency(LatencyStats),
-    Histogram(Histogram),
     LogHistogram(LogHistogram),
-}
-
-fn fmt_outcome(outcome: QuantileOutcome) -> String {
-    match outcome {
-        QuantileOutcome::Empty => "-".into(),
-        QuantileOutcome::Value(v) => v.to_string(),
-        QuantileOutcome::Overflow => "overflow".into(),
-    }
 }
 
 impl fmt::Display for Metric {
@@ -49,14 +40,6 @@ impl fmt::Display for Metric {
         match self {
             Metric::Counter(c) => write!(f, "{c}"),
             Metric::Latency(l) => write!(f, "{l}"),
-            Metric::Histogram(h) => write!(
-                f,
-                "histogram n={} overflow={} p50={} p99={}",
-                h.count(),
-                h.overflow(),
-                fmt_outcome(h.quantile_outcome(0.5)),
-                fmt_outcome(h.quantile_outcome(0.99)),
-            ),
             Metric::LogHistogram(h) => write!(f, "loghist {h}"),
         }
     }
@@ -131,12 +114,6 @@ impl MetricsRegistry {
             .insert(name.to_owned(), Metric::Latency(stats.clone()));
     }
 
-    /// Publishes a copy of an existing histogram under `name`.
-    pub fn set_histogram(&mut self, name: &str, histogram: &Histogram) {
-        self.metrics
-            .insert(name.to_owned(), Metric::Histogram(histogram.clone()));
-    }
-
     /// Publishes a copy of an existing log-bucketed histogram under
     /// `name`.
     pub fn set_log_histogram(&mut self, name: &str, histogram: &LogHistogram) {
@@ -178,8 +155,7 @@ impl MetricsRegistry {
 
     /// Merges another registry into this one: counters, latency
     /// collectors and log-histograms (of matching precision)
-    /// accumulate; linear histograms and kind conflicts are replaced
-    /// by `other`'s entry.
+    /// accumulate; kind conflicts are replaced by `other`'s entry.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, metric) in other.iter() {
             match (self.metrics.get_mut(name), metric) {
@@ -220,10 +196,8 @@ impl Persist for Metric {
                 out.push(1);
                 l.persist(out);
             }
-            Metric::Histogram(h) => {
-                out.push(2);
-                h.persist(out);
-            }
+            // Discriminant 2 belonged to a retired fixed-edge histogram;
+            // keeping 3 here leaves every existing image byte-identical.
             Metric::LogHistogram(h) => {
                 out.push(3);
                 h.persist(out);
@@ -234,7 +208,6 @@ impl Persist for Metric {
         Ok(match r.u8()? {
             0 => Metric::Counter(Counter::restore(r)?),
             1 => Metric::Latency(LatencyStats::restore(r)?),
-            2 => Metric::Histogram(Histogram::restore(r)?),
             3 => Metric::LogHistogram(LogHistogram::restore(r)?),
             _ => {
                 return Err(RestoreError::Malformed {
@@ -273,18 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_histogram_publish() {
+    fn latency_publishes() {
         let mut reg = MetricsRegistry::new();
         reg.latency_mut("lat").record(SimTime::from_ns(10));
-        let mut h = Histogram::new(10, 4);
-        h.record(5);
-        reg.set_histogram("hist", &h);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.len(), 1);
         match reg.get("lat").unwrap() {
             Metric::Latency(l) => assert_eq!(l.count(), 1),
             other => panic!("wrong kind: {other:?}"),
         }
-        assert!(reg.render().contains("hist"));
+        assert!(reg.render().contains("lat"));
     }
 
     #[test]
@@ -341,18 +311,6 @@ mod tests {
             other => panic!("wrong kind: {other:?}"),
         }
         assert!(a.render().contains("loghist"));
-    }
-
-    #[test]
-    fn histogram_render_shows_overflow_tail() {
-        let mut reg = MetricsRegistry::new();
-        let mut h = Histogram::new(1, 4);
-        h.record(1);
-        h.record(1000);
-        reg.set_histogram("hist", &h);
-        // The tail landed past the last bucket: rendered as such, not
-        // masked as missing data.
-        assert!(reg.render().contains("p99=overflow"), "{}", reg.render());
     }
 
     #[test]

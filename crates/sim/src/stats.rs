@@ -141,130 +141,11 @@ impl fmt::Display for LatencyStats {
     }
 }
 
-/// A fixed-bucket linear histogram over `u64` values.
-///
-/// Used for IO-latency distributions in the FIO reproduction. Values
-/// past the last bucket accumulate in an overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets each `bucket_width`
-    /// wide, covering `[0, buckets*bucket_width)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be nonzero");
-        assert!(buckets > 0, "bucket count must be nonzero");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count in the overflow bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count in bucket `idx` (values in `[idx*w, (idx+1)*w)`).
-    pub fn bucket(&self, idx: usize) -> u64 {
-        self.buckets.get(idx).copied().unwrap_or(0)
-    }
-
-    /// The value at or below which `q` (0.0–1.0) of samples fall,
-    /// reported as the upper edge of the containing bucket. `None` when
-    /// empty, when `q` is out of range, or when the quantile lands in
-    /// the overflow bucket — use [`Histogram::quantile_outcome`] to
-    /// tell those apart (the old `None`-for-everything behaviour masked
-    /// overflow as "no data" and let callers report tails of 0).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        match self.quantile_outcome(q) {
-            QuantileOutcome::Value(v) => Some(v),
-            QuantileOutcome::Empty | QuantileOutcome::Overflow => None,
-        }
-    }
-
-    /// The typed quantile: distinguishes "no samples" from "the
-    /// quantile landed past the last finite bucket". `q = 0.0` reports
-    /// the minimum — the *lower* edge of the first non-empty bucket —
-    /// rather than clamping to the first-sample target and returning
-    /// that bucket's upper edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile_outcome(&self, q: f64) -> QuantileOutcome {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return QuantileOutcome::Empty;
-        }
-        if q == 0.0 {
-            for (i, &c) in self.buckets.iter().enumerate() {
-                if c > 0 {
-                    return QuantileOutcome::Value(i as u64 * self.bucket_width);
-                }
-            }
-            return QuantileOutcome::Overflow;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return QuantileOutcome::Value((i as u64 + 1) * self.bucket_width);
-            }
-        }
-        QuantileOutcome::Overflow
-    }
-}
-
-/// Result of a [`Histogram`] quantile query, distinguishing the two
-/// states the old `Option` conflated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantileOutcome {
-    /// No samples recorded.
-    Empty,
-    /// The quantile landed in a finite bucket; the contained value.
-    Value(u64),
-    /// The quantile landed in the overflow bucket: the true value is
-    /// at or above the histogram's range and was not captured.
-    Overflow,
-}
-
 /// An HDR-style log-bucketed histogram over the full `u64` range:
 /// log2 major buckets subdivided linearly, so recording can never
 /// overflow and every quantile is reported with a bounded *relative*
-/// error instead of the fixed absolute resolution (and silent
-/// overflow bucket) of [`Histogram`].
+/// error instead of a fixed absolute resolution with a silent overflow
+/// bucket.
 ///
 /// Layout with `n = 2^sub_bits` linear slots:
 ///
@@ -526,30 +407,6 @@ impl Persist for LatencyStats {
     }
 }
 
-impl Persist for Histogram {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.bucket_width.persist(out);
-        self.buckets.persist(out);
-        self.overflow.persist(out);
-        self.count.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let bucket_width = r.u64()?;
-        let buckets = Vec::restore(r)?;
-        if bucket_width == 0 || buckets.is_empty() {
-            return Err(RestoreError::Malformed {
-                context: "histogram shape",
-            });
-        }
-        Ok(Histogram {
-            bucket_width,
-            buckets,
-            overflow: r.u64()?,
-            count: r.u64()?,
-        })
-    }
-}
-
 impl Persist for LogHistogram {
     fn persist(&self, out: &mut Vec<u8>) {
         self.sub_bits.persist(out);
@@ -652,57 +509,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), SimTime::from_ns(20));
         assert_eq!(a.max(), Some(SimTime::from_ns(30)));
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 4); // [0,40) + overflow
-        for v in [0, 9, 10, 39, 40, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(3), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(1, 100);
-        for v in 0..100 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.5), Some(50));
-        assert_eq!(h.quantile(0.99), Some(99));
-        assert_eq!(h.quantile(1.0), Some(100));
-        assert_eq!(Histogram::new(1, 1).quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_quantile_zero_is_minimum_edge() {
-        let mut h = Histogram::new(10, 4);
-        h.record(25); // bucket 2: [20, 30)
-        h.record(35);
-        // Lower edge of the first non-empty bucket — not the upper edge
-        // the old clamp-to-one-sample behaviour produced.
-        assert_eq!(h.quantile_outcome(0.0), QuantileOutcome::Value(20));
-        assert_eq!(h.quantile(0.0), Some(20));
-    }
-
-    #[test]
-    fn histogram_quantile_distinguishes_empty_from_overflow() {
-        let empty = Histogram::new(1, 4);
-        assert_eq!(empty.quantile_outcome(0.99), QuantileOutcome::Empty);
-
-        let mut overflowed = Histogram::new(1, 4); // covers [0, 4)
-        overflowed.record(1);
-        overflowed.record(1000); // overflow
-                                 // p99 lands in the overflow bucket: typed, not a silent None.
-        assert_eq!(overflowed.quantile_outcome(0.99), QuantileOutcome::Overflow);
-        assert_eq!(overflowed.quantile(0.99), None);
-        // p50 is still finite.
-        assert_eq!(overflowed.quantile_outcome(0.5), QuantileOutcome::Value(2));
     }
 
     #[test]

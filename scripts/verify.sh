@@ -22,52 +22,30 @@ cargo build --benches --workspace --quiet
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> fault campaign (smoke)"
-cargo run -p contutto-bench --release --bin faults --quiet -- --smoke
-
-echo "==> media-fault campaign (smoke)"
-cargo run -p contutto-bench --release --bin faults --quiet -- --media --smoke
-
-echo "==> channel-failover campaign (smoke)"
-cargo run -p contutto-bench --release --bin faults --quiet -- --failover --smoke
-
-echo "==> power-fail campaign (smoke)"
-cargo run -p contutto-bench --release --bin faults --quiet -- --power --smoke
-
-echo "==> traffic SLO-under-fault campaign (smoke)"
-# Writes BENCH_traffic.json; fails on fingerprint/histogram divergence
-# between same-seed double runs, a fault that never fired, or a >20%
-# requests/sec regression vs the last report.
-cargo run -p contutto-bench --release --bin faults --quiet -- --traffic --smoke
-
-echo "==> overload metastability campaign (smoke)"
-# Writes BENCH_overload.json; fails if the naive row (no defenses)
-# does not stay congested after the trigger clears, if the protected
-# row (deadlines + admission + retry budget + breakers + hedging +
-# brownout) does not recover to within 2x of steady p99, on any
-# duplicate completion or same-seed divergence, or on a >20%
-# requests/sec regression vs the last report.
-cargo run -p contutto-bench --release --bin faults --quiet -- --overload --smoke
-
-echo "==> chaos campaign (smoke)"
-# Writes BENCH_chaos.json; fails on any durability-oracle violation
-# (silent corruption, resurrection, unreported loss, panic,
-# non-determinism between same-seed double runs) or a >20% plans/sec
-# regression vs the last report. Failing plans are shrunk to minimal
+# Every campaign mode, in order, stopping at the first failure. Each
+# exits nonzero on a contract violation: a panic, silent corruption, an
+# untyped failure, a same-seed double run that diverged, or a mode's
+# own verdict (scrub showing no benefit, the naive overload row not
+# staying congested or the protected row not recovering, a durability
+# oracle breach, a restore that diverges from its source). The traffic,
+# overload, chaos and checkpoint modes also write BENCH_<mode>.json and
+# fail on a >20% throughput regression against the previous report of
+# the same workload size. Failing chaos plans are shrunk to minimal
 # CHAOS_repro_*.json reproducers.
-cargo run -p contutto-bench --release --bin faults --quiet -- --chaos --smoke
-
-echo "==> checkpoint/restore campaign (smoke)"
-# Writes BENCH_checkpoint.json; fails if a restored system's
-# fingerprint or metrics diverge from its source, if the prefix-reused
-# power sweep is not byte-identical to the straight sweep, if the
-# structural store skip did not happen, or on a >20% snapshot/restore
-# throughput regression vs the last same-image-size report.
-cargo run -p contutto-bench --release --bin faults --quiet -- --checkpoint --smoke
+for mode in "" --media --failover --power --traffic --overload --chaos --checkpoint; do
+  echo "==> faults${mode:+ $mode} --smoke"
+  cargo run -p contutto-bench --release --bin faults --quiet -- $mode --smoke
+done
 
 echo "==> mlp pipeline benchmark (smoke)"
 # Writes BENCH_pipeline.json; fails on broken determinism, a depth-16
-# speedup under 4x, or a >20% throughput regression vs the last report.
+# speedup under 4x, or a >20% simulated-throughput regression vs the
+# last report of the same depth and read count.
 cargo run -p contutto-bench --release --bin pipeline --quiet -- --smoke
+
+echo "==> benchmark package tests"
+# The benchmark package sits outside the workspace, so --workspace
+# never builds or tests it.
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
 echo "verify: all gates passed"

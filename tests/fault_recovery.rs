@@ -399,15 +399,7 @@ fn failover_campaign_smoke_is_deterministic_and_violation_free() {
     let cfg = failover::CampaignConfig::smoke();
     let a = failover::run_campaign(&cfg);
     let b = failover::run_campaign(&cfg);
-    assert!(
-        a.violations().is_empty(),
-        "{}",
-        a.violations()
-            .iter()
-            .map(|r| format!("{} seed {}: {}", r.scenario.name(), r.seed, r.outcome))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert!(a.violations().is_empty(), "{}", a.violations().join("\n"));
     let fps =
         |r: &failover::CampaignReport| r.runs.iter().map(|x| x.fingerprint).collect::<Vec<_>>();
     assert_eq!(fps(&a), fps(&b), "campaign replays identically");

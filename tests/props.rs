@@ -11,7 +11,7 @@ use contutto_system::dmi::frame::{
 use contutto_system::dmi::Tag;
 use contutto_system::memdev::SparseMemory;
 use contutto_system::sim::SimRng;
-use contutto_system::sim::{DelayQueue, EventQueue, SimTime};
+use contutto_system::sim::{DelayQueue, SimTime};
 
 const CASES: u64 = 64;
 
@@ -248,23 +248,6 @@ fn sparse_memory_matches_reference() {
         let mut out = vec![0u8; 101_000];
         mem.read(0, &mut out);
         assert_eq!(out, reference, "case {case}");
-    }
-}
-
-#[test]
-fn event_queue_pops_sorted() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from_u64(0x0707_B000 + case);
-        let n = rng.gen_range(1..100) as usize;
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(SimTime::from_ps(rng.gen_range(0..1_000_000)), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last, "case {case}");
-            last = t;
-        }
     }
 }
 
