@@ -7,6 +7,12 @@
 //! CRC detects all single- and double-bit errors and all burst errors
 //! up to 16 bits in a 28-byte frame, which matches the single-lane
 //! error bursts the link model injects.
+//!
+//! The link computes a CRC over every frame in both directions on
+//! every slot, so [`Crc16::update`] is slicing-by-8: eight table
+//! lookups consume eight bytes per step, with the plain byte-at-a-time
+//! loop for the tail. Its output is bit-identical to the bit-serial
+//! definition.
 
 /// Polynomial for CRC-16/CCITT-FALSE.
 pub const POLY: u16 = 0x1021;
@@ -27,8 +33,11 @@ pub fn crc16(data: &[u8]) -> u16 {
     crc.finish()
 }
 
-const fn build_table() -> [u16; 256] {
-    let mut table = [0u16; 256];
+/// `TABLES[k][b]` is the CRC register (from zero) after byte `b`
+/// followed by `k` zero bytes. Row 0 is the classic byte-at-a-time
+/// table.
+const fn build_tables() -> [[u16; 256]; 8] {
+    let mut tables = [[0u16; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u16) << 8;
@@ -41,15 +50,23 @@ const fn build_table() -> [u16; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Precomputed byte-at-a-time table (the link model computes a CRC on
-/// every frame in both directions, so this is hot).
-static TABLE: [u16; 256] = build_table();
+static TABLES: [[u16; 256]; 8] = build_tables();
 
 /// Incremental CRC-16 state, for computing a frame CRC across
 /// separately serialized sections.
@@ -72,10 +89,28 @@ impl Crc16 {
 
     /// Feeds bytes into the CRC.
     pub fn update(&mut self, data: &[u8]) {
-        for &byte in data {
-            let idx = ((self.state >> 8) ^ u16::from(byte)) & 0xFF;
-            self.state = (self.state << 8) ^ TABLE[idx as usize];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut blocks = data.chunks_exact(8);
+        for b in &mut blocks {
+            // The 16-bit register overlaps the block's first two
+            // bytes; each byte then contributes its own table row,
+            // shifted by the bytes that follow it in the block.
+            let [hi, lo] = crc.to_be_bytes();
+            crc = t[7][usize::from(b[0] ^ hi)]
+                ^ t[6][usize::from(b[1] ^ lo)]
+                ^ t[5][usize::from(b[2])]
+                ^ t[4][usize::from(b[3])]
+                ^ t[3][usize::from(b[4])]
+                ^ t[2][usize::from(b[5])]
+                ^ t[1][usize::from(b[6])]
+                ^ t[0][usize::from(b[7])];
         }
+        for &byte in blocks.remainder() {
+            let idx = ((crc >> 8) as u8) ^ byte;
+            crc = (crc << 8) ^ t[0][usize::from(idx)];
+        }
+        self.state = crc;
     }
 
     /// Returns the final CRC value.
@@ -87,10 +122,40 @@ impl Crc16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contutto_sim::SimRng;
+
+    /// The definition: shift each message bit through the register,
+    /// MSB first, with no table.
+    fn bit_serial(data: &[u8]) -> u16 {
+        let mut crc = INIT;
+        for &byte in data {
+            for bit in (0..8).rev() {
+                let feedback = ((crc >> 15) as u8 ^ (byte >> bit)) & 1;
+                crc <<= 1;
+                if feedback != 0 {
+                    crc ^= POLY;
+                }
+            }
+        }
+        crc
+    }
 
     #[test]
     fn known_check_value() {
         assert_eq!(crc16(b"123456789"), 0x29B1);
+        assert_eq!(bit_serial(b"123456789"), 0x29B1);
+    }
+
+    #[test]
+    fn sliced_matches_bit_serial_at_every_length() {
+        let mut rng = SimRng::seed_from_u64(0xC0C0);
+        for trial in 0..16 {
+            let data: Vec<u8> = (0..64).map(|_| rng.next_u64() as u8).collect();
+            for len in 0..=data.len() {
+                let slice = &data[..len];
+                assert_eq!(crc16(slice), bit_serial(slice), "trial {trial} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -101,10 +166,12 @@ mod tests {
     #[test]
     fn incremental_matches_oneshot() {
         let data = b"the quick brown fox jumps over the lazy dog";
-        let mut inc = Crc16::new();
-        inc.update(&data[..10]);
-        inc.update(&data[10..]);
-        assert_eq!(inc.finish(), crc16(data));
+        for cut in 0..=data.len() {
+            let mut inc = Crc16::new();
+            inc.update(&data[..cut]);
+            inc.update(&data[cut..]);
+            assert_eq!(inc.finish(), crc16(data), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -1135,6 +1135,107 @@ mod tests {
         }
     }
 
+    mod random {
+        use super::*;
+        use contutto_sim::SimRng;
+
+        fn byte(rng: &mut SimRng) -> u8 {
+            rng.next_u64() as u8
+        }
+
+        fn tag(rng: &mut SimRng) -> Tag {
+            t(byte(rng) % 32)
+        }
+
+        fn ack(rng: &mut SimRng) -> Option<u8> {
+            let b = byte(rng);
+            (b & 0x80 != 0).then_some(b & 0x7F)
+        }
+
+        fn control(rng: &mut SimRng) -> ControlKind {
+            let word = rng.next_u64() as u32;
+            match rng.next_u64() % 3 {
+                0 => ControlKind::TrainingPattern {
+                    stage: byte(rng),
+                    value: word,
+                },
+                1 => ControlKind::FrtlProbe { signature: word },
+                _ => ControlKind::FrtlEcho { signature: word },
+            }
+        }
+
+        fn downstream(rng: &mut SimRng) -> DownstreamFrame {
+            let addr = rng.next_u64();
+            let payload = match rng.next_u64() % 4 {
+                0 => DownstreamPayload::Idle,
+                1 => DownstreamPayload::Command {
+                    tag: tag(rng),
+                    header: match rng.next_u64() % 4 {
+                        0 => CommandHeader::Read { addr },
+                        1 => CommandHeader::Write { addr },
+                        2 => CommandHeader::Rmw {
+                            addr,
+                            op: match rng.next_u64() % 5 {
+                                0 => RmwOp::PartialWrite {
+                                    sector_mask: byte(rng),
+                                },
+                                1 => RmwOp::AtomicAdd,
+                                2 => RmwOp::MinStore,
+                                3 => RmwOp::MaxStore,
+                                _ => RmwOp::ConditionalSwap,
+                            },
+                        },
+                        _ => CommandHeader::Flush,
+                    },
+                },
+                2 => DownstreamPayload::WriteData {
+                    tag: tag(rng),
+                    beat: byte(rng) % DOWNSTREAM_BEATS_PER_LINE as u8,
+                    data: std::array::from_fn(|_| byte(rng)),
+                },
+                _ => DownstreamPayload::Control(control(rng)),
+            };
+            DownstreamFrame {
+                seq: byte(rng) % SEQ_MODULO,
+                ack: ack(rng),
+                payload,
+            }
+        }
+
+        fn upstream(rng: &mut SimRng) -> UpstreamFrame {
+            let payload = match rng.next_u64() % 4 {
+                0 => UpstreamPayload::Idle,
+                1 => UpstreamPayload::ReadData {
+                    tag: tag(rng),
+                    beat: byte(rng) % UPSTREAM_BEATS_PER_LINE as u8,
+                    data: std::array::from_fn(|_| byte(rng)),
+                    poison: byte(rng) & 1 != 0,
+                },
+                2 => UpstreamPayload::Done {
+                    first: tag(rng),
+                    second: (byte(rng) & 1 != 0).then(|| tag(rng)),
+                },
+                _ => UpstreamPayload::Control(control(rng)),
+            };
+            UpstreamFrame {
+                seq: byte(rng) % SEQ_MODULO,
+                ack: ack(rng),
+                payload,
+            }
+        }
+
+        #[test]
+        fn random_frames_round_trip() {
+            let mut rng = SimRng::seed_from_u64(0xF2A3);
+            for _ in 0..5_000 {
+                let down = downstream(&mut rng);
+                assert_eq!(DownstreamFrame::from_bytes(&down.to_bytes()), Ok(down));
+                let up = upstream(&mut rng);
+                assert_eq!(UpstreamFrame::from_bytes(&up.to_bytes()), Ok(up));
+            }
+        }
+    }
+
     #[test]
     fn frame_sizes_match_lane_math() {
         // 14 lanes x 16 UI = 224 bits downstream, 21 x 16 = 336 upstream.

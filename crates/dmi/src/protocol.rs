@@ -33,7 +33,7 @@ use crate::frame::{
     DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload, DOWNSTREAM_FRAME_BYTES,
     SEQ_MODULO, UPSTREAM_FRAME_BYTES,
 };
-use crate::scramble::apply_trained;
+use crate::scramble::{apply_trained, KEYSTREAM_LEN};
 
 /// Which end of the channel an endpoint plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -508,10 +508,14 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
     /// Consumes a frame arriving from the far end. Returns the payload
     /// if this is a new, in-order, CRC-clean frame.
     pub fn on_receive(&mut self, bytes: &[u8]) -> Option<R::Payload> {
-        let mut descrambled = bytes.to_vec();
-        apply_trained(&mut descrambled);
+        // Descramble on the stack: the receive path allocates nothing.
+        // Like the keystream, the buffer covers one frame.
+        let mut buf = [0u8; KEYSTREAM_LEN];
+        let descrambled = &mut buf[..bytes.len()];
+        descrambled.copy_from_slice(bytes);
+        apply_trained(descrambled);
         let rx_dir = self.tx_dir().opposite();
-        let frame = match R::deserialize(&descrambled) {
+        let frame = match R::deserialize(descrambled) {
             Ok(f) => f,
             Err(DmiError::CrcMismatch { .. }) => {
                 self.stats.crc_errors += 1;

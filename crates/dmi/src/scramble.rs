@@ -95,7 +95,7 @@ impl Scrambler {
 
 /// Longest frame the cached keystream covers (upstream frames are
 /// 42 bytes).
-const KEYSTREAM_LEN: usize = 64;
+pub(crate) const KEYSTREAM_LEN: usize = 64;
 
 static TRAINED_KEYSTREAM: std::sync::OnceLock<[u8; KEYSTREAM_LEN]> = std::sync::OnceLock::new();
 

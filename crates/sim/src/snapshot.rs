@@ -32,8 +32,12 @@ use crate::time::{Cycles, Frequency, SimTime};
 
 /// Leading bytes of every snapshot image.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CTSS";
-/// Current image format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current image format version. Version 2 changed no byte layout, but
+/// the tracer section's fingerprint accumulator now folds a binary
+/// event encoding instead of rendered text: a version-1 accumulator
+/// restored and carried on would match no straight run, so those images
+/// are refused.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 const HEADER_LEN: usize = 4 + 2 + 4 + 4; // magic + version + count + crc
 
@@ -788,6 +792,22 @@ mod tests {
             SnapshotImage::parse(&image).unwrap_err(),
             RestoreError::VersionMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn version_one_image_is_refused() {
+        // A well-formed version-1 header, header CRC included.
+        let mut image = sample_image();
+        image[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&image[0..10]);
+        image[10..14].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            SnapshotImage::parse(&image).unwrap_err(),
+            RestoreError::VersionMismatch {
+                found: 1,
+                expected: 2
+            }
+        );
     }
 
     #[test]

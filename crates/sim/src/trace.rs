@@ -4,12 +4,18 @@
 //! channel, the Centaur and ConTutto buffers) reports structured
 //! [`TraceEvent`]s through a shared [`Tracer`] handle. Events are
 //! stamped with the simulation clock, stored in a bounded ring, and
-//! folded into a running FNV-1a fingerprint, so that:
+//! folded into a running fingerprint, so that:
 //!
 //! * a failing integration test can be diagnosed by diffing two rendered
 //!   traces rather than by re-running under a debugger, and
 //! * determinism is cheap to assert — two same-seed runs must produce
 //!   identical fingerprints even when the ring has wrapped.
+//!
+//! The fingerprint folds a canonical fixed-width binary encoding of
+//! each record — its timestamp, a variant tag and every field — one
+//! `u64` word at a time. The encoding is injective over events, so
+//! the fingerprint is exactly as strong as hashing the rendered text,
+//! but recording an event formats nothing and allocates nothing.
 //!
 //! Tracing is off by default ([`Tracer::off`]) and every recording call
 //! is a no-op in that state, so instrumented hot paths cost one branch
@@ -29,7 +35,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::snapshot::Persist;
@@ -301,6 +307,193 @@ impl fmt::Display for TraceEvent {
     }
 }
 
+impl TraceEvent {
+    /// Feeds the event's canonical binary encoding to `word`, one `u64`
+    /// at a time. The first word is a head: the variant tag in bits
+    /// 0..8 and the narrow fields (directions, flags, `u8`s, `u32`s)
+    /// packed above it at fixed offsets. Every `u64`/`usize` field then
+    /// takes a word of its own, in declaration order. A `Restored` line
+    /// packs its byte length into the head and follows it with its
+    /// bytes, eight to a little-endian word, zero-padded.
+    ///
+    /// The tag fixes the layout and no field is truncated, so distinct
+    /// events always encode differently, and the encodings of a record
+    /// sequence concatenate unambiguously.
+    fn encode(&self, mut word: impl FnMut(u64)) {
+        use TraceEvent::*;
+        fn dir(d: LinkDir) -> u64 {
+            match d {
+                LinkDir::Downstream => 0,
+                LinkDir::Upstream => 1,
+            }
+        }
+        let head = |tag: u64, packed: u64| tag | packed << 8;
+        match self {
+            FrameTx {
+                dir: d,
+                seq,
+                replayed,
+            } => word(head(
+                0,
+                dir(*d) | u64::from(*seq) << 8 | u64::from(*replayed) << 16,
+            )),
+            FrameRx { dir: d, seq } => word(head(1, dir(*d) | u64::from(*seq) << 8)),
+            CrcFailure { dir: d } => word(head(2, dir(*d))),
+            SeqGap {
+                dir: d,
+                expected,
+                got,
+            } => word(head(
+                3,
+                dir(*d) | u64::from(*expected) << 8 | u64::from(*got) << 16,
+            )),
+            ReplayTrigger { dir: d, unacked } => {
+                word(head(4, dir(*d)));
+                word(*unacked as u64);
+            }
+            ReplayRewind {
+                dir: d,
+                from_seq,
+                frames,
+            } => {
+                word(head(5, dir(*d) | u64::from(*from_seq) << 8));
+                word(*frames as u64);
+            }
+            TagAcquire { tag } => word(head(6, u64::from(*tag))),
+            TagRelease { tag } => word(head(7, u64::from(*tag))),
+            TagExhausted => word(head(8, 0)),
+            TagTimeout { tag } => word(head(9, u64::from(*tag))),
+            TagReclaimed { tag } => word(head(10, u64::from(*tag))),
+            RetryScheduled {
+                tag,
+                attempt,
+                backoff_ps,
+            } => {
+                word(head(11, u64::from(*tag) | u64::from(*attempt) << 8));
+                word(*backoff_ps);
+            }
+            LinkRetrain { count } => {
+                word(head(12, 0));
+                word(*count);
+            }
+            DeviceRead { addr } => {
+                word(head(13, 0));
+                word(*addr);
+            }
+            DeviceWrite { addr } => {
+                word(head(14, 0));
+                word(*addr);
+            }
+            CacheHit { addr } => {
+                word(head(15, 0));
+                word(*addr);
+            }
+            CacheMiss { addr } => {
+                word(head(16, 0));
+                word(*addr);
+            }
+            EccCorrected { addr, bits } => {
+                word(head(17, u64::from(*bits)));
+                word(*addr);
+            }
+            EccUncorrectable { addr } => {
+                word(head(18, 0));
+                word(*addr);
+            }
+            PoisonDelivered { addr } => {
+                word(head(19, 0));
+                word(*addr);
+            }
+            ScrubPass {
+                corrected,
+                uncorrectable,
+            } => {
+                word(head(20, 0));
+                word(*corrected);
+                word(*uncorrectable);
+            }
+            PageRetired { addr } => {
+                word(head(21, 0));
+                word(*addr);
+            }
+            SaveTorn {
+                restored_ps,
+                save_done_ps,
+            } => {
+                word(head(22, 0));
+                word(*restored_ps);
+                word(*save_done_ps);
+            }
+            ChannelQuiesced { slot, clean } => {
+                word(head(23, u64::from(*clean)));
+                word(*slot as u64);
+            }
+            MigrationProgress {
+                from,
+                to,
+                migrated,
+                remaining,
+            } => {
+                word(head(24, 0));
+                word(*from as u64);
+                word(*to as u64);
+                word(*migrated);
+                word(*remaining);
+            }
+            ChannelFailedOver { from, to, mirrored } => {
+                word(head(25, u64::from(*mirrored)));
+                word(*from as u64);
+                word(*to as u64);
+            }
+            MirrorReadFallback { addr } => {
+                word(head(26, 0));
+                word(*addr);
+            }
+            FrameOrphaned { tag } => word(head(27, u64::from(*tag))),
+            EpowAsserted => word(head(28, 0)),
+            EpowFlushStage { stage, charged_nj } => {
+                word(head(29, u64::from(*stage)));
+                word(*charged_nj);
+            }
+            EpowHoldupExhausted { stage } => word(head(30, u64::from(*stage))),
+            PowerCut => word(head(31, 0)),
+            SaveEnergyExhausted {
+                saved_bytes,
+                capacity_bytes,
+            } => {
+                word(head(32, 0));
+                word(*saved_bytes);
+                word(*capacity_bytes);
+            }
+            PowerRestored => word(head(33, 0)),
+            NvdimmRestored { slot } => {
+                word(head(34, 0));
+                word(*slot as u64);
+            }
+            NvdimmRestoreFailed { slot } => {
+                word(head(35, 0));
+                word(*slot as u64);
+            }
+            HedgeIssued { addr } => {
+                word(head(36, 0));
+                word(*addr);
+            }
+            BreakerTransition { slot, open } => {
+                word(head(37, u64::from(*open)));
+                word(*slot as u64);
+            }
+            Restored { line } => {
+                word(head(38, line.len() as u64));
+                for chunk in line.as_bytes().chunks(8) {
+                    let mut bytes = [0u8; 8];
+                    bytes[..chunk.len()].copy_from_slice(chunk);
+                    word(u64::from_le_bytes(bytes));
+                }
+            }
+        }
+    }
+}
+
 /// A timestamped [`TraceEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -314,15 +507,19 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Fingerprint of an empty trace (the 64-bit FNV offset basis).
+const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Odd multiplier of the word fold (2^64 over the golden ratio).
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// Folds one encoding word into the fingerprint. For a fixed `word`
+/// every step (xor, odd multiply, xorshift) is a bijection of the
+/// accumulator, so two streams that differ in a single word never
+/// collide, and the xorshift carries high bits back down so a
+/// difference anywhere in a word reaches every later fold.
+fn fold(hash: u64, word: u64) -> u64 {
+    let h = (hash ^ word).wrapping_mul(FOLD_MUL);
+    h ^ (h >> 32)
 }
 
 struct TraceRing {
@@ -374,7 +571,7 @@ impl Tracer {
                     events: VecDeque::with_capacity(capacity.min(4096)),
                     total: 0,
                     dropped: 0,
-                    fingerprint: FNV_OFFSET,
+                    fingerprint: FINGERPRINT_SEED,
                 }),
             })),
         }
@@ -411,11 +608,13 @@ impl Tracer {
         };
         let mut ring = inner.ring.borrow_mut();
         ring.total += 1;
-        // The fingerprint folds in the canonical rendering so it is
-        // exactly as strong as a byte-compare of the full (unbounded)
-        // trace text.
-        ring.fingerprint = fnv1a(ring.fingerprint, record.to_string().as_bytes());
-        ring.fingerprint = fnv1a(ring.fingerprint, b"\n");
+        // The fingerprint folds in the record's canonical binary
+        // encoding: injective over records, so it is as strong as a
+        // byte-compare of the full (unbounded) trace text, without
+        // formatting or allocating anything.
+        let mut fingerprint = fold(ring.fingerprint, record.at.as_ps());
+        record.event.encode(|w| fingerprint = fold(fingerprint, w));
+        ring.fingerprint = fingerprint;
         if ring.events.len() == ring.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -449,12 +648,12 @@ impl Tracer {
             .map_or(0, |inner| inner.ring.borrow().dropped)
     }
 
-    /// Running FNV-1a fingerprint over every event ever recorded.
-    /// Two same-seed runs must produce equal fingerprints.
+    /// Running fingerprint over the binary encoding of every event ever
+    /// recorded. Two same-seed runs must produce equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
         self.inner
             .as_ref()
-            .map_or(FNV_OFFSET, |inner| inner.ring.borrow().fingerprint)
+            .map_or(FINGERPRINT_SEED, |inner| inner.ring.borrow().fingerprint)
     }
 
     /// A copy of the retained events, oldest first.
@@ -490,9 +689,12 @@ impl Tracer {
         ring.dropped.persist(out);
         ring.fingerprint.persist(out);
         (ring.events.len() as u64).persist(out);
+        let mut line = String::new();
         for record in &ring.events {
             record.at.persist(out);
-            record.event.to_string().persist(out);
+            line.clear();
+            write!(line, "{}", record.event).expect("writing to a String cannot fail");
+            line.persist(out);
         }
     }
 
@@ -715,6 +917,182 @@ mod tests {
             dir: LinkDir::Downstream,
         });
         assert_ne!(a.fingerprint(), c.fingerprint());
+        // So is the order of the records.
+        let (d, e) = (Tracer::ring(4), Tracer::ring(4));
+        d.record(TraceEvent::TagAcquire { tag: 1 });
+        d.record(TraceEvent::TagRelease { tag: 1 });
+        e.record(TraceEvent::TagRelease { tag: 1 });
+        e.record(TraceEvent::TagAcquire { tag: 1 });
+        assert_ne!(d.fingerprint(), e.fingerprint());
+    }
+
+    /// Every variant, with boundary values in every field.
+    fn corpus() -> Vec<TraceEvent> {
+        use TraceEvent::*;
+        let dirs = [LinkDir::Downstream, LinkDir::Upstream];
+        let u8s = [0u8, 1, 0x7F, u8::MAX];
+        let u32s = [0u32, 1, u32::MAX];
+        let u64s = [0u64, 1, 0xFF, 1 << 32, u64::MAX];
+        let usizes = [0usize, 1, usize::MAX];
+        let flags = [false, true];
+        let mut v = vec![TagExhausted, EpowAsserted, PowerCut, PowerRestored];
+        for dir in dirs {
+            v.push(CrcFailure { dir });
+            for unacked in usizes {
+                v.push(ReplayTrigger { dir, unacked });
+            }
+            for seq in u8s {
+                v.push(FrameRx { dir, seq });
+                for replayed in flags {
+                    v.push(FrameTx { dir, seq, replayed });
+                }
+                for got in u8s {
+                    v.push(SeqGap {
+                        dir,
+                        expected: seq,
+                        got,
+                    });
+                }
+                for frames in usizes {
+                    v.push(ReplayRewind {
+                        dir,
+                        from_seq: seq,
+                        frames,
+                    });
+                }
+            }
+        }
+        for x in u8s {
+            v.extend([
+                TagAcquire { tag: x },
+                TagRelease { tag: x },
+                TagTimeout { tag: x },
+                TagReclaimed { tag: x },
+                FrameOrphaned { tag: x },
+                EpowHoldupExhausted { stage: x },
+            ]);
+            for attempt in u32s {
+                for backoff_ps in u64s {
+                    v.push(RetryScheduled {
+                        tag: x,
+                        attempt,
+                        backoff_ps,
+                    });
+                }
+            }
+            for charged_nj in u64s {
+                v.push(EpowFlushStage {
+                    stage: x,
+                    charged_nj,
+                });
+            }
+        }
+        for a in u64s {
+            v.extend([
+                LinkRetrain { count: a },
+                DeviceRead { addr: a },
+                DeviceWrite { addr: a },
+                CacheHit { addr: a },
+                CacheMiss { addr: a },
+                EccUncorrectable { addr: a },
+                PoisonDelivered { addr: a },
+                PageRetired { addr: a },
+                MirrorReadFallback { addr: a },
+                HedgeIssued { addr: a },
+            ]);
+            for bits in u32s {
+                v.push(EccCorrected { addr: a, bits });
+            }
+            for b in u64s {
+                v.extend([
+                    ScrubPass {
+                        corrected: a,
+                        uncorrectable: b,
+                    },
+                    SaveTorn {
+                        restored_ps: a,
+                        save_done_ps: b,
+                    },
+                    SaveEnergyExhausted {
+                        saved_bytes: a,
+                        capacity_bytes: b,
+                    },
+                ]);
+            }
+        }
+        for slot in usizes {
+            v.extend([NvdimmRestored { slot }, NvdimmRestoreFailed { slot }]);
+            for flag in flags {
+                v.extend([
+                    ChannelQuiesced { slot, clean: flag },
+                    BreakerTransition { slot, open: flag },
+                ]);
+            }
+            for to in usizes {
+                for mirrored in flags {
+                    v.push(ChannelFailedOver {
+                        from: slot,
+                        to,
+                        mirrored,
+                    });
+                }
+                for migrated in u64s {
+                    v.push(MigrationProgress {
+                        from: slot,
+                        to,
+                        migrated,
+                        remaining: u64::MAX - migrated,
+                    });
+                }
+            }
+        }
+        // Restored lines around the 8-byte word boundary, plus a
+        // trailing NUL that only the length in the head tells apart.
+        // None spells a live event: a restored line stands in for an
+        // event whose structure did not survive the image, so it
+        // encodes as text, not as the event it renders like.
+        for line in ["", "x", "x\0", "12345678", "123456789", "restored"] {
+            v.push(Restored {
+                line: line.to_owned(),
+            });
+        }
+        v
+    }
+
+    fn encoding(event: &TraceEvent) -> Vec<u64> {
+        let mut words = Vec::new();
+        event.encode(|w| words.push(w));
+        words
+    }
+
+    #[test]
+    fn encodings_differ_exactly_when_renderings_differ() {
+        let events: Vec<(String, Vec<u64>)> = corpus()
+            .iter()
+            .map(|e| (e.to_string(), encoding(e)))
+            .collect();
+        // The corpus reaches every variant tag.
+        let tags: std::collections::BTreeSet<u64> =
+            events.iter().map(|(_, words)| words[0] & 0xFF).collect();
+        assert_eq!(tags, (0..=38).collect());
+        for (text_a, enc_a) in &events {
+            for (text_b, enc_b) in &events {
+                assert_eq!(enc_a == enc_b, text_a == text_b, "{text_a:?} vs {text_b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn restored_lines_encode_their_text() {
+        let line = "frame-rx dir=up seq=9";
+        let words = encoding(&TraceEvent::Restored {
+            line: line.to_owned(),
+        });
+        assert_eq!(words[0], 38 | (line.len() as u64) << 8);
+        let bytes: Vec<u8> = words[1..].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(&bytes[..line.len()], line.as_bytes());
+        assert!(bytes[line.len()..].iter().all(|&b| b == 0));
+        assert_eq!(words.len(), 1 + line.len().div_ceil(8));
     }
 
     #[test]

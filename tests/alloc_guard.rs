@@ -1,0 +1,105 @@
+//! Allocation guard for the slot-stepped hot path: recording a trace
+//! event allocates nothing, and an idle frame slot of a traced ConTutto
+//! channel allocates no more than its two wire frames.
+//!
+//! A counting global allocator tallies heap blocks per thread, so the
+//! tests in this binary can run in parallel without seeing each
+//! other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use contutto_system::contutto::{ConTutto, ContuttoConfig, MemoryPopulation};
+use contutto_system::power8::channel::{ChannelConfig, DmiChannel};
+use contutto_system::sim::{LinkDir, SimTime, TraceEvent, Tracer};
+
+struct Counting;
+
+thread_local! {
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// only addition is a thread-local counter with no destructor, which
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.with(|b| b.set(b.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.with(|b| b.set(b.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BLOCKS.with(|b| b.set(b.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap blocks this thread allocated while running `f`.
+fn blocks_during(f: impl FnOnce()) -> u64 {
+    let before = BLOCKS.with(Cell::get);
+    f();
+    BLOCKS.with(Cell::get) - before
+}
+
+#[test]
+fn recording_into_a_full_ring_allocates_nothing() {
+    const RING: usize = 1 << 12;
+    let tracer = Tracer::ring(RING);
+    for tag in 0..RING {
+        tracer.record(TraceEvent::TagAcquire { tag: tag as u8 });
+    }
+    let blocks = blocks_during(|| {
+        for i in 0..10_000u64 {
+            tracer.advance(SimTime::from_ps(i));
+            tracer.record(TraceEvent::FrameTx {
+                dir: LinkDir::Downstream,
+                seq: (i % 128) as u8,
+                replayed: i % 7 == 0,
+            });
+            tracer.record(TraceEvent::MigrationProgress {
+                from: 2,
+                to: 4,
+                migrated: i,
+                remaining: u64::MAX - i,
+            });
+        }
+    });
+    assert_eq!(tracer.total_recorded(), RING as u64 + 20_000);
+    assert_eq!(blocks, 0, "Tracer::record allocated on a full ring");
+}
+
+#[test]
+fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
+    const SLOTS: u64 = 10_000;
+    let mut ch = DmiChannel::new(
+        ChannelConfig::contutto(),
+        Box::new(ConTutto::new(
+            ContuttoConfig::base(),
+            MemoryPopulation::dram_8gb(),
+        )),
+    );
+    let tracer = ch.enable_tracing(1 << 12);
+    let frame = ChannelConfig::contutto().speed.frame_time();
+    // Warm up until the trace ring and every queue reach their
+    // steady-state capacity.
+    ch.run_until(ch.now() + frame * SLOTS);
+    let recorded = tracer.total_recorded();
+    let blocks = blocks_during(|| ch.run_until(ch.now() + frame * SLOTS));
+    assert!(
+        tracer.total_recorded() - recorded >= 2 * SLOTS,
+        "the channel must trace while it steps"
+    );
+    assert!(
+        blocks <= 2 * SLOTS,
+        "{blocks} heap blocks over {SLOTS} idle slots: more than the two wire frames per slot"
+    );
+}
