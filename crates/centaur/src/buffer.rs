@@ -336,6 +336,11 @@ impl DmiBuffer for Centaur {
         Some(first)
     }
 
+    fn next_upstream_ready(&self) -> Option<SimTime> {
+        // Responses leave in queue order, so the front gates them all.
+        self.ready.front().map(|&(at, _)| at)
+    }
+
     fn frtl_turnaround(&self) -> SimTime {
         self.cfg.rx_latency + self.cfg.tx_latency
     }

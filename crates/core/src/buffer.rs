@@ -244,6 +244,10 @@ impl DmiBuffer for ConTutto {
         self.mbs.pull_upstream(now)
     }
 
+    fn next_upstream_ready(&self) -> Option<SimTime> {
+        self.mbs.next_upstream_ready()
+    }
+
     fn frtl_turnaround(&self) -> SimTime {
         self.cfg.rx_latency() + self.cfg.tx_latency()
     }

@@ -251,18 +251,23 @@ impl MbsLogic {
                     );
                 }
                 CommandHeader::Write { .. } | CommandHeader::Rmw { .. } => {
+                    let engine = EngineState {
+                        header,
+                        assembler: LineAssembler::downstream(),
+                    };
+                    // An engine still assembling this tag belongs to a
+                    // command the host aborted mid-transfer (a link
+                    // reset reclaims tags but cannot reach the buffer):
+                    // drop its partial data loudly, as for a stale beat.
+                    if self.engines.insert(tag, engine).is_some() {
+                        self.stats.frames_orphaned += 1;
+                        self.tracer
+                            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
+                    }
                     assert!(
-                        self.engines.len() < NUM_ENGINES,
+                        self.engines.len() <= NUM_ENGINES,
                         "more write-class commands in flight than engines"
                     );
-                    let prev = self.engines.insert(
-                        tag,
-                        EngineState {
-                            header,
-                            assembler: LineAssembler::downstream(),
-                        },
-                    );
-                    assert!(prev.is_none(), "tag reused while engine still busy");
                 }
                 CommandHeader::Flush => {
                     self.stats.flushes += 1;
@@ -522,6 +527,12 @@ impl MbsLogic {
         self.engines.clear();
         self.ready.clear();
         self.decoder_toggle = false;
+    }
+
+    /// When the arbiter's next response becomes ready, `None` with
+    /// nothing queued. The queue is FIFO by time, so it is the front's.
+    pub(crate) fn next_upstream_ready(&self) -> Option<SimTime> {
+        self.ready.front().map(|&(at, _)| at)
     }
 
     /// Offers the upstream arbiter a frame slot at `now`.

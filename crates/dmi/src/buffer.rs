@@ -10,7 +10,10 @@
 //! the buffer's receive PHY + MBI; the buffer schedules internal work
 //! and makes responses available from `pull_upstream` no earlier than
 //! their completion times. Each `pull_upstream` call corresponds to
-//! one upstream frame-slot grant from the arbiter.
+//! one upstream frame-slot grant from the arbiter. Idle frames are
+//! never delivered, and idle slots before
+//! [`DmiBuffer::next_upstream_ready`] may be skipped without a
+//! `pull_upstream` call.
 
 use contutto_sim::snapshot::{RestoreError, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, Tracer};
@@ -95,7 +98,9 @@ pub struct MediaFaultSpec {
 /// A DMI slave device: parses downstream traffic, executes commands,
 /// emits upstream responses.
 pub trait DmiBuffer {
-    /// Delivers one downstream payload that cleared MBI at `now`.
+    /// Delivers one downstream payload that cleared MBI at `now`. The
+    /// channel never delivers [`DownstreamPayload::Idle`]: an idle
+    /// frame carries nothing for the buffer to act on.
     fn push_downstream(&mut self, now: SimTime, payload: DownstreamPayload);
 
     /// Offers the buffer one upstream frame slot at `now`; the buffer
@@ -103,6 +108,16 @@ pub trait DmiBuffer {
     /// inside — paper §3.3(iii): "a single unified arbitration unit
     /// for the upstream channel").
     fn pull_upstream(&mut self, now: SimTime) -> Option<UpstreamPayload>;
+
+    /// The earliest time at which [`DmiBuffer::pull_upstream`] can
+    /// return a payload, or `None` with no response queued. The
+    /// channel skips idle frame slots before this time without calling
+    /// `pull_upstream`, so the buffer must not rely on being polled
+    /// every slot. The default, `Some(SimTime::ZERO)`, says a response
+    /// may be ready at any time, which keeps every slot stepped.
+    fn next_upstream_ready(&self) -> Option<SimTime> {
+        Some(SimTime::ZERO)
+    }
 
     /// One-way probe-to-echo turnaround through the buffer's PHY and
     /// MBI, used for FRTL determination during training.

@@ -27,6 +27,7 @@
 //! | [`link`] | the physical channel: lanes, serialization delay, bit-error injection |
 //! | [`training`] | bit/word/frame alignment + FRTL determination |
 //! | [`protocol`] | `LinkEndpoint`: seq/ACK bookkeeping, replay buffer, replay FSM |
+//! | [`idle`] | closed-form stepping of a link that carries only idles |
 //!
 //! ## Example
 //!
@@ -42,6 +43,7 @@ pub mod command;
 pub mod crc;
 pub mod error;
 pub mod frame;
+pub mod idle;
 pub mod link;
 pub mod protocol;
 pub mod scramble;
@@ -51,6 +53,7 @@ pub use buffer::{DmiBuffer, MediaFaultSpec, PowerRestoreOutcome};
 pub use command::{CacheLine, CommandOp, MemCommand, MemResponse, Tag, TagPool, CACHE_LINE_BYTES};
 pub use error::DmiError;
 pub use frame::{DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload};
+pub use idle::IdleLink;
 pub use link::{BitErrorInjector, LinkSegment, LinkSpeed};
 pub use protocol::{LinkEndpoint, LinkEndpointConfig, LinkRole};
 pub use training::{LinkTrainer, TrainingOutcome, TrainingState};

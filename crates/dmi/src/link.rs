@@ -94,8 +94,10 @@ impl BitErrorInjector {
     }
 
     /// Possibly corrupts `bytes` (frame ordinal `ordinal`). Returns
-    /// `true` if a bit was flipped. Empty payloads (idle slots carry no
-    /// bytes) have no bit to flip and are always left alone.
+    /// `true` if a bit was flipped. Every frame slot carries a full
+    /// serialized frame, idles included, so on a channel `bytes` is
+    /// never empty; an empty buffer (only a raw [`LinkSegment`] user
+    /// can send one) has no bit to flip and is always left alone.
     pub fn maybe_corrupt(&mut self, ordinal: u64, bytes: &mut [u8]) -> bool {
         if bytes.is_empty() {
             // Still advance the Bernoulli stream so that whether a frame
@@ -127,6 +129,36 @@ impl BitErrorInjector {
                 } else {
                     false
                 }
+            }
+        }
+    }
+
+    /// How many consecutive non-empty frames from ordinal `from` on
+    /// this injector leaves clean, looking at most `limit` frames
+    /// ahead. A `Bernoulli` injector draws ahead on a copy of its RNG,
+    /// so the injector itself does not move.
+    pub(crate) fn clean_frames(&self, from: u64, limit: u64) -> u64 {
+        match self {
+            BitErrorInjector::Never => limit,
+            BitErrorInjector::AtFrames(frames) => {
+                let next = frames.partition_point(|&o| o < from);
+                frames.get(next).map_or(limit, |&o| (o - from).min(limit))
+            }
+            BitErrorInjector::Bernoulli { p, rng } => {
+                let mut ahead = rng.clone();
+                (0..limit).find(|_| ahead.gen_bool(*p)).unwrap_or(limit)
+            }
+        }
+    }
+
+    /// Moves the injector past `n` non-empty frames that
+    /// [`BitErrorInjector::clean_frames`] found clean, leaving it
+    /// exactly where corrupt-checking them one by one would have.
+    pub(crate) fn skip_clean(&mut self, n: u64) {
+        if let BitErrorInjector::Bernoulli { p, rng } = self {
+            for _ in 0..n {
+                let corrupt = rng.gen_bool(*p);
+                debug_assert!(!corrupt, "skipped a frame the injector corrupts");
             }
         }
     }
@@ -243,6 +275,46 @@ impl LinkSegment {
     /// Time the next frame becomes available, if any is in flight.
     pub fn next_arrival(&self) -> Option<SimTime> {
         self.wire.next_ready_time()
+    }
+
+    /// Total per-frame latency: propagation plus one serialization.
+    pub(crate) fn latency(&self) -> SimTime {
+        self.wire.latency()
+    }
+
+    /// The frames in flight, oldest first, each with its arrival time.
+    pub(crate) fn in_flight_frames(&self) -> impl Iterator<Item = (SimTime, &[u8])> {
+        self.wire.iter().map(|(at, bytes)| (at, bytes.as_slice()))
+    }
+
+    /// How many frames, from the next transmit on, the injector leaves
+    /// clean, looking at most `limit` frames ahead.
+    pub(crate) fn clean_frames_ahead(&self, limit: u64) -> u64 {
+        self.injector.clean_frames(self.frames_sent, limit)
+    }
+
+    /// Applies `k >= 2` transmit slots in closed form. The two frames
+    /// in flight now arrive, and of the `k` frames sent only the last
+    /// two are still in flight afterwards: `last_two` gives their
+    /// transmit times and bytes. The caller guarantees that the
+    /// injector leaves all `k` frames clean
+    /// ([`LinkSegment::clean_frames_ahead`]). The in-flight buffers
+    /// are reused, so nothing is allocated.
+    pub(crate) fn skip_frames(&mut self, k: u64, last_two: [(SimTime, &[u8]); 2]) {
+        debug_assert!(k >= 2 && self.wire.len() == 2);
+        self.injector.skip_clean(k);
+        self.frames_sent += k;
+        for (sent, bytes) in last_two {
+            let mut buf = self
+                .wire
+                .pop_ready(SimTime::MAX)
+                .expect("two frames in flight");
+            buf.clear();
+            buf.extend_from_slice(bytes);
+            self.wire
+                .push(sent, buf)
+                .expect("link segment is unbounded");
+        }
     }
 
     /// Frames transmitted since construction.
@@ -484,6 +556,38 @@ mod tests {
             wrong.restore_state(&mut SnapReader::new(&image)),
             Err(RestoreError::TopologyMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn clean_frames_looks_ahead_without_moving_the_injector() {
+        let scheduled = BitErrorInjector::at_frames(vec![9, 5]);
+        assert_eq!(scheduled.clean_frames(0, 100), 5);
+        assert_eq!(scheduled.clean_frames(5, 100), 0);
+        assert_eq!(scheduled.clean_frames(6, 100), 3);
+        assert_eq!(scheduled.clean_frames(6, 2), 2);
+        assert_eq!(scheduled.clean_frames(10, 100), 100);
+        assert_eq!(BitErrorInjector::never().clean_frames(0, 7), 7);
+        assert_eq!(BitErrorInjector::bernoulli(1.0, 3).clean_frames(0, 7), 0);
+
+        // Bernoulli: the look-ahead finds the first corrupted frame, and
+        // skipping the clean ones leaves the injector where corrupt-
+        // checking them one by one does.
+        let mut skipped = BitErrorInjector::bernoulli(0.05, 11);
+        let mut checked = skipped.clone();
+        let clean = skipped.clean_frames(0, 1_000);
+        assert!(clean > 0 && clean < 1_000, "clean run {clean}");
+        skipped.skip_clean(clean);
+        for i in 0..clean {
+            assert!(!checked.maybe_corrupt(i, &mut [0u8; 28]), "frame {i}");
+        }
+        for i in clean..clean + 200 {
+            let (mut a, mut b) = ([0u8; 28], [0u8; 28]);
+            assert_eq!(
+                skipped.maybe_corrupt(i, &mut a),
+                checked.maybe_corrupt(i, &mut b)
+            );
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

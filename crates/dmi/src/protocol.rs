@@ -58,6 +58,10 @@ pub trait WireFrame: Sized + Clone {
     fn assemble(seq: u8, ack: Option<u8>, payload: Self::Payload) -> Self;
     /// Serializes to wire bytes (CRC included).
     fn serialize(&self) -> Vec<u8>;
+    /// Writes the wire bytes (CRC included) into `out`, which must be
+    /// exactly [`WireFrame::WIRE_BYTES`] long. The allocation-free
+    /// form of [`WireFrame::serialize`].
+    fn write_bytes(&self, out: &mut [u8]);
     /// Parses from wire bytes, checking CRC.
     ///
     /// # Errors
@@ -85,6 +89,9 @@ impl WireFrame for DownstreamFrame {
     }
     fn serialize(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
+    }
+    fn write_bytes(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bytes());
     }
     fn deserialize(bytes: &[u8]) -> Result<Self, DmiError> {
         let arr: &[u8; DOWNSTREAM_FRAME_BYTES] = bytes
@@ -118,6 +125,9 @@ impl WireFrame for UpstreamFrame {
     }
     fn serialize(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
+    }
+    fn write_bytes(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_bytes());
     }
     fn deserialize(bytes: &[u8]) -> Result<Self, DmiError> {
         let arr: &[u8; UPSTREAM_FRAME_BYTES] = bytes
@@ -262,6 +272,11 @@ pub struct LinkStats {
 /// sequence space.
 fn seq_reaches(from: u8, to: u8) -> bool {
     ((to.wrapping_sub(from)) % SEQ_MODULO) < SEQ_MODULO / 2
+}
+
+/// Sequence ID `seq` moved on by `k` in the modulo-128 space.
+pub(crate) fn seq_add(seq: u8, k: u64) -> u8 {
+    ((u64::from(seq) + k % u64::from(SEQ_MODULO)) % u64::from(SEQ_MODULO)) as u8
 }
 
 /// One side of a DMI link: owns the transmit sequence space, replay
@@ -483,10 +498,10 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
     }
 
     fn next_new_frame(&mut self) -> (T, bool) {
-        // Flow control: never let unacked frames outrun the replay
-        // buffer; send idles (which consume no new seq... they do — all
-        // frames are sequenced) — so instead, stall new *payload* but
-        // keep re-sending the last frame when the window is full.
+        // Flow control: unacked frames must never outrun the replay
+        // buffer. Every frame takes a sequence ID, idles included, so
+        // with the buffer full not even an idle may go out: re-send the
+        // last frame (same seq, fresh ACK) until an ACK frees a slot.
         if self.replay.len() >= self.cfg.replay_buffer_frames {
             let prev = self
                 .last_frame
@@ -586,6 +601,95 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
     /// Whether the receiver is waiting out a replay.
     pub fn rx_awaiting_replay(&self) -> bool {
         self.rx_state == RxState::AwaitReplay
+    }
+
+    /// The ACK this endpoint's next frame carries, if it has received
+    /// anything yet.
+    pub(crate) fn pending_ack(&self) -> Option<u8> {
+        self.pending_ack
+    }
+
+    /// Sequence ID the next new frame takes.
+    pub(crate) fn next_seq(&self) -> u8 {
+        self.next_seq
+    }
+
+    /// The last two frames sent, oldest first: the two a steady link
+    /// has in flight. Call only when [`LinkEndpoint::idle_steady`]
+    /// holds.
+    pub(crate) fn last_two_sent(&self) -> (&T, &T) {
+        let n = self.replay.len();
+        (&self.replay[n - 2], &self.replay[n - 1])
+    }
+
+    /// Whether the transmit side is in the idle steady state of the
+    /// packet loop, so that its next frame is one more idle of the same
+    /// run, as long as that frame carries `next_ack`. All of these
+    /// hold: nothing is backlogged; neither side is recovering; the
+    /// replay buffer holds at least two frames, all idle, with
+    /// consecutive sequence IDs and consecutive ACKs, and still has
+    /// room; the last frame sent is its newest entry and `next_seq`
+    /// follows it; no replay trigger is due; and `next_ack` follows the
+    /// newest entry's ACK.
+    pub(crate) fn idle_steady(&self, next_ack: u8) -> bool {
+        if !self.backlog.is_empty()
+            || self.tx_state != TxState::Normal
+            || self.rx_state != RxState::Normal
+            || self.replay.len() < 2
+            || self.replay.len() >= self.cfg.replay_buffer_frames
+            || self.slots_since_progress >= self.cfg.ack_timeout_frames
+        {
+            return false;
+        }
+        let idle = T::idle_payload();
+        let (mut seq, mut ack) = (self.replay[0].seq(), self.replay[0].ack());
+        for frame in &self.replay {
+            if ack.is_none() || frame.seq() != seq || frame.ack() != ack || *frame.payload() != idle
+            {
+                return false;
+            }
+            seq = seq_add(seq, 1);
+            ack = ack.map(|a| seq_add(a, 1));
+        }
+        let newest = self.replay.back().expect("at least two frames");
+        self.last_frame.as_ref().is_some_and(|last| {
+            last.seq() == newest.seq() && last.ack() == newest.ack() && *last.payload() == idle
+        }) && self.next_seq == seq
+            && ack == Some(next_ack)
+    }
+
+    /// Whether `frame`, arriving this slot, is the next in-order frame
+    /// and ACKs exactly the oldest entry of the replay buffer.
+    pub(crate) fn accepts_idle(&self, frame: &R) -> bool {
+        frame.seq() == self.rx_expected
+            && frame.ack().is_some()
+            && frame.ack() == self.replay.front().map(WireFrame::seq)
+    }
+
+    /// Applies `k` idle slots in closed form. Each slot sends one idle
+    /// and receives one, and the ACK it receives retires the oldest
+    /// replay entry, so every sequence ID and ACK moves on by `k`, as
+    /// do the frame counters. `slots_since_progress` is what stepping
+    /// leaves in that counter, which depends on whether the endpoint
+    /// transmits before or after it receives within a slot. Call only
+    /// when [`LinkEndpoint::idle_steady`] holds.
+    pub(crate) fn skip_idle(&mut self, k: u64, slots_since_progress: u64) {
+        let oldest = self.replay.front().map_or(0, WireFrame::seq);
+        for frame in &mut self.replay {
+            *frame = T::assemble(
+                seq_add(frame.seq(), k),
+                frame.ack().map(|a| seq_add(a, k)),
+                T::idle_payload(),
+            );
+        }
+        self.last_frame = self.replay.back().cloned();
+        self.next_seq = seq_add(self.next_seq, k);
+        self.rx_expected = seq_add(self.rx_expected, k);
+        self.pending_ack = Some(seq_add(self.rx_expected, u64::from(SEQ_MODULO) - 1));
+        self.acked_upto = Some(seq_add(oldest, k - 1));
+        self.slots_since_progress = slots_since_progress;
+        self.stats.frames_tx += k;
+        self.stats.frames_rx_ok += k;
     }
 
     /// Serializes the endpoint's dynamic state into a snapshot

@@ -23,6 +23,14 @@
 //! ladder surfaces a typed [`DmiError::Timeout`]. Tags abandoned by
 //! timed-out commands are quarantined and reclaimed instead of leaked.
 //! The blocking helpers are thin shims over this path.
+//!
+//! The link never goes quiet: every frame slot carries an idle frame in
+//! each direction when there is nothing else to send. [`DmiChannel::step`]
+//! simulates one slot, and is the reference for everything else.
+//! [`DmiChannel::run_until`] and the channel's wait loops advance by
+//! **event horizon** instead: once the link settles into carrying only
+//! idles, every slot before the next event is applied in closed form
+//! ([`IdleLink`]), with the same end state and trace as stepping.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -32,6 +40,7 @@ use contutto_dmi::frame::{
     line_to_downstream_beats, CommandHeader, DownstreamFrame, DownstreamPayload, LineAssembler,
     UpstreamFrame, UpstreamPayload,
 };
+use contutto_dmi::idle::IdleLink;
 use contutto_dmi::link::{BitErrorInjector, LinkSegment, LinkSpeed};
 use contutto_dmi::protocol::{LinkEndpoint, LinkEndpointConfig};
 use contutto_dmi::training::{measure_frtl, LinkTrainer, TrainerConfig, TrainingOutcome};
@@ -44,6 +53,10 @@ type BufferEndpoint = LinkEndpoint<UpstreamFrame, DownstreamFrame>;
 
 /// Wire propagation latency of each channel direction.
 pub const WIRE_PROPAGATION: SimTime = SimTime::from_ns(1);
+
+/// Most idle slots one horizon jump applies. It bounds the look-ahead
+/// of a random error injector, and of a wait with no deadline.
+const MAX_IDLE_JUMP: u64 = 1 << 16;
 
 /// Sim time a retrain waits with no commands pending so that buffer
 /// responses to aborted commands arrive (and are absorbed as stale)
@@ -676,7 +689,7 @@ impl DmiChannel {
         while (!self.pending.is_empty() || !self.quarantine.is_empty() || !self.queue.is_empty())
             && self.now < deadline
         {
-            self.step();
+            self.advance(deadline);
         }
         let clean = self.pending.is_empty() && self.quarantine.is_empty() && self.queue.is_empty();
         if !clean {
@@ -730,9 +743,14 @@ impl DmiChannel {
         }
         // Settle: with nothing pending, the buffer model's responses to
         // aborted commands arrive now and are counted as stale instead
-        // of completing a future command that reuses the tag.
+        // of completing a future command that reuses the tag. A reset
+        // can run inside `step()` (a ladder rung), so the settle steps
+        // slot by slot: `step()` never takes an idle jump, which keeps
+        // it the reference the jumps are checked against.
         let settle = self.now + RETRAIN_SETTLE;
-        self.run_until(settle);
+        while self.now < settle {
+            self.step();
+        }
         Ok(())
     }
 
@@ -942,7 +960,7 @@ impl DmiChannel {
                         .any(|p| p.tracked.as_ref().is_some_and(|t| t.id == id)),
                 "wait_for_command: command {id:?} is not queued, in flight, or finished"
             );
-            self.step();
+            self.advance(SimTime::MAX);
         }
     }
 
@@ -1152,10 +1170,12 @@ impl DmiChannel {
         self.issue_ready();
         // Host transmits this slot's downstream frame.
         self.down.transmit(now, self.host.tick_tx());
-        // Buffer receives any arrived downstream frames.
+        // Buffer receives any arrived downstream frames; idles carry
+        // nothing for it.
         while let Some(bytes) = self.down.receive(now) {
-            if let Some(payload) = self.buffer_ep.on_receive(&bytes) {
-                self.buffer.push_downstream(now, payload);
+            match self.buffer_ep.on_receive(&bytes) {
+                None | Some(DownstreamPayload::Idle) => {}
+                Some(payload) => self.buffer.push_downstream(now, payload),
             }
         }
         // Buffer offers the upstream arbiter one slot.
@@ -1294,11 +1314,74 @@ impl DmiChannel {
         }
     }
 
-    /// Runs until time `t`.
+    /// Runs until time `t`: every frame slot before `t`, as
+    /// [`DmiChannel::step`] would, but with each stretch in which the
+    /// link only moves idles applied in closed form ([`IdleLink`]).
     pub fn run_until(&mut self, t: SimTime) {
         while self.now < t {
+            self.advance(t);
+        }
+    }
+
+    /// Advances by one frame slot or, when the link is idle and steady
+    /// ([`IdleLink::is_steady`]), by every slot before the next event
+    /// horizon ([`DmiChannel::idle_horizon`]), the next injected
+    /// corruption and `until`. Those slots only move idles, so they are
+    /// applied in closed form, with the state, counters and trace
+    /// records that stepping them would leave.
+    fn advance(&mut self, until: SimTime) {
+        let horizon = self.idle_horizon().min(until);
+        let limit = horizon
+            .saturating_sub(self.now)
+            .as_ps()
+            .div_ceil(self.slot.as_ps())
+            .min(MAX_IDLE_JUMP);
+        let mut link = IdleLink {
+            host: &mut self.host,
+            buffer: &mut self.buffer_ep,
+            down: &mut self.down,
+            up: &mut self.up,
+        };
+        let k = if limit >= 2 && link.is_steady(self.now) {
+            link.clean_slots(limit)
+        } else {
+            0
+        };
+        if k >= 2 {
+            link.skip(self.now, k, &self.tracer);
+            self.now += self.slot * k;
+        } else {
             self.step();
         }
+    }
+
+    /// The channel's next event horizon: the earliest slot time at which
+    /// a slot may do more than move idles. Its own events are the
+    /// buffer's next upstream response, the issue-queue front once the
+    /// window and tag pool allow it to issue (and `issue_hold`), and,
+    /// since a slot checks them as it ends, one slot before the earliest
+    /// tracked deadline, quarantine expiry and end of a degrade window.
+    /// Whether each wire's injector corrupts a frame is checked
+    /// separately ([`IdleLink::clean_slots`]).
+    fn idle_horizon(&self) -> SimTime {
+        let ends_slot = |t: SimTime| t.saturating_sub(self.slot);
+        let mut horizon = self.buffer.next_upstream_ready().unwrap_or(SimTime::MAX);
+        if let Some(&(not_before, _)) = self.queue.keys().next() {
+            if self.tracked_in_flight() < self.window && self.tags.available() > 0 {
+                horizon = horizon.min(not_before.max(self.issue_hold));
+            }
+        }
+        for t in self.pending.values().filter_map(|p| p.tracked.as_ref()) {
+            horizon = horizon.min(ends_slot(t.deadline));
+        }
+        let ttl = self.retry.op_timeout * 2;
+        for &parked in self.quarantine.values() {
+            horizon = horizon.min(ends_slot(parked + ttl));
+        }
+        if let Some(until) = self.degraded_until {
+            horizon = horizon.min(ends_slot(until));
+        }
+        horizon
     }
 
     /// Runs until a completion is available or `deadline` passes. The
@@ -1312,7 +1395,7 @@ impl DmiChannel {
             if self.now > deadline {
                 return None;
             }
-            self.step();
+            self.advance(SimTime::from_ps(deadline.as_ps().saturating_add(1)));
         }
     }
 

@@ -1,6 +1,7 @@
-//! Allocation guard for the slot-stepped hot path: recording a trace
-//! event allocates nothing, and an idle frame slot of a traced ConTutto
-//! channel allocates no more than its two wire frames.
+//! Allocation guard for the idle link: recording a trace event
+//! allocates nothing, an idle frame slot stepped on a traced ConTutto
+//! channel allocates no more than its two wire frames, and a long idle
+//! stretch passed with `run_until` allocates a few blocks in total.
 //!
 //! A counting global allocator tallies heap blocks per thread, so the
 //! tests in this binary can run in parallel without seeing each
@@ -77,9 +78,11 @@ fn recording_into_a_full_ring_allocates_nothing() {
     assert_eq!(blocks, 0, "Tracer::record allocated on a full ring");
 }
 
-#[test]
-fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
-    const SLOTS: u64 = 10_000;
+const SLOTS: u64 = 10_000;
+
+/// A traced ConTutto channel warmed up until the trace ring and every
+/// queue reach their steady-state capacity.
+fn warm_traced_channel() -> (DmiChannel, Tracer) {
     let mut ch = DmiChannel::new(
         ChannelConfig::contutto(),
         Box::new(ConTutto::new(
@@ -88,12 +91,21 @@ fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
         )),
     );
     let tracer = ch.enable_tracing(1 << 12);
-    let frame = ChannelConfig::contutto().speed.frame_time();
-    // Warm up until the trace ring and every queue reach their
-    // steady-state capacity.
-    ch.run_until(ch.now() + frame * SLOTS);
+    for _ in 0..SLOTS {
+        ch.step();
+    }
+    (ch, tracer)
+}
+
+#[test]
+fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
+    let (mut ch, tracer) = warm_traced_channel();
     let recorded = tracer.total_recorded();
-    let blocks = blocks_during(|| ch.run_until(ch.now() + frame * SLOTS));
+    let blocks = blocks_during(|| {
+        for _ in 0..SLOTS {
+            ch.step();
+        }
+    });
     assert!(
         tracer.total_recorded() - recorded >= 2 * SLOTS,
         "the channel must trace while it steps"
@@ -101,5 +113,22 @@ fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
     assert!(
         blocks <= 2 * SLOTS,
         "{blocks} heap blocks over {SLOTS} idle slots: more than the two wire frames per slot"
+    );
+}
+
+#[test]
+fn an_idle_run_of_a_traced_channel_is_not_serialized_frame_by_frame() {
+    let (mut ch, tracer) = warm_traced_channel();
+    let frame = ChannelConfig::contutto().speed.frame_time();
+    let recorded = tracer.total_recorded();
+    let blocks = blocks_during(|| ch.run_until(ch.now() + frame * SLOTS));
+    assert_eq!(
+        tracer.total_recorded() - recorded,
+        4 * SLOTS,
+        "every skipped slot still leaves its four frame records"
+    );
+    assert!(
+        blocks <= 8,
+        "{blocks} heap blocks over a {SLOTS}-slot idle run: the jump serialized frames"
     );
 }
