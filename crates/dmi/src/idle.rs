@@ -11,11 +11,11 @@
 //! Within a slot the order is the channel's: the host transmits, the
 //! buffer receives and then transmits, and the host receives.
 
-use contutto_sim::{LinkDir, SimTime, TraceEvent, Tracer};
+use contutto_sim::{SimTime, Tracer};
 
+use crate::frame::{DownstreamFrame, UpstreamFrame};
 use crate::link::LinkSegment;
 use crate::protocol::{seq_add, BufferEndpoint, HostEndpoint, WireFrame};
-use crate::scramble::{apply_trained, KEYSTREAM_LEN};
 
 /// The link layer of one channel: both endpoints and both wires.
 #[derive(Debug)]
@@ -25,9 +25,9 @@ pub struct IdleLink<'a> {
     /// The buffer endpoint (transmits upstream).
     pub buffer: &'a mut BufferEndpoint,
     /// The downstream wire.
-    pub down: &'a mut LinkSegment,
+    pub down: &'a mut LinkSegment<DownstreamFrame>,
     /// The upstream wire.
-    pub up: &'a mut LinkSegment,
+    pub up: &'a mut LinkSegment<UpstreamFrame>,
 }
 
 impl IdleLink<'_> {
@@ -42,9 +42,11 @@ impl IdleLink<'_> {
     /// - the host's next frame ACKs the upstream frame after the last
     ///   one its replay entries ACK, and so does the buffer's, once it
     ///   has received this slot's downstream frame;
-    /// - each wire holds exactly the sender's last two frames, byte for
-    ///   byte: the older one lands this slot and the newer one the
-    ///   next, as a wire latency between one and two slots implies;
+    /// - each wire holds exactly the sender's last two frames, riding
+    ///   as frames (an entry that rides as bytes, corrupted or just
+    ///   restored, is never steady): the older one lands this slot and
+    ///   the newer one the next, as a wire latency between one and two
+    ///   slots implies;
     /// - the frame landing this slot is the receiver's next in-order
     ///   frame and ACKs exactly the oldest entry of its replay buffer.
     pub fn is_steady(&self, now: SimTime) -> bool {
@@ -79,40 +81,22 @@ impl IdleLink<'_> {
     /// all `k` slots ([`IdleLink::is_steady`],
     /// [`IdleLink::clean_slots`]). When `tracer` is on it gets the four
     /// records stepping makes per slot, each stamped with its slot's
-    /// time, so every fingerprint comes out the same.
+    /// time, in one pass ([`Tracer::record_idle_run`]), so every
+    /// fingerprint comes out the same.
     pub fn skip(&mut self, now: SimTime, k: u64, tracer: &Tracer) {
         debug_assert!(k >= 2 && self.is_steady(now) && self.clean_slots(k) == k);
         let slot = self.down.speed().frame_time();
-        if tracer.is_enabled() {
-            let seqs = [
+        tracer.record_idle_run(
+            now,
+            slot,
+            k,
+            [
                 self.host.next_seq(),
                 self.buffer.rx_expected(),
                 self.buffer.next_seq(),
                 self.host.rx_expected(),
-            ];
-            for i in 0..k {
-                tracer.advance(now + slot * i);
-                let [down_tx, down_rx, up_tx, up_rx] = seqs.map(|s| seq_add(s, i));
-                tracer.record(TraceEvent::FrameTx {
-                    dir: LinkDir::Downstream,
-                    seq: down_tx,
-                    replayed: false,
-                });
-                tracer.record(TraceEvent::FrameRx {
-                    dir: LinkDir::Downstream,
-                    seq: down_rx,
-                });
-                tracer.record(TraceEvent::FrameTx {
-                    dir: LinkDir::Upstream,
-                    seq: up_tx,
-                    replayed: false,
-                });
-                tracer.record(TraceEvent::FrameRx {
-                    dir: LinkDir::Upstream,
-                    seq: up_rx,
-                });
-            }
-        }
+            ],
+        );
         // The host transmits before it receives, so the ACK it receives
         // leaves its no-progress counter at zero. The buffer receives
         // first, and its own transmit then counts one.
@@ -124,10 +108,10 @@ impl IdleLink<'_> {
     }
 }
 
-/// Whether `seg` holds exactly `frames` (oldest first), the older
-/// landing at `now` and the newer one slot later.
+/// Whether `seg` holds exactly `frames` (oldest first), riding as
+/// frames, the older landing at `now` and the newer one slot later.
 fn wire_carries<F: WireFrame>(
-    seg: &LinkSegment,
+    seg: &LinkSegment<F>,
     frames: [&F; 2],
     now: SimTime,
     slot: SimTime,
@@ -137,45 +121,24 @@ fn wire_carries<F: WireFrame>(
         return false;
     }
     let mut in_flight = seg.in_flight_frames();
-    let (Some((old_at, old)), Some((new_at, new)), None) =
+    let (Some((old_at, Some(old))), Some((new_at, Some(new))), None) =
         (in_flight.next(), in_flight.next(), in_flight.next())
     else {
         return false;
     };
-    let mut buf = [0u8; KEYSTREAM_LEN];
-    old_at <= now
-        && now < new_at
-        && new_at <= now + slot
-        && wire_bytes(frames[0], &mut buf) == old
-        && wire_bytes(frames[1], &mut buf) == new
+    old_at <= now && now < new_at && new_at <= now + slot && old == frames[0] && new == frames[1]
 }
 
 /// Puts the sender's last two frames back on `seg` after `k` skipped
 /// slots, sent in the slots before and at `last`.
 fn skip_wire<F: WireFrame>(
-    seg: &mut LinkSegment,
+    seg: &mut LinkSegment<F>,
     k: u64,
     (older, newer): (&F, &F),
     last: SimTime,
     slot: SimTime,
 ) {
-    let (mut older_buf, mut newer_buf) = ([0u8; KEYSTREAM_LEN], [0u8; KEYSTREAM_LEN]);
-    seg.skip_frames(
-        k,
-        [
-            (last - slot, wire_bytes(older, &mut older_buf)),
-            (last, wire_bytes(newer, &mut newer_buf)),
-        ],
-    );
-}
-
-/// The scrambled wire image of `frame`, as `LinkEndpoint::tick_tx`
-/// puts it on the wire.
-fn wire_bytes<'b, F: WireFrame>(frame: &F, buf: &'b mut [u8; KEYSTREAM_LEN]) -> &'b [u8] {
-    let bytes = &mut buf[..F::WIRE_BYTES];
-    frame.write_bytes(bytes);
-    apply_trained(bytes);
-    bytes
+    seg.skip_frames(k, [(last - slot, older.clone()), (last, newer.clone())]);
 }
 
 #[cfg(test)]
@@ -189,31 +152,25 @@ mod tests {
     struct Link {
         host: HostEndpoint,
         buffer: BufferEndpoint,
-        down: LinkSegment,
-        up: LinkSegment,
+        down: LinkSegment<DownstreamFrame>,
+        up: LinkSegment<UpstreamFrame>,
         now: SimTime,
         tracer: Tracer,
     }
 
     impl Link {
-        fn new() -> Self {
-            let tracer = Tracer::ring(64);
+        fn new(ring: usize) -> Self {
+            let tracer = Tracer::ring(ring);
             let mut host = LinkEndpoint::new(LinkEndpointConfig::host());
             let mut buffer = LinkEndpoint::new(LinkEndpointConfig::contutto_buffer());
             host.attach_tracer(tracer.clone());
             buffer.attach_tracer(tracer.clone());
-            let wire = || {
-                LinkSegment::new(
-                    LinkSpeed::Gbps8,
-                    SimTime::from_ns(1),
-                    BitErrorInjector::never(),
-                )
-            };
+            let latency = SimTime::from_ns(1);
             Link {
                 host,
                 buffer,
-                down: wire(),
-                up: wire(),
+                down: LinkSegment::new(LinkSpeed::Gbps8, latency, BitErrorInjector::never()),
+                up: LinkSegment::new(LinkSpeed::Gbps8, latency, BitErrorInjector::never()),
                 now: SimTime::ZERO,
                 tracer,
             }
@@ -223,20 +180,38 @@ mod tests {
             self.down.speed().frame_time()
         }
 
-        /// One slot in the channel's order.
+        /// One slot in the channel's order, frames riding as frames.
         fn step(&mut self) {
+            let now = self.now;
+            self.tracer.advance(now);
+            self.down.transmit_frame(now, self.host.tick_tx_frame());
+            while let Some(arrival) = self.down.receive_frame(now) {
+                assert_eq!(
+                    self.buffer.on_receive_frame(arrival),
+                    Some(DownstreamPayload::Idle)
+                );
+            }
+            self.up.transmit_frame(now, self.buffer.tick_tx_frame());
+            while let Some(arrival) = self.up.receive_frame(now) {
+                assert_eq!(
+                    self.host.on_receive_frame(arrival),
+                    Some(UpstreamPayload::Idle)
+                );
+            }
+            self.now += self.slot();
+        }
+
+        /// One slot through the byte API: both wires carry wire images.
+        fn step_bytes(&mut self) {
             let now = self.now;
             self.tracer.advance(now);
             self.down.transmit(now, self.host.tick_tx());
             while let Some(bytes) = self.down.receive(now) {
-                assert_eq!(
-                    self.buffer.on_receive(&bytes),
-                    Some(DownstreamPayload::Idle)
-                );
+                self.buffer.on_receive(&bytes);
             }
             self.up.transmit(now, self.buffer.tick_tx());
             while let Some(bytes) = self.up.receive(now) {
-                assert_eq!(self.host.on_receive(&bytes), Some(UpstreamPayload::Idle));
+                self.host.on_receive(&bytes);
             }
             self.now += self.slot();
         }
@@ -263,10 +238,20 @@ mod tests {
 
     #[test]
     fn a_fresh_link_settles_into_the_steady_state() {
-        let mut link = Link::new();
+        let mut link = Link::new(64);
         let now = link.now;
         assert!(!link.idle().is_steady(now), "nothing sent yet");
         for _ in 0..8 {
+            link.step();
+        }
+        let now = link.now;
+        assert!(link.idle().is_steady(now));
+        // A wire image in flight is never steady, even a clean one, until
+        // both frames in flight ride as frames again.
+        link.step_bytes();
+        for _ in 0..2 {
+            let now = link.now;
+            assert!(!link.idle().is_steady(now), "a wire image in flight");
             link.step();
         }
         let now = link.now;
@@ -278,8 +263,13 @@ mod tests {
 
     #[test]
     fn skipping_equals_stepping_across_sequence_wraps() {
-        for k in [2, 3, 127, 128, 129, 1_000] {
-            let (mut stepped, mut skipped) = (Link::new(), Link::new());
+        // A 16-record ring wraps within four slots, so the skip's
+        // eviction is checked as well as its fingerprint.
+        for (ring, k) in [64, 16]
+            .into_iter()
+            .flat_map(|ring| [2, 3, 127, 128, 129, 1_000].map(|k| (ring, k)))
+        {
+            let (mut stepped, mut skipped) = (Link::new(ring), Link::new(ring));
             for _ in 0..8 {
                 stepped.step();
                 skipped.step();
@@ -291,7 +281,11 @@ mod tests {
             skipped.idle().skip(now, k, &tracer);
             skipped.now += skipped.slot() * k;
             assert!(stepped.image() == skipped.image(), "k={k}: state differs");
-            assert_eq!(stepped.tracer.render(), skipped.tracer.render(), "k={k}");
+            assert_eq!(
+                stepped.tracer.render(),
+                skipped.tracer.render(),
+                "ring={ring} k={k}"
+            );
             // Both keep running identically afterwards.
             for _ in 0..4 {
                 stepped.step();

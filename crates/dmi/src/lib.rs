@@ -6,10 +6,12 @@
 //! the ConTutto paper (Sukhwani et al., MICRO-50 2017).
 //!
 //! The crate models the link at *frame* granularity with functional
-//! fidelity: frames are serialized to real bytes, scrambled with a real
-//! LFSR, protected by a real CRC-16, carry sequence IDs and embedded
-//! ACKs, and are replayed from a real replay buffer on error — exactly
-//! the two-level handshake of paper §2.3:
+//! fidelity: frames carry sequence IDs and embedded ACKs and are
+//! replayed from a real replay buffer on error, and every frame that
+//! takes a bit error is serialized to real bytes, scrambled with a real
+//! LFSR and checked against a real CRC-16 (a clean frame rides the wire
+//! as itself; see [`link`]) — exactly the two-level handshake of paper
+//! §2.3:
 //!
 //! * a tight **packet loop** (seq ID + CRC + ACK + replay, with the
 //!   Frame Round Trip Latency (FRTL) measured at link init), and

@@ -1,13 +1,25 @@
 //! The physical DMI channel.
 //!
-//! A [`LinkSegment`] is one direction of the channel: it carries
-//! scrambled frame bytes with a fixed wire + serialization latency, and
-//! can corrupt bits in flight via a [`BitErrorInjector`] (the channel
-//! is "short reach ... up to 21dB" — errors are rare but real, which
-//! is why the replay machinery of paper §2.3 exists).
+//! A [`LinkSegment`] is one direction of the channel: it carries frames
+//! with a fixed wire + serialization latency, and can corrupt bits in
+//! flight via a [`BitErrorInjector`] (the channel is "short reach ...
+//! up to 21dB" — errors are rare but real, which is why the replay
+//! machinery of paper §2.3 exists).
+//!
+//! This module is the only one that knows the wire format: a frame's
+//! wire image is its CRC-sealed serialization, scrambled with the
+//! trained keystream (`encode`, `decode`). A clean frame's bytes
+//! cannot change any outcome, so a frame the injector leaves alone
+//! rides the wire as the frame itself. A frame the injector corrupts
+//! rides as its scrambled wire image with one real bit flipped, and
+//! the receiver descrambles it and checks its CRC as hardware would.
 
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{DelayQueue, SimRng, SimTime};
+
+use crate::error::DmiError;
+use crate::protocol::WireFrame;
+use crate::scramble::{apply_trained, KEYSTREAM_LEN};
 
 /// Link speed grades of the DMI channel.
 ///
@@ -99,36 +111,33 @@ impl BitErrorInjector {
     /// never empty; an empty buffer (only a raw [`LinkSegment`] user
     /// can send one) has no bit to flip and is always left alone.
     pub fn maybe_corrupt(&mut self, ordinal: u64, bytes: &mut [u8]) -> bool {
-        if bytes.is_empty() {
-            // Still advance the Bernoulli stream so that whether a frame
-            // is empty does not shift corruption decisions for later
-            // frames.
-            if let BitErrorInjector::Bernoulli { p, rng } = self {
-                let _ = rng.gen_bool(*p);
+        match self.corrupt_bit(ordinal, bytes.len()) {
+            Some(bit) => {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                true
             }
-            return false;
+            None => false,
         }
+    }
+
+    /// Decides whether frame `ordinal`, `len` bytes on the wire, is
+    /// corrupted, and if so which bit flips. This is the one decision
+    /// behind [`BitErrorInjector::maybe_corrupt`], with the same random
+    /// draws in the same order, so a caller can decide before it builds
+    /// any bytes. A `Bernoulli` injector draws for an empty frame too,
+    /// so that whether a frame is empty does not shift the decisions
+    /// for later frames, but never corrupts it.
+    pub(crate) fn corrupt_bit(&mut self, ordinal: u64, len: usize) -> Option<usize> {
+        let bits = len * 8;
         match self {
-            BitErrorInjector::Never => false,
-            BitErrorInjector::AtFrames(frames) => {
-                if frames.binary_search(&ordinal).is_ok() {
-                    // Flip a bit at a position derived from the ordinal,
-                    // deterministically.
-                    let bit = (ordinal as usize * 7) % (bytes.len() * 8);
-                    bytes[bit / 8] ^= 1 << (bit % 8);
-                    true
-                } else {
-                    false
-                }
-            }
+            BitErrorInjector::Never => None,
+            // Flip a bit at a position derived from the ordinal,
+            // deterministically.
+            BitErrorInjector::AtFrames(frames) => (bits > 0
+                && frames.binary_search(&ordinal).is_ok())
+            .then(|| (ordinal as usize * 7) % bits),
             BitErrorInjector::Bernoulli { p, rng } => {
-                if rng.gen_bool(*p) {
-                    let bit = rng.gen_index(bytes.len() * 8);
-                    bytes[bit / 8] ^= 1 << (bit % 8);
-                    true
-                } else {
-                    false
-                }
+                (rng.gen_bool(*p) && bits > 0).then(|| rng.gen_index(bits))
             }
         }
     }
@@ -212,31 +221,101 @@ impl Persist for BitErrorInjector {
     }
 }
 
-/// One direction of a DMI channel: a latency pipe for serialized
-/// frames, with error injection and frame accounting.
+/// The wire image of `frame`: its serialization, CRC included,
+/// scrambled with the trained keystream.
+pub(crate) fn encode<F: WireFrame>(frame: &F) -> Vec<u8> {
+    let mut bytes = frame.serialize();
+    apply_trained(&mut bytes);
+    bytes
+}
+
+/// Descrambles a wire image and parses the frame in it, checking the
+/// CRC. Allocation-free: the descrambled copy lives on the stack.
+///
+/// # Errors
+///
+/// [`DmiError::MalformedFrame`] when `bytes` is not exactly one frame
+/// long or does not decode, [`DmiError::CrcMismatch`] on a CRC failure.
+pub(crate) fn decode<F: WireFrame>(bytes: &[u8]) -> Result<F, DmiError> {
+    if bytes.len() != F::WIRE_BYTES {
+        return Err(DmiError::MalformedFrame("wrong frame size"));
+    }
+    let mut buf = [0u8; KEYSTREAM_LEN];
+    let descrambled = &mut buf[..bytes.len()];
+    descrambled.copy_from_slice(bytes);
+    apply_trained(descrambled);
+    F::deserialize(descrambled)
+}
+
+/// One entry in flight on a [`LinkSegment`].
+#[derive(Debug)]
+enum OnWire<F> {
+    /// A frame the injector left clean, which the receiver gets back
+    /// exactly as sent.
+    Frame(F),
+    /// A scrambled wire image: a corrupted frame, bytes a caller sent
+    /// with [`LinkSegment::transmit`], or an entry restored from a
+    /// snapshot.
+    Bytes(Vec<u8>),
+}
+
+impl<F: WireFrame> OnWire<F> {
+    fn into_bytes(self) -> Vec<u8> {
+        match self {
+            OnWire::Frame(frame) => encode(&frame),
+            OnWire::Bytes(bytes) => bytes,
+        }
+    }
+
+    fn into_frame(self) -> Result<F, DmiError> {
+        match self {
+            OnWire::Frame(frame) => Ok(frame),
+            OnWire::Bytes(bytes) => decode(&bytes),
+        }
+    }
+}
+
+/// Every entry persists as its wire image, however it rides, and is
+/// restored as bytes.
+impl<F: WireFrame> Persist for OnWire<F> {
+    fn persist(&self, out: &mut Vec<u8>) {
+        match self {
+            OnWire::Frame(frame) => encode(frame).persist(out),
+            OnWire::Bytes(bytes) => bytes.persist(out),
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        Ok(OnWire::Bytes(Vec::restore(r)?))
+    }
+}
+
+/// One direction of a DMI channel: a latency pipe for frames of type
+/// `F`, with error injection and frame accounting.
 ///
 /// # Example
 ///
 /// ```
-/// use contutto_dmi::{LinkSegment, LinkSpeed, BitErrorInjector};
+/// use contutto_dmi::{BitErrorInjector, DownstreamFrame, DownstreamPayload, LinkSegment, LinkSpeed};
 /// use contutto_sim::SimTime;
 ///
-/// let mut seg = LinkSegment::new(LinkSpeed::Gbps8, SimTime::from_ns(1), BitErrorInjector::never());
-/// seg.transmit(SimTime::ZERO, vec![1, 2, 3]);
+/// let mut seg: LinkSegment<DownstreamFrame> =
+///     LinkSegment::new(LinkSpeed::Gbps8, SimTime::from_ns(1), BitErrorInjector::never());
+/// let frame = DownstreamFrame { seq: 0, ack: None, payload: DownstreamPayload::Idle };
+/// seg.transmit_frame(SimTime::ZERO, frame.clone());
 /// // Wire latency (1 ns) + serialization of one frame (2 ns) = 3 ns.
-/// assert!(seg.receive(SimTime::from_ns(2)).is_none());
-/// assert_eq!(seg.receive(SimTime::from_ns(3)), Some(vec![1, 2, 3]));
+/// assert!(seg.receive_frame(SimTime::from_ns(2)).is_none());
+/// assert_eq!(seg.receive_frame(SimTime::from_ns(3)), Some(Ok(frame)));
 /// ```
 #[derive(Debug)]
-pub struct LinkSegment {
+pub struct LinkSegment<F: WireFrame> {
     speed: LinkSpeed,
-    wire: DelayQueue<Vec<u8>>,
+    wire: DelayQueue<OnWire<F>>,
     injector: BitErrorInjector,
     frames_sent: u64,
     frames_corrupted: u64,
 }
 
-impl LinkSegment {
+impl<F: WireFrame> LinkSegment<F> {
     /// Creates a segment with the given speed, propagation latency and
     /// error injector. Total per-frame latency is the propagation
     /// latency plus one frame serialization time.
@@ -255,6 +334,28 @@ impl LinkSegment {
         self.speed
     }
 
+    /// Pushes a frame onto the wire at time `now`. The injector decides
+    /// first, exactly as [`LinkSegment::transmit`] would for the
+    /// frame's wire image. A clean frame rides as itself: nothing is
+    /// encoded, sealed or allocated. A corrupted one is encoded and
+    /// rides as its wire image with the chosen bit flipped.
+    pub fn transmit_frame(&mut self, now: SimTime, frame: F) {
+        let entry = match self.injector.corrupt_bit(self.frames_sent, F::WIRE_BYTES) {
+            None if frame.round_trips() => OnWire::Frame(frame),
+            None => OnWire::Bytes(encode(&frame)),
+            Some(bit) => {
+                let mut bytes = encode(&frame);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                self.frames_corrupted += 1;
+                OnWire::Bytes(bytes)
+            }
+        };
+        self.frames_sent += 1;
+        self.wire
+            .push(now, entry)
+            .expect("link segment is unbounded");
+    }
+
     /// Pushes serialized (already scrambled) frame bytes onto the wire
     /// at time `now`.
     pub fn transmit(&mut self, now: SimTime, mut bytes: Vec<u8>) {
@@ -263,13 +364,20 @@ impl LinkSegment {
         }
         self.frames_sent += 1;
         self.wire
-            .push(now, bytes)
+            .push(now, OnWire::Bytes(bytes))
             .expect("link segment is unbounded");
     }
 
-    /// Pops the next frame if it has arrived by `now`.
+    /// Pops the next frame if it has arrived by `now`: the frame
+    /// itself, or the outcome of decoding the wire image it rode as.
+    pub fn receive_frame(&mut self, now: SimTime) -> Option<Result<F, DmiError>> {
+        self.wire.pop_ready(now).map(OnWire::into_frame)
+    }
+
+    /// Pops the wire image of the next frame if it has arrived by
+    /// `now`.
     pub fn receive(&mut self, now: SimTime) -> Option<Vec<u8>> {
-        self.wire.pop_ready(now)
+        self.wire.pop_ready(now).map(OnWire::into_bytes)
     }
 
     /// Time the next frame becomes available, if any is in flight.
@@ -282,9 +390,13 @@ impl LinkSegment {
         self.wire.latency()
     }
 
-    /// The frames in flight, oldest first, each with its arrival time.
-    pub(crate) fn in_flight_frames(&self) -> impl Iterator<Item = (SimTime, &[u8])> {
-        self.wire.iter().map(|(at, bytes)| (at, bytes.as_slice()))
+    /// The entries in flight, oldest first, each with its arrival time
+    /// and the frame, or `None` for one that rides as bytes.
+    pub(crate) fn in_flight_frames(&self) -> impl Iterator<Item = (SimTime, Option<&F>)> {
+        self.wire.iter().map(|(at, entry)| match entry {
+            OnWire::Frame(frame) => (at, Some(frame)),
+            OnWire::Bytes(_) => (at, None),
+        })
     }
 
     /// How many frames, from the next transmit on, the injector leaves
@@ -296,23 +408,17 @@ impl LinkSegment {
     /// Applies `k >= 2` transmit slots in closed form. The two frames
     /// in flight now arrive, and of the `k` frames sent only the last
     /// two are still in flight afterwards: `last_two` gives their
-    /// transmit times and bytes. The caller guarantees that the
+    /// transmit times and frames. The caller guarantees that the
     /// injector leaves all `k` frames clean
-    /// ([`LinkSegment::clean_frames_ahead`]). The in-flight buffers
-    /// are reused, so nothing is allocated.
-    pub(crate) fn skip_frames(&mut self, k: u64, last_two: [(SimTime, &[u8]); 2]) {
+    /// ([`LinkSegment::clean_frames_ahead`]).
+    pub(crate) fn skip_frames(&mut self, k: u64, last_two: [(SimTime, F); 2]) {
         debug_assert!(k >= 2 && self.wire.len() == 2);
         self.injector.skip_clean(k);
         self.frames_sent += k;
-        for (sent, bytes) in last_two {
-            let mut buf = self
-                .wire
-                .pop_ready(SimTime::MAX)
-                .expect("two frames in flight");
-            buf.clear();
-            buf.extend_from_slice(bytes);
+        self.wire.clear();
+        for (sent, frame) in last_two {
             self.wire
-                .push(sent, buf)
+                .push(sent, OnWire::Frame(frame))
                 .expect("link segment is unbounded");
         }
     }
@@ -338,10 +444,10 @@ impl LinkSegment {
         self.injector = injector;
     }
 
-    /// Serializes the segment's dynamic state (in-flight frames,
-    /// injector, frame accounting). The speed grade is a construction
-    /// parameter and is not persisted; the wire latency it implies is
-    /// cross-checked on restore instead.
+    /// Serializes the segment's dynamic state (in-flight frames, each
+    /// as its wire image, injector, frame accounting). The speed grade
+    /// is a construction parameter and is not persisted; the wire
+    /// latency it implies is cross-checked on restore instead.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         self.wire.persist(out);
         self.injector.persist(out);
@@ -349,7 +455,8 @@ impl LinkSegment {
         self.frames_corrupted.persist(out);
     }
 
-    /// Overlays segment state from a snapshot payload.
+    /// Overlays segment state from a snapshot payload. Restored frames
+    /// ride as their wire images until they are delivered.
     ///
     /// # Errors
     ///
@@ -358,7 +465,7 @@ impl LinkSegment {
     /// grade or propagation delay); otherwise propagates the payload
     /// decode error.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let wire = DelayQueue::<Vec<u8>>::restore(r)?;
+        let wire = DelayQueue::<OnWire<F>>::restore(r)?;
         if wire.latency() != self.wire.latency() {
             return Err(RestoreError::TopologyMismatch {
                 context: "link segment latency",
@@ -375,6 +482,9 @@ impl LinkSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{DownstreamFrame, DownstreamPayload};
+
+    type Seg = LinkSegment<DownstreamFrame>;
 
     #[test]
     fn speed_constants() {
@@ -389,7 +499,7 @@ mod tests {
 
     #[test]
     fn delivers_in_order_with_latency() {
-        let mut seg = LinkSegment::new(
+        let mut seg = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::never(),
@@ -405,7 +515,7 @@ mod tests {
 
     #[test]
     fn at_frames_injector_corrupts_exactly_those() {
-        let mut seg = LinkSegment::new(
+        let mut seg = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::ZERO,
             BitErrorInjector::at_frames(vec![1]),
@@ -468,7 +578,7 @@ mod tests {
         let mut never = BitErrorInjector::never();
         assert!(!never.maybe_corrupt(0, &mut empty));
         // And a segment transmit of an empty frame survives end to end.
-        let mut seg = LinkSegment::new(
+        let mut seg = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::ZERO,
             BitErrorInjector::bernoulli(1.0, 7),
@@ -501,7 +611,7 @@ mod tests {
 
     #[test]
     fn snapshot_restores_in_flight_frames_and_rng() {
-        let mut seg = LinkSegment::new(
+        let mut seg = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::bernoulli(0.3, 9),
@@ -511,7 +621,7 @@ mod tests {
         }
         let mut image = Vec::new();
         seg.snapshot_state(&mut image);
-        let mut fresh = LinkSegment::new(
+        let mut fresh = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::never(),
@@ -539,15 +649,62 @@ mod tests {
     }
 
     #[test]
+    fn frames_ride_as_frames_until_the_injector_corrupts_one() {
+        let frame = |seq| DownstreamFrame {
+            seq,
+            ack: Some(seq),
+            payload: DownstreamPayload::Idle,
+        };
+        let (mut framed, mut bytes) = (
+            Seg::new(
+                LinkSpeed::Gbps8,
+                SimTime::ZERO,
+                BitErrorInjector::at_frames(vec![1]),
+            ),
+            Seg::new(
+                LinkSpeed::Gbps8,
+                SimTime::ZERO,
+                BitErrorInjector::at_frames(vec![1]),
+            ),
+        );
+        for seq in 0..3 {
+            framed.transmit_frame(SimTime::ZERO, frame(seq));
+            bytes.transmit(SimTime::ZERO, encode(&frame(seq)));
+        }
+        let kinds: Vec<bool> = framed
+            .in_flight_frames()
+            .map(|(_, f)| f.is_some())
+            .collect();
+        assert_eq!(kinds, [true, false, true], "only frame 1 rides as bytes");
+        assert_eq!(framed.frames_corrupted(), bytes.frames_corrupted());
+        let t = SimTime::from_ns(10);
+        assert_eq!(framed.receive_frame(t), Some(Ok(frame(0))));
+        assert_eq!(bytes.receive_frame(t), Some(Ok(frame(0))));
+        // The corrupted frame flipped the bit the byte path flips.
+        let (a, b) = (framed.receive(t).unwrap(), bytes.receive(t).unwrap());
+        assert_eq!(a, b);
+        assert!(matches!(
+            decode::<DownstreamFrame>(&a),
+            Err(DmiError::CrcMismatch { .. })
+        ));
+        assert_eq!(framed.receive(t), Some(encode(&frame(2))));
+        // A frame the wire cannot carry as itself rides as its bytes.
+        let mut odd = Seg::new(LinkSpeed::Gbps8, SimTime::ZERO, BitErrorInjector::never());
+        odd.transmit_frame(SimTime::ZERO, frame(200));
+        assert!(odd.in_flight_frames().all(|(_, f)| f.is_none()));
+        assert_eq!(odd.receive_frame(t), Some(Ok(frame(200 % 128))));
+    }
+
+    #[test]
     fn restore_rejects_mismatched_speed() {
-        let seg = LinkSegment::new(
+        let seg = Seg::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::never(),
         );
         let mut image = Vec::new();
         seg.snapshot_state(&mut image);
-        let mut wrong = LinkSegment::new(
+        let mut wrong = Seg::new(
             LinkSpeed::Gbps9_6,
             SimTime::from_ns(1),
             BitErrorInjector::never(),

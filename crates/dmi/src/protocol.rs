@@ -30,10 +30,10 @@ use contutto_sim::{LinkDir, TraceEvent, Tracer};
 
 use crate::error::DmiError;
 use crate::frame::{
-    DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload, DOWNSTREAM_FRAME_BYTES,
-    SEQ_MODULO, UPSTREAM_FRAME_BYTES,
+    DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload, DOWNSTREAM_BEATS_PER_LINE,
+    DOWNSTREAM_FRAME_BYTES, SEQ_MODULO, UPSTREAM_BEATS_PER_LINE, UPSTREAM_FRAME_BYTES,
 };
-use crate::scramble::{apply_trained, KEYSTREAM_LEN};
+use crate::link;
 
 /// Which end of the channel an endpoint plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub enum LinkRole {
 /// A frame type that can ride the link. Implemented by
 /// [`DownstreamFrame`] and [`UpstreamFrame`]; sealed in practice by the
 /// crate's frame formats.
-pub trait WireFrame: Sized + Clone {
+pub trait WireFrame: Sized + Clone + PartialEq + std::fmt::Debug {
     /// The payload enum carried by this direction.
     type Payload: Clone + PartialEq + std::fmt::Debug;
 
@@ -58,10 +58,6 @@ pub trait WireFrame: Sized + Clone {
     fn assemble(seq: u8, ack: Option<u8>, payload: Self::Payload) -> Self;
     /// Serializes to wire bytes (CRC included).
     fn serialize(&self) -> Vec<u8>;
-    /// Writes the wire bytes (CRC included) into `out`, which must be
-    /// exactly [`WireFrame::WIRE_BYTES`] long. The allocation-free
-    /// form of [`WireFrame::serialize`].
-    fn write_bytes(&self, out: &mut [u8]);
     /// Parses from wire bytes, checking CRC.
     ///
     /// # Errors
@@ -78,6 +74,15 @@ pub trait WireFrame: Sized + Clone {
     fn into_payload(self) -> Self::Payload;
     /// The idle payload for slots with nothing to send.
     fn idle_payload() -> Self::Payload;
+    /// Whether deserializing this frame's bytes gives back this very
+    /// frame. Only a sequence ID or ACK outside the 7-bit space, or a
+    /// data beat index past the end of a line, does not survive.
+    fn round_trips(&self) -> bool;
+}
+
+/// Whether a frame's sequence ID and ACK fit the 7-bit sequence space.
+fn seqs_fit(seq: u8, ack: Option<u8>) -> bool {
+    seq < SEQ_MODULO && ack.is_none_or(|a| a < SEQ_MODULO)
 }
 
 impl WireFrame for DownstreamFrame {
@@ -89,9 +94,6 @@ impl WireFrame for DownstreamFrame {
     }
     fn serialize(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
-    }
-    fn write_bytes(&self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_bytes());
     }
     fn deserialize(bytes: &[u8]) -> Result<Self, DmiError> {
         let arr: &[u8; DOWNSTREAM_FRAME_BYTES] = bytes
@@ -114,6 +116,11 @@ impl WireFrame for DownstreamFrame {
     fn idle_payload() -> Self::Payload {
         DownstreamPayload::Idle
     }
+    fn round_trips(&self) -> bool {
+        seqs_fit(self.seq, self.ack)
+            && !matches!(self.payload, DownstreamPayload::WriteData { beat, .. }
+                if usize::from(beat) >= DOWNSTREAM_BEATS_PER_LINE)
+    }
 }
 
 impl WireFrame for UpstreamFrame {
@@ -125,9 +132,6 @@ impl WireFrame for UpstreamFrame {
     }
     fn serialize(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
-    }
-    fn write_bytes(&self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_bytes());
     }
     fn deserialize(bytes: &[u8]) -> Result<Self, DmiError> {
         let arr: &[u8; UPSTREAM_FRAME_BYTES] = bytes
@@ -149,6 +153,11 @@ impl WireFrame for UpstreamFrame {
     }
     fn idle_payload() -> Self::Payload {
         UpstreamPayload::Idle
+    }
+    fn round_trips(&self) -> bool {
+        seqs_fit(self.seq, self.ack)
+            && !matches!(self.payload, UpstreamPayload::ReadData { beat, .. }
+                if usize::from(beat) >= UPSTREAM_BEATS_PER_LINE)
     }
 }
 
@@ -400,9 +409,15 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         self.replay.len()
     }
 
-    /// Produces the serialized frame for this transmit slot. The link
-    /// always carries a frame; with nothing to send this is an idle.
+    /// Produces the wire image of this slot's frame: the byte form of
+    /// [`LinkEndpoint::tick_tx_frame`].
     pub fn tick_tx(&mut self) -> Vec<u8> {
+        link::encode(&self.tick_tx_frame())
+    }
+
+    /// Produces the frame for this transmit slot. The link always
+    /// carries a frame; with nothing to send this is an idle.
+    pub fn tick_tx_frame(&mut self) -> T {
         // Replay-trigger check: outstanding frames and no ACK progress
         // for longer than the round trip means the far end missed
         // something (or our frame was the one lost).
@@ -478,10 +493,7 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
             replayed,
         });
         self.last_frame = Some(frame.clone());
-
-        let mut bytes = frame.serialize();
-        apply_trained(&mut bytes);
-        bytes
+        frame
     }
 
     /// Records the rewind that accompanies a switch into replay mode.
@@ -520,17 +532,19 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         (frame, false)
     }
 
-    /// Consumes a frame arriving from the far end. Returns the payload
-    /// if this is a new, in-order, CRC-clean frame.
+    /// Consumes the wire image of a frame arriving from the far end:
+    /// the byte form of [`LinkEndpoint::on_receive_frame`]. Bytes that
+    /// are not one frame long are a malformed frame.
     pub fn on_receive(&mut self, bytes: &[u8]) -> Option<R::Payload> {
-        // Descramble on the stack: the receive path allocates nothing.
-        // Like the keystream, the buffer covers one frame.
-        let mut buf = [0u8; KEYSTREAM_LEN];
-        let descrambled = &mut buf[..bytes.len()];
-        descrambled.copy_from_slice(bytes);
-        apply_trained(descrambled);
+        self.on_receive_frame(link::decode(bytes))
+    }
+
+    /// Consumes a frame arriving from the far end, or the error its
+    /// wire image failed to decode with. Returns the payload if this is
+    /// a new, in-order, CRC-clean frame.
+    pub fn on_receive_frame(&mut self, arrival: Result<R, DmiError>) -> Option<R::Payload> {
         let rx_dir = self.tx_dir().opposite();
-        let frame = match R::deserialize(descrambled) {
+        let frame = match arrival {
             Ok(f) => f,
             Err(DmiError::CrcMismatch { .. }) => {
                 self.stats.crc_errors += 1;
@@ -881,8 +895,8 @@ mod tests {
     fn run_slots(
         host: &mut HostEndpoint,
         buf: &mut BufferEndpoint,
-        down: &mut LinkSegment,
-        up: &mut LinkSegment,
+        down: &mut LinkSegment<DownstreamFrame>,
+        up: &mut LinkSegment<UpstreamFrame>,
         slots: u64,
     ) -> (Vec<UpstreamPayload>, Vec<DownstreamPayload>) {
         let mut to_host = Vec::new();
@@ -1228,6 +1242,21 @@ mod tests {
                 context: "link ack timeout"
             }
         );
+    }
+
+    #[test]
+    fn oversized_input_is_a_malformed_frame_not_a_panic() {
+        // Regression: the byte form copied its input into a one-frame
+        // stack buffer before checking the size, so 100 bytes panicked.
+        let junk = [0xA5u8; 100];
+        let mut h = host();
+        assert_eq!(h.on_receive(&junk), None);
+        assert_eq!(h.stats().seq_errors, 1);
+        assert!(h.rx_awaiting_replay());
+        let mut b = buffer();
+        assert_eq!(b.on_receive(&junk), None);
+        assert_eq!(b.stats().seq_errors, 1);
+        assert!(b.rx_awaiting_replay());
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::frame::{
     ControlKind, DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload,
 };
 use crate::link::LinkSegment;
-use crate::scramble::Scrambler;
 
 /// Hard maximum FRTL tolerated by the POWER8 DMI master, in 2 GHz bus
 /// cycles. The real value is proprietary; 400 cycles (200 ns) is chosen
@@ -162,8 +161,8 @@ impl TrainerConfig {
 ///
 /// Returns the measured round trip and its value in `bus` cycles.
 pub fn measure_frtl(
-    down: &mut LinkSegment,
-    up: &mut LinkSegment,
+    down: &mut LinkSegment<DownstreamFrame>,
+    up: &mut LinkSegment<UpstreamFrame>,
     buffer_turnaround: SimTime,
     bus: Frequency,
 ) -> (SimTime, Cycles) {
@@ -176,21 +175,15 @@ pub fn measure_frtl(
             signature: SIGNATURE,
         }),
     };
-    let mut bytes = probe.to_bytes().to_vec();
-    Scrambler::trained().apply(&mut bytes);
-    down.transmit(t0, bytes);
+    down.transmit_frame(t0, probe);
 
     // Step time forward in frame slots until the probe lands.
     let slot = down.speed().frame_time();
     let mut now = t0;
     let arrival = loop {
-        match down.receive(now) {
+        match down.receive_frame(now) {
             Some(rx) => {
-                let mut d = rx;
-                Scrambler::trained().apply(&mut d);
-                let frame =
-                    DownstreamFrame::from_bytes(d.as_slice().try_into().expect("frame size"))
-                        .expect("clean training channel");
+                let frame = rx.expect("clean training channel");
                 match frame.payload {
                     DownstreamPayload::Control(ControlKind::FrtlProbe { signature })
                         if signature == SIGNATURE =>
@@ -213,18 +206,13 @@ pub fn measure_frtl(
             signature: SIGNATURE,
         }),
     };
-    let mut bytes = echo.to_bytes().to_vec();
-    Scrambler::trained().apply(&mut bytes);
-    up.transmit(echo_tx_time, bytes);
+    up.transmit_frame(echo_tx_time, echo);
 
     let mut now = echo_tx_time;
     let roundtrip_end = loop {
-        match up.receive(now) {
+        match up.receive_frame(now) {
             Some(rx) => {
-                let mut d = rx;
-                Scrambler::trained().apply(&mut d);
-                let frame = UpstreamFrame::from_bytes(d.as_slice().try_into().expect("frame size"))
-                    .expect("clean training channel");
+                let frame = rx.expect("clean training channel");
                 match frame.payload {
                     UpstreamPayload::Control(ControlKind::FrtlEcho { signature })
                         if signature == SIGNATURE =>
@@ -316,7 +304,7 @@ mod tests {
     use super::*;
     use crate::link::{BitErrorInjector, LinkSpeed};
 
-    fn segments() -> (LinkSegment, LinkSegment) {
+    fn segments() -> (LinkSegment<DownstreamFrame>, LinkSegment<UpstreamFrame>) {
         (
             LinkSegment::new(
                 LinkSpeed::Gbps8,

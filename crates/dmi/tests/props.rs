@@ -6,7 +6,9 @@
 use std::collections::BTreeSet;
 
 use contutto_dmi::command::{RmwOp, Tag};
-use contutto_dmi::frame::{CommandHeader, DownstreamFrame, DownstreamPayload, UpstreamPayload};
+use contutto_dmi::frame::{
+    CommandHeader, DownstreamFrame, DownstreamPayload, UpstreamFrame, UpstreamPayload,
+};
 use contutto_dmi::link::{BitErrorInjector, LinkSegment, LinkSpeed};
 use contutto_dmi::protocol::{LinkEndpoint, LinkEndpointConfig};
 use contutto_dmi::scramble::Scrambler;
@@ -91,12 +93,12 @@ fn exactly_once_in_order_delivery_under_any_error_schedule() {
 
         let mut host: Host = LinkEndpoint::new(LinkEndpointConfig::host());
         let mut buf: Buffer = LinkEndpoint::new(LinkEndpointConfig::contutto_buffer());
-        let mut down = LinkSegment::new(
+        let mut down: LinkSegment<DownstreamFrame> = LinkSegment::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::at_frames(down_errors.clone()),
         );
-        let mut up = LinkSegment::new(
+        let mut up: LinkSegment<UpstreamFrame> = LinkSegment::new(
             LinkSpeed::Gbps8,
             SimTime::from_ns(1),
             BitErrorInjector::at_frames(up_errors.clone()),

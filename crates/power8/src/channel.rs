@@ -232,8 +232,8 @@ pub struct Completion {
 pub struct DmiChannel {
     host: HostEndpoint,
     buffer_ep: BufferEndpoint,
-    down: LinkSegment,
-    up: LinkSegment,
+    down: LinkSegment<DownstreamFrame>,
+    up: LinkSegment<UpstreamFrame>,
     buffer: Box<dyn DmiBuffer>,
     now: SimTime,
     slot: SimTime,
@@ -410,13 +410,10 @@ impl DmiChannel {
             );
             reg.set_counter(&format!("{prefix}.frames_replayed"), stats.frames_replayed);
         }
-        for (prefix, seg) in [("link.down", &self.down), ("link.up", &self.up)] {
-            reg.set_counter(&format!("{prefix}.frames_sent"), seg.frames_sent());
-            reg.set_counter(
-                &format!("{prefix}.frames_corrupted"),
-                seg.frames_corrupted(),
-            );
-        }
+        reg.set_counter("link.down.frames_sent", self.down.frames_sent());
+        reg.set_counter("link.down.frames_corrupted", self.down.frames_corrupted());
+        reg.set_counter("link.up.frames_sent", self.up.frames_sent());
+        reg.set_counter("link.up.frames_corrupted", self.up.frames_corrupted());
         reg.set_counter("channel.tags_in_flight", self.tags.in_flight() as u64);
         reg.set_counter("channel.commands_completed", self.command_latency.count());
         reg.set_counter("channel.tags_reclaimed", self.tags_reclaimed);
@@ -707,8 +704,8 @@ impl DmiChannel {
     fn reset_link(&mut self) -> Result<(), DmiError> {
         // Drain in-flight garbage off both wires.
         let horizon = self.now + WIRE_PROPAGATION + self.slot * 2;
-        while self.down.receive(horizon).is_some() {}
-        while self.up.receive(horizon).is_some() {}
+        while self.down.receive_frame(horizon).is_some() {}
+        while self.up.receive_frame(horizon).is_some() {}
         // Fresh endpoints; the wires (and their injector state) persist.
         self.host = LinkEndpoint::try_new(LinkEndpointConfig::host())?;
         self.buffer_ep = LinkEndpoint::try_new(self.buffer_endpoint_cfg.clone())?;
@@ -785,8 +782,8 @@ impl DmiChannel {
         self.fast_forward(at);
         // Frames in flight on the wires are simply lost.
         let horizon = self.now + WIRE_PROPAGATION + self.slot * 2;
-        while self.down.receive(horizon).is_some() {}
-        while self.up.receive(horizon).is_some() {}
+        while self.down.receive_frame(horizon).is_some() {}
+        while self.up.receive_frame(horizon).is_some() {}
         // Endpoint state (sequence spaces, replay buffers, ACKs) is
         // SRAM: rebuilt from the same validated configs.
         self.host =
@@ -968,7 +965,9 @@ impl DmiChannel {
     /// at the top of every step so a command enqueued at `now`
     /// transmits its first frame in the same slot.
     fn issue_ready(&mut self) {
-        if self.now < self.issue_hold {
+        // An empty queue is the common case: test it before counting
+        // the tracked commands in flight.
+        if self.queue.is_empty() || self.now < self.issue_hold {
             return;
         }
         while self.tracked_in_flight() < self.window && self.tags.available() > 0 {
@@ -1169,11 +1168,11 @@ impl DmiChannel {
         // transmit this very slot.
         self.issue_ready();
         // Host transmits this slot's downstream frame.
-        self.down.transmit(now, self.host.tick_tx());
+        self.down.transmit_frame(now, self.host.tick_tx_frame());
         // Buffer receives any arrived downstream frames; idles carry
         // nothing for it.
-        while let Some(bytes) = self.down.receive(now) {
-            match self.buffer_ep.on_receive(&bytes) {
+        while let Some(arrival) = self.down.receive_frame(now) {
+            match self.buffer_ep.on_receive_frame(arrival) {
                 None | Some(DownstreamPayload::Idle) => {}
                 Some(payload) => self.buffer.push_downstream(now, payload),
             }
@@ -1182,10 +1181,10 @@ impl DmiChannel {
         if let Some(payload) = self.buffer.pull_upstream(now) {
             self.buffer_ep.enqueue(payload);
         }
-        self.up.transmit(now, self.buffer_ep.tick_tx());
+        self.up.transmit_frame(now, self.buffer_ep.tick_tx_frame());
         // Host receives any arrived upstream frames.
-        while let Some(bytes) = self.up.receive(now) {
-            if let Some(payload) = self.host.on_receive(&bytes) {
+        while let Some(arrival) = self.up.receive_frame(now) {
+            if let Some(payload) = self.host.on_receive_frame(arrival) {
                 self.handle_response(now, payload);
             }
         }

@@ -1,7 +1,10 @@
-//! Allocation guard for the idle link: recording a trace event
-//! allocates nothing, an idle frame slot stepped on a traced ConTutto
-//! channel allocates no more than its two wire frames, and a long idle
-//! stretch passed with `run_until` allocates a few blocks in total.
+//! Allocation guard for the link and the command path: recording a
+//! trace event allocates nothing, an idle frame slot stepped on a
+//! traced ConTutto channel allocates nothing (clean frames ride the
+//! wire as frames, not as freshly serialized bytes), a long idle
+//! stretch passed with `run_until` allocates a few blocks in total, and
+//! a closed loop of pipelined reads allocates at most two blocks per
+//! read.
 //!
 //! A counting global allocator tallies heap blocks per thread, so the
 //! tests in this binary can run in parallel without seeing each
@@ -11,8 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use contutto_system::contutto::{ConTutto, ContuttoConfig, MemoryPopulation};
+use contutto_system::dmi::CacheLine;
 use contutto_system::power8::channel::{ChannelConfig, DmiChannel};
-use contutto_system::sim::{LinkDir, SimTime, TraceEvent, Tracer};
+use contutto_system::power8::firmware::layouts;
+use contutto_system::power8::Power8System;
+use contutto_system::sim::{LinkDir, SimRng, SimTime, TraceEvent, Tracer};
 
 struct Counting;
 
@@ -98,7 +104,7 @@ fn warm_traced_channel() -> (DmiChannel, Tracer) {
 }
 
 #[test]
-fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
+fn idle_slots_of_a_traced_channel_allocate_nothing() {
     let (mut ch, tracer) = warm_traced_channel();
     let recorded = tracer.total_recorded();
     let blocks = blocks_during(|| {
@@ -110,9 +116,9 @@ fn idle_slots_of_a_traced_channel_allocate_only_their_frames() {
         tracer.total_recorded() - recorded >= 2 * SLOTS,
         "the channel must trace while it steps"
     );
-    assert!(
-        blocks <= 2 * SLOTS,
-        "{blocks} heap blocks over {SLOTS} idle slots: more than the two wire frames per slot"
+    assert_eq!(
+        blocks, 0,
+        "{blocks} heap blocks over {SLOTS} stepped idle slots: a clean frame was serialized"
     );
 }
 
@@ -130,5 +136,54 @@ fn an_idle_run_of_a_traced_channel_is_not_serialized_frame_by_frame() {
     assert!(
         blocks <= 8,
         "{blocks} heap blocks over a {SLOTS}-slot idle run: the jump serialized frames"
+    );
+}
+
+#[test]
+fn a_pipelined_closed_loop_allocates_at_most_two_blocks_per_read() {
+    const DEPTH: usize = 16;
+    const LINES: u64 = 256;
+    const READS: u64 = 4_000;
+    let mut sys = Power8System::boot(
+        layouts::single_contutto_for_latency(ContuttoConfig::base()),
+        1,
+    )
+    .expect("boot");
+    let base = sys
+        .memory_map()
+        .regions()
+        .iter()
+        .find(|r| r.channel == 2)
+        .expect("the ConTutto at slot 2 is mapped")
+        .base;
+    for line in 0..LINES {
+        sys.store_line(base + line * 128, CacheLine::patterned(line))
+            .expect("prefill store");
+    }
+    let mut rng = SimRng::seed_from_u64(5);
+    let mut in_flight = 0;
+    // Completes `reads` reads, keeping the window at DEPTH throughout,
+    // so the measured stretch neither fills nor drains it.
+    let mut closed_loop = |sys: &mut Power8System, reads: u64| {
+        let mut done = 0;
+        while done < reads {
+            while in_flight < DEPTH {
+                sys.submit_load(base + rng.gen_below(LINES) * 128)
+                    .expect("read submits");
+                in_flight += 1;
+            }
+            for (_, res) in sys.poll() {
+                assert!(res.expect("read completes").data.is_some());
+                in_flight -= 1;
+                done += 1;
+            }
+        }
+    };
+    closed_loop(&mut sys, READS);
+    let blocks = blocks_during(|| closed_loop(&mut sys, READS));
+    let per_read = blocks as f64 / READS as f64;
+    assert!(
+        per_read <= 2.0,
+        "{blocks} heap blocks over {READS} pipelined reads at depth {DEPTH}"
     );
 }
