@@ -5,7 +5,6 @@
 //! faults [--chaos | --media | --failover | --power | --traffic | --overload
 //!         | --checkpoint]
 //!        [--smoke] [--seeds N] [--lines N] [--metrics] [--replay FILE]
-//!        [--reuse-prefix]
 //! ```
 //!
 //! * `--chaos` — run the chaos campaign: seed-generated composable
@@ -44,10 +43,6 @@
 //!   surprise cut} × crash points): the whole system loses power and
 //!   the durability contract is asserted — NVDIMM contents survive or
 //!   produce a typed loss report, never silent corruption;
-//! * `--reuse-prefix` — with `--power`: simulate each (scenario, seed)
-//!   store prefix once, snapshot it at every crash point, and restore
-//!   the snapshot instead of re-simulating the stores. Results are
-//!   byte-identical to the straight sweep;
 //! * `--checkpoint` — run the checkpoint campaign: snapshot/restore
 //!   throughput plus a prefix-reuse identity proof (the reused power
 //!   sweep must match the straight sweep record-for-record while
@@ -55,8 +50,12 @@
 //!   with ≥0.8× snapshots/sec and restores/sec regression gates;
 //! * `--smoke`   — the quick `scripts/verify.sh` gate;
 //! * `--seeds N` — sweep seeds 1..=N (default: the full 5-seed sweep);
-//! * `--lines N` — lines written/read back per run;
+//! * `--lines N` — lines (requests for `--traffic`, `--overload` and
+//!   `--chaos`) per run, raised to the campaign's floor;
 //! * `--metrics` — also print the merged metrics registry.
+//!
+//! Any other argument, a second mode, a non-number or `--replay`
+//! without `--chaos` prints the usage line and exits with status 2.
 //!
 //! Every mode ends in [`finish`]: it prints the table, gates
 //! the campaign's `BENCH_*.json` rows (when it writes any) against the
@@ -69,145 +68,138 @@
 use std::process::ExitCode;
 
 use contutto_bench::report::finish;
+use contutto_bench::sweep::{self, Campaign};
 use contutto_bench::{chaos, checkpoint, failover, faults, media, overload, power, traffic};
+
+const USAGE: &str = "usage: faults [--chaos | --media | --failover | --power | --traffic \
+                     | --overload | --checkpoint] [--smoke] [--seeds N] [--lines N] \
+                     [--metrics] [--replay FILE]";
+
+/// The mode flags; without one the link-fault campaign runs.
+const MODES: [&str; 7] = [
+    "--media",
+    "--failover",
+    "--power",
+    "--traffic",
+    "--overload",
+    "--chaos",
+    "--checkpoint",
+];
+
+/// A parsed command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    mode: Option<&'static str>,
+    smoke: bool,
+    seeds: Option<u64>,
+    lines: Option<u64>,
+    metrics: bool,
+    replay: Option<String>,
+}
+
+/// Parses the arguments after the program name, refusing anything the
+/// driver does not understand.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--metrics" => parsed.metrics = true,
+            "--replay" => parsed.replay = Some(value()?.clone()),
+            "--seeds" | "--lines" => {
+                let v = value()?;
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("{arg} takes a number, not {v:?}"))?;
+                if arg == "--seeds" {
+                    parsed.seeds = Some(n);
+                } else {
+                    parsed.lines = Some(n);
+                }
+            }
+            flag => {
+                let Some(&mode) = MODES.iter().find(|&&m| m == flag) else {
+                    return Err(format!("unknown argument {flag:?}"));
+                };
+                if let Some(first) = parsed.mode.replace(mode) {
+                    return Err(format!("two modes: {first} and {flag}"));
+                }
+            }
+        }
+    }
+    if parsed.replay.is_some() && parsed.mode != Some("--chaos") {
+        return Err("--replay needs --chaos".into());
+    }
+    Ok(parsed)
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let text = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let value = |name: &str| -> Option<u64> { text(name).and_then(|v| v.parse().ok()) };
-    let smoke = flag("--smoke");
-    let seeds = value("--seeds").map(|n| (1..=n.max(1)).collect::<Vec<u64>>());
-    let lines = value("--lines");
-    let show_metrics = flag("--metrics");
-    // The campaign's smoke or full configuration with `--seeds` and
-    // `--lines` applied; `--lines` sets `$size`, floored at `$min`.
-    macro_rules! config {
-        ($campaign:ident, $size:ident, $min:expr) => {{
-            let mut cfg = if smoke {
-                $campaign::CampaignConfig::smoke()
-            } else {
-                $campaign::CampaignConfig::full()
-            };
-            if let Some(seeds) = &seeds {
-                cfg.seeds = seeds.clone();
-            }
-            cfg.$size = lines.map_or(cfg.$size, |n| n.max($min));
-            cfg
-        }};
-    }
-
-    if flag("--chaos") {
-        if let Some(path) = text("--replay") {
-            return replay(path);
+    let args = match parse(&args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("faults: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
-        let cfg = config!(chaos, requests, 16);
-        let report = chaos::run_campaign(&cfg);
-        write_reproducers(&report);
-        return finish(
-            "chaos",
-            &report.render_table(),
-            None,
-            report.violations(),
-            Some(&report.bench()),
-        );
-    }
-
-    if flag("--traffic") {
-        let cfg = config!(traffic, requests, 30);
-        let report = traffic::run_campaign(&cfg);
-        return finish(
-            "traffic",
-            &report.render_table(),
-            show_metrics.then(|| report.merged_metrics()).as_ref(),
-            report.violations(),
-            Some(&report.bench()),
-        );
-    }
-
-    if flag("--overload") {
-        let cfg = config!(overload, requests, 60);
-        let report = overload::run_campaign(&cfg);
-        return finish(
-            "overload",
-            &report.render_table(),
-            show_metrics.then(|| report.merged_metrics()).as_ref(),
-            report.violations(),
-            Some(&report.bench()),
-        );
-    }
-
-    if flag("--checkpoint") {
-        let cfg = config!(checkpoint, lines, 1);
-        let report = checkpoint::run_campaign(&cfg);
-        return finish(
-            "checkpoint",
-            &report.render_table(),
-            None,
-            report.violations(),
-            Some(&report.bench()),
-        );
-    }
-
-    if flag("--power") {
-        let mut cfg = config!(power, lines, 1);
-        cfg.reuse_prefix = flag("--reuse-prefix");
-        let report = power::run_campaign(&cfg);
-        let table = format!(
-            "{}stores simulated: {}{}\n",
-            report.render_table(),
-            report.stores_executed,
-            if cfg.reuse_prefix {
-                " (prefix reused)"
-            } else {
-                ""
+    };
+    let (smoke, seeds, lines) = (args.smoke, args.seeds, args.lines);
+    match args.mode.unwrap_or_default() {
+        "--media" => run_sweep::<media::Scenario>(&args),
+        "--failover" => run_sweep::<failover::Scenario>(&args),
+        "--traffic" => run_sweep::<traffic::Scenario>(&args),
+        "--overload" => run_sweep::<overload::Scenario>(&args),
+        "--power" => {
+            let report = power::run_campaign(&power::CampaignConfig::sized(smoke, seeds, lines));
+            let table = format!(
+                "{}stores simulated: {}\n",
+                report.render_table(),
+                report.stores_executed
+            );
+            let metrics = args.metrics.then_some(&report.metrics);
+            finish("power-fail", &table, metrics, report.violations(), None)
+        }
+        "--chaos" => {
+            if let Some(path) = &args.replay {
+                return replay(path);
             }
-        );
-        return finish(
-            "power-fail",
-            &table,
-            show_metrics.then(|| report.merged_metrics()).as_ref(),
-            report.violations(),
-            None,
-        );
+            let report = chaos::run_campaign(&chaos::CampaignConfig::sized(smoke, seeds, lines));
+            write_reproducers(&report);
+            finish(
+                "chaos",
+                &report.render_table(),
+                None,
+                report.violations(),
+                Some(&report.bench()),
+            )
+        }
+        "--checkpoint" => {
+            let cfg = checkpoint::CampaignConfig::sized(smoke, seeds, lines);
+            let report = checkpoint::run_campaign(&cfg);
+            finish(
+                "checkpoint",
+                &report.render_table(),
+                None,
+                report.violations(),
+                Some(&report.bench()),
+            )
+        }
+        // No mode flag (`parse` accepts no other): the link faults.
+        _ => run_sweep::<faults::Scenario>(&args),
     }
+}
 
-    if flag("--failover") {
-        let cfg = config!(failover, lines, 1);
-        let report = failover::run_campaign(&cfg);
-        return finish(
-            "failover",
-            &report.render_table(),
-            show_metrics.then(|| report.merged_metrics()).as_ref(),
-            report.violations(),
-            None,
-        );
-    }
-
-    if flag("--media") {
-        let cfg = config!(media, lines, 1);
-        let report = media::run_campaign(&cfg);
-        return finish(
-            "media-fault",
-            &report.render_table(),
-            show_metrics.then(|| report.merged_metrics()).as_ref(),
-            report.violations(),
-            None,
-        );
-    }
-
-    let cfg = config!(faults, lines, 1);
-    let report = faults::run_campaign(&cfg);
+/// Runs one of the scenario × seed campaigns.
+fn run_sweep<S: Campaign>(args: &Args) -> ExitCode {
+    let cfg = sweep::Config::<S>::sized(args.smoke, args.seeds, args.lines);
+    let report = sweep::run_campaign(&cfg);
     finish(
-        "fault",
+        S::NAME,
         &report.render_table(),
-        show_metrics.then(|| report.merged_metrics()).as_ref(),
+        args.metrics.then(|| report.merged_metrics()).as_ref(),
         report.violations(),
-        None,
+        S::bench(&report).as_ref(),
     )
 }
 
@@ -268,6 +260,49 @@ fn write_reproducers(report: &chaos::CampaignReport) {
                 record.seed, record.index
             ),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn a_full_command_line_parses() {
+        let args = parse_line("--traffic --smoke --seeds 2 --lines 40 --metrics");
+        let want = Args {
+            mode: Some("--traffic"),
+            smoke: true,
+            seeds: Some(2),
+            lines: Some(40),
+            metrics: true,
+            replay: None,
+        };
+        assert_eq!(args, Ok(want));
+        assert_eq!(parse_line(""), Ok(Args::default()));
+        let replay = parse_line("--chaos --replay CHAOS_repro_0.json").unwrap();
+        assert_eq!(replay.replay.as_deref(), Some("CHAOS_repro_0.json"));
+    }
+
+    #[test]
+    fn arguments_it_does_not_understand_are_refused() {
+        for (line, why) in [
+            ("--overlaod --smoke", "unknown argument \"--overlaod\""),
+            ("--smoke extra", "unknown argument \"extra\""),
+            ("--lines abc", "--lines takes a number, not \"abc\""),
+            ("--seeds -1", "--seeds takes a number, not \"-1\""),
+            ("--lines", "--lines needs a value"),
+            ("--media --power", "two modes: --media and --power"),
+            ("--replay x.json", "--replay needs --chaos"),
+            ("--reuse-prefix", "unknown argument \"--reuse-prefix\""),
+        ] {
+            assert_eq!(parse_line(line), Err(why.to_string()), "{line}");
         }
     }
 }

@@ -41,7 +41,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_centaur::CentaurConfig;
 use contutto_core::{ContuttoConfig, MemoryKind, MemoryPopulation};
@@ -58,6 +57,7 @@ use contutto_workloads::chaos_load::{
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
 use crate::report::{Bench, Row};
+use crate::sweep::{self, Column, Sizing};
 
 /// Keys the chaos load spreads across the memory map.
 const LOAD_KEYS: u64 = 64;
@@ -872,7 +872,7 @@ fn apply_wipe(
 // ------------------------------------------------------------ execution
 
 /// The result of executing one plan (once or twice).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanRunReport {
     /// Everything the oracle (or the harness) found wrong.
     pub violations: Vec<Violation>,
@@ -892,6 +892,16 @@ pub struct PlanRunReport {
 }
 
 impl PlanRunReport {
+    /// A run that ended before doing anything: one violation and
+    /// nothing applied, skipped, rebooted or resolved.
+    fn failed(violation: Violation) -> Self {
+        PlanRunReport {
+            violations: vec![violation],
+            deterministic: true,
+            ..Default::default()
+        }
+    }
+
     /// Whether the run upheld the whole contract.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
@@ -903,22 +913,13 @@ impl PlanRunReport {
 /// final state to the durability contract. Panics anywhere inside
 /// become [`Violation::Panicked`].
 pub fn run_plan_once(plan: &FaultPlan) -> PlanRunReport {
-    let plan = plan.clone();
-    let result = catch_unwind(AssertUnwindSafe(move || {
+    let result = sweep::catch(|| {
         let mut sys = match plan.layout.boot(plan.seed) {
             Ok(sys) => sys,
             Err(e) => {
-                return PlanRunReport {
-                    violations: vec![Violation::UnexpectedError {
-                        context: format!("boot: {e}"),
-                    }],
-                    fingerprint: 0,
-                    applied: 0,
-                    skipped: 0,
-                    reboots: 0,
-                    resolved: 0,
-                    deterministic: true,
-                }
+                return PlanRunReport::failed(Violation::UnexpectedError {
+                    context: format!("boot: {e}"),
+                })
             }
         };
         sys.set_retry_policy(campaign_policy());
@@ -1042,31 +1043,15 @@ pub fn run_plan_once(plan: &FaultPlan) -> PlanRunReport {
             resolved: report.completed + report.errors + report.orphaned,
             deterministic: true,
         }
-    }));
-    result.unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        PlanRunReport {
-            violations: vec![Violation::Panicked(msg)],
-            fingerprint: 0,
-            applied: 0,
-            skipped: 0,
-            reboots: 0,
-            resolved: 0,
-            deterministic: true,
-        }
-    })
+    });
+    result.unwrap_or_else(|msg| PlanRunReport::failed(Violation::Panicked(msg)))
 }
 
 /// Executes a plan twice (the campaign's double-run contract): the
 /// fingerprints and violation lists must match, or
 /// [`Violation::NonDeterministic`] is appended.
 pub fn run_plan(plan: &FaultPlan) -> PlanRunReport {
-    let (mut report, deterministic) =
-        crate::harness::run_twice_assert_identical(|| run_plan_once(plan), |a, b| a == b);
+    let (mut report, deterministic) = sweep::run_twice(|| run_plan_once(plan), |a, b| a == b);
     report.deterministic = deterministic;
     if !deterministic {
         report.violations.push(Violation::NonDeterministic);
@@ -1206,25 +1191,32 @@ pub struct CampaignConfig {
     pub intensity: u32,
 }
 
+/// Seeds and requests per plan of the smoke and full campaigns, and
+/// the smallest request count a plan accepts.
+const SIZING: Sizing = Sizing {
+    smoke: (2, 72),
+    full: (4, 160),
+    floor: 16,
+    step: 1,
+};
+
 impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`.
-    pub fn smoke() -> Self {
+    /// The smoke or full campaign with the driver's `--seeds` and
+    /// `--lines` (requests per plan) applied (see
+    /// [`Sizing::resolve`]).
+    pub fn sized(smoke: bool, seeds: Option<u64>, requests: Option<u64>) -> Self {
+        let (seeds, requests) = SIZING.resolve(smoke, seeds, requests);
         CampaignConfig {
-            seeds: vec![1, 2],
-            plans_per_seed: 2,
-            requests: 72,
-            intensity: 4,
+            seeds,
+            plans_per_seed: if smoke { 2 } else { 16 },
+            requests,
+            intensity: if smoke { 4 } else { 6 },
         }
     }
 
-    /// The full sweep: 4 seeds × 16 plans = 64 plans, each run twice.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: (1..=4).collect(),
-            plans_per_seed: 16,
-            requests: 160,
-            intensity: 6,
-        }
+    /// The quick gate used by `scripts/verify.sh`.
+    pub fn smoke() -> Self {
+        CampaignConfig::sized(true, None, None)
     }
 }
 
@@ -1275,38 +1267,35 @@ impl CampaignReport {
 
     /// Renders the per-plan table.
     pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<9} {:>4} {:>4} {:>7} {:>7} {:>7} {:>7} {:>8} {:>4}  {:<16}",
-            "layout",
-            "seed",
-            "plan",
-            "actions",
-            "applied",
-            "skipped",
-            "reboots",
-            "resolved",
-            "det",
-            "fingerprint"
-        );
-        out.push_str(&"-".repeat(96));
-        out.push('\n');
+        const COLUMNS: [Column; 10] = [
+            Column::left("layout", 9),
+            Column::right("seed", 4),
+            Column::right("plan", 4),
+            Column::right("actions", 7),
+            Column::right("applied", 7),
+            Column::right("skipped", 7),
+            Column::right("reboots", 7),
+            Column::right("resolved", 8),
+            Column::right("det", 4),
+            Column::left("fingerprint", 16).wide(),
+        ];
+        let mut out = sweep::header(&COLUMNS);
         for r in &self.records {
-            let _ = writeln!(
-                out,
-                "{:<9} {:>4} {:>4} {:>7} {:>7} {:>7} {:>7} {:>8} {:>4}  {:016x}",
-                r.layout.name(),
-                r.seed,
-                r.index,
-                r.actions,
-                r.report.applied,
-                r.report.skipped,
-                r.report.reboots,
-                r.report.resolved,
-                if r.report.deterministic { "yes" } else { "NO" },
-                r.report.fingerprint,
-            );
+            out.push_str(&sweep::row(
+                &COLUMNS,
+                &[
+                    r.layout.name().to_string(),
+                    r.seed.to_string(),
+                    r.index.to_string(),
+                    r.actions.to_string(),
+                    r.report.applied.to_string(),
+                    r.report.skipped.to_string(),
+                    r.report.reboots.to_string(),
+                    r.report.resolved.to_string(),
+                    (if r.report.deterministic { "yes" } else { "NO" }).to_string(),
+                    format!("{:016x}", r.report.fingerprint),
+                ],
+            ));
             for v in &r.report.violations {
                 let _ = writeln!(out, "    VIOLATION: {v}");
             }

@@ -30,6 +30,7 @@ use contutto_power8::system::Power8System;
 
 use crate::power;
 use crate::report::{Bench, Row};
+use crate::sweep::Sizing;
 
 /// Campaign knobs.
 #[derive(Debug, Clone)]
@@ -44,25 +45,31 @@ pub struct CampaignConfig {
     pub reps: u32,
 }
 
+/// Seeds and stores per power-sweep run of the smoke and full
+/// campaigns, and the smallest store count a run accepts.
+const SIZING: Sizing = Sizing {
+    smoke: (1, 8),
+    full: (3, 16),
+    floor: 1,
+    step: 1,
+};
+
 impl CampaignConfig {
-    /// The quick `scripts/verify.sh` gate.
-    pub fn smoke() -> Self {
+    /// The smoke or full campaign with the driver's `--seeds` and
+    /// `--lines` applied (see [`Sizing::resolve`]).
+    pub fn sized(smoke: bool, seeds: Option<u64>, lines: Option<u64>) -> Self {
+        let (seeds, lines) = SIZING.resolve(smoke, seeds, lines);
         CampaignConfig {
-            seeds: vec![1],
-            lines: 8,
+            seeds,
+            lines,
             cut_stride: 4,
-            reps: 32,
+            reps: if smoke { 32 } else { 256 },
         }
     }
 
-    /// The full sweep.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2, 3],
-            lines: 16,
-            cut_stride: 4,
-            reps: 256,
-        }
+    /// The quick `scripts/verify.sh` gate.
+    pub fn smoke() -> Self {
+        CampaignConfig::sized(true, None, None)
     }
 }
 
@@ -270,25 +277,19 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             continue;
         }
         for (ra, rb) in a.ring.iter().zip(&b.ring) {
-            if ra.fingerprint != rb.fingerprint {
+            let at = format!(
+                "checkpoint: {:?} seed {} cut {}",
+                a.scenario, ra.seed, ra.cut_after
+            );
+            if (ra.fingerprint, &ra.result) != (rb.fingerprint, &rb.result) {
                 failures.push(format!(
-                    "checkpoint: {:?} seed {} cut {}: fingerprint {:016x} straight \
-                     vs {:016x} reused",
-                    a.scenario, ra.seed, ra.cut_after, ra.fingerprint, rb.fingerprint
-                ));
-            }
-            if ra.outcome != rb.outcome {
-                failures.push(format!(
-                    "checkpoint: {:?} seed {} cut {}: outcome diverges after restore",
-                    a.scenario, ra.seed, ra.cut_after
+                    "{at}: fingerprint {:016x} straight vs {:016x} reused, or the \
+                     record diverges after restore",
+                    ra.fingerprint, rb.fingerprint
                 ));
             }
             if !rb.deterministic {
-                failures.push(format!(
-                    "checkpoint: {:?} seed {} cut {}: restore-twice run was not \
-                     deterministic",
-                    a.scenario, ra.seed, ra.cut_after
-                ));
+                failures.push(format!("{at}: restore-twice run was not deterministic"));
             }
         }
     }

@@ -6,7 +6,7 @@
 //! victim ConTutto card dies mid-workload — by FSP error budget, by a
 //! dead DMI link, or by a concurrent-maintenance pull — while the
 //! system runs with either a hot spare or a mirrored pair. The
-//! invariant asserted by [`CampaignReport::violations`]:
+//! invariant asserted by [`sweep::Report::violations`]:
 //!
 //! * **zero lost lines** — after the failover settles, every line ever
 //!   written reads back byte-identical or surfaces a typed
@@ -22,7 +22,6 @@
 //! [`DmiError::Poisoned`]: contutto_dmi::DmiError::Poisoned
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_core::{ConTutto, ContuttoConfig, MemoryPopulation};
 use contutto_dmi::command::CacheLine;
@@ -33,9 +32,11 @@ use contutto_power8::channel::{ChannelConfig, DmiChannel};
 use contutto_power8::failover::FailoverMode;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::{Power8System, SystemError};
-use contutto_sim::{MetricsRegistry, SimTime};
+use contutto_sim::SimTime;
 
 use crate::faults::campaign_policy;
+use crate::sweep::{self, Campaign, Column, Measured, Sizing};
+pub use crate::sweep::{run_campaign, run_scenario};
 
 /// Slot the victim ConTutto occupies in [`layouts::failover_pair`].
 pub const VICTIM_SLOT: usize = 2;
@@ -112,17 +113,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Every mode × fault combination.
-    pub fn all() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for mode in [Mode::Spare, Mode::Mirrored] {
-            for fault in [Fault::ErrorBudget, Fault::DeadLink, Fault::MaintenancePull] {
-                out.push(Scenario { mode, fault });
-            }
-        }
-        out
-    }
-
     /// Stable display name (also the table key).
     pub fn name(self) -> String {
         format!("{}+{}", self.mode.name(), self.fault.name())
@@ -156,8 +146,6 @@ pub enum Outcome {
     },
     /// An access failed with an error the scenario does not permit.
     UnexpectedError(String),
-    /// The run panicked — always a campaign violation.
-    Panicked(String),
 }
 
 impl fmt::Display for Outcome {
@@ -168,18 +156,13 @@ impl fmt::Display for Outcome {
             }
             Outcome::LostData { mismatches } => write!(f, "LOST ({mismatches} lines)"),
             Outcome::UnexpectedError(e) => write!(f, "fail: {e}"),
-            Outcome::Panicked(msg) => write!(f, "PANIC: {msg}"),
         }
     }
 }
 
-/// The record of one scenario × seed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Scenario that ran.
-    pub scenario: Scenario,
-    /// Seed parameterizing the fault pattern.
-    pub seed: u64,
+/// What one scenario × seed run recorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
     /// Classified end state.
     pub outcome: Outcome,
     /// Completed failovers.
@@ -192,135 +175,23 @@ pub struct RunReport {
     pub demand_migrations: u64,
     /// Reads served from the mirror after a primary fault.
     pub mirror_fallbacks: u64,
-    /// Same-seed rerun produced an identical trace fingerprint.
-    pub deterministic: bool,
-    /// Trace fingerprint of the run.
-    pub fingerprint: u64,
-    /// Full metrics snapshot for `--metrics` aggregation.
-    pub metrics: MetricsRegistry,
 }
 
-impl RunReport {
-    /// Whether this run violates the zero-loss contract.
-    pub fn is_violation(&self) -> bool {
-        match &self.outcome {
-            Outcome::Survived { poisoned, .. } => {
-                self.failovers == 0
-                    || !self.deterministic
-                    || (*poisoned > 0 && !self.scenario.allows_poison())
-            }
-            Outcome::LostData { .. } | Outcome::UnexpectedError(_) | Outcome::Panicked(_) => true,
-        }
-    }
-}
+/// Seeds and cache lines written through the victim per run (at
+/// least 4, rounded up to an even count).
+pub type CampaignConfig = sweep::Config<Scenario>;
 
-/// Campaign parameters.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Seeds swept per scenario.
-    pub seeds: Vec<u64>,
-    /// Cache lines written through the victim per run.
-    pub lines: u64,
-}
+/// The campaign's runs.
+pub type CampaignReport = sweep::Report<Scenario>;
 
-impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`: 2 seeds, 12 lines.
-    pub fn smoke() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2],
-            lines: 12,
-        }
-    }
-
-    /// The full sweep: 5 seeds, 24 lines per run.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: (1..=5).collect(),
-            lines: 24,
-        }
-    }
-}
-
-/// The full campaign result.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Every run, in scenario-major order.
-    pub runs: Vec<RunReport>,
-}
-
-impl CampaignReport {
-    /// Runs that break the zero-loss contract, one line each.
-    pub fn violations(&self) -> Vec<String> {
-        self.runs
-            .iter()
-            .filter(|r| r.is_violation())
-            .map(|r| {
-                let rerun = if r.deterministic {
-                    ""
-                } else {
-                    ", rerun diverged"
-                };
-                format!(
-                    "{} seed {}: {} after {} failovers{rerun}",
-                    r.scenario.name(),
-                    r.seed,
-                    r.outcome,
-                    r.failovers
-                )
-            })
-            .collect()
-    }
-
-    /// All run metrics merged (counters accumulate).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for r in &self.runs {
-            merged.merge(&r.metrics);
-        }
-        merged
-    }
-
-    /// Renders the campaign table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<26} {:>4}  {:<28} {:>5} {:>8} {:>6} {:>6} {:>5} {:>4}  {:<16}\n",
-            "scenario",
-            "seed",
-            "outcome",
-            "fails",
-            "migrated",
-            "poison",
-            "demand",
-            "mirr",
-            "det",
-            "fingerprint"
-        ));
-        out.push_str(&"-".repeat(122));
-        out.push('\n');
-        for r in &self.runs {
-            out.push_str(&format!(
-                "{:<26} {:>4}  {:<28} {:>5} {:>8} {:>6} {:>6} {:>5} {:>4}  {:016x}\n",
-                r.scenario.name(),
-                r.seed,
-                r.outcome.to_string(),
-                r.failovers,
-                r.lines_migrated,
-                r.poison_migrated,
-                r.demand_migrations,
-                r.mirror_fallbacks,
-                if r.deterministic { "yes" } else { "NO" },
-                r.fingerprint,
-            ));
-        }
-        out.push_str(&format!(
-            "\n{} runs, {} violations\n",
-            self.runs.len(),
-            self.violations().len(),
-        ));
-        out
-    }
-}
+const COLUMNS: [Column; 6] = [
+    Column::left("outcome", 28).wide(),
+    Column::right("fails", 5),
+    Column::right("migrated", 8),
+    Column::right("poison", 6),
+    Column::right("demand", 6),
+    Column::right("mirr", 5),
+];
 
 /// Builds the system for one run and, for the error-budget fault,
 /// swaps in a victim card pre-armed with a seeded flip storm (the same
@@ -404,10 +275,28 @@ fn workload(
 
     // Read back mid-failover: demand accesses must be forwarded or
     // served from the copy frontier, never lost.
-    let mut clean = 0;
-    let mut poisoned = 0;
-    let mut mismatches = 0;
-    for (addr, line) in &written {
+    let mid = read_back(sys, &written);
+    if mid.3.is_some() {
+        return mid;
+    }
+    // Drain the migration, then verify again: the settled system must
+    // account for every line with no channel help remaining.
+    sys.complete_migration();
+    let (clean, poisoned, mismatches, error) = read_back(sys, &written);
+    if error.is_some() {
+        return (clean, poisoned, mismatches, error);
+    }
+    (clean, mid.1.max(poisoned), mid.2 + mismatches, None)
+}
+
+/// Loads every written line back. Returns (clean, poisoned,
+/// mismatches, the unexpected error that stopped the pass).
+fn read_back(
+    sys: &mut Power8System,
+    written: &[(u64, CacheLine)],
+) -> (u64, u64, u64, Option<SystemError>) {
+    let (mut clean, mut poisoned, mut mismatches) = (0, 0, 0);
+    for (addr, line) in written {
         match sys.load_line(*addr) {
             Ok((back, _)) if back == *line => clean += 1,
             Ok(_) => mismatches += 1,
@@ -415,36 +304,39 @@ fn workload(
             Err(e) => return (clean, poisoned, mismatches, Some(e)),
         }
     }
-
-    // Drain the migration, then verify again: the settled system must
-    // account for every line with no channel help remaining.
-    sys.complete_migration();
-    let mut clean2 = 0;
-    let mut poisoned2 = 0;
-    let mut mismatches2 = 0;
-    for (addr, line) in &written {
-        match sys.load_line(*addr) {
-            Ok((back, _)) if back == *line => clean2 += 1,
-            Ok(_) => mismatches2 += 1,
-            Err(SystemError::Dmi(DmiError::Poisoned { .. })) => poisoned2 += 1,
-            Err(e) => return (clean2, poisoned2, mismatches2, Some(e)),
-        }
-    }
-    (
-        clean2,
-        poisoned.max(poisoned2),
-        mismatches + mismatches2,
-        None,
-    )
+    (clean, poisoned, mismatches, None)
 }
 
-fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut sys = system_for(scenario, seed, lines);
+impl Campaign for Scenario {
+    type Record = Record;
+    type Size = sweep::Lines;
+    const NAME: &'static str = "failover";
+    const SIZING: Sizing = Sizing {
+        smoke: (2, 12),
+        full: (5, 24),
+        floor: 4,
+        step: 2,
+    };
+
+    /// Every mode × fault combination.
+    fn scenarios() -> Vec<Scenario> {
+        let faults = [Fault::ErrorBudget, Fault::DeadLink, Fault::MaintenancePull];
+        let cells = |mode| faults.map(|fault| Scenario { mode, fault });
+        [Mode::Spare, Mode::Mirrored]
+            .into_iter()
+            .flat_map(cells)
+            .collect()
+    }
+
+    fn label(self) -> String {
+        self.name()
+    }
+
+    fn run(self, seed: u64, lines: u64) -> Measured<Record> {
+        let mut sys = system_for(self, seed, lines);
         let tracer = sys.enable_tracing(1 << 15);
-        let (clean, poisoned, mismatches, error) = workload(&mut sys, scenario, seed, lines);
+        let (clean, poisoned, mismatches, error) = workload(&mut sys, self, seed, lines);
         let stats = *sys.failover_stats();
-        let metrics = sys.metrics();
         let outcome = if let Some(e) = error {
             Outcome::UnexpectedError(e.to_string())
         } else if mismatches > 0 {
@@ -452,64 +344,45 @@ fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
         } else {
             Outcome::Survived { clean, poisoned }
         };
-        RunReport {
-            scenario,
-            seed,
-            outcome,
-            failovers: stats.failovers,
-            lines_migrated: stats.lines_migrated,
-            poison_migrated: stats.poison_migrated,
-            demand_migrations: stats.demand_migrations,
-            mirror_fallbacks: stats.mirror_read_fallbacks,
-            deterministic: true,
+        Measured {
+            record: Record {
+                outcome,
+                failovers: stats.failovers,
+                lines_migrated: stats.lines_migrated,
+                poison_migrated: stats.poison_migrated,
+                demand_migrations: stats.demand_migrations,
+                mirror_fallbacks: stats.mirror_read_fallbacks,
+            },
             fingerprint: tracer.fingerprint(),
-            metrics,
-        }
-    }));
-    result.unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        RunReport {
-            scenario,
-            seed,
-            outcome: Outcome::Panicked(msg),
-            failovers: 0,
-            lines_migrated: 0,
-            poison_migrated: 0,
-            demand_migrations: 0,
-            mirror_fallbacks: 0,
-            deterministic: true,
-            fingerprint: 0,
-            metrics: MetricsRegistry::new(),
-        }
-    })
-}
-
-/// Runs one scenario at one seed — twice, because byte-identical
-/// same-seed traces are part of the contract. A fingerprint divergence
-/// marks the report non-deterministic (a violation).
-pub fn run_scenario(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let lines = lines.max(4).next_multiple_of(2);
-    let (mut report, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once(scenario, seed, lines),
-        |a, b| a.fingerprint == b.fingerprint && a.outcome == b.outcome,
-    );
-    report.deterministic = deterministic;
-    report
-}
-
-/// Runs every mode × fault scenario across every seed.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let mut runs = Vec::new();
-    for scenario in Scenario::all() {
-        for &seed in &cfg.seeds {
-            runs.push(run_scenario(scenario, seed, cfg.lines));
+            metrics: sys.metrics(),
         }
     }
-    CampaignReport { runs }
+
+    /// Lost or unreadable data breaks the zero-loss contract, as does
+    /// a run that never failed over or poison the scenario does not
+    /// permit.
+    fn violation(self, record: &Record) -> Option<String> {
+        let broken = match &record.outcome {
+            Outcome::Survived { poisoned, .. } => {
+                record.failovers == 0 || (*poisoned > 0 && !self.allows_poison())
+            }
+            Outcome::LostData { .. } | Outcome::UnexpectedError(_) => true,
+        };
+        broken.then(|| format!("{} after {} failovers", record.outcome, record.failovers))
+    }
+
+    fn render(report: &CampaignReport) -> String {
+        report.table(26, &COLUMNS, "", |_, r| {
+            vec![
+                r.outcome.to_string(),
+                r.failovers.to_string(),
+                r.lines_migrated.to_string(),
+                r.poison_migrated.to_string(),
+                r.demand_migrations.to_string(),
+                r.mirror_fallbacks.to_string(),
+            ]
+        })
+    }
 }
 
 #[cfg(test)]
@@ -518,25 +391,21 @@ mod tests {
 
     #[test]
     fn smoke_campaign_loses_nothing() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1],
-            lines: 12,
-        });
+        let report = run_campaign(&CampaignConfig::new(vec![1], 12));
         let violations = report.violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 
+    /// Runs one scenario at 12 lines and checks it kept the contract.
+    fn survived(mode: Mode, fault: Fault, seed: u64) -> Record {
+        let run = run_scenario(Scenario { mode, fault }, seed, 12);
+        assert!(!run.is_violation(), "{}", run.record().outcome);
+        run.record().clone()
+    }
+
     #[test]
     fn spare_error_budget_migrates_poison_as_poison() {
-        let r = run_scenario(
-            Scenario {
-                mode: Mode::Spare,
-                fault: Fault::ErrorBudget,
-            },
-            1,
-            12,
-        );
-        assert!(!r.is_violation(), "{}", r.outcome);
+        let r = survived(Mode::Spare, Fault::ErrorBudget, 1);
         assert!(r.failovers >= 1, "budget exhaustion must fail over");
         assert!(
             r.poison_migrated > 0,
@@ -546,33 +415,17 @@ mod tests {
 
     #[test]
     fn mirrored_dead_link_survives_clean() {
-        let r = run_scenario(
-            Scenario {
-                mode: Mode::Mirrored,
-                fault: Fault::DeadLink,
-            },
-            2,
-            12,
-        );
-        assert!(!r.is_violation(), "{}", r.outcome);
-        let Outcome::Survived { clean, poisoned } = &r.outcome else {
+        let r = survived(Mode::Mirrored, Fault::DeadLink, 2);
+        let Outcome::Survived { clean, poisoned } = r.outcome else {
             panic!("expected survival, got {}", r.outcome);
         };
-        assert_eq!(*poisoned, 0, "the mirror always has clean data");
-        assert_eq!(*clean, 12);
+        assert_eq!(poisoned, 0, "the mirror always has clean data");
+        assert_eq!(clean, 12);
     }
 
     #[test]
     fn maintenance_pull_drains_backlog() {
-        let r = run_scenario(
-            Scenario {
-                mode: Mode::Spare,
-                fault: Fault::MaintenancePull,
-            },
-            3,
-            12,
-        );
-        assert!(!r.is_violation(), "{}", r.outcome);
+        let r = survived(Mode::Spare, Fault::MaintenancePull, 3);
         assert!(r.lines_migrated >= 12, "every written line must move");
         assert_eq!(r.poison_migrated, 0, "a pull does not destroy data");
     }

@@ -5,7 +5,7 @@
 //! the link, then classifies the run on the degradation ladder the
 //! channel implements (replay → retry with backoff → retrain → typed
 //! error). The campaign's invariants, asserted by
-//! [`CampaignReport::violations`]:
+//! [`sweep::Report::violations`]:
 //!
 //! * **no panics** — every failure mode surfaces as a typed
 //!   [`DmiError`], never an unwind;
@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_core::{ConTutto, ContuttoConfig, MemoryPopulation};
 use contutto_dmi::command::{CacheLine, CommandOp};
@@ -28,7 +27,10 @@ use contutto_dmi::link::BitErrorInjector;
 use contutto_dmi::training::TrainerConfig;
 use contutto_dmi::DmiError;
 use contutto_power8::channel::{ChannelConfig, DmiChannel, RetryPolicy};
-use contutto_sim::{MetricsRegistry, SimTime};
+use contutto_sim::SimTime;
+
+use crate::sweep::{self, Campaign, Column, Measured, Sizing};
+pub use crate::sweep::{run_campaign, run_scenario};
 
 /// The retry policy every campaign run uses: tight enough that a
 /// sustained fault escalates within microseconds, long enough that
@@ -80,24 +82,6 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Every scenario, in campaign order.
-    pub fn all() -> [Scenario; 12] {
-        [
-            Scenario::Clean,
-            Scenario::BernoulliDown,
-            Scenario::BernoulliUp,
-            Scenario::BernoulliBoth,
-            Scenario::BurstDown,
-            Scenario::BurstUp,
-            Scenario::AckStarvation,
-            Scenario::ReplayPressure,
-            Scenario::TimeoutRetry,
-            Scenario::RetrainLadder,
-            Scenario::DeadLink,
-            Scenario::TrainingFlaky,
-        ]
-    }
-
     /// Stable display name (also the table key).
     pub fn name(self) -> &'static str {
         match self {
@@ -124,23 +108,37 @@ impl Scenario {
     }
 }
 
-/// How a single run ended.
+/// How a run of the link-fault or media-fault campaign ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
-    /// Fault-free data path: no replays, retries or retrains needed.
+    /// Every read returned the written bytes and no recovery
+    /// machinery had to act.
     Pass,
-    /// Data intact, but the recovery machinery (replay, retry or
-    /// retrain) had to act.
+    /// Data intact, but the recovery machinery acted: replays,
+    /// retries or retrains on the link; corrections, page retirements
+    /// or loud [`DmiError::Poisoned`] reads on the media.
     Degraded,
     /// The run ended in a typed error.
     Fail(DmiError),
-    /// A read returned bytes that differ from what was written.
+    /// A read returned bytes that differ from what was written, with
+    /// no poison flag: silent corruption.
     Corrupt {
         /// Number of mismatching lines.
         mismatches: u64,
     },
-    /// The run panicked — always a campaign violation.
-    Panicked(String),
+}
+
+impl Outcome {
+    /// Classifies a run: any mismatch is corruption, else the typed
+    /// error fails it, else it degraded when recovery `acted`.
+    pub fn of(mismatches: u64, error: Option<DmiError>, acted: bool) -> Outcome {
+        match error {
+            _ if mismatches > 0 => Outcome::Corrupt { mismatches },
+            Some(e) => Outcome::Fail(e),
+            None if acted => Outcome::Degraded,
+            None => Outcome::Pass,
+        }
+    }
 }
 
 impl fmt::Display for Outcome {
@@ -150,18 +148,13 @@ impl fmt::Display for Outcome {
             Outcome::Degraded => write!(f, "degraded"),
             Outcome::Fail(e) => write!(f, "fail: {e}"),
             Outcome::Corrupt { mismatches } => write!(f, "CORRUPT ({mismatches} lines)"),
-            Outcome::Panicked(msg) => write!(f, "PANIC: {msg}"),
         }
     }
 }
 
-/// The record of one scenario × seed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Scenario that ran.
-    pub scenario: Scenario,
-    /// Seed that parameterized its fault pattern.
-    pub seed: u64,
+/// What one scenario × seed run recorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
     /// Classified end state.
     pub outcome: Outcome,
     /// Retries the channel scheduled.
@@ -174,142 +167,24 @@ pub struct RunReport {
     pub replays: u64,
     /// CRC errors observed on either wire.
     pub crc_errors: u64,
-    /// Trace fingerprint — byte-identical across same-seed runs.
-    pub fingerprint: u64,
     /// Free tags after the run settled (32 = nothing leaked).
     pub tags_free_after: usize,
-    /// Same-seed rerun matched (fingerprint and outcome).
-    pub deterministic: bool,
-    /// Full metrics snapshot for `--metrics` aggregation.
-    pub metrics: MetricsRegistry,
 }
 
-impl RunReport {
-    /// Whether this run violates the campaign's invariants.
-    pub fn is_violation(&self) -> bool {
-        if !self.deterministic {
-            return true;
-        }
-        match &self.outcome {
-            Outcome::Pass | Outcome::Degraded => false,
-            Outcome::Fail(_) => !self.scenario.may_fail(),
-            Outcome::Corrupt { .. } | Outcome::Panicked(_) => true,
-        }
-    }
-}
+/// Seeds and lines per run.
+pub type CampaignConfig = sweep::Config<Scenario>;
 
-/// Campaign parameters.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Seeds swept per scenario.
-    pub seeds: Vec<u64>,
-    /// Lines written and read back per run.
-    pub lines: u64,
-}
+/// The campaign's runs.
+pub type CampaignReport = sweep::Report<Scenario>;
 
-impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`: 3 seeds, 6 lines.
-    pub fn smoke() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2, 3],
-            lines: 6,
-        }
-    }
-
-    /// The full sweep: 5 seeds, 12 lines per run.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: (1..=5).collect(),
-            lines: 12,
-        }
-    }
-}
-
-/// The full campaign result.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Every run, in scenario-major order.
-    pub runs: Vec<RunReport>,
-}
-
-impl CampaignReport {
-    /// Runs that break the no-panic / no-corruption / typed-failure
-    /// contract, one line each.
-    pub fn violations(&self) -> Vec<String> {
-        self.runs
-            .iter()
-            .filter(|r| r.is_violation())
-            .map(|r| {
-                let rerun = if r.deterministic {
-                    ""
-                } else {
-                    ", rerun diverged"
-                };
-                format!(
-                    "{} seed {}: {}{rerun}",
-                    r.scenario.name(),
-                    r.seed,
-                    r.outcome
-                )
-            })
-            .collect()
-    }
-
-    /// All run metrics merged (counters accumulate).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for r in &self.runs {
-            merged.merge(&r.metrics);
-        }
-        merged
-    }
-
-    /// Renders the pass/degrade/fail table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<16} {:>4}  {:<10} {:>7} {:>8} {:>9} {:>8} {:>6} {:>4}  {:<16}\n",
-            "scenario",
-            "seed",
-            "outcome",
-            "retries",
-            "retrains",
-            "reclaimed",
-            "replays",
-            "crc",
-            "det",
-            "fingerprint"
-        ));
-        out.push_str(&"-".repeat(101));
-        out.push('\n');
-        for r in &self.runs {
-            let outcome = match &r.outcome {
-                Outcome::Fail(_) if !r.is_violation() => "fail*".to_string(),
-                other => other.to_string(),
-            };
-            out.push_str(&format!(
-                "{:<16} {:>4}  {:<10} {:>7} {:>8} {:>9} {:>8} {:>6} {:>4}  {:016x}\n",
-                r.scenario.name(),
-                r.seed,
-                outcome,
-                r.retries,
-                r.retrains,
-                r.reclaimed,
-                r.replays,
-                r.crc_errors,
-                if r.deterministic { "yes" } else { "NO" },
-                r.fingerprint,
-            ));
-        }
-        let violations = self.violations().len();
-        out.push_str(&format!(
-            "\n{} runs, {} violations (fail* = typed failure, expected for the scenario)\n",
-            self.runs.len(),
-            violations
-        ));
-        out
-    }
-}
+const COLUMNS: [Column; 6] = [
+    Column::left("outcome", 10).wide(),
+    Column::right("retries", 7),
+    Column::right("retrains", 8),
+    Column::right("reclaimed", 9),
+    Column::right("replays", 8),
+    Column::right("crc", 6),
+];
 
 /// Builds the channel for one scenario run. Fault windows start at a
 /// seed-jittered frame so the sweep probes different protocol phases.
@@ -420,11 +295,42 @@ fn pipelined_workload(ch: &mut DmiChannel, seed: u64, lines: u64) -> (u64, Optio
     (mismatches, None)
 }
 
-fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut ch = channel_for(scenario, seed);
+impl Campaign for Scenario {
+    type Record = Record;
+    type Size = sweep::Lines;
+    const NAME: &'static str = "fault";
+    const SIZING: Sizing = Sizing {
+        smoke: (3, 6),
+        full: (5, 12),
+        floor: 1,
+        step: 1,
+    };
+
+    fn scenarios() -> Vec<Scenario> {
+        vec![
+            Scenario::Clean,
+            Scenario::BernoulliDown,
+            Scenario::BernoulliUp,
+            Scenario::BernoulliBoth,
+            Scenario::BurstDown,
+            Scenario::BurstUp,
+            Scenario::AckStarvation,
+            Scenario::ReplayPressure,
+            Scenario::TimeoutRetry,
+            Scenario::RetrainLadder,
+            Scenario::DeadLink,
+            Scenario::TrainingFlaky,
+        ]
+    }
+
+    fn label(self) -> String {
+        self.name().into()
+    }
+
+    fn run(self, seed: u64, lines: u64) -> Measured<Record> {
+        let mut ch = channel_for(self, seed);
         let tracer = ch.enable_tracing(1 << 15);
-        let train_error = if scenario == Scenario::TrainingFlaky {
+        let train_error = if self == Scenario::TrainingFlaky {
             ch.train(TrainerConfig::flaky(0.5), seed).err()
         } else {
             None
@@ -433,7 +339,7 @@ fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
             Some(e) => (0, Some(e)),
             None => serial_workload(&mut ch, seed, lines),
         };
-        if error.is_none() && scenario == Scenario::ReplayPressure {
+        if error.is_none() && self == Scenario::ReplayPressure {
             let (m, e) = pipelined_workload(&mut ch, seed, lines);
             mismatches += m;
             error = e;
@@ -448,76 +354,53 @@ fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
         let crc_errors =
             metrics.counter("dmi.host.crc_errors") + metrics.counter("dmi.buffer.crc_errors");
         let recovered = ch.retries_scheduled() + ch.link_retrains() + replays;
-        let outcome = if mismatches > 0 {
-            Outcome::Corrupt { mismatches }
-        } else if let Some(e) = error {
-            Outcome::Fail(e)
-        } else if recovered > 0 {
-            Outcome::Degraded
-        } else {
-            Outcome::Pass
-        };
-        RunReport {
-            scenario,
-            seed,
-            outcome,
-            retries: ch.retries_scheduled(),
-            retrains: ch.link_retrains(),
-            reclaimed: ch.tags_reclaimed(),
-            replays,
-            crc_errors,
+        Measured {
+            record: Record {
+                outcome: Outcome::of(mismatches, error, recovered > 0),
+                retries: ch.retries_scheduled(),
+                retrains: ch.link_retrains(),
+                reclaimed: ch.tags_reclaimed(),
+                replays,
+                crc_errors,
+                tags_free_after: ch.tags_available(),
+            },
             fingerprint: tracer.fingerprint(),
-            tags_free_after: ch.tags_available(),
-            deterministic: true,
             metrics,
         }
-    }));
-    result.unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        RunReport {
-            scenario,
-            seed,
-            outcome: Outcome::Panicked(msg),
-            retries: 0,
-            retrains: 0,
-            reclaimed: 0,
-            replays: 0,
-            crc_errors: 0,
-            fingerprint: 0,
-            tags_free_after: 0,
-            deterministic: true,
-            metrics: MetricsRegistry::new(),
-        }
-    })
-}
+    }
 
-/// Runs one scenario at one seed — twice, because byte-identical
-/// same-seed traces are part of the contract: a divergence marks the
-/// run non-deterministic, which is always a violation. Panics are
-/// caught so a regression in the recovery machinery shows up as a
-/// `Panicked` row rather than aborting the campaign.
-pub fn run_scenario(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let (mut report, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once(scenario, seed, lines),
-        |a, b| a.fingerprint == b.fingerprint && a.outcome == b.outcome,
-    );
-    report.deterministic = deterministic;
-    report
-}
-
-/// Runs every scenario across every seed.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let mut runs = Vec::new();
-    for scenario in Scenario::all() {
-        for &seed in &cfg.seeds {
-            runs.push(run_scenario(scenario, seed, cfg.lines));
+    /// Corruption always breaks the contract; a typed failure does
+    /// unless the scenario may fail.
+    fn violation(self, record: &Record) -> Option<String> {
+        match &record.outcome {
+            Outcome::Pass | Outcome::Degraded => None,
+            Outcome::Fail(_) if self.may_fail() => None,
+            broken => Some(broken.to_string()),
         }
     }
-    CampaignReport { runs }
+
+    /// The pass/degrade/fail table.
+    fn render(report: &CampaignReport) -> String {
+        report.table(
+            16,
+            &COLUMNS,
+            " (fail* = typed failure, expected for the scenario)",
+            |run, r| {
+                let outcome = match &r.outcome {
+                    Outcome::Fail(_) if !run.is_violation() => "fail*".to_string(),
+                    other => other.to_string(),
+                };
+                vec![
+                    outcome,
+                    r.retries.to_string(),
+                    r.retrains.to_string(),
+                    r.reclaimed.to_string(),
+                    r.replays.to_string(),
+                    r.crc_errors.to_string(),
+                ]
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -527,30 +410,28 @@ mod tests {
     #[test]
     fn clean_run_passes_with_full_tag_pool() {
         let r = run_scenario(Scenario::Clean, 1, 4);
-        assert_eq!(r.outcome, Outcome::Pass);
-        assert_eq!(r.tags_free_after, 32);
+        assert_eq!(r.record().outcome, Outcome::Pass);
+        assert_eq!(r.record().tags_free_after, 32);
         assert!(!r.is_violation());
     }
 
     #[test]
     fn dead_link_fails_typed_and_reclaims_tags() {
-        let r = run_scenario(Scenario::DeadLink, 1, 2);
+        let run = run_scenario(Scenario::DeadLink, 1, 2);
+        let r = run.record();
         assert!(
             matches!(r.outcome, Outcome::Fail(DmiError::Timeout { .. })),
             "{:?}",
             r.outcome
         );
-        assert!(!r.is_violation(), "dead link may fail");
+        assert!(!run.is_violation(), "dead link may fail");
         assert_eq!(r.tags_free_after, 32, "no leaked tags");
         assert!(r.reclaimed > 0 || r.retrains > 0);
     }
 
     #[test]
     fn smoke_campaign_has_no_violations() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1],
-            lines: 3,
-        });
+        let report = run_campaign(&CampaignConfig::new(vec![1], 3));
         let violations = report.violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
@@ -560,6 +441,6 @@ mod tests {
         let a = run_scenario(Scenario::TimeoutRetry, 2, 3);
         let b = run_scenario(Scenario::TimeoutRetry, 2, 3);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.record().outcome, b.record().outcome);
     }
 }

@@ -101,22 +101,6 @@ fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
     );
 }
 
-/// Runs `run` twice and checks that the two results agree under
-/// `identical` — the determinism contract every fault campaign
-/// enforces (same seed ⇒ byte-identical trace fingerprint and
-/// outcome). The "assertion" is returned rather than panicked:
-/// campaigns record a divergence as a violation row so the rest of
-/// the sweep still runs. Returns the first result and the verdict.
-pub fn run_twice_assert_identical<R>(
-    mut run: impl FnMut() -> R,
-    identical: impl FnOnce(&R, &R) -> bool,
-) -> (R, bool) {
-    let first = run();
-    let rerun = run();
-    let verdict = identical(&first, &rerun);
-    (first, verdict)
-}
-
 /// The top-level harness handle passed to every benchmark function.
 #[derive(Default)]
 pub struct Criterion {
@@ -255,22 +239,5 @@ mod tests {
     #[should_panic(expected = "sample size")]
     fn zero_sample_size_rejected() {
         Criterion::default().benchmark_group("g").sample_size(0);
-    }
-
-    #[test]
-    fn run_twice_detects_divergence_and_agreement() {
-        let mut n = 0u32;
-        let (first, ok) = run_twice_assert_identical(
-            || {
-                n += 1;
-                n
-            },
-            |a, b| a == b,
-        );
-        assert_eq!(first, 1);
-        assert!(!ok, "a counter is the canonical non-deterministic run");
-        let (first, ok) = run_twice_assert_identical(|| 42u32, |a, b| a == b);
-        assert_eq!(first, 42);
-        assert!(ok);
     }
 }

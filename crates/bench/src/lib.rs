@@ -31,6 +31,7 @@ pub mod overload;
 pub mod pipeline;
 pub mod power;
 pub mod report;
+pub mod sweep;
 pub mod traffic;
 
 use contutto_centaur::{Centaur, CentaurConfig};

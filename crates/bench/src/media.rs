@@ -5,7 +5,7 @@
 //! of each DIMM while the same write-then-read-back workload runs
 //! through a ConTutto channel, for every populated technology
 //! ({DRAM, STT-MRAM, NVDIMM-N}) with patrol scrub on and off. The
-//! invariant asserted by [`CampaignReport::violations`] is the
+//! invariant asserted by [`sweep::Report::violations`] is the
 //! RAS contract end to end:
 //!
 //! * **no silent corruption, ever** — a completed read either returns
@@ -15,22 +15,22 @@
 //! * **scrub measurably helps** — the aggregate uncorrectable count
 //!   with scrub disabled must exceed the scrub-enabled aggregate
 //!   ([`CampaignReport::scrub_benefit`]), or the scrubber is dead
-//!   weight; [`CampaignReport::violations`] reports it otherwise.
+//!   weight; [`sweep::Report::violations`] reports it otherwise.
 //!
 //! Runs are deterministic: the same scenario and seed produce a
 //! byte-identical trace fingerprint, printed in the table.
-
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_core::{ConTutto, ContuttoConfig, MemoryPopulation};
 use contutto_dmi::command::CacheLine;
 use contutto_dmi::DmiError;
 use contutto_memdev::{FaultConfig, MramGeneration};
 use contutto_power8::channel::{ChannelConfig, DmiChannel};
-use contutto_sim::{MetricsRegistry, SimTime};
+use contutto_sim::SimTime;
 
 use crate::faults::campaign_policy;
+pub use crate::faults::Outcome;
+use crate::sweep::{self, Campaign, Column, Measured, Sizing};
+pub use crate::sweep::{run_campaign, run_scenario};
 
 /// The flips are spread over this much sim time from power-on.
 pub const FAULT_WINDOW: SimTime = SimTime::from_us(200);
@@ -90,17 +90,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Every media × scrub combination, scrub-on first per media.
-    pub fn all() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for media in Media::all() {
-            for scrub in [true, false] {
-                out.push(Scenario { media, scrub });
-            }
-        }
-        out
-    }
-
     /// Stable display name (also the table key).
     pub fn name(self) -> String {
         format!(
@@ -111,47 +100,11 @@ impl Scenario {
     }
 }
 
-/// How a single run ended.
+/// What one scenario × seed run recorded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Every read returned the written bytes without ECC intervention.
-    Pass,
-    /// Data integrity held, but the RAS machinery acted: corrections,
-    /// page retirements, or loud [`DmiError::Poisoned`] reads.
-    Degraded,
-    /// An unexpected typed error (media faults must never hang the
-    /// protocol or starve tags).
-    Fail(DmiError),
-    /// A read returned bytes that differ from what was written with no
-    /// poison flag — silent corruption, the one unforgivable outcome.
-    Corrupt {
-        /// Number of mismatching lines.
-        mismatches: u64,
-    },
-    /// The run panicked — always a campaign violation.
-    Panicked(String),
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Pass => write!(f, "pass"),
-            Outcome::Degraded => write!(f, "degraded"),
-            Outcome::Fail(e) => write!(f, "fail: {e}"),
-            Outcome::Corrupt { mismatches } => write!(f, "CORRUPT ({mismatches} lines)"),
-            Outcome::Panicked(msg) => write!(f, "PANIC: {msg}"),
-        }
-    }
-}
-
-/// The record of one scenario × seed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Scenario that ran.
-    pub scenario: Scenario,
-    /// Seed that parameterized the fault pattern.
-    pub seed: u64,
-    /// Classified end state.
+pub struct Record {
+    /// Classified end state. `Degraded` here means the RAS machinery
+    /// acted; a typed failure is never expected.
     pub outcome: Outcome,
     /// ECC corrections (demand + scrub) across both ports.
     pub corrected: u64,
@@ -166,166 +119,37 @@ pub struct RunReport {
     pub pages_retired: u64,
     /// Reads surfaced to the host as [`DmiError::Poisoned`].
     pub poisoned_reads: u64,
-    /// Trace fingerprint — byte-identical across same-seed runs.
-    pub fingerprint: u64,
-    /// Same-seed rerun matched (fingerprint and outcome).
-    pub deterministic: bool,
-    /// Full metrics snapshot for `--metrics` aggregation.
-    pub metrics: MetricsRegistry,
 }
 
-impl RunReport {
-    /// Whether this run violates the no-silent-corruption contract.
-    /// Poison is *not* a violation — it is the loud failure the whole
-    /// pipeline exists to deliver.
-    pub fn is_violation(&self) -> bool {
-        if !self.deterministic {
-            return true;
-        }
-        match &self.outcome {
-            Outcome::Pass | Outcome::Degraded => false,
-            Outcome::Fail(_) | Outcome::Corrupt { .. } | Outcome::Panicked(_) => true,
-        }
-    }
-}
+/// Seeds and lines per run (at least 2, rounded up to an even count
+/// so both DIMM ports see the same number of lines).
+pub type CampaignConfig = sweep::Config<Scenario>;
 
-/// Campaign parameters.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Seeds swept per scenario.
-    pub seeds: Vec<u64>,
-    /// Cache lines written and read back per run (kept inside the hot
-    /// range; rounded up to an even count so both DIMM ports see the
-    /// same number of lines).
-    pub lines: u64,
-}
-
-impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`: 2 seeds, 8 lines.
-    pub fn smoke() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2],
-            lines: 8,
-        }
-    }
-
-    /// The full sweep: 5 seeds, 8 lines per run.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: (1..=5).collect(),
-            lines: 8,
-        }
-    }
-}
-
-/// The full campaign result.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Every run, in scenario-major order.
-    pub runs: Vec<RunReport>,
-}
+/// The campaign's runs.
+pub type CampaignReport = sweep::Report<Scenario>;
 
 impl CampaignReport {
-    /// Runs that break the no-silent-corruption contract, one line
-    /// each, plus one line when disabling scrub did not raise the
-    /// aggregate uncorrectable count.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .runs
-            .iter()
-            .filter(|r| r.is_violation())
-            .map(|r| {
-                let rerun = if r.deterministic {
-                    ""
-                } else {
-                    ", rerun diverged"
-                };
-                format!(
-                    "{} seed {}: {}{rerun}",
-                    r.scenario.name(),
-                    r.seed,
-                    r.outcome
-                )
-            })
-            .collect();
-        let (on, off) = self.scrub_benefit();
-        if off <= on {
-            v.push(format!(
-                "scrub showed no benefit: {on} uncorrectable with scrub, {off} without"
-            ));
-        }
-        v
-    }
-
     /// Aggregate demand-read uncorrectable counts as (scrub on, scrub
     /// off). The off total exceeding the on total is the scrubber's
     /// measurable benefit.
     pub fn scrub_benefit(&self) -> (u64, u64) {
-        let mut on = 0;
-        let mut off = 0;
-        for r in &self.runs {
-            if r.scenario.scrub {
-                on += r.uncorrectable;
-            } else {
-                off += r.uncorrectable;
-            }
-        }
-        (on, off)
-    }
-
-    /// All run metrics merged (counters accumulate).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for r in &self.runs {
-            merged.merge(&r.metrics);
-        }
-        merged
-    }
-
-    /// Renders the campaign table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<16} {:>4}  {:<10} {:>9} {:>7} {:>6} {:>7} {:>8} {:>4}  {:<16}\n",
-            "scenario",
-            "seed",
-            "outcome",
-            "corrected",
-            "uncorr",
-            "scrubs",
-            "retired",
-            "poisoned",
-            "det",
-            "fingerprint"
-        ));
-        out.push_str(&"-".repeat(101));
-        out.push('\n');
-        for r in &self.runs {
-            out.push_str(&format!(
-                "{:<16} {:>4}  {:<10} {:>9} {:>7} {:>6} {:>7} {:>8} {:>4}  {:016x}\n",
-                r.scenario.name(),
-                r.seed,
-                r.outcome.to_string(),
-                r.corrected,
-                r.uncorrectable,
-                r.scrub_passes,
-                r.pages_retired,
-                r.poisoned_reads,
-                if r.deterministic { "yes" } else { "NO" },
-                r.fingerprint,
-            ));
-        }
-        let (on, off) = self.scrub_benefit();
-        out.push_str(&format!(
-            "\n{} runs, {} violations; aggregate uncorrectable: {} with scrub, {} without\n",
-            self.runs.len(),
-            self.violations().len(),
-            on,
-            off,
-        ));
-        out
+        let total = |scrub: bool| -> u64 {
+            let runs = self.runs.iter().filter(|r| r.scenario.scrub == scrub);
+            runs.filter_map(|r| Some(r.result.as_ref().ok()?.uncorrectable))
+                .sum()
+        };
+        (total(true), total(false))
     }
 }
+
+const COLUMNS: [Column; 6] = [
+    Column::left("outcome", 10).wide(),
+    Column::right("corrected", 9),
+    Column::right("uncorr", 7),
+    Column::right("scrubs", 6),
+    Column::right("retired", 7),
+    Column::right("poisoned", 8),
+];
 
 /// Builds the channel for one run: a ConTutto card populated with the
 /// scenario's media, a seeded flip storm over the first `lines` cache
@@ -379,9 +203,29 @@ fn workload(ch: &mut DmiChannel, seed: u64, lines: u64) -> (u64, Option<DmiError
     (mismatches, None, poisoned)
 }
 
-fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut ch = channel_for(scenario, seed, lines);
+impl Campaign for Scenario {
+    type Record = Record;
+    type Size = sweep::Lines;
+    const NAME: &'static str = "media-fault";
+    const SIZING: Sizing = Sizing {
+        smoke: (2, 8),
+        full: (5, 8),
+        floor: 2,
+        step: 2,
+    };
+
+    /// Every media × scrub combination, scrub-on first per media.
+    fn scenarios() -> Vec<Scenario> {
+        let cells = |media| [true, false].map(|scrub| Scenario { media, scrub });
+        Media::all().into_iter().flat_map(cells).collect()
+    }
+
+    fn label(self) -> String {
+        self.name()
+    }
+
+    fn run(self, seed: u64, lines: u64) -> Measured<Record> {
+        let mut ch = channel_for(self, seed, lines);
         let tracer = ch.enable_tracing(1 << 15);
         let (mismatches, error, poisoned) = workload(&mut ch, seed, lines);
         let metrics = ch.metrics();
@@ -391,75 +235,51 @@ fn run_once(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
         let scrub_passes = metrics.counter("buffer.media.scrub_passes");
         let pages_retired = metrics.counter("buffer.media.pages_retired");
         let ras_acted = corrected + uncorrectable + pages_retired + poisoned > 0;
-        let outcome = if mismatches > 0 {
-            Outcome::Corrupt { mismatches }
-        } else if let Some(e) = error {
-            Outcome::Fail(e)
-        } else if ras_acted {
-            Outcome::Degraded
-        } else {
-            Outcome::Pass
-        };
-        RunReport {
-            scenario,
-            seed,
-            outcome,
-            corrected,
-            uncorrectable,
-            scrub_passes,
-            pages_retired,
-            poisoned_reads: poisoned,
+        Measured {
+            record: Record {
+                outcome: Outcome::of(mismatches, error, ras_acted),
+                corrected,
+                uncorrectable,
+                scrub_passes,
+                pages_retired,
+                poisoned_reads: poisoned,
+            },
             fingerprint: tracer.fingerprint(),
-            deterministic: true,
             metrics,
         }
-    }));
-    result.unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        RunReport {
-            scenario,
-            seed,
-            outcome: Outcome::Panicked(msg),
-            corrected: 0,
-            uncorrectable: 0,
-            scrub_passes: 0,
-            pages_retired: 0,
-            poisoned_reads: 0,
-            fingerprint: 0,
-            deterministic: true,
-            metrics: MetricsRegistry::new(),
-        }
-    })
-}
+    }
 
-/// Runs one scenario at one seed — twice, because byte-identical
-/// same-seed traces are part of the contract: a divergence marks the
-/// run non-deterministic, which is always a violation. Panics are
-/// caught so a regression shows up as a `Panicked` row rather than
-/// aborting the campaign.
-pub fn run_scenario(scenario: Scenario, seed: u64, lines: u64) -> RunReport {
-    let lines = lines.max(2).next_multiple_of(2);
-    let (mut report, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once(scenario, seed, lines),
-        |a, b| a.fingerprint == b.fingerprint && a.outcome == b.outcome,
-    );
-    report.deterministic = deterministic;
-    report
-}
-
-/// Runs every media × scrub scenario across every seed.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let mut runs = Vec::new();
-    for scenario in Scenario::all() {
-        for &seed in &cfg.seeds {
-            runs.push(run_scenario(scenario, seed, cfg.lines));
+    /// Poison is *not* a violation — it is the loud failure the whole
+    /// pipeline exists to deliver. A typed failure or silent
+    /// corruption is.
+    fn violation(self, record: &Record) -> Option<String> {
+        match &record.outcome {
+            Outcome::Pass | Outcome::Degraded => None,
+            broken => Some(broken.to_string()),
         }
     }
-    CampaignReport { runs }
+
+    /// Disabling scrub must raise the aggregate uncorrectable count.
+    fn campaign_violations(report: &CampaignReport) -> Vec<String> {
+        let (on, off) = report.scrub_benefit();
+        let why = format!("scrub showed no benefit: {on} uncorrectable with scrub, {off} without");
+        (off <= on).then_some(why).into_iter().collect()
+    }
+
+    fn render(report: &CampaignReport) -> String {
+        let (on, off) = report.scrub_benefit();
+        let note = format!("; aggregate uncorrectable: {on} with scrub, {off} without");
+        report.table(16, &COLUMNS, &note, |_, r| {
+            vec![
+                r.outcome.to_string(),
+                r.corrected.to_string(),
+                r.uncorrectable.to_string(),
+                r.scrub_passes.to_string(),
+                r.pages_retired.to_string(),
+                r.poisoned_reads.to_string(),
+            ]
+        })
+    }
 }
 
 #[cfg(test)]
@@ -468,10 +288,7 @@ mod tests {
 
     #[test]
     fn smoke_campaign_never_corrupts_silently() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1, 2],
-            lines: 8,
-        });
+        let report = run_campaign(&CampaignConfig::new(vec![1, 2], 8));
         let violations = report.violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
         let (on, off) = report.scrub_benefit();
@@ -483,24 +300,27 @@ mod tests {
 
     #[test]
     fn scrub_without_benefit_is_a_violation() {
-        let run = |scrub: bool, uncorrectable: u64| RunReport {
+        let run = |scrub: bool, uncorrectable: u64| sweep::Run {
             scenario: Scenario {
                 media: Media::Dram,
                 scrub,
             },
             seed: 1,
-            outcome: Outcome::Degraded,
-            corrected: 0,
-            uncorrectable,
-            scrub_passes: 0,
-            pages_retired: 0,
-            poisoned_reads: uncorrectable,
+            result: Ok(Record {
+                outcome: Outcome::Degraded,
+                corrected: 0,
+                uncorrectable,
+                scrub_passes: 0,
+                pages_retired: 0,
+                poisoned_reads: uncorrectable,
+            }),
             fingerprint: 1,
             deterministic: true,
-            metrics: MetricsRegistry::new(),
+            metrics: contutto_sim::MetricsRegistry::new(),
         };
         let report = |on: u64, off: u64| CampaignReport {
             runs: vec![run(true, on), run(false, off)],
+            size: 8,
         };
         assert!(report(1, 2).violations().is_empty());
         for (on, off) in [(2, 2), (3, 1)] {
@@ -523,7 +343,8 @@ mod tests {
             1,
             8,
         );
-        assert!(!r.is_violation(), "{}", r.outcome);
+        assert!(!r.is_violation(), "{}", r.record().outcome);
+        let r = r.record();
         assert!(r.uncorrectable > 0, "storm should defeat SEC-DED");
         assert!(r.poisoned_reads > 0, "uncorrectable reads poison loudly");
     }
@@ -538,9 +359,9 @@ mod tests {
             3,
             8,
         );
-        assert!(!r.is_violation(), "{}", r.outcome);
-        assert!(r.scrub_passes > 0, "scrub must actually run");
-        assert!(r.corrected > 0, "scrub corrects latent flips");
+        assert!(!r.is_violation(), "{}", r.record().outcome);
+        assert!(r.record().scrub_passes > 0, "scrub must actually run");
+        assert!(r.record().corrected > 0, "scrub corrects latent flips");
     }
 
     #[test]
@@ -552,6 +373,6 @@ mod tests {
         let a = run_scenario(s, 4, 8);
         let b = run_scenario(s, 4, 8);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.record().outcome, b.record().outcome);
     }
 }

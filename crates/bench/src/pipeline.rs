@@ -31,8 +31,8 @@ use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 use contutto_sim::SimTime;
 
-use crate::harness::run_twice_assert_identical;
 use crate::report::{Bench, Row};
+use crate::sweep::run_twice;
 
 /// Slot of the ConTutto card in the single-card latency layout.
 const CONTUTTO_SLOT: usize = 2;
@@ -182,7 +182,7 @@ pub fn run_sweep(cfg: &PipelineConfig) -> PipelineReport {
     for &depth in &cfg.depths {
         let wall = Instant::now();
         let ((sim, lat, fingerprint), deterministic) =
-            run_twice_assert_identical(|| one_pass(cfg, depth), |a, b| a == b);
+            run_twice(|| one_pass(cfg, depth), |a, b| a == b);
         let wall_seconds = wall.elapsed().as_secs_f64();
         runs.push(DepthRun {
             depth,

@@ -32,7 +32,6 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_centaur::CentaurConfig;
 use contutto_core::{ContuttoConfig, MemoryKind, MemoryPopulation};
@@ -42,6 +41,8 @@ use contutto_memdev::SAVE_COST_PER_PAGE_NJ;
 use contutto_power8::firmware::SlotPopulation;
 use contutto_power8::system::{Power8System, PowerConfig, EPOW_CORE_FLUSH_COST_PER_LINE_NJ};
 use contutto_sim::{MetricsRegistry, SimTime};
+
+use crate::sweep::{self, Column, Measured, Sizing};
 
 /// Slot the NVDIMM ConTutto occupies in the campaign layout.
 pub const NVDIMM_SLOT: usize = 2;
@@ -152,8 +153,6 @@ pub enum Outcome {
     },
     /// An access or the reboot failed with an unexpected error.
     UnexpectedError(String),
-    /// The run panicked — always a campaign violation.
-    Panicked(String),
 }
 
 impl fmt::Display for Outcome {
@@ -168,9 +167,19 @@ impl fmt::Display for Outcome {
             ),
             Outcome::SilentCorruption { lines } => write!(f, "SILENT CORRUPTION ({lines} lines)"),
             Outcome::UnexpectedError(e) => write!(f, "fail: {e}"),
-            Outcome::Panicked(msg) => write!(f, "PANIC: {msg}"),
         }
     }
+}
+
+/// What one crash-point run measured.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Crash {
+    /// Classified end state.
+    pub outcome: Outcome,
+    /// Torn saves detected at reboot.
+    pub torn_saves: u64,
+    /// Slots reported as data loss at reboot.
+    pub reported_loss_slots: u64,
 }
 
 /// The record of one scenario × seed × crash-point run.
@@ -180,28 +189,25 @@ pub struct RunRecord {
     pub seed: u64,
     /// Stores completed before the cut.
     pub cut_after: u64,
-    /// Classified end state.
-    pub outcome: Outcome,
-    /// Torn saves detected at reboot.
-    pub torn_saves: u64,
-    /// Slots reported as data loss at reboot.
-    pub reported_loss_slots: u64,
-    /// Same-seed rerun produced an identical trace fingerprint.
+    /// What the run measured, or the message of the panic that ended
+    /// it.
+    pub result: Result<Crash, String>,
+    /// Same-seed rerun produced an identical fingerprint and record.
     pub deterministic: bool,
-    /// Trace fingerprint of the run.
+    /// Trace fingerprint of the run (0 when it panicked).
     pub fingerprint: u64,
 }
 
 impl RunRecord {
     fn is_violation(&self, scenario: Scenario) -> bool {
-        match &self.outcome {
-            Outcome::Accounted { reported_lost, .. } => {
-                !self.deterministic || (*reported_lost > 0 && scenario.expects_durable())
+        !self.deterministic
+            || match &self.result {
+                Ok(Crash {
+                    outcome: Outcome::Accounted { reported_lost, .. },
+                    ..
+                }) => *reported_lost > 0 && scenario.expects_durable(),
+                _ => true,
             }
-            Outcome::SilentCorruption { .. }
-            | Outcome::UnexpectedError(_)
-            | Outcome::Panicked(_) => true,
-        }
     }
 }
 
@@ -249,14 +255,16 @@ impl ScenarioResult {
 
     fn push(&mut self, record: RunRecord, capacity: usize) {
         self.total_runs += 1;
-        self.torn_saves += record.torn_saves;
         if record.cut_after > 0 {
             self.runs_with_nv_writes += 1;
         }
-        if matches!(record.outcome, Outcome::Accounted { reported_lost, .. } if reported_lost > 0)
-            || record.reported_loss_slots > 0
-        {
-            self.reported_loss_runs += 1;
+        if let Ok(crash) = &record.result {
+            self.torn_saves += crash.torn_saves;
+            if matches!(crash.outcome, Outcome::Accounted { reported_lost, .. } if reported_lost > 0)
+                || crash.reported_loss_slots > 0
+            {
+                self.reported_loss_runs += 1;
+            }
         }
         if !record.deterministic {
             self.deterministic = false;
@@ -264,10 +272,12 @@ impl ScenarioResult {
         if record.is_violation(self.scenario) {
             self.violations += 1;
             if self.first_violation.is_none() {
-                self.first_violation = Some(format!(
-                    "seed {} cut@{}: {}",
-                    record.seed, record.cut_after, record.outcome
-                ));
+                let what = match &record.result {
+                    Ok(crash) => crash.outcome.to_string(),
+                    Err(msg) => format!("PANIC: {msg}"),
+                };
+                let (seed, cut) = (record.seed, record.cut_after);
+                self.first_violation = Some(format!("seed {seed} cut@{cut}: {what}"));
             }
         }
         if self.ring.len() == capacity {
@@ -314,24 +324,25 @@ pub struct CampaignConfig {
     pub reuse_prefix: bool,
 }
 
-impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`.
-    pub fn smoke() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2],
-            lines: 8,
-            cut_stride: 4,
-            ring_capacity: 64,
-            reuse_prefix: false,
-        }
-    }
+/// Seeds and stores per run of the smoke and full sweeps, and the
+/// smallest store count a run accepts.
+const SIZING: Sizing = Sizing {
+    smoke: (2, 8),
+    full: (3, 16),
+    floor: 1,
+    step: 1,
+};
 
-    /// The full sweep: finer crash-point stride, more seeds.
-    pub fn full() -> Self {
+impl CampaignConfig {
+    /// The smoke or full sweep with the driver's `--seeds` and
+    /// `--lines` applied (see [`Sizing::resolve`]); the full sweep has
+    /// the finer crash-point stride.
+    pub fn sized(smoke: bool, seeds: Option<u64>, lines: Option<u64>) -> Self {
+        let (seeds, lines) = SIZING.resolve(smoke, seeds, lines);
         CampaignConfig {
-            seeds: (1..=3).collect(),
-            lines: 16,
-            cut_stride: 2,
+            seeds,
+            lines,
+            cut_stride: if smoke { 4 } else { 2 },
             ring_capacity: 64,
             reuse_prefix: false,
         }
@@ -384,32 +395,33 @@ impl CampaignReport {
         out
     }
 
-    /// All run metrics merged.
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        self.metrics.clone()
-    }
-
     /// Renders the per-scenario summary table (one row per scenario,
     /// the `--failover` format) plus ring-truncation notes.
     pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>5} {:>5} {:>5} {:>9} {:>7} {:>4}  {:<10}\n",
-            "scenario", "runs", "ring", "torn", "rep-loss", "viols", "det", "verdict"
-        ));
-        out.push_str(&"-".repeat(82));
-        out.push('\n');
+        const COLUMNS: [Column; 8] = [
+            Column::left("scenario", 28),
+            Column::right("runs", 5),
+            Column::right("ring", 5),
+            Column::right("torn", 5),
+            Column::right("rep-loss", 9),
+            Column::right("viols", 7),
+            Column::right("det", 4),
+            Column::left("verdict", 10).wide(),
+        ];
+        let mut out = sweep::header(&COLUMNS);
         for s in &self.scenarios {
-            out.push_str(&format!(
-                "{:<28} {:>5} {:>5} {:>5} {:>9} {:>7} {:>4}  {:<10}\n",
-                s.scenario.name(),
-                s.total_runs,
-                s.ring.len(),
-                s.torn_saves,
-                s.reported_loss_runs,
-                s.violations,
-                if s.deterministic { "yes" } else { "NO" },
-                s.verdict(),
+            out.push_str(&sweep::row(
+                &COLUMNS,
+                &[
+                    s.scenario.name(),
+                    s.total_runs.to_string(),
+                    s.ring.len().to_string(),
+                    s.torn_saves.to_string(),
+                    s.reported_loss_runs.to_string(),
+                    s.violations.to_string(),
+                    (if s.deterministic { "yes" } else { "NO" }).to_string(),
+                    s.verdict().to_string(),
+                ],
             ));
         }
         for s in &self.scenarios {
@@ -459,12 +471,17 @@ fn power_layout() -> Vec<SlotPopulation> {
     ]
 }
 
-struct RawRun {
-    outcome: Outcome,
-    torn_saves: u64,
-    reported_loss_slots: u64,
-    fingerprint: u64,
-    metrics: MetricsRegistry,
+/// A run's measurement from the system it ran on.
+fn measured(sys: &Power8System, outcome: Outcome, torn_saves: u64, lost: u64) -> Measured<Crash> {
+    Measured {
+        record: Crash {
+            outcome,
+            torn_saves,
+            reported_loss_slots: lost,
+        },
+        fingerprint: sys.tracer().fingerprint(),
+        metrics: sys.metrics(),
+    }
 }
 
 /// Boots the campaign layout with tracing, arming and the scenario's
@@ -503,7 +520,7 @@ fn cut_and_audit(
     mut sys: Power8System,
     scenario: Scenario,
     golden: &[(u64, CacheLine, bool)],
-) -> RawRun {
+) -> Measured<Crash> {
     if scenario.orderly {
         sys.epow();
     }
@@ -516,15 +533,7 @@ fn cut_and_audit(
     let quiet = sys.power_cut(now + SimTime::from_us(1));
     let report = match sys.reboot(quiet + SimTime::from_ms(10)) {
         Ok(r) => r,
-        Err(e) => {
-            return RawRun {
-                outcome: Outcome::UnexpectedError(format!("reboot: {e}")),
-                torn_saves: 0,
-                reported_loss_slots: 0,
-                fingerprint: sys.tracer().fingerprint(),
-                metrics: sys.metrics(),
-            }
-        }
+        Err(e) => return measured(&sys, Outcome::UnexpectedError(format!("reboot: {e}")), 0, 0),
     };
     let lost_slots: BTreeSet<usize> = report.data_loss.iter().map(|d| d.slot).collect();
     let torn_saves = report
@@ -540,13 +549,8 @@ fn cut_and_audit(
         let back = match sys.load_line(*addr) {
             Ok((back, _)) => back,
             Err(e) => {
-                return RawRun {
-                    outcome: Outcome::UnexpectedError(format!("readback: {e}")),
-                    torn_saves,
-                    reported_loss_slots: lost_slots.len() as u64,
-                    fingerprint: sys.tracer().fingerprint(),
-                    metrics: sys.metrics(),
-                }
+                let outcome = Outcome::UnexpectedError(format!("readback: {e}"));
+                return measured(&sys, outcome, torn_saves, lost_slots.len() as u64);
             }
         };
         if *nonvolatile {
@@ -577,73 +581,35 @@ fn cut_and_audit(
             reported_lost,
         }
     };
-    RawRun {
-        outcome,
-        torn_saves,
-        reported_loss_slots: lost_slots.len() as u64,
-        fingerprint: sys.tracer().fingerprint(),
-        metrics: sys.metrics(),
-    }
-}
-
-fn panic_to_raw_run(panic: Box<dyn std::any::Any + Send>) -> RawRun {
-    let msg = panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    RawRun {
-        outcome: Outcome::Panicked(msg),
-        torn_saves: 0,
-        reported_loss_slots: 0,
-        fingerprint: 0,
-        metrics: MetricsRegistry::new(),
-    }
+    measured(&sys, outcome, torn_saves, lost_slots.len() as u64)
 }
 
 /// Write `cut_after` lines (alternating NVDIMM / DRAM), then cut,
-/// reboot and audit.
-fn run_once(scenario: Scenario, seed: u64, cut_after: u64) -> RawRun {
-    let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut sys = boot_configured(scenario, seed);
-        let nv_base = sys.memory_map().nonvolatile_regions()[0].base;
-        let golden = golden_lines(nv_base, seed, cut_after);
-        for (addr, line, _) in &golden {
-            if let Err(e) = sys.store_line(*addr, *line) {
-                return RawRun {
-                    outcome: Outcome::UnexpectedError(format!("store: {e}")),
-                    torn_saves: 0,
-                    reported_loss_slots: 0,
-                    fingerprint: sys.tracer().fingerprint(),
-                    metrics: sys.metrics(),
-                };
-            }
-        }
-        cut_and_audit(sys, scenario, &golden)
-    }));
-    result.unwrap_or_else(panic_to_raw_run)
-}
-
-/// The reused-prefix variant of [`run_once`]: instead of simulating
-/// `cut_after` stores, overlay the snapshot taken after them onto a
-/// fresh boot and go straight to the cut.
-fn run_once_reused(scenario: Scenario, seed: u64, cut_after: u64, image: &[u8]) -> RawRun {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut sys = Power8System::boot(power_layout(), seed).expect("campaign layout boots");
-        if let Err(e) = sys.restore(image) {
-            return RawRun {
-                outcome: Outcome::UnexpectedError(format!("restore: {e}")),
-                torn_saves: 0,
-                reported_loss_slots: 0,
-                fingerprint: 0,
-                metrics: sys.metrics(),
-            };
-        }
-        let nv_base = sys.memory_map().nonvolatile_regions()[0].base;
-        let golden = golden_lines(nv_base, seed, cut_after);
-        cut_and_audit(sys, scenario, &golden)
-    }));
-    result.unwrap_or_else(panic_to_raw_run)
+/// reboot and audit. With the `image` recorded after those stores,
+/// overlay it onto a fresh boot instead of simulating them.
+fn run_once(
+    scenario: Scenario,
+    seed: u64,
+    cut_after: u64,
+    image: Option<&[u8]>,
+) -> Measured<Crash> {
+    let mut sys = match image {
+        None => boot_configured(scenario, seed),
+        Some(_) => Power8System::boot(power_layout(), seed).expect("campaign layout boots"),
+    };
+    let nv_base = sys.memory_map().nonvolatile_regions()[0].base;
+    let golden = golden_lines(nv_base, seed, cut_after);
+    let prefix = match image {
+        Some(image) => sys.restore(image).map_err(|e| format!("restore: {e}")),
+        None => golden
+            .iter()
+            .try_for_each(|(addr, line, _)| sys.store_line(*addr, *line).map(|_| ()))
+            .map_err(|e| format!("store: {e}")),
+    };
+    match prefix {
+        Ok(()) => cut_and_audit(sys, scenario, &golden),
+        Err(e) => measured(&sys, Outcome::UnexpectedError(e), 0, 0),
+    }
 }
 
 /// Simulates the store prefix once, snapshotting at every cut point.
@@ -677,48 +643,26 @@ fn record_prefix(
     Some((images, stores))
 }
 
-fn to_record(first: RawRun, deterministic: bool, seed: u64, cut_after: u64) -> RunRecord {
-    RunRecord {
-        seed,
-        cut_after,
-        outcome: first.outcome,
-        torn_saves: first.torn_saves,
-        reported_loss_slots: first.reported_loss_slots,
-        deterministic,
-        fingerprint: first.fingerprint,
-    }
-}
-
 /// Runs one scenario × seed × crash point — twice, because
-/// byte-identical same-seed traces are part of the contract.
+/// byte-identical same-seed traces are part of the contract. Given the
+/// crash point's prefix `image`, both runs restore it into fresh
+/// boots, so the double run also proves restore deterministic.
 pub fn run_crash_point(
     scenario: Scenario,
     seed: u64,
     cut_after: u64,
+    image: Option<&[u8]>,
 ) -> (RunRecord, MetricsRegistry) {
-    let (first, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once(scenario, seed, cut_after),
-        |a, b| a.fingerprint == b.fingerprint && a.outcome == b.outcome,
-    );
-    let metrics = first.metrics.clone();
-    (to_record(first, deterministic, seed, cut_after), metrics)
-}
-
-/// [`run_crash_point`] over a recorded prefix snapshot: both
-/// determinism legs restore the same image into fresh boots, so the
-/// double-run additionally proves restore itself is deterministic.
-pub fn run_crash_point_reused(
-    scenario: Scenario,
-    seed: u64,
-    cut_after: u64,
-    image: &[u8],
-) -> (RunRecord, MetricsRegistry) {
-    let (first, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once_reused(scenario, seed, cut_after, image),
-        |a, b| a.fingerprint == b.fingerprint && a.outcome == b.outcome,
-    );
-    let metrics = first.metrics.clone();
-    (to_record(first, deterministic, seed, cut_after), metrics)
+    let (result, fingerprint, metrics, deterministic) =
+        sweep::run_checked(|| run_once(scenario, seed, cut_after, image));
+    let record = RunRecord {
+        seed,
+        cut_after,
+        result,
+        deterministic,
+        fingerprint,
+    };
+    (record, metrics)
 }
 
 /// Runs every arming × budget × orderliness scenario across every
@@ -733,31 +677,23 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     for scenario in Scenario::all() {
         let mut result = ScenarioResult::new(scenario);
         for &seed in &cfg.seeds {
-            let prefix = if cfg.reuse_prefix {
-                record_prefix(scenario, seed, &cut_points)
-            } else {
-                None
-            };
-            match prefix {
-                Some((images, prefix_stores)) => {
-                    stores_executed += prefix_stores;
-                    for &cut_after in &cut_points {
-                        let (record, run_metrics) =
-                            run_crash_point_reused(scenario, seed, cut_after, &images[&cut_after]);
-                        metrics.merge(&run_metrics);
-                        result.push(record, cfg.ring_capacity.max(1));
-                    }
+            let prefix = cfg
+                .reuse_prefix
+                .then(|| record_prefix(scenario, seed, &cut_points))
+                .flatten();
+            stores_executed += prefix.as_ref().map_or(0, |(_, stores)| *stores);
+            for &cut_after in &cut_points {
+                let image = prefix
+                    .as_ref()
+                    .map(|(images, _)| images[&cut_after].as_slice());
+                let (record, run_metrics) = run_crash_point(scenario, seed, cut_after, image);
+                if image.is_none() {
+                    // The determinism double run simulates the prefix
+                    // twice.
+                    stores_executed += 2 * cut_after;
                 }
-                None => {
-                    for &cut_after in &cut_points {
-                        let (record, run_metrics) = run_crash_point(scenario, seed, cut_after);
-                        // The determinism double-run simulates the
-                        // prefix twice.
-                        stores_executed += 2 * cut_after;
-                        metrics.merge(&run_metrics);
-                        result.push(record, cfg.ring_capacity.max(1));
-                    }
-                }
+                metrics.merge(&run_metrics);
+                result.push(record, cfg.ring_capacity.max(1));
             }
         }
         scenarios.push(result);
@@ -772,6 +708,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn crash(r: &RunRecord) -> &Crash {
+        r.result.as_ref().expect("the run finished")
+    }
 
     #[test]
     fn smoke_campaign_upholds_the_durability_contract() {
@@ -804,7 +744,7 @@ mod tests {
         for (a, b) in straight.scenarios.iter().zip(&reused.scenarios) {
             for (ra, rb) in a.ring.iter().zip(&b.ring) {
                 assert_eq!(ra.fingerprint, rb.fingerprint, "{:?}", a.scenario);
-                assert_eq!(ra.outcome, rb.outcome, "{:?}", a.scenario);
+                assert_eq!(ra.result, rb.result, "{:?}", a.scenario);
                 assert!(rb.deterministic, "{:?}", a.scenario);
             }
         }
@@ -833,16 +773,17 @@ mod tests {
             },
             1,
             8,
+            None,
         );
         assert!(r.deterministic);
         assert_eq!(
-            r.outcome,
+            crash(&r).outcome,
             Outcome::Accounted {
                 nv_clean: 4,
                 reported_lost: 0
             },
             "{}",
-            r.outcome
+            crash(&r).outcome
         );
     }
 
@@ -856,16 +797,17 @@ mod tests {
             },
             2,
             8,
+            None,
         );
         assert!(
-            r.torn_saves >= 1,
+            crash(&r).torn_saves >= 1,
             "torn save must be detected, got {}",
-            r.outcome
+            crash(&r).outcome
         );
-        let Outcome::Accounted { reported_lost, .. } = r.outcome else {
+        let Outcome::Accounted { reported_lost, .. } = crash(&r).outcome else {
             panic!(
                 "torn save must surface as a reported loss, got {}",
-                r.outcome
+                crash(&r).outcome
             );
         };
         assert_eq!(
@@ -884,13 +826,14 @@ mod tests {
             },
             3,
             6,
+            None,
         );
         let Outcome::Accounted {
             nv_clean,
             reported_lost,
-        } = r.outcome
+        } = crash(&r).outcome
         else {
-            panic!("expected accounted, got {}", r.outcome);
+            panic!("expected accounted, got {}", crash(&r).outcome);
         };
         assert_eq!(nv_clean, 0);
         assert_eq!(reported_lost, 3);

@@ -26,9 +26,6 @@
 //! twice and both the trace fingerprint *and the full
 //! [`TrafficReport`] — histograms included —* must be identical.
 
-use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use contutto_core::{ConTutto, ContuttoConfig, MemoryPopulation};
 use contutto_dmi::link::BitErrorInjector;
 use contutto_memdev::FaultConfig;
@@ -36,7 +33,7 @@ use contutto_power8::channel::{ChannelConfig, DmiChannel};
 use contutto_power8::failover::FailoverMode;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
-use contutto_sim::{MetricsRegistry, SimTime};
+use contutto_sim::{LogHistogram, SimTime};
 use contutto_workloads::traffic::{
     ArrivalProcess, LoopMode, Phase, TrafficConfig, TrafficEngine, TrafficReport,
 };
@@ -44,6 +41,8 @@ use contutto_workloads::traffic::{
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
 use crate::report::{Bench, Row};
+use crate::sweep::{self, Campaign, Column, Measured, Sizing};
+pub use crate::sweep::{run_campaign, run_scenario};
 
 /// Flips rained on the victim during the scrub storm. Spread across a
 /// wide hot range so they stay single-bit per ECC word (corrected, not
@@ -77,16 +76,6 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Every scenario, table order.
-    pub fn all() -> Vec<Scenario> {
-        vec![
-            Scenario::Steady,
-            Scenario::ScrubStorm,
-            Scenario::Failover,
-            Scenario::EpowReboot,
-        ]
-    }
-
     /// Stable display name (also the JSON key).
     pub fn name(self) -> &'static str {
         match self {
@@ -98,36 +87,9 @@ impl Scenario {
     }
 }
 
-/// Campaign parameters.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Seeds swept per scenario.
-    pub seeds: Vec<u64>,
-    /// Requests issued per run.
-    pub requests: u64,
-}
-
-impl CampaignConfig {
-    /// The quick gate used by `scripts/verify.sh`.
-    pub fn smoke() -> Self {
-        CampaignConfig {
-            seeds: vec![1, 2],
-            requests: 150,
-        }
-    }
-
-    /// The full sweep.
-    pub fn full() -> Self {
-        CampaignConfig {
-            seeds: (1..=3).collect(),
-            requests: 450,
-        }
-    }
-}
-
 /// The traffic shape every scenario runs: open-loop Poisson (queueing
 /// delay during the fault is the result), zipfian keys, mostly reads.
-fn traffic_config(requests: u64, seed: u64) -> TrafficConfig {
+pub(crate) fn traffic_config(requests: u64, seed: u64) -> TrafficConfig {
     TrafficConfig {
         mode: LoopMode::Open,
         arrival: ArrivalProcess::Poisson,
@@ -147,73 +109,60 @@ fn traffic_config(requests: u64, seed: u64) -> TrafficConfig {
     }
 }
 
-/// One scenario × seed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Scenario that ran.
-    pub scenario: Scenario,
-    /// Seed parameterizing boot, arrivals and the fault pattern.
-    pub seed: u64,
-    /// The traffic engine's full report (histograms included).
+/// What one traffic or overload run recorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The traffic engine's full report (histograms included), so the
+    /// same-seed rerun is held to histogram identity.
     pub report: TrafficReport,
     /// Scenario-specific evidence that the fault actually fired.
     pub fault_fired: bool,
-    /// Second same-seed run produced an identical fingerprint AND an
-    /// identical report (histogram identity).
-    pub deterministic: bool,
-    /// Trace fingerprint of the run.
-    pub fingerprint: u64,
-    /// Full metrics snapshot for `--metrics` aggregation.
-    pub metrics: MetricsRegistry,
-    /// Panic payload, if the run panicked (always a violation).
-    pub panicked: Option<String>,
 }
 
-impl RunReport {
-    /// Whether this run breaks the campaign contract.
-    pub fn is_violation(&self) -> bool {
-        if self.panicked.is_some() || !self.deterministic {
-            return true;
-        }
-        let r = &self.report;
-        // Every issued request must be accounted for, and some must
-        // actually complete.
-        if r.completed == 0 || r.completed + r.errors + r.orphaned != r.submitted {
-            return true;
-        }
-        match self.scenario {
-            // The baseline must be clean: any error or orphan in
-            // steady state is a failure of the serving layer itself.
-            Scenario::Steady => r.errors + r.orphaned > 0 || r.fault.count() > 0,
-            // A fault scenario whose fault never fired proves nothing.
-            _ => !self.fault_fired || r.fault.count() == 0,
-        }
+/// Seeds and requests per run (at least 30).
+pub type CampaignConfig = sweep::Config<Scenario>;
+
+/// The campaign's runs. Its `size`, the requests per run, is part of
+/// the BENCH key, so a smoke run never gates against a full-campaign
+/// baseline (a reboot outage amortizes differently over 150 vs 450
+/// requests).
+pub type CampaignReport = sweep::Report<Scenario>;
+
+impl Campaign for Scenario {
+    type Record = Record;
+    type Size = sweep::Requests;
+    const NAME: &'static str = "traffic";
+    const SIZING: Sizing = Sizing {
+        smoke: (2, 150),
+        full: (3, 450),
+        floor: 30,
+        step: 1,
+    };
+
+    fn scenarios() -> Vec<Scenario> {
+        vec![
+            Scenario::Steady,
+            Scenario::ScrubStorm,
+            Scenario::Failover,
+            Scenario::EpowReboot,
+        ]
     }
-}
 
-/// The campaign result.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Every run, scenario-major.
-    pub runs: Vec<RunReport>,
-    /// Requests per run — part of the baseline key, so a smoke run
-    /// never gates against a full-campaign baseline (a reboot outage
-    /// amortizes differently over 150 vs 450 requests).
-    pub requests: u64,
-}
+    fn label(self) -> String {
+        self.name().into()
+    }
 
-/// Drives one run: boots the failover testbed (with the scrub-storm
-/// victim pre-armed when the scenario needs it), runs the traffic with
-/// the scenario's fault hook, and snapshots metrics.
-fn run_once(scenario: Scenario, seed: u64, requests: u64) -> RunReport {
-    let result = catch_unwind(AssertUnwindSafe(move || {
+    /// Drives one run: boots the failover testbed (with the scrub-storm
+    /// victim pre-armed when the scenario needs it), runs the traffic with
+    /// the scenario's fault hook, and snapshots metrics.
+    fn run(self, seed: u64, requests: u64) -> Measured<Record> {
         let mut sys = Power8System::boot_with_failover(
             layouts::failover_pair(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
             seed,
             FailoverMode::Spare { spare: SPARE_SLOT },
         )
         .expect("traffic testbed boots");
-        if scenario == Scenario::ScrubStorm {
+        if self == Scenario::ScrubStorm {
             let mut card = ConTutto::new(ContuttoConfig::base(), MemoryPopulation::dram_8gb());
             card.attach_media_faults(FaultConfig {
                 transient_flips: SCRUB_STORM_FLIPS,
@@ -234,7 +183,7 @@ fn run_once(scenario: Scenario, seed: u64, requests: u64) -> RunReport {
         let report = engine.run(&mut sys, |sys, tick| {
             if !fired && tick.completed >= trigger {
                 fired = true;
-                match scenario {
+                match self {
                     Scenario::Steady => {}
                     Scenario::ScrubStorm => {
                         // The flips and scrub are armed from power-on;
@@ -261,18 +210,15 @@ fn run_once(scenario: Scenario, seed: u64, requests: u64) -> RunReport {
                     }
                 }
             }
-            if fired && scenario != Scenario::Steady {
+            if fired && self != Scenario::Steady {
                 Phase::Fault
             } else {
                 Phase::Steady
             }
         });
-        let metrics = {
-            let mut m = sys.metrics();
-            report.publish(&mut m);
-            m
-        };
-        let fault_fired = match scenario {
+        let mut metrics = sys.metrics();
+        report.publish(&mut metrics);
+        let fault_fired = match self {
             Scenario::Steady => true,
             Scenario::ScrubStorm => {
                 metrics.counter("buffer.media.scrub_passes") > 0
@@ -283,182 +229,55 @@ fn run_once(scenario: Scenario, seed: u64, requests: u64) -> RunReport {
             Scenario::Failover => metrics.counter("system.failover.failovers") > 0,
             Scenario::EpowReboot => fired && report.orphaned + report.errors > 0,
         };
-        RunReport {
-            scenario,
-            seed,
-            report,
-            fault_fired,
-            deterministic: true,
+        Measured {
+            record: Record {
+                report,
+                fault_fired,
+            },
             fingerprint: tracer.fingerprint(),
             metrics,
-            panicked: None,
-        }
-    }));
-    result.unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        RunReport {
-            scenario,
-            seed,
-            report: TrafficReport {
-                submitted: 0,
-                completed: 0,
-                errors: 0,
-                orphaned: 0,
-                elapsed: SimTime::ZERO,
-                steady: Default::default(),
-                fault: Default::default(),
-                recovery: Default::default(),
-                steady_slo_violations: 0,
-                fault_slo_violations: 0,
-                recovery_slo_violations: 0,
-                shed: [0; 3],
-                deadline_expired: 0,
-                client_retries: 0,
-                client_retries_denied: 0,
-                duplicate_completions: 0,
-                hedges: [0; 3],
-                hot_key_completions: 0,
-            },
-            fault_fired: false,
-            deterministic: true,
-            fingerprint: 0,
-            metrics: MetricsRegistry::new(),
-            panicked: Some(msg),
-        }
-    })
-}
-
-/// Runs one scenario at one seed — twice. The fingerprints must match
-/// and the two [`TrafficReport`]s must be structurally identical
-/// (latency histograms included), or the run is marked
-/// non-deterministic.
-pub fn run_scenario(scenario: Scenario, seed: u64, requests: u64) -> RunReport {
-    let requests = requests.max(30);
-    let (mut report, deterministic) = crate::harness::run_twice_assert_identical(
-        || run_once(scenario, seed, requests),
-        |a, b| a.fingerprint == b.fingerprint && a.report == b.report && a.panicked == b.panicked,
-    );
-    report.deterministic = deterministic;
-    report
-}
-
-/// Runs every scenario across every seed.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let mut runs = Vec::new();
-    for scenario in Scenario::all() {
-        for &seed in &cfg.seeds {
-            runs.push(run_scenario(scenario, seed, cfg.requests));
         }
     }
-    CampaignReport {
-        runs,
-        requests: cfg.requests.max(30),
-    }
-}
 
-impl CampaignReport {
-    /// Runs that break the contract.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for r in &self.runs {
-            if let Some(msg) = &r.panicked {
-                v.push(format!(
-                    "{} seed {}: PANIC: {msg}",
-                    r.scenario.name(),
-                    r.seed
-                ));
-            } else if !r.deterministic {
-                v.push(format!(
-                    "{} seed {}: double run diverged (fingerprint or histogram)",
-                    r.scenario.name(),
-                    r.seed
-                ));
-            } else if r.is_violation() {
-                v.push(format!(
-                    "{} seed {}: contract violated (completed {}, errors {}, orphaned {}, fault_fired {})",
-                    r.scenario.name(),
-                    r.seed,
-                    r.report.completed,
-                    r.report.errors,
-                    r.report.orphaned,
-                    r.fault_fired,
-                ));
-            }
-        }
-        v
+    /// Every issued request must be accounted for and some must
+    /// complete; the steady baseline must be clean, and a fault
+    /// scenario's fault must have fired.
+    fn violation(self, record: &Record) -> Option<String> {
+        let r = &record.report;
+        let broken = r.completed == 0
+            || r.completed + r.errors + r.orphaned != r.submitted
+            || match self {
+                // Any error or orphan in steady state is a failure of
+                // the serving layer itself.
+                Scenario::Steady => r.errors + r.orphaned > 0 || r.fault.count() > 0,
+                // A fault scenario whose fault never fired proves
+                // nothing.
+                _ => !record.fault_fired || r.fault.count() == 0,
+            };
+        broken.then(|| {
+            format!(
+                "contract violated (completed {}, errors {}, orphaned {}, fault_fired {})",
+                r.completed, r.errors, r.orphaned, record.fault_fired,
+            )
+        })
     }
 
-    fn scenario_runs<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a RunReport> + 'a {
-        self.runs.iter().filter(move |r| r.scenario.name() == name)
-    }
-
-    /// Mean achieved requests/sec across a scenario's seeds.
-    pub fn scenario_rps(&self, name: &str) -> Option<f64> {
-        let (sum, n) = self.scenario_runs(name).fold((0.0, 0u32), |(s, n), r| {
-            (s + r.report.achieved_rps(), n + 1)
-        });
-        (n > 0).then(|| sum / f64::from(n))
-    }
-
-    /// A scenario's seeds-merged latency distribution (steady + fault
-    /// phases folded together), exercising histogram mergeability.
-    fn merged_latency(&self, name: &str) -> contutto_sim::LogHistogram {
-        let mut h = contutto_sim::LogHistogram::new();
-        for r in self.scenario_runs(name) {
-            h.merge(&r.report.steady);
-            h.merge(&r.report.fault);
-        }
-        h
-    }
-
-    /// All run metrics merged (counters accumulate, log-histograms
-    /// fold).
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for r in &self.runs {
-            merged.merge(&r.metrics);
-        }
-        merged
-    }
-
-    /// Renders the SLO-under-fault table: per run, the steady-phase
-    /// and fault-phase tails side by side.
-    pub fn render_table(&self) -> String {
-        let q = |h: &contutto_sim::LogHistogram, q: f64| -> String {
+    /// The SLO-under-fault table: per run, the steady-phase and
+    /// fault-phase tails side by side.
+    fn render(report: &CampaignReport) -> String {
+        let q = |h: &LogHistogram, q: f64| -> String {
             if h.count() == 0 {
                 "-".into()
             } else {
                 format!("{:.1}", h.quantile(q) as f64 / 1000.0)
             }
         };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>4} {:>5} {:>4} {:>4}  {:>8} {:>8} {:>8} {:>9}  {:>8} {:>9}  {:>7} {:>4}  {:<16}",
-            "scenario", "seed", "done", "err", "orph",
-            "s-p50us", "s-p99us", "s-p99.9", "s-p99.99",
-            "f-p99.9", "f-p99.99", "slo s/f", "det", "fingerprint"
-        );
-        out.push_str(&"-".repeat(132));
-        out.push('\n');
-        for r in &self.runs {
-            if let Some(msg) = &r.panicked {
-                let _ = writeln!(out, "{:<12} {:>4}  PANIC: {msg}", r.scenario.name(), r.seed);
-                continue;
-            }
+        report.table(12, &COLUMNS, " (latencies in µs)", |_, r| {
             let t = &r.report;
-            let _ = writeln!(
-                out,
-                "{:<12} {:>4} {:>5} {:>4} {:>4}  {:>8} {:>8} {:>8} {:>9}  {:>8} {:>9}  {:>7} {:>4}  {:016x}",
-                r.scenario.name(),
-                r.seed,
-                t.completed,
-                t.errors,
-                t.orphaned,
+            vec![
+                t.completed.to_string(),
+                t.errors.to_string(),
+                t.orphaned.to_string(),
                 q(&t.steady, 0.5),
                 q(&t.steady, 0.99),
                 q(&t.steady, 0.999),
@@ -466,47 +285,76 @@ impl CampaignReport {
                 q(&t.fault, 0.999),
                 q(&t.fault, 0.9999),
                 format!("{}/{}", t.steady_slo_violations, t.fault_slo_violations),
-                if r.deterministic { "yes" } else { "NO" },
-                r.fingerprint,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\n{} runs, {} violations (latencies in µs)",
-            self.runs.len(),
-            self.violations().len(),
-        );
-        out
+            ]
+        })
     }
 
     /// The `BENCH_traffic.json` rows, one per scenario: requests/sec
     /// (gated), merged p99.9 and SLO violations, keyed on the request
     /// count per run.
-    pub fn bench(&self) -> Bench {
-        let rows = Scenario::all()
+    fn bench(report: &CampaignReport) -> Option<Bench> {
+        let rows = Scenario::scenarios()
             .into_iter()
             .map(|s| {
-                let name = s.name();
-                let slo: u64 = self
-                    .scenario_runs(name)
+                let slo: u64 = report
+                    .records_of(s)
                     .map(|r| r.report.steady_slo_violations + r.report.fault_slo_violations)
                     .sum();
                 Row::new()
-                    .text("scenario", name)
-                    .int("requests_per_run", self.requests)
-                    .num("requests_per_sec", self.scenario_rps(name).unwrap_or(0.0))
-                    .int("p999_ns", self.merged_latency(name).quantile(0.999))
+                    .text("scenario", s.name())
+                    .int("requests_per_run", report.size)
+                    .num("requests_per_sec", scenario_rps(report, s))
+                    .int("p999_ns", merged_latency(report, s).quantile(0.999))
                     .int("slo_violations", slo)
             })
             .collect();
-        Bench {
+        Some(Bench {
             name: "traffic",
             rows,
             key: &["scenario", "requests_per_run"],
             gated: &["requests_per_sec"],
-        }
+        })
     }
 }
+
+/// Mean achieved requests/sec across a scenario's finished runs.
+pub(crate) fn scenario_rps<S: Campaign<Record = Record>>(
+    report: &sweep::Report<S>,
+    scenario: S,
+) -> f64 {
+    let (sum, n) = report.records_of(scenario).fold((0.0, 0u32), |(s, n), r| {
+        (s + r.report.achieved_rps(), n + 1)
+    });
+    if n > 0 {
+        sum / f64::from(n)
+    } else {
+        0.0
+    }
+}
+
+/// A scenario's seeds-merged latency distribution (steady + fault
+/// phases folded together), exercising histogram mergeability.
+fn merged_latency(report: &CampaignReport, scenario: Scenario) -> LogHistogram {
+    let mut h = LogHistogram::new();
+    for r in report.records_of(scenario) {
+        h.merge(&r.report.steady);
+        h.merge(&r.report.fault);
+    }
+    h
+}
+
+const COLUMNS: [Column; 10] = [
+    Column::right("done", 5),
+    Column::right("err", 4),
+    Column::right("orph", 4),
+    Column::right("s-p50us", 8).wide(),
+    Column::right("s-p99us", 8),
+    Column::right("s-p99.9", 8),
+    Column::right("s-p99.99", 9),
+    Column::right("f-p99.9", 8).wide(),
+    Column::right("f-p99.99", 9),
+    Column::right("slo s/f", 7).wide(),
+];
 
 #[cfg(test)]
 mod tests {
@@ -514,31 +362,34 @@ mod tests {
 
     #[test]
     fn steady_run_is_clean_and_deterministic() {
-        let r = run_scenario(Scenario::Steady, 1, 90);
-        assert!(r.panicked.is_none(), "{:?}", r.panicked);
-        assert!(!r.is_violation(), "steady run violated the contract");
-        assert_eq!(r.report.errors, 0);
-        assert_eq!(r.report.fault.count(), 0);
-        assert!(r.deterministic);
+        let run = run_scenario(Scenario::Steady, 1, 90);
+        assert!(run.result.is_ok(), "{:?}", run.result);
+        assert!(!run.is_violation(), "steady run violated the contract");
+        let r = &run.record().report;
+        assert_eq!(r.errors, 0);
+        assert_eq!(r.fault.count(), 0);
+        assert!(run.deterministic);
     }
 
     #[test]
     fn failover_moves_the_tail_but_loses_nothing() {
-        let r = run_scenario(Scenario::Failover, 1, 90);
-        assert!(!r.is_violation(), "failover run violated the contract");
+        let run = run_scenario(Scenario::Failover, 1, 90);
+        assert!(!run.is_violation(), "failover run violated the contract");
+        let r = run.record();
         assert!(r.fault_fired, "maintenance pull must register a failover");
         assert!(r.report.fault.count() > 0, "no fault-phase completions");
     }
 
     #[test]
     fn epow_reboot_orphans_and_recovers() {
-        let r = run_scenario(Scenario::EpowReboot, 1, 90);
-        assert!(!r.is_violation(), "epow run violated the contract");
+        let run = run_scenario(Scenario::EpowReboot, 1, 90);
+        assert!(!run.is_violation(), "epow run violated the contract");
+        let r = &run.record().report;
         assert!(
-            r.report.orphaned + r.report.errors > 0,
+            r.orphaned + r.errors > 0,
             "a power cut mid-traffic must orphan or fail something"
         );
-        assert!(r.report.completed > 0, "traffic must resume after reboot");
+        assert!(r.completed > 0, "traffic must resume after reboot");
     }
 
     #[test]

@@ -200,11 +200,11 @@ fn ladder_seed_sweep_is_byte_identical() {
         let a = run_scenario(Scenario::RetrainLadder, seed, 3);
         let b = run_scenario(Scenario::RetrainLadder, seed, 3);
         assert_eq!(a.fingerprint, b.fingerprint, "seed {seed}");
-        assert_eq!(a.outcome, b.outcome, "seed {seed}");
-        assert_eq!(a.outcome, Outcome::Degraded, "seed {seed}");
-        assert!(a.retrains >= 1, "seed {seed} escalated to retrain");
-        assert!(a.reclaimed >= 1, "seed {seed} reclaimed tags");
-        assert_eq!(a.tags_free_after, 32, "seed {seed} leaked no tags");
+        assert_eq!(a.record().outcome, b.record().outcome, "seed {seed}");
+        assert_eq!(a.record().outcome, Outcome::Degraded, "seed {seed}");
+        assert!(a.record().retrains >= 1, "seed {seed} escalated to retrain");
+        assert!(a.record().reclaimed >= 1, "seed {seed} reclaimed tags");
+        assert_eq!(a.record().tags_free_after, 32, "seed {seed} leaked no tags");
     }
 }
 
@@ -223,12 +223,20 @@ fn scrub_seed_sweep_is_byte_identical() {
         let a = media::run_scenario(scenario, seed, 8);
         let b = media::run_scenario(scenario, seed, 8);
         assert_eq!(a.fingerprint, b.fingerprint, "seed {seed}");
-        assert_eq!(a.outcome, b.outcome, "seed {seed}");
-        assert_eq!(a.corrected, b.corrected, "seed {seed}");
-        assert_eq!(a.uncorrectable, b.uncorrectable, "seed {seed}");
-        assert_eq!(a.scrub_passes, b.scrub_passes, "seed {seed}");
-        assert!(!a.is_violation(), "seed {seed}: {}", a.outcome);
-        assert!(a.scrub_passes > 0, "seed {seed}: scrub must run");
+        assert_eq!(a.record().outcome, b.record().outcome, "seed {seed}");
+        assert_eq!(a.record().corrected, b.record().corrected, "seed {seed}");
+        assert_eq!(
+            a.record().uncorrectable,
+            b.record().uncorrectable,
+            "seed {seed}"
+        );
+        assert_eq!(
+            a.record().scrub_passes,
+            b.record().scrub_passes,
+            "seed {seed}"
+        );
+        assert!(!a.is_violation(), "seed {seed}: {}", a.record().outcome);
+        assert!(a.record().scrub_passes > 0, "seed {seed}: scrub must run");
     }
 }
 
