@@ -19,6 +19,7 @@ use contutto_dmi::frame::{
     line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
 };
 use contutto_memdev::{range_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
 
@@ -53,6 +54,18 @@ pub struct CentaurStats {
     /// delivery after a retrain, or decode aliasing) and were dropped.
     pub frames_orphaned: u64,
 }
+
+persist_fields!(CentaurStats {
+    reads,
+    writes,
+    rmws,
+    unsupported,
+    coalesced_dones,
+    corrected_reads,
+    poisoned_reads,
+    poisoned_rmws,
+    frames_orphaned
+});
 
 #[derive(Debug)]
 struct PendingWrite {
@@ -409,15 +422,7 @@ impl DmiBuffer for Centaur {
             at.persist(out);
             payload.persist(out);
         }
-        self.stats.reads.persist(out);
-        self.stats.writes.persist(out);
-        self.stats.rmws.persist(out);
-        self.stats.unsupported.persist(out);
-        self.stats.coalesced_dones.persist(out);
-        self.stats.corrected_reads.persist(out);
-        self.stats.poisoned_reads.persist(out);
-        self.stats.poisoned_rmws.persist(out);
-        self.stats.frames_orphaned.persist(out);
+        self.stats.persist(out);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
@@ -451,17 +456,7 @@ impl DmiBuffer for Centaur {
             let at = SimTime::restore(r)?;
             ready.push_back((at, UpstreamPayload::restore(r)?));
         }
-        let stats = CentaurStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            rmws: r.u64()?,
-            unsupported: r.u64()?,
-            coalesced_dones: r.u64()?,
-            corrected_reads: r.u64()?,
-            poisoned_reads: r.u64()?,
-            poisoned_rmws: r.u64()?,
-            frames_orphaned: r.u64()?,
-        };
+        let stats = CentaurStats::restore(r)?;
         self.pending_writes = pending_writes;
         self.ready = ready;
         self.stats = stats;

@@ -12,7 +12,10 @@ use contutto_sim::snapshot::{self, Persist, SnapReader};
 /// A set-associative tag array with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct EdramCache {
-    sets: Vec<Vec<CacheWay>>,
+    /// Every set's ways in one array: way `w` of set `s` is at
+    /// `s * ways + w`.
+    tags: Vec<CacheWay>,
+    num_sets: usize,
     ways: usize,
     line_bytes: u64,
     tick: u64,
@@ -22,12 +25,11 @@ pub struct EdramCache {
     prefetch_fills: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheWay {
-    valid: bool,
-    tag: u64,
-    last_used: u64,
-}
+/// One way: `(valid, tag, last_used)`. A tuple of primitives rather
+/// than a struct, so the all-zero tag array a boot builds is one zeroed
+/// allocation: the OS maps its pages only as sets are first touched,
+/// and a boot pays no page faults for the 3 MB a Centaur's array takes.
+type CacheWay = (bool, u64, u64);
 
 impl EdramCache {
     /// Creates a cache of `capacity` bytes with `ways`-way sets and
@@ -47,7 +49,8 @@ impl EdramCache {
         );
         let num_sets = (capacity / set_bytes) as usize;
         EdramCache {
-            sets: vec![vec![CacheWay::default(); ways]; num_sets],
+            tags: vec![(false, 0, 0); num_sets * ways],
+            num_sets,
             ways,
             line_bytes,
             tick: 0,
@@ -70,10 +73,15 @@ impl EdramCache {
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr / self.line_bytes;
-        (
-            (line as usize) % self.sets.len(),
-            line / self.sets.len() as u64,
-        )
+        ((line as usize) % self.num_sets, line / self.num_sets as u64)
+    }
+
+    fn set(&self, set_idx: usize) -> &[CacheWay] {
+        &self.tags[set_idx * self.ways..(set_idx + 1) * self.ways]
+    }
+
+    fn set_mut(&mut self, set_idx: usize) -> &mut [CacheWay] {
+        &mut self.tags[set_idx * self.ways..(set_idx + 1) * self.ways]
     }
 
     /// Looks up `addr`; on miss, fills the line and (if enabled)
@@ -101,9 +109,9 @@ impl EdramCache {
     fn probe_and_touch(&mut self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
         let tick = self.tick;
-        for way in &mut self.sets[set_idx] {
-            if way.valid && way.tag == tag {
-                way.last_used = tick;
+        for (valid, way_tag, last_used) in self.set_mut(set_idx) {
+            if *valid && *way_tag == tag {
+                *last_used = tick;
                 return true;
             }
         }
@@ -113,38 +121,39 @@ impl EdramCache {
     /// Checks residency without any side effects.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        self.set(set_idx)
+            .iter()
+            .any(|&(valid, way_tag, _)| valid && way_tag == tag)
     }
 
     /// Installs a line, evicting LRU if needed.
     pub fn fill(&mut self, addr: u64) {
         let (set_idx, tag) = self.set_and_tag(addr);
         let tick = self.tick;
-        let set = &mut self.sets[set_idx];
+        let set = self.set_mut(set_idx);
         // Already resident?
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = tick;
+        if let Some((_, _, last_used)) = set
+            .iter_mut()
+            .find(|(valid, way_tag, _)| *valid && *way_tag == tag)
+        {
+            *last_used = tick;
             return;
         }
         // A zero-way geometry has nowhere to install the line; degrade
         // to an uncached fill instead of aborting mid-fault-campaign.
         let Some(victim) = set
             .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
+            .min_by_key(|(valid, _, last_used)| if *valid { *last_used } else { 0 })
         else {
             return;
         };
-        victim.valid = true;
-        victim.tag = tag;
-        victim.last_used = tick;
+        *victim = (true, tag, tick);
     }
 
     /// Invalidates the whole cache.
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for (valid, _, _) in &mut self.tags {
+            *valid = false;
         }
     }
 
@@ -175,21 +184,21 @@ impl EdramCache {
 
     /// Cache capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.sets.len() as u64 * self.ways as u64 * self.line_bytes
+        self.num_sets as u64 * self.ways as u64 * self.line_bytes
     }
 
     /// Serializes all dynamic state (tag array, LRU clock, stats).
     /// Geometry is a construction parameter and is only cross-checked.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        (self.sets.len() as u64).persist(out);
+        (self.num_sets as u64).persist(out);
         (self.ways as u64).persist(out);
         self.line_bytes.persist(out);
-        for set in &self.sets {
-            (set.len() as u64).persist(out);
-            for way in set {
-                way.valid.persist(out);
-                way.tag.persist(out);
-                way.last_used.persist(out);
+        for set_idx in 0..self.num_sets {
+            // Every set holds `ways` ways; the image still spells the
+            // count out per set.
+            (self.ways as u64).persist(out);
+            for way in self.set(set_idx) {
+                way.persist(out);
             }
         }
         self.tick.persist(out);
@@ -205,36 +214,36 @@ impl EdramCache {
     /// # Errors
     ///
     /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a different geometry, or any decode error from a corrupt
-    /// payload.
+    /// from a different geometry, [`snapshot::RestoreError::Malformed`]
+    /// if a set does not hold exactly `ways` ways, or any decode error
+    /// from a corrupt payload. Ways are decoded straight into the tag
+    /// array, so after an error past the geometry check the cache is
+    /// partly overwritten and must be discarded, like the system a
+    /// failed restore leaves behind.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
         let num_sets = r.len()?;
         let ways = r.len()?;
         let line_bytes = r.u64()?;
-        if num_sets != self.sets.len() || ways != self.ways || line_bytes != self.line_bytes {
+        if num_sets != self.num_sets || ways != self.ways || line_bytes != self.line_bytes {
             return Err(snapshot::RestoreError::TopologyMismatch {
                 context: "cache geometry",
             });
         }
-        let mut sets = Vec::with_capacity(num_sets);
-        for _ in 0..num_sets {
-            let set_ways = r.len()?;
-            let mut set = Vec::with_capacity(set_ways);
-            for _ in 0..set_ways {
-                set.push(CacheWay {
-                    valid: r.bool()?,
-                    tag: r.u64()?,
-                    last_used: r.u64()?,
+        for set_idx in 0..num_sets {
+            if r.len()? != ways {
+                return Err(snapshot::RestoreError::Malformed {
+                    context: "cache set way count",
                 });
             }
-            sets.push(set);
+            for way in self.set_mut(set_idx) {
+                *way = CacheWay::restore(r)?;
+            }
         }
         let tick = r.u64()?;
         let hits = r.u64()?;
         let misses = r.u64()?;
         let prefetch_degree = r.u64()?;
         let prefetch_fills = r.u64()?;
-        self.sets = sets;
         self.tick = tick;
         self.hits = hits;
         self.misses = misses;
@@ -350,6 +359,32 @@ mod tests {
     }
 
     #[test]
+    fn a_set_with_the_wrong_way_count_is_malformed() {
+        let c = EdramCache::new(256 * 4, 2); // 4 sets x 2 ways
+        let mut img = Vec::new();
+        c.snapshot_state(&mut img);
+        // Header: sets, ways, line size; then set 0's way count.
+        let count_at = 3 * 8;
+        for bad in [0u64, 1, 3] {
+            let mut ragged = img.clone();
+            ragged[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
+            let mut fresh = EdramCache::new(256 * 4, 2);
+            let err = fresh
+                .restore_state(&mut SnapReader::new(&ragged))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                snapshot::RestoreError::Malformed {
+                    context: "cache set way count"
+                },
+                "way count {bad}"
+            );
+        }
+        let mut fresh = EdramCache::new(256 * 4, 2);
+        fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "multiple")]
     fn geometry_validation() {
         let _ = EdramCache::new(1000, 4);
@@ -361,9 +396,8 @@ mod tests {
         // an empty set must still degrade gracefully — the chaos
         // oracle's no-panic invariant covers every internal path.
         let mut c = EdramCache::new(16 << 10, 4);
-        for set in &mut c.sets {
-            set.clear();
-        }
+        c.ways = 0;
+        c.tags.clear();
         c.access(0);
         c.fill(128);
         assert!(!c.contains(0), "nothing can be resident with no ways");

@@ -32,6 +32,7 @@ use contutto_dmi::command::{CacheLine, Tag};
 use contutto_dmi::frame::{
     line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
 };
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{time::clocks, Cycles, SimTime, TraceEvent, Tracer};
 
@@ -115,6 +116,20 @@ pub struct MbsStats {
     /// delivery after a retrain, or decode aliasing) and were dropped.
     pub frames_orphaned: u64,
 }
+
+persist_fields!(MbsStats {
+    reads,
+    writes,
+    rmws,
+    inline_accel_ops,
+    flushes,
+    write_beats,
+    coalesced_dones,
+    corrected_reads,
+    poisoned_reads,
+    poisoned_rmws,
+    frames_orphaned
+});
 
 #[derive(Debug)]
 struct EngineState {
@@ -417,17 +432,7 @@ impl MbsLogic {
             payload.persist(out);
         }
         self.decoder_toggle.persist(out);
-        self.stats.reads.persist(out);
-        self.stats.writes.persist(out);
-        self.stats.rmws.persist(out);
-        self.stats.inline_accel_ops.persist(out);
-        self.stats.flushes.persist(out);
-        self.stats.write_beats.persist(out);
-        self.stats.coalesced_dones.persist(out);
-        self.stats.corrected_reads.persist(out);
-        self.stats.poisoned_reads.persist(out);
-        self.stats.poisoned_rmws.persist(out);
-        self.stats.frames_orphaned.persist(out);
+        self.stats.persist(out);
     }
 
     /// Overlays an [`MbsLogic::snapshot_state`] image.
@@ -499,19 +504,7 @@ impl MbsLogic {
             ready.push_back((at, payload));
         }
         let decoder_toggle = r.bool()?;
-        let stats = MbsStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            rmws: r.u64()?,
-            inline_accel_ops: r.u64()?,
-            flushes: r.u64()?,
-            write_beats: r.u64()?,
-            coalesced_dones: r.u64()?,
-            corrected_reads: r.u64()?,
-            poisoned_reads: r.u64()?,
-            poisoned_rmws: r.u64()?,
-            frames_orphaned: r.u64()?,
-        };
+        let stats = MbsStats::restore(r)?;
         self.cfg.latency_knob = latency_knob;
         self.engines = engines;
         self.ready = ready;

@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{TraceEvent, Tracer};
 
@@ -422,14 +423,7 @@ impl MemResponse {
     }
 }
 
-impl Persist for CacheLine {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.0.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(CacheLine(<[u8; CACHE_LINE_BYTES]>::restore(r)?))
-    }
-}
+persist_fields!(CacheLine { 0 });
 
 impl Persist for Tag {
     fn persist(&self, out: &mut Vec<u8>) {
@@ -516,18 +510,7 @@ impl Persist for CommandOp {
     }
 }
 
-impl Persist for MemCommand {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.tag.persist(out);
-        self.op.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(MemCommand {
-            tag: Tag::restore(r)?,
-            op: CommandOp::restore(r)?,
-        })
-    }
-}
+persist_fields!(MemCommand { tag, op });
 
 impl Persist for MemResponse {
     fn persist(&self, out: &mut Vec<u8>) {

@@ -25,6 +25,7 @@
 
 use std::collections::VecDeque;
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{LinkDir, TraceEvent, Tracer};
 
@@ -276,6 +277,16 @@ pub struct LinkStats {
     /// Frames re-transmitted during replays (excluding freeze dups).
     pub frames_replayed: u64,
 }
+
+persist_fields!(LinkStats {
+    frames_tx,
+    frames_rx_ok,
+    crc_errors,
+    seq_errors,
+    duplicates_dropped,
+    replays_triggered,
+    frames_replayed
+});
 
 /// Modulo-128 "is `a` at-or-before `b`" within a window of half the
 /// sequence space.
@@ -747,13 +758,7 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
             RxState::AwaitReplay => 1,
         });
         self.pending_ack.persist(out);
-        self.stats.frames_tx.persist(out);
-        self.stats.frames_rx_ok.persist(out);
-        self.stats.crc_errors.persist(out);
-        self.stats.seq_errors.persist(out);
-        self.stats.duplicates_dropped.persist(out);
-        self.stats.replays_triggered.persist(out);
-        self.stats.frames_replayed.persist(out);
+        self.stats.persist(out);
     }
 
     /// Overlays endpoint state from a snapshot payload onto this
@@ -843,15 +848,7 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
                 context: "sequence ID out of range",
             });
         }
-        let stats = LinkStats {
-            frames_tx: r.u64()?,
-            frames_rx_ok: r.u64()?,
-            crc_errors: r.u64()?,
-            seq_errors: r.u64()?,
-            duplicates_dropped: r.u64()?,
-            replays_triggered: r.u64()?,
-            frames_replayed: r.u64()?,
-        };
+        let stats = LinkStats::restore(r)?;
 
         self.cfg = candidate;
         self.backlog = backlog;

@@ -14,7 +14,7 @@
 //! itself is performed with **real probe/echo frames** through the
 //! link segments ([`measure_frtl`]).
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::persist_fields;
 use contutto_sim::{Cycles, Frequency, SimRng, SimTime};
 
 use crate::error::DmiError;
@@ -73,37 +73,18 @@ pub struct TrainingOutcome {
     pub attempts: u32,
 }
 
-impl Persist for TrainingOutcome {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.frtl.persist(out);
-        self.frtl_bus_cycles.persist(out);
-        self.attempts.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(TrainingOutcome {
-            frtl: SimTime::restore(r)?,
-            frtl_bus_cycles: Cycles::restore(r)?,
-            attempts: r.u32()?,
-        })
-    }
-}
+persist_fields!(TrainingOutcome {
+    frtl,
+    frtl_bus_cycles,
+    attempts
+});
 
-impl Persist for TrainerConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.lock_probability.persist(out);
-        self.max_attempts.persist(out);
-        self.bus.persist(out);
-        self.max_frtl_bus_cycles.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(TrainerConfig {
-            lock_probability: r.f64()?,
-            max_attempts: r.u32()?,
-            bus: Frequency::restore(r)?,
-            max_frtl_bus_cycles: r.u64()?,
-        })
-    }
-}
+persist_fields!(TrainerConfig {
+    lock_probability,
+    max_attempts,
+    bus,
+    max_frtl_bus_cycles
+});
 
 /// Configuration for [`LinkTrainer`].
 #[derive(Debug, Clone)]

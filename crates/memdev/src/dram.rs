@@ -9,6 +9,7 @@
 //! ConTutto's soft DDR3 controller (paper §3.3(v): "For DRAM
 //! enablement, we use the soft DDR3 memory controller from Altera").
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::SimTime;
 
@@ -98,6 +99,13 @@ pub struct DramStats {
     /// Refresh stalls encountered.
     pub refresh_stalls: u64,
 }
+
+persist_fields!(DramStats {
+    hits,
+    misses,
+    conflicts,
+    refresh_stalls
+});
 
 /// A DDR3 DRAM device.
 ///
@@ -234,10 +242,7 @@ impl Dram {
         self.store.persist(out);
         self.next_refresh.persist(out);
         self.last_data_out.persist(out);
-        self.stats.hits.persist(out);
-        self.stats.misses.persist(out);
-        self.stats.conflicts.persist(out);
-        self.stats.refresh_stalls.persist(out);
+        self.stats.persist(out);
         self.ras.persist(out);
     }
 
@@ -264,12 +269,7 @@ impl Dram {
         let store = SparseMemory::restore(r)?;
         let next_refresh = SimTime::restore(r)?;
         let last_data_out = SimTime::restore(r)?;
-        let stats = DramStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            conflicts: r.u64()?,
-            refresh_stalls: r.u64()?,
-        };
+        let stats = DramStats::restore(r)?;
         let ras = MediaRas::restore(r)?;
         self.banks = banks;
         self.store = store;

@@ -24,6 +24,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{persist_sorted_map, restore_map, Persist, RestoreError, SnapReader};
 use contutto_sim::SimTime;
 
@@ -567,27 +568,14 @@ impl MediaRas {
     }
 }
 
-impl Persist for RasCounters {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.demand_corrected.persist(out);
-        self.demand_uncorrectable.persist(out);
-        self.scrub_corrected.persist(out);
-        self.scrub_uncorrectable.persist(out);
-        self.scrub_passes.persist(out);
-        self.pages_retired.persist(out);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(RasCounters {
-            demand_corrected: r.u64()?,
-            demand_uncorrectable: r.u64()?,
-            scrub_corrected: r.u64()?,
-            scrub_uncorrectable: r.u64()?,
-            scrub_passes: r.u64()?,
-            pages_retired: r.u64()?,
-        })
-    }
-}
+persist_fields!(RasCounters {
+    demand_corrected,
+    demand_uncorrectable,
+    scrub_corrected,
+    scrub_uncorrectable,
+    scrub_passes,
+    pages_retired
+});
 
 impl Persist for MediaRas {
     fn persist(&self, out: &mut Vec<u8>) {

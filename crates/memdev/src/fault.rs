@@ -22,6 +22,7 @@
 
 use std::collections::BTreeSet;
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{SimRng, SimTime};
 
@@ -265,23 +266,12 @@ impl Persist for TransientFlip {
     }
 }
 
-impl Persist for InjectorStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.planted.persist(out);
-        self.suppressed.persist(out);
-        self.stuck_cells.persist(out);
-        self.wear_failures.persist(out);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(InjectorStats {
-            planted: r.u64()?,
-            suppressed: r.u64()?,
-            stuck_cells: r.u64()?,
-            wear_failures: r.u64()?,
-        })
-    }
-}
+persist_fields!(InjectorStats {
+    planted,
+    suppressed,
+    stuck_cells,
+    wear_failures
+});
 
 impl Persist for MediaFaultInjector {
     fn persist(&self, out: &mut Vec<u8>) {

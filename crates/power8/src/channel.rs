@@ -45,6 +45,7 @@ use contutto_dmi::link::{BitErrorInjector, LinkSegment, LinkSpeed};
 use contutto_dmi::protocol::{LinkEndpoint, LinkEndpointConfig};
 use contutto_dmi::training::{measure_frtl, LinkTrainer, TrainerConfig, TrainingOutcome};
 use contutto_dmi::DmiError;
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{Frequency, LatencyStats, MetricsRegistry, SimTime, TraceEvent, Tracer};
 
@@ -1688,52 +1689,23 @@ impl DmiChannel {
     }
 }
 
-impl Persist for CmdId {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.0.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(CmdId(r.u64()?))
-    }
-}
+persist_fields!(CmdId { 0 });
 
-impl Persist for RetryPolicy {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.op_timeout.persist(out);
-        self.max_attempts.persist(out);
-        self.base_backoff.persist(out);
-        self.max_retrains.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(RetryPolicy {
-            op_timeout: SimTime::restore(r)?,
-            max_attempts: r.u32()?,
-            base_backoff: SimTime::restore(r)?,
-            max_retrains: r.u32()?,
-        })
-    }
-}
+persist_fields!(RetryPolicy {
+    op_timeout,
+    max_attempts,
+    base_backoff,
+    max_retrains
+});
 
-impl Persist for Completion {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.tag.persist(out);
-        self.completed_at.persist(out);
-        self.issued_at.persist(out);
-        self.data.persist(out);
-        self.addr.persist(out);
-        self.poisoned.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(Completion {
-            tag: Tag::restore(r)?,
-            completed_at: SimTime::restore(r)?,
-            issued_at: SimTime::restore(r)?,
-            data: Option::restore(r)?,
-            addr: r.u64()?,
-            poisoned: r.bool()?,
-        })
-    }
-}
+persist_fields!(Completion {
+    tag,
+    completed_at,
+    issued_at,
+    data,
+    addr,
+    poisoned
+});
 
 #[cfg(test)]
 mod tests {

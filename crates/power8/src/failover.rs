@@ -12,6 +12,7 @@
 
 use std::collections::BTreeSet;
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::SimTime;
 
@@ -131,53 +132,19 @@ impl Persist for FailoverMode {
     }
 }
 
-impl Persist for Migration {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.from.persist(out);
-        self.to.persist(out);
-        self.pending.persist(out);
-        self.migrated.persist(out);
-        self.poison_migrated.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let from = usize::restore(r)?;
-        let to = usize::restore(r)?;
-        let pending = BTreeSet::restore(r)?;
-        let migrated = r.u64()?;
-        let poison_migrated = r.u64()?;
-        Ok(Migration {
-            from,
-            to,
-            pending,
-            migrated,
-            poison_migrated,
-        })
-    }
-}
+persist_fields!(Migration {
+    from,
+    to,
+    pending,
+    migrated,
+    poison_migrated
+});
 
-impl Persist for FailoverStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.failovers.persist(out);
-        self.lines_migrated.persist(out);
-        self.poison_migrated.persist(out);
-        self.demand_migrations.persist(out);
-        self.mirror_read_fallbacks.persist(out);
-        self.lines_unreadable.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let failovers = r.u64()?;
-        let lines_migrated = r.u64()?;
-        let poison_migrated = r.u64()?;
-        let demand_migrations = r.u64()?;
-        let mirror_read_fallbacks = r.u64()?;
-        let lines_unreadable = r.u64()?;
-        Ok(FailoverStats {
-            failovers,
-            lines_migrated,
-            poison_migrated,
-            demand_migrations,
-            mirror_read_fallbacks,
-            lines_unreadable,
-        })
-    }
-}
+persist_fields!(FailoverStats {
+    failovers,
+    lines_migrated,
+    poison_migrated,
+    demand_migrations,
+    mirror_read_fallbacks,
+    lines_unreadable
+});

@@ -15,6 +15,7 @@
 //! up to Linux the actual size of the MRAM in Megabytes."
 
 use contutto_memdev::MediaKind;
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 
 /// Smallest memory size POWER8 supports behind one DMI link.
@@ -262,39 +263,19 @@ impl MemoryMap {
     }
 }
 
-impl Persist for RegionFlags {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.kind.persist(out);
-        self.preserved.persist(out);
-        self.needs_driver.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(RegionFlags {
-            kind: MediaKind::restore(r)?,
-            preserved: r.bool()?,
-            needs_driver: r.bool()?,
-        })
-    }
-}
+persist_fields!(RegionFlags {
+    kind,
+    preserved,
+    needs_driver
+});
 
-impl Persist for MemoryRegion {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.base.persist(out);
-        self.hw_size.persist(out);
-        self.os_size.persist(out);
-        self.flags.persist(out);
-        self.channel.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(MemoryRegion {
-            base: r.u64()?,
-            hw_size: r.u64()?,
-            os_size: r.u64()?,
-            flags: RegionFlags::restore(r)?,
-            channel: usize::restore(r)?,
-        })
-    }
-}
+persist_fields!(MemoryRegion {
+    base,
+    hw_size,
+    os_size,
+    flags,
+    channel
+});
 
 impl Persist for MemoryMap {
     fn persist(&self, out: &mut Vec<u8>) {

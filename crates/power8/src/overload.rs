@@ -29,6 +29,7 @@
 //! Everything here is integer/deterministic: same seed, same decision
 //! sequence, byte-identical runs — the workspace's hard invariant.
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::SimTime;
 
@@ -476,128 +477,56 @@ pub struct OverloadStats {
     pub stalls: u64,
 }
 
-impl Persist for BreakerConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.failure_threshold.persist(out);
-        self.open_for.persist(out);
-        self.probe_budget.persist(out);
-        self.close_after.persist(out);
-        self.deconfigure_after_opens.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(BreakerConfig {
-            failure_threshold: r.u32()?,
-            open_for: SimTime::restore(r)?,
-            probe_budget: r.u32()?,
-            close_after: r.u32()?,
-            deconfigure_after_opens: r.u32()?,
-        })
-    }
-}
+persist_fields!(BreakerConfig {
+    failure_threshold,
+    open_for,
+    probe_budget,
+    close_after,
+    deconfigure_after_opens
+});
 
-impl Persist for RetryBudgetConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.refill_per_success_milli.persist(out);
-        self.burst.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(RetryBudgetConfig {
-            refill_per_success_milli: r.u64()?,
-            burst: r.u64()?,
-        })
-    }
-}
+persist_fields!(RetryBudgetConfig {
+    refill_per_success_milli,
+    burst
+});
 
-impl Persist for AdmissionConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.queue_limit.persist(out);
-        self.service_estimate.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(AdmissionConfig {
-            queue_limit: usize::restore(r)?,
-            service_estimate: SimTime::restore(r)?,
-        })
-    }
-}
+persist_fields!(AdmissionConfig {
+    queue_limit,
+    service_estimate
+});
 
-impl Persist for HedgeConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.after.persist(out);
-        self.max_in_flight.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(HedgeConfig {
-            after: SimTime::restore(r)?,
-            max_in_flight: usize::restore(r)?,
-        })
-    }
-}
+persist_fields!(HedgeConfig {
+    after,
+    max_in_flight
+});
 
-impl Persist for BrownoutConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.queue_high.persist(out);
-        self.queue_low.persist(out);
-        self.migration_batch.persist(out);
-        self.scrub_stretch.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(BrownoutConfig {
-            queue_high: usize::restore(r)?,
-            queue_low: usize::restore(r)?,
-            migration_batch: usize::restore(r)?,
-            scrub_stretch: r.u32()?,
-        })
-    }
-}
+persist_fields!(BrownoutConfig {
+    queue_high,
+    queue_low,
+    migration_batch,
+    scrub_stretch
+});
 
-impl Persist for OverloadConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.admission.persist(out);
-        self.retry_budget.persist(out);
-        self.breaker.persist(out);
-        self.hedge.persist(out);
-        self.brownout.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(OverloadConfig {
-            admission: Option::restore(r)?,
-            retry_budget: Option::restore(r)?,
-            breaker: Option::restore(r)?,
-            hedge: Option::restore(r)?,
-            brownout: Option::restore(r)?,
-        })
-    }
-}
+persist_fields!(OverloadConfig {
+    admission,
+    retry_budget,
+    breaker,
+    hedge,
+    brownout
+});
 
-impl Persist for OverloadStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.shed_admission.persist(out);
-        self.shed_deadline.persist(out);
-        self.shed_breaker.persist(out);
-        self.expired_at_submit.persist(out);
-        self.deadline_expired.persist(out);
-        self.hedges_issued.persist(out);
-        self.hedges_won.persist(out);
-        self.hedges_cancelled.persist(out);
-        self.brownout_entries.persist(out);
-        self.stalls.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(OverloadStats {
-            shed_admission: r.u64()?,
-            shed_deadline: r.u64()?,
-            shed_breaker: r.u64()?,
-            expired_at_submit: r.u64()?,
-            deadline_expired: r.u64()?,
-            hedges_issued: r.u64()?,
-            hedges_won: r.u64()?,
-            hedges_cancelled: r.u64()?,
-            brownout_entries: r.u64()?,
-            stalls: r.u64()?,
-        })
-    }
-}
+persist_fields!(OverloadStats {
+    shed_admission,
+    shed_deadline,
+    shed_breaker,
+    expired_at_submit,
+    deadline_expired,
+    hedges_issued,
+    hedges_won,
+    hedges_cancelled,
+    brownout_entries,
+    stalls
+});
 
 #[cfg(test)]
 mod tests {

@@ -22,6 +22,7 @@ use contutto_dmi::command::{CacheLine, CommandOp};
 use contutto_dmi::training::TrainingOutcome;
 use contutto_dmi::{DmiError, PowerRestoreOutcome};
 use contutto_memdev::MediaKind;
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader, SnapshotImage, SnapshotWriter};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
 
@@ -1118,28 +1119,7 @@ impl Power8System {
             }
         }
         let line_addr = local & !127;
-        match data {
-            // A demand read during evacuation is pulled ahead of the
-            // copy frontier so the spare serves current data.
-            None => self.demand_pull(slot, line_addr),
-            // A demand write supersedes any stale copy still queued
-            // for this line — the migrator must not overwrite newer
-            // data.
-            Some(_) => {
-                if let Some(mig) = self.migration.as_mut() {
-                    if mig.to == slot && mig.pending.remove(&line_addr) {
-                        mig.migrated += 1;
-                    }
-                }
-            }
-        }
-        let op = match data {
-            None => CommandOp::Read { addr: line_addr },
-            Some(d) => CommandOp::Write {
-                addr: line_addr,
-                data: d,
-            },
-        };
+        let op = self.prepare_line(slot, line_addr, data);
         let cmd =
             {
                 let ch = self.channel_mut(slot).ok_or(SystemError::Fsp(
@@ -1179,11 +1159,21 @@ impl Power8System {
     /// system; an empty return just means nothing finished this round.
     pub fn poll(&mut self) -> Vec<(ReqId, Result<MemCompletion, SystemError>)> {
         if self.powered {
-            self.pump_migration();
-            self.pump_hedges();
-            self.pump_channels();
+            self.pump_round();
         }
         self.finished_sys.drain(..).collect()
+    }
+
+    /// One pump round (see [`Power8System::poll`]). Returns whether it
+    /// made progress — a request finished or a channel clock moved —
+    /// the signal the no-progress watchdogs count.
+    fn pump_round(&mut self) -> bool {
+        let before_clock = self.clock_sum();
+        let before_finished = self.finished_sys.len();
+        self.pump_migration();
+        self.pump_hedges();
+        self.pump_channels();
+        self.finished_sys.len() > before_finished || self.clock_sum() > before_clock
     }
 
     /// Runs [`Power8System::poll`] rounds until no pipelined request
@@ -1197,10 +1187,10 @@ impl Power8System {
         let mut out = Vec::new();
         let mut stalled_rounds = 0u32;
         loop {
-            let before = self.clock_sum();
-            let finished = self.poll();
-            let progressed = !finished.is_empty() || self.clock_sum() > before;
-            out.extend(finished);
+            // Results already queued (left by `wait_req`) count as
+            // progress too.
+            let progressed = (self.powered && self.pump_round()) || !self.finished_sys.is_empty();
+            out.extend(self.finished_sys.drain(..));
             if self.outstanding.is_empty() || !self.powered {
                 break;
             }
@@ -1209,7 +1199,10 @@ impl Power8System {
             } else {
                 stalled_rounds += 1;
                 if stalled_rounds >= STALL_ROUNDS {
-                    out.extend(self.fail_stalled());
+                    // One verdict fails every outstanding request.
+                    self.ov_stats.stalls += 1;
+                    let ids: Vec<u64> = self.outstanding.keys().copied().collect();
+                    out.extend(ids.into_iter().map(|id| (ReqId(id), self.abandon(id))));
                     break;
                 }
             }
@@ -1217,22 +1210,16 @@ impl Power8System {
         out
     }
 
-    /// The no-progress watchdog's verdict: every outstanding request
-    /// is failed with [`SystemError::Stalled`], its route-back entries
-    /// and hedge state dropped, so a wedged channel can never livelock
-    /// the pump. Typed and loud — never a hang.
-    fn fail_stalled(&mut self) -> Vec<(ReqId, Result<MemCompletion, SystemError>)> {
-        self.ov_stats.stalls += 1;
-        let ids: Vec<u64> = self.outstanding.keys().copied().collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            self.route_back.retain(|_, v| *v != id);
-            self.hedge_arms.remove(&id);
-            self.outstanding.remove(&id);
-            self.mlp_stats.completed += 1;
-            out.push((ReqId(id), Err(SystemError::Stalled)));
-        }
-        out
+    /// The no-progress watchdog's verdict on one request: it fails
+    /// with [`SystemError::Stalled`], its route-back entries and hedge
+    /// state dropped, so a wedged channel can never livelock the pump.
+    /// Typed and loud — never a hang. The caller counts the verdict.
+    fn abandon(&mut self, id: u64) -> Result<MemCompletion, SystemError> {
+        self.route_back.retain(|_, v| *v != id);
+        self.hedge_arms.remove(&id);
+        self.outstanding.remove(&id);
+        self.mlp_stats.completed += 1;
+        Err(SystemError::Stalled)
     }
 
     /// Pipelined requests currently in flight.
@@ -1310,22 +1297,15 @@ impl Power8System {
             if !self.outstanding.contains_key(&id.0) {
                 return Err(SystemError::UnknownRequest);
             }
-            let before_now = self.clock_sum();
-            let before_finished = self.finished_sys.len();
-            self.pump_migration();
-            self.pump_hedges();
-            self.pump_channels();
-            if self.clock_sum() > before_now || self.finished_sys.len() > before_finished {
+            if self.pump_round() {
                 stalled_rounds = 0;
             } else {
                 stalled_rounds += 1;
                 if stalled_rounds >= STALL_ROUNDS {
+                    // Only this request is stalled; the others stay
+                    // outstanding.
                     self.ov_stats.stalls += 1;
-                    self.route_back.retain(|_, v| *v != id.0);
-                    self.hedge_arms.remove(&id.0);
-                    self.outstanding.remove(&id.0);
-                    self.mlp_stats.completed += 1;
-                    return Err(SystemError::Stalled);
+                    return self.abandon(id.0);
                 }
             }
         }
@@ -1706,23 +1686,7 @@ impl Power8System {
             return;
         }
         let line_addr = local & !127;
-        match req.data {
-            None => self.demand_pull(slot, line_addr),
-            Some(_) => {
-                if let Some(mig) = self.migration.as_mut() {
-                    if mig.to == slot && mig.pending.remove(&line_addr) {
-                        mig.migrated += 1;
-                    }
-                }
-            }
-        }
-        let op = match req.data {
-            None => CommandOp::Read { addr: line_addr },
-            Some(d) => CommandOp::Write {
-                addr: line_addr,
-                data: d,
-            },
-        };
+        let op = self.prepare_line(slot, line_addr, req.data);
         let Some(ch) = self.channel_mut(slot) else {
             self.finish_req(
                 req_id,
@@ -1742,6 +1706,31 @@ impl Power8System {
         entry.redirects += 1;
         self.route_back.insert((slot, cmd), req_id);
         self.mlp_stats.redirects += 1;
+    }
+
+    /// Readies `line_addr` on `slot` for a demand access and builds its
+    /// command. During an evacuation a read is pulled ahead of the copy
+    /// frontier so the spare serves current data, and a write drops any
+    /// copy of the line still queued: the migrator must not overwrite
+    /// newer data.
+    fn prepare_line(&mut self, slot: usize, line_addr: u64, data: Option<CacheLine>) -> CommandOp {
+        match data {
+            None => {
+                self.demand_pull(slot, line_addr);
+                CommandOp::Read { addr: line_addr }
+            }
+            Some(data) => {
+                if let Some(mig) = self.migration.as_mut() {
+                    if mig.to == slot && mig.pending.remove(&line_addr) {
+                        mig.migrated += 1;
+                    }
+                }
+                CommandOp::Write {
+                    addr: line_addr,
+                    data,
+                }
+            }
+        }
     }
 
     fn finish_req(&mut self, req_id: u64, result: Result<MemCompletion, SystemError>) {
@@ -2238,134 +2227,47 @@ impl Power8System {
     }
 }
 
-impl Persist for ReqId {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.0.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(ReqId(r.u64()?))
-    }
-}
+persist_fields!(ReqId { 0 });
 
-impl Persist for PowerConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.holdup_budget_nj.persist(out);
-        self.nvdimm_supercap_nj.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let holdup_budget_nj = Option::restore(r)?;
-        let nvdimm_supercap_nj = Option::restore(r)?;
-        Ok(PowerConfig {
-            holdup_budget_nj,
-            nvdimm_supercap_nj,
-        })
-    }
-}
+persist_fields!(PowerConfig {
+    holdup_budget_nj,
+    nvdimm_supercap_nj
+});
 
-impl Persist for PowerStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.epow_asserted.persist(out);
-        self.cuts.persist(out);
-        self.reboots.persist(out);
-        self.lines_flushed.persist(out);
-        self.holdup_spent_nj.persist(out);
-        self.saves_torn.persist(out);
-        self.restores_clean.persist(out);
-        self.restores_failed.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let epow_asserted = r.u64()?;
-        let cuts = r.u64()?;
-        let reboots = r.u64()?;
-        let lines_flushed = r.u64()?;
-        let holdup_spent_nj = r.u64()?;
-        let saves_torn = r.u64()?;
-        let restores_clean = r.u64()?;
-        let restores_failed = r.u64()?;
-        Ok(PowerStats {
-            epow_asserted,
-            cuts,
-            reboots,
-            lines_flushed,
-            holdup_spent_nj,
-            saves_torn,
-            restores_clean,
-            restores_failed,
-        })
-    }
-}
+persist_fields!(PowerStats {
+    epow_asserted,
+    cuts,
+    reboots,
+    lines_flushed,
+    holdup_spent_nj,
+    saves_torn,
+    restores_clean,
+    restores_failed
+});
 
-impl Persist for MlpStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.submitted.persist(out);
-        self.completed.persist(out);
-        self.redirects.persist(out);
-        self.peak_outstanding.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let submitted = r.u64()?;
-        let completed = r.u64()?;
-        let redirects = r.u64()?;
-        let peak_outstanding = r.u64()?;
-        Ok(MlpStats {
-            submitted,
-            completed,
-            redirects,
-            peak_outstanding,
-        })
-    }
-}
+persist_fields!(MlpStats {
+    submitted,
+    completed,
+    redirects,
+    peak_outstanding
+});
 
-impl Persist for OutstandingReq {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.phys.persist(out);
-        self.slot.persist(out);
-        self.line_addr.persist(out);
-        self.data.persist(out);
-        self.redirects.persist(out);
-        self.deadline.persist(out);
-        self.submitted_at.persist(out);
-        self.hedged.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let phys = r.u64()?;
-        let slot = usize::restore(r)?;
-        let line_addr = r.u64()?;
-        let data = Option::restore(r)?;
-        let redirects = r.u32()?;
-        let deadline = Option::restore(r)?;
-        let submitted_at = SimTime::restore(r)?;
-        let hedged = r.bool()?;
-        Ok(OutstandingReq {
-            phys,
-            slot,
-            line_addr,
-            data,
-            redirects,
-            deadline,
-            submitted_at,
-            hedged,
-        })
-    }
-}
+persist_fields!(OutstandingReq {
+    phys,
+    slot,
+    line_addr,
+    data,
+    redirects,
+    deadline,
+    submitted_at,
+    hedged
+});
 
-impl Persist for MemCompletion {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.phys.persist(out);
-        self.data.persist(out);
-        self.completed_at.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let phys = r.u64()?;
-        let data = Option::restore(r)?;
-        let completed_at = SimTime::restore(r)?;
-        Ok(MemCompletion {
-            phys,
-            data,
-            completed_at,
-        })
-    }
-}
+persist_fields!(MemCompletion {
+    phys,
+    data,
+    completed_at
+});
 
 impl Persist for SystemError {
     fn persist(&self, out: &mut Vec<u8>) {

@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::persist_fields;
 use crate::snapshot::{Persist, RestoreError, SnapReader};
 use crate::stats::{Counter, LatencyStats, LogHistogram};
 
@@ -218,16 +219,7 @@ impl Persist for Metric {
     }
 }
 
-impl Persist for MetricsRegistry {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.metrics.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(MetricsRegistry {
-            metrics: BTreeMap::restore(r)?,
-        })
-    }
-}
+persist_fields!(MetricsRegistry { metrics });
 
 #[cfg(test)]
 mod tests {

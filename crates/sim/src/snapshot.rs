@@ -297,6 +297,35 @@ macro_rules! persist_int {
     };
 }
 
+/// Implements [`Persist`] for a struct by listing its fields once:
+/// `persist_fields!(Type { a, b, c })` writes `a`, `b`, `c` in list
+/// order and restores them in the same order, each through its own
+/// type's [`Persist`] impl. The list *is* the image format; the struct
+/// literal it restores into makes the compiler reject a list that
+/// leaves a field out. Tuple structs name their fields by index
+/// (`persist_fields!(Id { 0 })`).
+///
+/// Write the impl by hand instead when restore must validate (a value
+/// range, an invariant across fields) or read a field differently from
+/// its type's own impl, and for enums.
+#[macro_export]
+macro_rules! persist_fields {
+    ($ty:ident { $($field:tt),+ $(,)? }) => {
+        impl $crate::snapshot::Persist for $ty {
+            fn persist(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::snapshot::Persist::persist(&self.$field, out);)+
+            }
+            fn restore(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snapshot::RestoreError> {
+                ::std::result::Result::Ok($ty {
+                    $($field: $crate::snapshot::Persist::restore(r)?,)+
+                })
+            }
+        }
+    };
+}
+
 persist_int!(u8, u8);
 persist_int!(u16, u16);
 persist_int!(u32, u32);
@@ -918,6 +947,77 @@ mod tests {
         let mut back = SimRng::restore(&mut r).unwrap();
         assert_eq!(back.next_u64(), rng.next_u64());
         assert_eq!(back.next_u64(), rng.next_u64());
+    }
+
+    /// Declared `a, b, c, d`; listed `b, a, d, c`.
+    #[derive(Debug, PartialEq)]
+    struct Named {
+        a: u8,
+        b: u64,
+        c: Option<SimTime>,
+        d: Vec<u16>,
+    }
+    persist_fields!(Named { b, a, d, c });
+
+    #[derive(Debug, PartialEq)]
+    struct Tuple(u32, bool);
+    persist_fields!(Tuple { 0, 1 });
+
+    fn named() -> Named {
+        Named {
+            a: 0xA1,
+            b: 0x0102_0304_0506_0708,
+            c: Some(SimTime::from_ps(99)),
+            d: vec![7, 8, 9],
+        }
+    }
+
+    fn encode(value: &impl Persist) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.persist(&mut out);
+        out
+    }
+
+    #[test]
+    fn field_lists_round_trip_named_and_tuple_structs() {
+        let bytes = encode(&named());
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(Named::restore(&mut r).unwrap(), named());
+        assert!(r.is_empty());
+
+        let bytes = encode(&Tuple(0xDEAD_BEEF, true));
+        assert_eq!(bytes, [0xEF, 0xBE, 0xAD, 0xDE, 1]);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(Tuple::restore(&mut r).unwrap(), Tuple(0xDEAD_BEEF, true));
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn field_list_order_is_the_byte_layout() {
+        let v = named();
+        let mut want = Vec::new();
+        v.b.persist(&mut want);
+        v.a.persist(&mut want);
+        v.d.persist(&mut want);
+        v.c.persist(&mut want);
+        assert_eq!(encode(&v), want);
+    }
+
+    fn assert_every_cut_truncates<T: Persist + fmt::Debug>(bytes: &[u8]) {
+        for cut in 0..bytes.len() {
+            let got = T::restore(&mut SnapReader::new(&bytes[..cut]));
+            assert!(
+                matches!(got, Err(RestoreError::Truncated { .. })),
+                "cut at {cut} of {} gave {got:?}",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_field_list_payload_is_truncated() {
+        assert_every_cut_truncates::<Named>(&encode(&named()));
+        assert_every_cut_truncates::<Tuple>(&encode(&Tuple(5, false)));
     }
 
     #[test]

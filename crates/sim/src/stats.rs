@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use crate::persist_fields;
 use crate::snapshot::{Persist, RestoreError, SnapReader};
 use crate::time::SimTime;
 
@@ -381,31 +382,14 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-impl Persist for Counter {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.value.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(Counter { value: r.u64()? })
-    }
-}
+persist_fields!(Counter { value });
 
-impl Persist for LatencyStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.count.persist(out);
-        self.sum_ps.persist(out);
-        self.min.persist(out);
-        self.max.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(LatencyStats {
-            count: r.u64()?,
-            sum_ps: r.u128()?,
-            min: Option::restore(r)?,
-            max: Option::restore(r)?,
-        })
-    }
-}
+persist_fields!(LatencyStats {
+    count,
+    sum_ps,
+    min,
+    max
+});
 
 impl Persist for LogHistogram {
     fn persist(&self, out: &mut Vec<u8>) {
