@@ -11,13 +11,9 @@
 //! serializer. The cache converts DRAM-array time into
 //! `cache_hit_latency` on hits.
 
-use std::collections::{HashMap, VecDeque};
-
-use contutto_dmi::buffer::DmiBuffer;
+use contutto_dmi::buffer::{BufferFrontEnd, DmiBuffer, WriteBeat};
 use contutto_dmi::command::{CacheLine, Tag, CACHE_LINE_BYTES};
-use contutto_dmi::frame::{
-    line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
-};
+use contutto_dmi::frame::{CommandHeader, DownstreamPayload, UpstreamPayload};
 use contutto_memdev::{range_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
 use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
@@ -67,12 +63,6 @@ persist_fields!(CentaurStats {
     frames_orphaned
 });
 
-#[derive(Debug)]
-struct PendingWrite {
-    header: CommandHeader,
-    assembler: LineAssembler,
-}
-
 /// The Centaur memory-buffer ASIC.
 ///
 /// # Example
@@ -91,8 +81,7 @@ pub struct Centaur {
     cache: EdramCache,
     ports: Vec<Dram>,
     port_capacity: u64,
-    pending_writes: HashMap<Tag, PendingWrite>,
-    ready: VecDeque<(SimTime, UpstreamPayload)>,
+    front: BufferFrontEnd,
     stats: CentaurStats,
     tracer: Tracer,
 }
@@ -120,8 +109,7 @@ impl Centaur {
                 .map(|_| Dram::new(port_capacity, DdrTimings::ddr3_1600()))
                 .collect(),
             port_capacity,
-            pending_writes: HashMap::new(),
-            ready: VecDeque::new(),
+            front: BufferFrontEnd::default(),
             stats: CentaurStats::default(),
             tracer: Tracer::off(),
         }
@@ -202,17 +190,15 @@ impl Centaur {
         if poison {
             self.stats.poisoned_reads += 1;
         }
-        let respond_at = data_ready + self.cfg.tx_latency;
-        for beat in line_to_upstream_beats(tag, &line, poison) {
-            self.ready.push_back((respond_at, beat));
-        }
-        self.ready.push_back((
-            respond_at,
-            UpstreamPayload::Done {
-                first: tag,
-                second: None,
-            },
-        ));
+        self.front
+            .push_read(data_ready + self.cfg.tx_latency, tag, &line, poison);
+    }
+
+    /// Drops a write-data frame or assembly that no command can own.
+    fn orphan(&mut self, tag: Tag) {
+        self.stats.frames_orphaned += 1;
+        self.tracer
+            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
     }
 
     fn complete_write(&mut self, start: SimTime, tag: Tag, header: CommandHeader, line: CacheLine) {
@@ -236,25 +222,9 @@ impl Centaur {
                     self.write_line(read_done, addr, &merged)
                 }
             }
-            // A data-carrying assembly completed against a read-class
-            // header: decode aliasing slipped a WriteData stream onto
-            // a tag that never asked for one. Drop the data loudly and
-            // still complete the tag so the channel does not hang on a
-            // done that would otherwise never come.
-            CommandHeader::Read { .. } | CommandHeader::Flush => {
-                self.stats.frames_orphaned += 1;
-                self.tracer
-                    .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
-                start
-            }
+            _ => unreachable!("only write-class headers open an engine"),
         };
-        self.ready.push_back((
-            done + self.cfg.tx_latency,
-            UpstreamPayload::Done {
-                first: tag,
-                second: None,
-            },
-        ));
+        self.front.push_done(done + self.cfg.tx_latency, tag);
     }
 }
 
@@ -266,92 +236,35 @@ impl DmiBuffer for Centaur {
             DownstreamPayload::Command { tag, header } => match header {
                 CommandHeader::Read { addr } => self.complete_read(start, tag, addr),
                 CommandHeader::Write { .. } | CommandHeader::Rmw { .. } => {
-                    self.pending_writes.insert(
-                        tag,
-                        PendingWrite {
-                            header,
-                            assembler: LineAssembler::downstream(),
-                        },
-                    );
+                    if self.front.open(tag, header) {
+                        self.orphan(tag);
+                    }
                 }
                 CommandHeader::Flush => {
                     // Paper §4.2: "this functionality does not exist in
                     // the Centaur ASIC". Complete as a no-op, flagged.
                     self.stats.unsupported += 1;
-                    self.ready.push_back((
-                        start + self.cfg.tx_latency,
-                        UpstreamPayload::Done {
-                            first: tag,
-                            second: None,
-                        },
-                    ));
+                    self.front.push_done(start + self.cfg.tx_latency, tag);
                 }
             },
             DownstreamPayload::WriteData { tag, beat, data } => {
-                // Data for an idle tag is a stale frame (late delivery
-                // after a retrain, or decode aliasing): drop and flag —
-                // the originating command was already reclaimed.
-                let Some(pending) = self.pending_writes.get_mut(&tag) else {
-                    self.stats.frames_orphaned += 1;
-                    self.tracer
-                        .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
-                    return;
-                };
-                match pending.assembler.try_add_beat(beat, &data) {
-                    Ok(true) => {
-                        if let Some(pending) = self.pending_writes.remove(&tag) {
-                            let line = pending.assembler.into_line();
-                            self.complete_write(start, tag, pending.header, line);
-                        }
+                match self.front.write_data(tag, beat, &data) {
+                    WriteBeat::Pending => {}
+                    WriteBeat::Complete(header, line) => {
+                        self.complete_write(start, tag, header, line);
                     }
-                    Ok(false) => {}
-                    // An impossible beat index or size (decode aliasing
-                    // past the frame-level checks): drop loudly rather
-                    // than corrupting the assembly.
-                    Err(_) => {
-                        self.stats.frames_orphaned += 1;
-                        self.tracer
-                            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
-                    }
+                    WriteBeat::Orphaned => self.orphan(tag),
                 }
             }
         }
     }
 
     fn pull_upstream(&mut self, now: SimTime) -> Option<UpstreamPayload> {
-        let ready_now = matches!(self.ready.front(), Some((t, _)) if *t <= now);
-        if !ready_now {
-            return None;
-        }
-        let (_, first) = self.ready.pop_front()?;
-        // Pack two ready dones into one frame, as the upstream format
-        // allows (paper §3.3(iii)).
-        if let UpstreamPayload::Done {
-            first: tag_a,
-            second: None,
-        } = first
-        {
-            if let Some((t, UpstreamPayload::Done { second: None, .. })) = self.ready.front() {
-                if *t <= now {
-                    if let Some((_, UpstreamPayload::Done { first: tag_b, .. })) =
-                        self.ready.pop_front()
-                    {
-                        self.stats.coalesced_dones += 1;
-                        return Some(UpstreamPayload::Done {
-                            first: tag_a,
-                            second: Some(tag_b),
-                        });
-                    }
-                }
-            }
-            return Some(first);
-        }
-        Some(first)
+        self.front.pull(now, &mut self.stats.coalesced_dones)
     }
 
     fn next_upstream_ready(&self) -> Option<SimTime> {
-        // Responses leave in queue order, so the front gates them all.
-        self.ready.front().map(|&(at, _)| at)
+        self.front.next_ready()
     }
 
     fn frtl_turnaround(&self) -> SimTime {
@@ -397,8 +310,7 @@ impl DmiBuffer for Centaur {
             p.power_loss();
         }
         self.cache.invalidate_all();
-        self.pending_writes.clear();
-        self.ready.clear();
+        self.front.clear();
         now
     }
 
@@ -408,20 +320,7 @@ impl DmiBuffer for Centaur {
         for port in &self.ports {
             port.snapshot_state(out);
         }
-        let mut tags: Vec<Tag> = self.pending_writes.keys().copied().collect();
-        tags.sort_by_key(|t| t.raw());
-        (tags.len() as u64).persist(out);
-        for tag in tags {
-            let pending = &self.pending_writes[&tag];
-            tag.persist(out);
-            pending.header.persist(out);
-            pending.assembler.persist(out);
-        }
-        (self.ready.len() as u64).persist(out);
-        for (at, payload) in &self.ready {
-            at.persist(out);
-            payload.persist(out);
-        }
+        self.front.persist(out);
         self.stats.persist(out);
     }
 
@@ -436,74 +335,32 @@ impl DmiBuffer for Centaur {
         for port in &mut self.ports {
             port.restore_state(r)?;
         }
-        let n = r.len()?;
-        let mut pending_writes = HashMap::with_capacity(n.min(256));
-        for _ in 0..n {
-            let tag = Tag::restore(r)?;
-            let pending = PendingWrite {
-                header: CommandHeader::restore(r)?,
-                assembler: LineAssembler::restore(r)?,
-            };
-            if pending_writes.insert(tag, pending).is_some() {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "duplicate pending-write tag",
-                });
-            }
-        }
-        let n = r.len()?;
-        let mut ready = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let at = SimTime::restore(r)?;
-            ready.push_back((at, UpstreamPayload::restore(r)?));
-        }
+        let front = BufferFrontEnd::restore(r)?;
         let stats = CentaurStats::restore(r)?;
-        self.pending_writes = pending_writes;
-        self.ready = ready;
+        self.front = front;
         self.stats = stats;
         Ok(())
     }
 
     fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
-        registry.set_counter(&format!("{prefix}.reads"), self.stats.reads);
-        registry.set_counter(&format!("{prefix}.writes"), self.stats.writes);
-        registry.set_counter(&format!("{prefix}.rmws"), self.stats.rmws);
-        registry.set_counter(&format!("{prefix}.unsupported"), self.stats.unsupported);
-        registry.set_counter(
-            &format!("{prefix}.frames_orphaned"),
-            self.stats.frames_orphaned,
-        );
-        registry.set_counter(
-            &format!("{prefix}.coalesced_dones"),
-            self.stats.coalesced_dones,
-        );
-        registry.set_counter(&format!("{prefix}.cache.hits"), self.cache.hits());
-        registry.set_counter(&format!("{prefix}.cache.misses"), self.cache.misses());
-        registry.set_counter(
-            &format!("{prefix}.cache.prefetch_fills"),
-            self.cache.prefetch_fills(),
-        );
-        let mut media = RasCounters::default();
-        for p in &self.ports {
-            let c = p.ras_counters();
-            media.demand_corrected += c.demand_corrected;
-            media.demand_uncorrectable += c.demand_uncorrectable;
-            media.scrub_corrected += c.scrub_corrected;
-            media.scrub_uncorrectable += c.scrub_uncorrectable;
-            media.scrub_passes += c.scrub_passes;
-            media.pages_retired += c.pages_retired;
+        let s = self.stats;
+        let media: RasCounters = self.ports.iter().map(Dram::ras_counters).sum();
+        for (name, value) in [
+            ("reads", s.reads),
+            ("writes", s.writes),
+            ("rmws", s.rmws),
+            ("unsupported", s.unsupported),
+            ("frames_orphaned", s.frames_orphaned),
+            ("coalesced_dones", s.coalesced_dones),
+            ("cache.hits", self.cache.hits()),
+            ("cache.misses", self.cache.misses()),
+            ("cache.prefetch_fills", self.cache.prefetch_fills()),
+            ("media.demand_corrected", media.demand_corrected),
+            ("media.demand_uncorrectable", media.demand_uncorrectable),
+            ("media.pages_retired", media.pages_retired),
+        ] {
+            registry.set_counter(&format!("{prefix}.{name}"), value);
         }
-        registry.set_counter(
-            &format!("{prefix}.media.demand_corrected"),
-            media.demand_corrected,
-        );
-        registry.set_counter(
-            &format!("{prefix}.media.demand_uncorrectable"),
-            media.demand_uncorrectable,
-        );
-        registry.set_counter(
-            &format!("{prefix}.media.pages_retired"),
-            media.pages_retired,
-        );
     }
 }
 
@@ -511,7 +368,7 @@ impl DmiBuffer for Centaur {
 mod tests {
     use super::*;
     use contutto_dmi::command::RmwOp;
-    use contutto_dmi::frame::line_to_downstream_beats;
+    use contutto_dmi::frame::{line_to_downstream_beats, LineAssembler};
 
     fn t(n: u8) -> Tag {
         Tag::new(n).unwrap()
@@ -583,43 +440,34 @@ mod tests {
         assert!(resp
             .iter()
             .any(|(_, p)| matches!(p, UpstreamPayload::Done { .. })));
-    }
 
-    #[test]
-    fn data_beats_against_a_read_header_complete_without_panicking() {
-        // Decode aliasing in the worst case: a WriteData stream
-        // assembles fully against a tag whose pending header is
-        // read-class. The data must be dropped (orphan-flagged), the
-        // tag must still get its Done, and no write may execute.
+        // A tag reused while its write was still assembling: the host
+        // abandoned that write, so its partial data is dropped, flagged,
+        // and only the fresh write lands.
         let mut c = centaur();
         let tracer = Tracer::ring(16);
         c.attach_tracer(tracer.clone());
-        c.pending_writes.insert(
-            t(5),
-            PendingWrite {
-                header: CommandHeader::Read { addr: 0x2000 },
-                assembler: LineAssembler::downstream(),
+        c.push_downstream(
+            SimTime::ZERO,
+            DownstreamPayload::Command {
+                tag: t(4),
+                header: CommandHeader::Write { addr: 0x8000 },
             },
         );
-        let line = CacheLine::patterned(3);
-        for (i, beat) in line_to_downstream_beats(t(5), &line)
-            .into_iter()
-            .enumerate()
-        {
-            c.push_downstream(SimTime::from_ns(2) * (i as u64), beat);
-        }
+        let partial = line_to_downstream_beats(t(4), &line).swap_remove(0);
+        c.push_downstream(SimTime::from_ns(2), partial);
+        let fresh = CacheLine::patterned(8);
+        push_write(&mut c, SimTime::from_ns(100), t(4), 0x9000, &fresh);
+        drain_all(&mut c, SimTime::from_us(2));
+        assert_eq!(c.stats().writes, 1);
         assert_eq!(c.stats().frames_orphaned, 1);
-        assert_eq!(c.stats().writes, 0, "the stray data must not land");
         assert_eq!(
-            tracer.count_matching(|e| matches!(e, TraceEvent::FrameOrphaned { tag: 5 })),
+            tracer.count_matching(|e| matches!(e, TraceEvent::FrameOrphaned { tag: 4 })),
             1
         );
-        let resp = drain_all(&mut c, SimTime::from_us(2));
-        assert!(
-            resp.iter()
-                .any(|(_, p)| matches!(p, UpstreamPayload::Done { first, .. } if first.raw() == 5)),
-            "the aliased tag still completes"
-        );
+        let now = SimTime::from_us(3);
+        assert_eq!(c.sideband_read_line(now, 0x9000).unwrap().0, fresh.0);
+        assert_eq!(c.sideband_read_line(now, 0x8000).unwrap().0, [0u8; 128]);
     }
 
     #[test]
@@ -729,6 +577,8 @@ mod tests {
 
         let mut img = Vec::new();
         c.snapshot_state(&mut img);
+        // Pinned image of an open write engine and a non-empty queue.
+        assert_eq!((img.len(), snapshot::crc32(&img)), (2_364_813, 0x87e7_8689));
         let mut fresh = centaur();
         fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
 

@@ -349,17 +349,7 @@ impl AvalonBus {
 
     /// Media RAS counters summed across ports.
     pub fn ras_counters(&self) -> RasCounters {
-        let mut total = RasCounters::default();
-        for c in &self.controllers {
-            let p = c.ras_counters();
-            total.demand_corrected += p.demand_corrected;
-            total.demand_uncorrectable += p.demand_uncorrectable;
-            total.scrub_corrected += p.scrub_corrected;
-            total.scrub_uncorrectable += p.scrub_uncorrectable;
-            total.scrub_passes += p.scrub_passes;
-            total.pages_retired += p.pages_retired;
-        }
-        total
+        self.controllers.iter().map(|c| c.ras_counters()).sum()
     }
 }
 

@@ -352,58 +352,30 @@ impl DmiBuffer for ConTutto {
 
     fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
         let stats = self.stats();
-        registry.set_counter(&format!("{prefix}.reads"), stats.mbs.reads);
-        registry.set_counter(&format!("{prefix}.writes"), stats.mbs.writes);
-        registry.set_counter(&format!("{prefix}.rmws"), stats.mbs.rmws);
-        registry.set_counter(
-            &format!("{prefix}.inline_accel_ops"),
-            stats.mbs.inline_accel_ops,
-        );
-        registry.set_counter(&format!("{prefix}.flushes"), stats.mbs.flushes);
-        registry.set_counter(&format!("{prefix}.write_beats"), stats.mbs.write_beats);
-        registry.set_counter(
-            &format!("{prefix}.coalesced_dones"),
-            stats.mbs.coalesced_dones,
-        );
-        registry.set_counter(
-            &format!("{prefix}.avalon_transfers"),
-            stats.avalon_transfers,
-        );
-        registry.set_counter(
-            &format!("{prefix}.corrected_reads"),
-            stats.mbs.corrected_reads,
-        );
-        registry.set_counter(
-            &format!("{prefix}.poisoned_reads"),
-            stats.mbs.poisoned_reads,
-        );
-        registry.set_counter(&format!("{prefix}.poisoned_rmws"), stats.mbs.poisoned_rmws);
-        registry.set_counter(
-            &format!("{prefix}.frames_orphaned"),
-            stats.mbs.frames_orphaned,
-        );
+        let s = stats.mbs;
         let media = self.ras_counters();
-        registry.set_counter(
-            &format!("{prefix}.media.demand_corrected"),
-            media.demand_corrected,
-        );
-        registry.set_counter(
-            &format!("{prefix}.media.demand_uncorrectable"),
-            media.demand_uncorrectable,
-        );
-        registry.set_counter(
-            &format!("{prefix}.media.scrub_corrected"),
-            media.scrub_corrected,
-        );
-        registry.set_counter(
-            &format!("{prefix}.media.scrub_uncorrectable"),
-            media.scrub_uncorrectable,
-        );
-        registry.set_counter(&format!("{prefix}.media.scrub_passes"), media.scrub_passes);
-        registry.set_counter(
-            &format!("{prefix}.media.pages_retired"),
-            media.pages_retired,
-        );
+        for (name, value) in [
+            ("reads", s.reads),
+            ("writes", s.writes),
+            ("rmws", s.rmws),
+            ("inline_accel_ops", s.inline_accel_ops),
+            ("flushes", s.flushes),
+            ("write_beats", s.write_beats),
+            ("coalesced_dones", s.coalesced_dones),
+            ("avalon_transfers", stats.avalon_transfers),
+            ("corrected_reads", s.corrected_reads),
+            ("poisoned_reads", s.poisoned_reads),
+            ("poisoned_rmws", s.poisoned_rmws),
+            ("frames_orphaned", s.frames_orphaned),
+            ("media.demand_corrected", media.demand_corrected),
+            ("media.demand_uncorrectable", media.demand_uncorrectable),
+            ("media.scrub_corrected", media.scrub_corrected),
+            ("media.scrub_uncorrectable", media.scrub_uncorrectable),
+            ("media.scrub_passes", media.scrub_passes),
+            ("media.pages_retired", media.pages_retired),
+        ] {
+            registry.set_counter(&format!("{prefix}.{name}"), value);
+        }
     }
 }
 

@@ -26,12 +26,9 @@
 //! Each knob position ... adds 6 extra cycles of latency, equivalent
 //! to 24 ns."
 
-use std::collections::{HashMap, VecDeque};
-
+use contutto_dmi::buffer::{BufferFrontEnd, WriteBeat};
 use contutto_dmi::command::{CacheLine, Tag};
-use contutto_dmi::frame::{
-    line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
-};
+use contutto_dmi::frame::{CommandHeader, DownstreamPayload, UpstreamPayload};
 use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{time::clocks, Cycles, SimTime, TraceEvent, Tracer};
@@ -131,20 +128,15 @@ persist_fields!(MbsStats {
     frames_orphaned
 });
 
-#[derive(Debug)]
-struct EngineState {
-    header: CommandHeader,
-    assembler: LineAssembler,
-}
-
 /// The assembled MBS: decoders, 32 command engines, Avalon master
 /// ports and the unified upstream arbiter.
 #[derive(Debug)]
 pub struct MbsLogic {
     cfg: MbsConfig,
     avalon: AvalonBus,
-    engines: HashMap<Tag, EngineState>,
-    ready: VecDeque<(SimTime, UpstreamPayload)>,
+    /// The 32 command engines' write assembly and the unified upstream
+    /// arbiter's queue.
+    front: BufferFrontEnd,
     /// Extra receive-path latency charged by the caller's PHY + MBI.
     rx_extra: SimTime,
     /// Extra transmit-path latency (MBI + PHY) added to responses.
@@ -161,8 +153,7 @@ impl MbsLogic {
         MbsLogic {
             cfg,
             avalon,
-            engines: HashMap::new(),
-            ready: VecDeque::new(),
+            front: BufferFrontEnd::default(),
             rx_extra,
             tx_extra,
             decoder_toggle: false,
@@ -186,7 +177,7 @@ impl MbsLogic {
 
     /// Engines currently occupied by in-flight write-class commands.
     pub fn engines_busy(&self) -> usize {
-        self.engines.len()
+        self.front.engines_busy()
     }
 
     /// The underlying bus (for accelerators and telemetry).
@@ -210,18 +201,22 @@ impl MbsLogic {
         clocks::FPGA_FABRIC.cycles_to_time(Cycles(n))
     }
 
-    fn respond(&mut self, at: SimTime, payload: UpstreamPayload) {
+    /// When a response whose engine finishes at `at` is ready to leave.
+    fn respond_at(&self, at: SimTime) -> SimTime {
         // The unified arbiter serializes responses; FIFO order models
         // its grant sequence. Responses keep per-command contiguity
         // because each command's payloads are enqueued together.
         let at = at + self.tx_extra;
         // Never let the queue go back in time (FIFO on the upstream
         // channel): a response cannot overtake one queued earlier.
-        let at = match self.ready.back() {
-            Some((t, _)) => at.max(*t),
-            None => at,
-        };
-        self.ready.push_back((at, payload));
+        self.front.last_ready().map_or(at, |back| at.max(back))
+    }
+
+    /// Drops a write-data frame or assembly that no engine can own.
+    fn orphan(&mut self, tag: Tag) {
+        self.stats.frames_orphaned += 1;
+        self.tracer
+            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
     }
 
     /// Handles one downstream payload arriving at the PHY at `now`.
@@ -253,36 +248,13 @@ impl MbsLogic {
                     } else if outcome.corrected_bits() > 0 {
                         self.stats.corrected_reads += 1;
                     }
-                    let line = CacheLine(bytes);
-                    for beat in line_to_upstream_beats(tag, &line, poison) {
-                        self.respond(avail, beat);
-                    }
-                    self.respond(
-                        avail,
-                        UpstreamPayload::Done {
-                            first: tag,
-                            second: None,
-                        },
-                    );
+                    let at = self.respond_at(avail);
+                    self.front.push_read(at, tag, &CacheLine(bytes), poison);
                 }
                 CommandHeader::Write { .. } | CommandHeader::Rmw { .. } => {
-                    let engine = EngineState {
-                        header,
-                        assembler: LineAssembler::downstream(),
-                    };
-                    // An engine still assembling this tag belongs to a
-                    // command the host aborted mid-transfer (a link
-                    // reset reclaims tags but cannot reach the buffer):
-                    // drop its partial data loudly, as for a stale beat.
-                    if self.engines.insert(tag, engine).is_some() {
-                        self.stats.frames_orphaned += 1;
-                        self.tracer
-                            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
+                    if self.front.open(tag, header) {
+                        self.orphan(tag);
                     }
-                    assert!(
-                        self.engines.len() <= NUM_ENGINES,
-                        "more write-class commands in flight than engines"
-                    );
                 }
                 CommandHeader::Flush => {
                     self.stats.flushes += 1;
@@ -291,44 +263,18 @@ impl MbsLogic {
                     let done = self.avalon.flush_all(issue)
                         + self.cy(self.cfg.memctl_return_cycles)
                         + self.cy(self.cfg.engine_cycles + self.cfg.arb_cycles);
-                    self.respond(
-                        done,
-                        UpstreamPayload::Done {
-                            first: tag,
-                            second: None,
-                        },
-                    );
+                    let at = self.respond_at(done);
+                    self.front.push_done(at, tag);
                 }
             },
             DownstreamPayload::WriteData { tag, beat, data } => {
                 self.stats.write_beats += 1;
-                // A beat for an idle engine is a stale frame (late
-                // delivery after a retrain, or decode aliasing):
-                // dropping it is safe — the originating command was
-                // already reclaimed host-side — executing it would not
-                // be.
-                let Some(engine) = self.engines.get_mut(&tag) else {
-                    self.stats.frames_orphaned += 1;
-                    self.tracer
-                        .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
-                    return;
-                };
-                match engine.assembler.try_add_beat(beat, &data) {
-                    Ok(true) => {
-                        if let Some(engine) = self.engines.remove(&tag) {
-                            let line = engine.assembler.into_line();
-                            self.execute_write(decoded, tag, engine.header, line);
-                        }
+                match self.front.write_data(tag, beat, &data) {
+                    WriteBeat::Pending => {}
+                    WriteBeat::Complete(header, line) => {
+                        self.execute_write(decoded, tag, header, line);
                     }
-                    Ok(false) => {}
-                    // A beat with an impossible index or size (decode
-                    // aliasing past the frame-level checks): drop it
-                    // loudly rather than corrupting the assembly.
-                    Err(_) => {
-                        self.stats.frames_orphaned += 1;
-                        self.tracer
-                            .record(TraceEvent::FrameOrphaned { tag: tag.raw() });
-                    }
+                    WriteBeat::Orphaned => self.orphan(tag),
                 }
             }
         }
@@ -387,17 +333,12 @@ impl MbsLogic {
                     self.avalon.write_line(wr_issue, wport, addr, &merged.0)
                 }
             }
-            _ => unreachable!("only write-class headers reach execute_write"),
+            _ => unreachable!("only write-class headers open an engine"),
         };
-        let done_at =
-            durable + self.cy(self.cfg.memctl_return_cycles) + self.cy(self.cfg.arb_cycles);
-        self.respond(
-            done_at,
-            UpstreamPayload::Done {
-                first: tag,
-                second: None,
-            },
+        let done_at = self.respond_at(
+            durable + self.cy(self.cfg.memctl_return_cycles) + self.cy(self.cfg.arb_cycles),
         );
+        self.front.push_done(done_at, tag);
     }
 
     /// Serializes all dynamic MBS state: the runtime latency knob, the
@@ -417,20 +358,7 @@ impl MbsLogic {
         // state rather than a construction parameter.
         self.cfg.latency_knob.persist(out);
         self.avalon.snapshot_state(out);
-        let mut tags: Vec<Tag> = self.engines.keys().copied().collect();
-        tags.sort_by_key(|t| t.raw());
-        (tags.len() as u64).persist(out);
-        for tag in tags {
-            let engine = &self.engines[&tag];
-            tag.persist(out);
-            engine.header.persist(out);
-            engine.assembler.persist(out);
-        }
-        (self.ready.len() as u64).persist(out);
-        for (at, payload) in &self.ready {
-            at.persist(out);
-            payload.persist(out);
-        }
+        self.front.persist(out);
         self.decoder_toggle.persist(out);
         self.stats.persist(out);
     }
@@ -469,45 +397,11 @@ impl MbsLogic {
             });
         }
         self.avalon.restore_state(r)?;
-        let n = r.len()?;
-        if n > NUM_ENGINES {
-            return Err(snapshot::RestoreError::Malformed {
-                context: "more engines in image than exist",
-            });
-        }
-        let mut engines = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let tag = Tag::restore(r)?;
-            let header = CommandHeader::restore(r)?;
-            let assembler = LineAssembler::restore(r)?;
-            if engines
-                .insert(tag, EngineState { header, assembler })
-                .is_some()
-            {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "duplicate engine tag",
-                });
-            }
-        }
-        let m = r.len()?;
-        // Each queue entry costs at least 9 bytes (timestamp + payload
-        // discriminant); reject counts the remaining bytes cannot hold.
-        if m > r.remaining() / 9 {
-            return Err(snapshot::RestoreError::Truncated {
-                context: "mbs upstream queue",
-            });
-        }
-        let mut ready = VecDeque::with_capacity(m);
-        for _ in 0..m {
-            let at = SimTime::restore(r)?;
-            let payload = UpstreamPayload::restore(r)?;
-            ready.push_back((at, payload));
-        }
+        let front = BufferFrontEnd::restore(r)?;
         let decoder_toggle = r.bool()?;
         let stats = MbsStats::restore(r)?;
         self.cfg.latency_knob = latency_knob;
-        self.engines = engines;
-        self.ready = ready;
+        self.front = front;
         self.decoder_toggle = decoder_toggle;
         self.stats = stats;
         Ok(())
@@ -517,50 +411,20 @@ impl MbsLogic {
     /// is volatile fabric state and dies with the rail. The media
     /// below is handled separately by the Avalon power path.
     pub fn discard_volatile(&mut self) {
-        self.engines.clear();
-        self.ready.clear();
+        self.front.clear();
         self.decoder_toggle = false;
     }
 
     /// When the arbiter's next response becomes ready, `None` with
-    /// nothing queued. The queue is FIFO by time, so it is the front's.
+    /// nothing queued.
     pub(crate) fn next_upstream_ready(&self) -> Option<SimTime> {
-        self.ready.front().map(|&(at, _)| at)
+        self.front.next_ready()
     }
 
-    /// Offers the upstream arbiter a frame slot at `now`.
-    ///
-    /// When two done notifications are both ready, the arbiter packs
-    /// them into one frame (paper §3.3(iii): "the two upstream frames
-    /// may contain completion notification from two separate command
-    /// engines") — here one frame carries both tags.
+    /// Offers the upstream arbiter a frame slot at `now`; two ready
+    /// dones share one frame ([`BufferFrontEnd::pull`]).
     pub fn pull_upstream(&mut self, now: SimTime) -> Option<UpstreamPayload> {
-        let ready_now = matches!(self.ready.front(), Some((t, _)) if *t <= now);
-        if !ready_now {
-            return None;
-        }
-        let (_, first) = self.ready.pop_front().expect("checked non-empty");
-        if let UpstreamPayload::Done {
-            first: tag_a,
-            second: None,
-        } = first
-        {
-            // Coalesce with a second ready done, if next in line.
-            if let Some((t, UpstreamPayload::Done { second: None, .. })) = self.ready.front() {
-                if *t <= now {
-                    let (_, second) = self.ready.pop_front().expect("checked");
-                    if let UpstreamPayload::Done { first: tag_b, .. } = second {
-                        self.stats.coalesced_dones += 1;
-                        return Some(UpstreamPayload::Done {
-                            first: tag_a,
-                            second: Some(tag_b),
-                        });
-                    }
-                }
-            }
-            return Some(first);
-        }
-        Some(first)
+        self.front.pull(now, &mut self.stats.coalesced_dones)
     }
 }
 
@@ -569,7 +433,7 @@ mod tests {
     use super::*;
     use crate::memctl::{MemoryController, MemoryKind};
     use contutto_dmi::command::RmwOp;
-    use contutto_dmi::frame::line_to_downstream_beats;
+    use contutto_dmi::frame::{line_to_downstream_beats, LineAssembler};
 
     fn t(n: u8) -> Tag {
         Tag::new(n).unwrap()
@@ -638,6 +502,34 @@ mod tests {
         assert!(resp
             .iter()
             .any(|(_, p)| matches!(p, UpstreamPayload::Done { .. })));
+
+        // A tag reused while its engine was still assembling: the host
+        // abandoned that write, so its partial data is dropped, flagged,
+        // and only the fresh write lands.
+        let mut m = mbs();
+        let tracer = Tracer::ring(16);
+        m.attach_tracer(tracer.clone());
+        m.handle_downstream(
+            SimTime::ZERO,
+            DownstreamPayload::Command {
+                tag: t(4),
+                header: CommandHeader::Write { addr: 0x2000 },
+            },
+        );
+        let partial = line_to_downstream_beats(t(4), &line).swap_remove(0);
+        m.handle_downstream(SimTime::from_ns(2), partial);
+        let fresh = CacheLine::patterned(8);
+        push_write(&mut m, SimTime::from_ns(100), t(4), 0x3000, &fresh);
+        drain(&mut m, SimTime::from_us(2));
+        assert_eq!(m.stats().writes, 1);
+        assert_eq!(m.stats().frames_orphaned, 1);
+        assert_eq!(
+            tracer.count_matching(|e| matches!(e, TraceEvent::FrameOrphaned { tag: 4 })),
+            1
+        );
+        let now = SimTime::from_us(3);
+        assert_eq!(m.avalon_mut().sideband_read_line(now, 0x3000).0, fresh.0);
+        assert_eq!(m.avalon_mut().sideband_read_line(now, 0x2000).0, [0u8; 128]);
     }
 
     #[test]
@@ -941,6 +833,8 @@ mod tests {
 
         let mut img = Vec::new();
         m.snapshot_state(&mut img);
+        // Pinned image of an open write engine and a non-empty queue.
+        assert_eq!((img.len(), snapshot::crc32(&img)), (5_228, 0x08b7_1790));
         let mut fresh = mbs();
         fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
         assert_eq!(fresh.engines_busy(), 1);

@@ -14,11 +14,19 @@
 //! never delivered, and idle slots before
 //! [`DmiBuffer::next_upstream_ready`] may be skipped without a
 //! `pull_upstream` call.
+//!
+//! [`BufferFrontEnd`] is the part of that protocol every buffer shares:
+//! the per-tag write engines and the upstream response queue.
 
-use contutto_sim::snapshot::{RestoreError, SnapReader};
+use std::collections::VecDeque;
+
+use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, Tracer};
 
-use crate::frame::{DownstreamPayload, UpstreamPayload};
+use crate::command::{CacheLine, Tag, NUM_TAGS};
+use crate::frame::{
+    line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
+};
 
 /// What a buffer's media held when power came back.
 ///
@@ -250,10 +258,200 @@ pub trait DmiBuffer {
     }
 }
 
+/// The buffer side of the DMI command protocol, identical in Centaur
+/// and the ConTutto MBS (paper §3.3(iii)): one write engine per tag
+/// collects a command's 8 × 16 B write beats into a line, and one
+/// upstream queue returns read data as 4 contiguous 32 B beats and packs
+/// two ready dones into one frame.
+///
+/// It keeps no clock and no counters: the buffer around it decides when
+/// a response is ready, executes finished lines and counts events.
+#[derive(Debug, Default)]
+pub struct BufferFrontEnd {
+    /// The open engines, sorted by tag: rarely more than a few, so a
+    /// search beats hashing, and the order is the image order.
+    engines: Vec<(Tag, CommandHeader, LineAssembler)>,
+    ready: VecDeque<(SimTime, UpstreamPayload)>,
+}
+
+/// What one write-data beat did to its tag's engine.
+#[derive(Debug)]
+#[must_use]
+pub enum WriteBeat {
+    /// Accepted; the line still waits for beats.
+    Pending,
+    /// The last beat: the engine is free and its command ready to run.
+    Complete(CommandHeader, CacheLine),
+    /// Dropped, for the buffer to flag: the tag had no open engine (a
+    /// stale frame after a retrain, or decode aliasing), or the beat
+    /// index or size was impossible.
+    Orphaned,
+}
+
+impl BufferFrontEnd {
+    /// Opens `tag`'s write engine for a write-class `header`. Returns
+    /// `true` when it displaced an unfinished assembly, for the buffer
+    /// to flag as orphaned: the host aborted that command mid-transfer
+    /// (a link reset reclaims tags but cannot reach the buffer).
+    #[must_use]
+    pub fn open(&mut self, tag: Tag, header: CommandHeader) -> bool {
+        debug_assert!(header.expects_data(), "{header:?} carries no data");
+        let engine = (tag, header, LineAssembler::downstream());
+        match self.find(tag) {
+            Ok(i) => {
+                self.engines[i] = engine;
+                true
+            }
+            Err(i) => {
+                self.engines.insert(i, engine);
+                false
+            }
+        }
+    }
+
+    /// Adds one write-data beat to `tag`'s engine.
+    pub fn write_data(&mut self, tag: Tag, beat: u8, data: &[u8]) -> WriteBeat {
+        let Ok(i) = self.find(tag) else {
+            return WriteBeat::Orphaned;
+        };
+        match self.engines[i].2.try_add_beat(beat, data) {
+            Ok(false) => WriteBeat::Pending,
+            Ok(true) => {
+                let (_, header, assembler) = self.engines.remove(i);
+                WriteBeat::Complete(header, assembler.into_line())
+            }
+            Err(_) => WriteBeat::Orphaned,
+        }
+    }
+
+    /// Where `tag`'s engine is, or where it would go.
+    fn find(&self, tag: Tag) -> Result<usize, usize> {
+        self.engines.binary_search_by_key(&tag, |e| e.0)
+    }
+
+    /// Engines currently assembling a write-class command.
+    pub fn engines_busy(&self) -> usize {
+        self.engines.len()
+    }
+
+    /// Queues a read's data beats and then its done, all ready at `at`.
+    pub fn push_read(&mut self, at: SimTime, tag: Tag, line: &CacheLine, poison: bool) {
+        for beat in line_to_upstream_beats(tag, line, poison) {
+            self.ready.push_back((at, beat));
+        }
+        self.push_done(at, tag);
+    }
+
+    /// Queues a bare done for `tag`, ready at `at`.
+    pub fn push_done(&mut self, at: SimTime, tag: Tag) {
+        let done = UpstreamPayload::Done {
+            first: tag,
+            second: None,
+        };
+        self.ready.push_back((at, done));
+    }
+
+    /// When the last queued response becomes ready.
+    pub fn last_ready(&self) -> Option<SimTime> {
+        self.ready.back().map(|&(at, _)| at)
+    }
+
+    /// When the next response becomes ready. Responses leave in queue
+    /// order, so the front gates them all.
+    pub fn next_ready(&self) -> Option<SimTime> {
+        self.ready.front().map(|&(at, _)| at)
+    }
+
+    /// Offers the queue one upstream frame slot at `now`. Two dones
+    /// ready back to back share the frame (paper §3.3(iii): "the two
+    /// upstream frames may contain completion notification from two
+    /// separate command engines"); each such pair bumps `paired`.
+    pub fn pull(&mut self, now: SimTime, paired: &mut u64) -> Option<UpstreamPayload> {
+        if self.next_ready()? > now {
+            return None;
+        }
+        let (_, first) = self.ready.pop_front()?;
+        if let UpstreamPayload::Done {
+            first: a,
+            second: None,
+        } = first
+        {
+            if let Some(&(
+                at,
+                UpstreamPayload::Done {
+                    first: b,
+                    second: None,
+                },
+            )) = self.ready.front()
+            {
+                if at <= now {
+                    self.ready.pop_front();
+                    *paired += 1;
+                    return Some(UpstreamPayload::Done {
+                        first: a,
+                        second: Some(b),
+                    });
+                }
+            }
+        }
+        Some(first)
+    }
+
+    /// Power cut: open engines and queued responses are volatile.
+    pub fn clear(&mut self) {
+        self.engines.clear();
+        self.ready.clear();
+    }
+}
+
+/// The open engines in tag order, `len, (tag, header, assembler)*`,
+/// then the queue, `len, (at, payload)*`.
+impl Persist for BufferFrontEnd {
+    fn persist(&self, out: &mut Vec<u8>) {
+        self.engines.persist(out);
+        self.ready.persist(out);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        let mut front = BufferFrontEnd::default();
+        let n = r.len()?;
+        if n > NUM_TAGS {
+            return Err(RestoreError::Malformed {
+                context: "more write engines in image than tags",
+            });
+        }
+        for _ in 0..n {
+            let engine: (Tag, CommandHeader, LineAssembler) = Persist::restore(r)?;
+            if !engine.1.expects_data() {
+                return Err(RestoreError::Malformed {
+                    context: "write engine for a command without data",
+                });
+            }
+            let Err(i) = front.find(engine.0) else {
+                return Err(RestoreError::Malformed {
+                    context: "duplicate write-engine tag",
+                });
+            };
+            front.engines.insert(i, engine);
+        }
+        let m = r.len()?;
+        // Each queue entry costs at least 9 bytes (timestamp + payload
+        // discriminant); reject counts the remaining bytes cannot hold.
+        if m > r.remaining() / 9 {
+            return Err(RestoreError::Truncated {
+                context: "buffer upstream queue",
+            });
+        }
+        for _ in 0..m {
+            front.ready.push_back(Persist::restore(r)?);
+        }
+        Ok(front)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::UpstreamPayload;
 
     /// A loopback buffer used to validate the trait contract shape.
     struct Echo {
@@ -305,6 +503,31 @@ mod tests {
         assert!(e.pull_upstream(SimTime::from_ns(5)).is_none());
         let done = e.pull_upstream(SimTime::from_ns(10)).unwrap();
         assert!(matches!(done, UpstreamPayload::Done { first, .. } if first.raw() == 3));
+    }
+
+    #[test]
+    fn front_end_restore_errors_are_typed() {
+        let engine = |header| (Tag::new(3).unwrap(), (header, LineAssembler::downstream()));
+        let write = engine(CommandHeader::Write { addr: 0 });
+        let mut twice = Vec::new();
+        vec![write.clone(), write].persist(&mut twice);
+        let mut no_data = Vec::new();
+        vec![engine(CommandHeader::Flush)].persist(&mut no_data);
+        let too_many = 33u64.to_le_bytes().to_vec();
+        let mut short_queue = [0u64, 2].map(u64::to_le_bytes).concat();
+        short_queue.extend([0; 17]);
+        for (img, truncated) in [
+            (twice, false),
+            (no_data, false),
+            (too_many, false),
+            (short_queue, true),
+        ] {
+            match BufferFrontEnd::restore(&mut SnapReader::new(&img)) {
+                Err(RestoreError::Malformed { .. }) if !truncated => {}
+                Err(RestoreError::Truncated { .. }) if truncated => {}
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

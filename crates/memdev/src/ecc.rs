@@ -261,6 +261,20 @@ pub struct RasCounters {
     pub pages_retired: u64,
 }
 
+impl std::iter::Sum for RasCounters {
+    /// Field-by-field total, e.g. across a buffer's ports.
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(RasCounters::default(), |t, c| RasCounters {
+            demand_corrected: t.demand_corrected + c.demand_corrected,
+            demand_uncorrectable: t.demand_uncorrectable + c.demand_uncorrectable,
+            scrub_corrected: t.scrub_corrected + c.scrub_corrected,
+            scrub_uncorrectable: t.scrub_uncorrectable + c.scrub_uncorrectable,
+            scrub_passes: t.scrub_passes + c.scrub_passes,
+            pages_retired: t.pages_retired + c.pages_retired,
+        })
+    }
+}
+
 const PAGE_BYTES: u64 = 4096;
 
 /// Correctable errors a page may accumulate before the scrubber

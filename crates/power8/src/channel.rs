@@ -1502,20 +1502,7 @@ impl DmiChannel {
             q.retrains_used.persist(out);
             q.abs_deadline.persist(out);
         }
-        (self.finished.len() as u64).persist(out);
-        for (id, result) in &self.finished {
-            id.persist(out);
-            match result {
-                Ok(c) => {
-                    0u8.persist(out);
-                    c.persist(out);
-                }
-                Err(e) => {
-                    1u8.persist(out);
-                    e.persist(out);
-                }
-            }
-        }
+        self.finished.persist(out);
         self.finished_order.persist(out);
         self.next_cmd.persist(out);
         self.window.persist(out);
@@ -1638,27 +1625,7 @@ impl DmiChannel {
             }
         }
         self.queue = queue;
-        let n = r.len()?;
-        if n > r.remaining() / 9 {
-            return Err(RestoreError::Truncated {
-                context: "finished command results",
-            });
-        }
-        let mut finished = BTreeMap::new();
-        for _ in 0..n {
-            let id = CmdId::restore(r)?;
-            let result = match r.u8()? {
-                0 => Ok(Completion::restore(r)?),
-                1 => Err(DmiError::restore(r)?),
-                _ => {
-                    return Err(RestoreError::Malformed {
-                        context: "finished result discriminant",
-                    })
-                }
-            };
-            finished.insert(id, result);
-        }
-        self.finished = finished;
+        self.finished = BTreeMap::restore(r)?;
         self.finished_order = VecDeque::restore(r)?;
         self.next_cmd = r.u64()?;
         let window = usize::restore(r)?;

@@ -1425,53 +1425,23 @@ impl Power8System {
             .expect("caller checked hedge_arms");
         *arms = arms.saturating_sub(1);
         let arms_left = *arms;
-        let req = self
-            .outstanding
-            .get(&req_id)
-            .cloned()
-            .expect("hedged request is outstanding");
+        let req = self.outstanding_req(req_id);
         match result {
             Ok(c) if !c.poisoned && c.data.is_some() => {
                 self.hedge_arms.remove(&req_id);
-                let stale: Vec<(usize, CmdId)> = self
-                    .route_back
-                    .iter()
-                    .filter(|&(_, &id)| id == req_id)
-                    .map(|(&k, _)| k)
-                    .collect();
-                for key in stale {
-                    self.route_back.remove(&key);
-                    self.ov_stats.hedges_cancelled += 1;
-                }
+                let routed = self.route_back.len();
+                self.route_back.retain(|_, &mut id| id != req_id);
+                self.ov_stats.hedges_cancelled += (routed - self.route_back.len()) as u64;
                 self.ov_stats.hedges_won += 1;
                 self.breaker_success(slot);
                 // Same completion-time deadline translation as the
                 // unhedged path: a winning arm that is still late
                 // surfaces the typed error.
-                if req.deadline.is_some_and(|d| c.completed_at >= d) {
-                    self.ov_stats.deadline_expired += 1;
-                    self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
-                } else {
-                    self.finish_req(
-                        req_id,
-                        Ok(MemCompletion {
-                            phys: req.phys,
-                            data: c.data,
-                            completed_at: c.completed_at,
-                        }),
-                    );
-                }
+                self.deliver(req_id, &req, c.completed_at, c.data);
             }
             other => {
                 let err = match other {
-                    Ok(c) if c.poisoned => {
-                        if let Some(ch) = self.channel_mut(slot) {
-                            ch.channel.note_poison_delivered(req.line_addr);
-                        }
-                        DmiError::Poisoned {
-                            addr: req.line_addr,
-                        }
-                    }
+                    Ok(c) if c.poisoned => self.poisoned(slot, req.line_addr),
                     Ok(_) => DmiError::MalformedFrame("read completed without data"),
                     Err(e) => e,
                 };
@@ -1487,8 +1457,7 @@ impl Power8System {
                 if arms_left == 0 {
                     self.hedge_arms.remove(&req_id);
                     if shed {
-                        self.ov_stats.deadline_expired += 1;
-                        self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
+                        self.expire(req_id);
                     } else {
                         self.finish_req(req_id, Err(SystemError::Dmi(err)));
                     }
@@ -1506,11 +1475,7 @@ impl Power8System {
         req_id: u64,
         result: Result<crate::channel::Completion, DmiError>,
     ) {
-        let req = self
-            .outstanding
-            .get(&req_id)
-            .cloned()
-            .expect("route_back entry implies an outstanding request");
+        let req = self.outstanding_req(req_id);
         match result {
             // Deadline translation at completion: the channel answered,
             // but past the point anyone wants it. The hardware evidence
@@ -1520,44 +1485,20 @@ impl Power8System {
             // reporting the ambiguous outcome without fanning out would
             // silently desync the mirror.
             Ok(c) => match req.data {
-                None => {
-                    if c.poisoned {
-                        if let Some(ch) = self.channel_mut(req.slot) {
-                            ch.channel.note_poison_delivered(req.line_addr);
-                        }
-                        self.finish_req_error(
-                            req_id,
-                            DmiError::Poisoned {
-                                addr: req.line_addr,
-                            },
-                        );
-                        return;
-                    }
-                    match c.data {
-                        Some(data) => {
-                            self.breaker_success(req.slot);
-                            if req.deadline.is_some_and(|d| c.completed_at >= d) {
-                                self.ov_stats.deadline_expired += 1;
-                                self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
-                            } else {
-                                self.finish_req(
-                                    req_id,
-                                    Ok(MemCompletion {
-                                        phys: req.phys,
-                                        data: Some(data),
-                                        completed_at: c.completed_at,
-                                    }),
-                                );
-                            }
-                        }
-                        None => self.finish_req(
-                            req_id,
-                            Err(SystemError::Dmi(DmiError::MalformedFrame(
-                                "read completed without data",
-                            ))),
-                        ),
-                    }
+                None if c.poisoned => {
+                    let err = self.poisoned(req.slot, req.line_addr);
+                    self.finish_req_error(req_id, err);
                 }
+                None if c.data.is_some() => {
+                    self.breaker_success(req.slot);
+                    self.deliver(req_id, &req, c.completed_at, c.data);
+                }
+                None => self.finish_req(
+                    req_id,
+                    Err(SystemError::Dmi(DmiError::MalformedFrame(
+                        "read completed without data",
+                    ))),
+                ),
                 Some(data) => {
                     self.written
                         .entry(req.slot)
@@ -1570,19 +1511,7 @@ impl Power8System {
                     }
                     self.mirror_store(req.slot, req.line_addr, data);
                     self.breaker_success(req.slot);
-                    if req.deadline.is_some_and(|d| c.completed_at >= d) {
-                        self.ov_stats.deadline_expired += 1;
-                        self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
-                    } else {
-                        self.finish_req(
-                            req_id,
-                            Ok(MemCompletion {
-                                phys: req.phys,
-                                data: None,
-                                completed_at: c.completed_at,
-                            }),
-                        );
-                    }
+                    self.deliver(req_id, &req, c.completed_at, None);
                 }
             },
             Err(err) => self.finish_req_error(req_id, err),
@@ -1597,18 +1526,13 @@ impl Power8System {
     /// per-call flag) also redirects sibling requests that were already
     /// in flight when another request's timeout triggered the failover.
     fn finish_req_error(&mut self, req_id: u64, err: DmiError) {
-        let req = self
-            .outstanding
-            .get(&req_id)
-            .cloned()
-            .expect("error for a request not outstanding");
+        let req = self.outstanding_req(req_id);
         // A channel-level deadline shed is not hardware evidence: the
         // work was dropped, not failed. No verdict, no breaker charge,
         // no fallback or redirect (an expired request must never be
         // re-queued) — surface the typed system error directly.
         if matches!(err, DmiError::DeadlineExceeded { .. }) {
-            self.ov_stats.deadline_expired += 1;
-            self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
+            self.expire(req_id);
             return;
         }
         let deadline_blown = req.deadline.is_some_and(|d| self.now_of(req.slot) >= d);
@@ -1659,8 +1583,7 @@ impl Power8System {
             }
         }
         if deadline_blown {
-            self.ov_stats.deadline_expired += 1;
-            self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
+            self.expire(req_id);
         } else {
             self.finish_req(req_id, Err(SystemError::Dmi(err)));
         }
@@ -1669,11 +1592,7 @@ impl Power8System {
     /// Re-routes an outstanding request through the memory map after a
     /// failover moved its address to a new slot.
     fn redirect_req(&mut self, req_id: u64) {
-        let req = self
-            .outstanding
-            .get(&req_id)
-            .cloned()
-            .expect("redirect of a request not outstanding");
+        let req = self.outstanding_req(req_id);
         let Some((slot, local)) = self.route(req.phys) else {
             self.finish_req(
                 req_id,
@@ -1733,10 +1652,57 @@ impl Power8System {
         }
     }
 
+    /// A copy of an outstanding request's routing state.
+    fn outstanding_req(&self, req_id: u64) -> OutstandingReq {
+        self.outstanding
+            .get(&req_id)
+            .cloned()
+            .expect("completion for a request not outstanding")
+    }
+
     fn finish_req(&mut self, req_id: u64, result: Result<MemCompletion, SystemError>) {
         self.outstanding.remove(&req_id);
         self.mlp_stats.completed += 1;
         self.finished_sys.push_back((ReqId(req_id), result));
+    }
+
+    /// Finishes a request its channel answered at `completed_at`: with
+    /// the completion, or with the typed deadline error when the answer
+    /// came too late for the client.
+    fn deliver(
+        &mut self,
+        req_id: u64,
+        req: &OutstandingReq,
+        completed_at: SimTime,
+        data: Option<CacheLine>,
+    ) {
+        if req.deadline.is_some_and(|d| completed_at >= d) {
+            self.expire(req_id);
+        } else {
+            self.finish_req(
+                req_id,
+                Ok(MemCompletion {
+                    phys: req.phys,
+                    data,
+                    completed_at,
+                }),
+            );
+        }
+    }
+
+    /// Counts and finishes a request shed for its deadline.
+    fn expire(&mut self, req_id: u64) {
+        self.ov_stats.deadline_expired += 1;
+        self.finish_req(req_id, Err(SystemError::DeadlineExceeded));
+    }
+
+    /// Notes a poisoned read on `slot`'s channel and returns the error
+    /// the request surfaces.
+    fn poisoned(&mut self, slot: usize, line_addr: u64) -> DmiError {
+        if let Some(ch) = self.channel_mut(slot) {
+            ch.channel.note_poison_delivered(line_addr);
+        }
+        DmiError::Poisoned { addr: line_addr }
     }
 
     /// Software cache-line load at a physical address, through the
@@ -2348,20 +2314,7 @@ impl Power8System {
             self.next_req.persist(out);
             self.outstanding.persist(out);
             self.route_back.persist(out);
-            (self.finished_sys.len() as u64).persist(out);
-            for (id, res) in &self.finished_sys {
-                id.persist(out);
-                match res {
-                    Ok(c) => {
-                        0u8.persist(out);
-                        c.persist(out);
-                    }
-                    Err(e) => {
-                        1u8.persist(out);
-                        e.persist(out);
-                    }
-                }
-            }
+            self.finished_sys.persist(out);
             self.mlp_stats.persist(out);
             self.overload.persist(out);
             match &self.retry_budget {
@@ -2480,26 +2433,7 @@ impl Power8System {
         let next_req = r.u64()?;
         let outstanding = BTreeMap::<u64, OutstandingReq>::restore(&mut r)?;
         let route_back = BTreeMap::<(usize, CmdId), u64>::restore(&mut r)?;
-        let nfin = r.len()?;
-        if nfin > r.remaining() / 9 {
-            return Err(RestoreError::Truncated {
-                context: "finished system results",
-            });
-        }
-        let mut finished_sys = VecDeque::with_capacity(nfin);
-        for _ in 0..nfin {
-            let id = ReqId::restore(&mut r)?;
-            let res = match r.u8()? {
-                0 => Ok(MemCompletion::restore(&mut r)?),
-                1 => Err(SystemError::restore(&mut r)?),
-                _ => {
-                    return Err(RestoreError::Malformed {
-                        context: "finished system result discriminant",
-                    })
-                }
-            };
-            finished_sys.push_back((id, res));
-        }
+        let finished_sys = VecDeque::restore(&mut r)?;
         let mlp_stats = MlpStats::restore(&mut r)?;
         let overload = OverloadConfig::restore(&mut r)?;
         let budget = if r.bool()? {

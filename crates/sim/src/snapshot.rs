@@ -443,6 +443,30 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
+impl<T: Persist, E: Persist> Persist for Result<T, E> {
+    fn persist(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(v) => {
+                out.push(0);
+                v.persist(out);
+            }
+            Err(e) => {
+                out.push(1);
+                e.persist(out);
+            }
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        match r.u8()? {
+            0 => Ok(Ok(T::restore(r)?)),
+            1 => Ok(Err(E::restore(r)?)),
+            _ => Err(RestoreError::Malformed {
+                context: "Result discriminant",
+            }),
+        }
+    }
+}
+
 impl<T: Persist> Persist for Vec<T> {
     fn persist(&self, out: &mut Vec<u8>) {
         (self.len() as u64).persist(out);
@@ -1018,6 +1042,27 @@ mod tests {
     fn every_cut_of_a_field_list_payload_is_truncated() {
         assert_every_cut_truncates::<Named>(&encode(&named()));
         assert_every_cut_truncates::<Tuple>(&encode(&Tuple(5, false)));
+    }
+
+    #[test]
+    fn results_round_trip_behind_a_tag_byte() {
+        type R = Result<u32, (u8, bool)>;
+        for (v, bytes) in [
+            (Ok(0x0A0B_0C0D), vec![0, 0x0D, 0x0C, 0x0B, 0x0A]),
+            (Err((7, true)), vec![1, 7, 1]),
+        ] {
+            let v: R = v;
+            assert_eq!(encode(&v), bytes);
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(R::restore(&mut r).unwrap(), v);
+            assert!(r.is_empty());
+            assert_every_cut_truncates::<R>(&bytes);
+        }
+        let got = R::restore(&mut SnapReader::new(&[2, 7, 1]));
+        assert!(
+            matches!(got, Err(RestoreError::Malformed { .. })),
+            "{got:?}"
+        );
     }
 
     #[test]
