@@ -14,7 +14,7 @@
 use contutto_dmi::buffer::{BufferFrontEnd, DmiBuffer, WriteBeat};
 use contutto_dmi::command::{CacheLine, Tag, CACHE_LINE_BYTES};
 use contutto_dmi::frame::{CommandHeader, DownstreamPayload, UpstreamPayload};
-use contutto_memdev::{range_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
+use contutto_memdev::{line_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
 use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
@@ -152,7 +152,7 @@ impl Centaur {
             self.tracer.record(TraceEvent::CacheHit { addr });
             // Cache hits serve the verified-at-fill copy; the eDRAM
             // array itself is assumed protected, so the hit is clean.
-            self.ports[port].peek(local, &mut line.0);
+            self.ports[port].array().peek(local, &mut line.0);
             (line, start + self.cfg.cache_hit_latency, ReadOutcome::Clean)
         } else {
             if self.cfg.cache_enabled {
@@ -281,21 +281,23 @@ impl DmiBuffer for Centaur {
 
     fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> Option<([u8; 128], bool)> {
         // The sideband takes external addresses (maintenance tools,
-        // fault reproducers): refuse out-of-range instead of letting
-        // the device's range assertion abort the process.
-        if !range_ok(self.capacity_bytes(), addr, CACHE_LINE_BYTES) {
+        // fault reproducers): refuse an out-of-range or unaligned line
+        // instead of letting the array's assertions abort the process.
+        if !line_ok(self.capacity_bytes(), addr) {
             return None;
         }
         let (port, local) = self.route(addr);
-        Some(self.ports[port].sideband_read_line(now, local))
+        Some(self.ports[port].array_mut().sideband_read_line(now, local))
     }
 
     fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) -> bool {
-        if !range_ok(self.capacity_bytes(), addr, CACHE_LINE_BYTES) {
+        if !line_ok(self.capacity_bytes(), addr) {
             return false;
         }
         let (port, local) = self.route(addr);
-        self.ports[port].sideband_write_line(local, data, poison);
+        self.ports[port]
+            .array_mut()
+            .sideband_write_line(local, data, poison);
         true
     }
 
@@ -344,7 +346,7 @@ impl DmiBuffer for Centaur {
 
     fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
         let s = self.stats;
-        let media: RasCounters = self.ports.iter().map(Dram::ras_counters).sum();
+        let media: RasCounters = self.ports.iter().map(|p| p.array().ras_counters()).sum();
         for (name, value) in [
             ("reads", s.reads),
             ("writes", s.writes),
@@ -382,10 +384,10 @@ mod tests {
     fn sideband_refuses_out_of_range_addresses() {
         let mut c = centaur();
         let cap = c.capacity_bytes();
-        assert!(c.sideband_read_line(SimTime::ZERO, cap).is_none());
-        assert!(c.sideband_read_line(SimTime::ZERO, u64::MAX - 64).is_none());
-        assert!(!c.sideband_write_line(cap, &[0u8; 128], false));
-        assert!(!c.sideband_write_line(u64::MAX - 64, &[0u8; 128], false));
+        for addr in [cap, u64::MAX - 64, 1, 64] {
+            assert!(c.sideband_read_line(SimTime::ZERO, addr).is_none());
+            assert!(!c.sideband_write_line(addr, &[0u8; 128], false));
+        }
         // In-range maintenance access still works.
         assert!(c.sideband_read_line(SimTime::ZERO, cap - 128).is_some());
     }

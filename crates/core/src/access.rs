@@ -455,7 +455,8 @@ impl<'a> AccessProcessor<'a> {
             let n = granule.min(buf.len() as u64 - off) as usize;
             self.avalon
                 .controller_mut(port)
-                .peek_span(local, &mut buf[off as usize..off as usize + n]);
+                .array()
+                .peek(local, &mut buf[off as usize..off as usize + n]);
             off += n as u64;
         }
     }
@@ -475,7 +476,8 @@ impl<'a> AccessProcessor<'a> {
             let n = granule.min(data.len() as u64 - off) as usize;
             self.avalon
                 .controller_mut(port)
-                .poke_span(local, &data[off as usize..off as usize + n]);
+                .array_mut()
+                .poke(local, &data[off as usize..off as usize + n]);
             off += n as u64;
         }
     }

@@ -159,13 +159,17 @@ impl AvalonBus {
     /// does not ride the Avalon fabric).
     pub fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> ([u8; 128], bool) {
         let (dev_port, local) = self.route(addr);
-        self.controllers[dev_port].sideband_read_line(now, local)
+        self.controllers[dev_port]
+            .array_mut()
+            .sideband_read_line(now, local)
     }
 
     /// Maintenance-path write of one line, optionally with poison.
     pub fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) {
         let (dev_port, local) = self.route(addr);
-        self.controllers[dev_port].sideband_write_line(local, data, poison);
+        self.controllers[dev_port]
+            .array_mut()
+            .sideband_write_line(local, data, poison);
     }
 
     /// Flush across all controllers (persistent-memory sync).
@@ -229,30 +233,14 @@ impl AvalonBus {
         self.controllers.first().and_then(|c| c.scrub_interval())
     }
 
-    /// Arms a media-fault injector on every port. Each port's seed is
-    /// decorrelated so the two DIMMs do not fail in lock-step.
-    pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        for (i, c) in self.controllers.iter_mut().enumerate() {
-            let mut port_cfg = cfg;
-            port_cfg.seed = cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9);
-            c.attach_media_faults(port_cfg);
-        }
-    }
-
     /// Arms a media-fault injector on every port with the flip
-    /// schedule starting at `now`, same per-port seed decorrelation.
+    /// schedule starting at `now`. Each port's seed is decorrelated so
+    /// the two DIMMs do not fail in lock-step.
     pub fn attach_media_faults_at(&mut self, now: SimTime, cfg: FaultConfig) {
         for (i, c) in self.controllers.iter_mut().enumerate() {
             let mut port_cfg = cfg;
             port_cfg.seed = cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9);
-            c.attach_media_faults_at(now, port_cfg);
-        }
-    }
-
-    /// Sets the correctable-error page-retirement threshold per port.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        for c in &mut self.controllers {
-            c.set_retire_threshold(threshold);
+            c.array_mut().attach_media_faults_at(now, port_cfg);
         }
     }
 
@@ -349,7 +337,10 @@ impl AvalonBus {
 
     /// Media RAS counters summed across ports.
     pub fn ras_counters(&self) -> RasCounters {
-        self.controllers.iter().map(|c| c.ras_counters()).sum()
+        self.controllers
+            .iter()
+            .map(|c| c.array().ras_counters())
+            .sum()
     }
 }
 

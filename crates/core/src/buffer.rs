@@ -11,7 +11,7 @@
 
 use contutto_dmi::buffer::{DmiBuffer, MediaFaultSpec, PowerRestoreOutcome};
 use contutto_dmi::frame::{DownstreamPayload, UpstreamPayload};
-use contutto_memdev::{range_ok, FaultConfig, MramGeneration, RasCounters};
+use contutto_memdev::{line_ok, FaultConfig, MramGeneration, RasCounters};
 use contutto_sim::snapshot::{self, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, Tracer};
 
@@ -214,9 +214,12 @@ impl ConTutto {
         &mut self.mbs
     }
 
-    /// Arms a deterministic media-fault injector on every DIMM port.
+    /// Arms a deterministic media-fault injector on every DIMM port,
+    /// its flip schedule starting at time zero.
     pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        self.mbs.avalon_mut().attach_media_faults(cfg);
+        self.mbs
+            .avalon_mut()
+            .attach_media_faults_at(SimTime::ZERO, cfg);
     }
 
     /// Enables background patrol scrub on every DIMM port.
@@ -262,16 +265,16 @@ impl DmiBuffer for ConTutto {
 
     fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> Option<([u8; 128], bool)> {
         // The sideband takes external addresses (maintenance tools,
-        // fault reproducers): refuse out-of-range instead of letting
-        // the device's range assertion abort the process.
-        if !range_ok(self.mbs.avalon().capacity_bytes(), addr, 128) {
+        // fault reproducers): refuse an out-of-range or unaligned line
+        // instead of letting the array's assertions abort the process.
+        if !line_ok(self.mbs.avalon().capacity_bytes(), addr) {
             return None;
         }
         Some(self.mbs.avalon_mut().sideband_read_line(now, addr))
     }
 
     fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) -> bool {
-        if !range_ok(self.mbs.avalon().capacity_bytes(), addr, 128) {
+        if !line_ok(self.mbs.avalon().capacity_bytes(), addr) {
             return false;
         }
         self.mbs
@@ -405,10 +408,10 @@ mod tests {
     fn sideband_refuses_out_of_range_addresses() {
         let mut c = ConTutto::new(ContuttoConfig::base(), MemoryPopulation::dram_8gb());
         let cap = c.population().total_bytes();
-        assert!(c.sideband_read_line(SimTime::ZERO, cap).is_none());
-        assert!(c.sideband_read_line(SimTime::ZERO, u64::MAX - 64).is_none());
-        assert!(!c.sideband_write_line(cap, &[0u8; 128], false));
-        assert!(!c.sideband_write_line(u64::MAX - 64, &[0u8; 128], false));
+        for addr in [cap, u64::MAX - 64, 1, 64] {
+            assert!(c.sideband_read_line(SimTime::ZERO, addr).is_none());
+            assert!(!c.sideband_write_line(addr, &[0u8; 128], false));
+        }
         // In-range maintenance access still works.
         assert!(c.sideband_read_line(SimTime::ZERO, cap - 128).is_some());
     }

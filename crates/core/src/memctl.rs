@@ -16,8 +16,8 @@
 
 use contutto_dmi::PowerRestoreOutcome;
 use contutto_memdev::{
-    DdrTimings, Dram, FaultConfig, MemoryDevice, MramGeneration, NvdimmN, RasCounters, ReadOutcome,
-    ReadResult, RestoreError, SaveState, SttMram,
+    DdrTimings, Dram, MediaArray, MemoryDevice, MramGeneration, NvdimmN, ReadOutcome, RestoreError,
+    SaveState, SttMram,
 };
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{SimTime, TraceEvent, Tracer};
@@ -110,34 +110,6 @@ impl MemoryController {
         self.tracer = tracer;
     }
 
-    /// Installs a deterministic media-fault injector on this port.
-    pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.attach_media_faults(cfg),
-            PortDevice::Mram(d) => d.attach_media_faults(cfg),
-            PortDevice::Nvdimm(d) => d.attach_media_faults(cfg),
-        }
-    }
-
-    /// Installs an injector whose flip schedule starts at `now`
-    /// (runtime re-arm from a chaos plan).
-    pub fn attach_media_faults_at(&mut self, now: SimTime, cfg: FaultConfig) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.attach_media_faults_at(now, cfg),
-            PortDevice::Mram(d) => d.attach_media_faults_at(now, cfg),
-            PortDevice::Nvdimm(d) => d.attach_media_faults_at(now, cfg),
-        }
-    }
-
-    /// Correctable errors a page may accumulate before retirement.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.set_retire_threshold(threshold),
-            PortDevice::Mram(d) => d.set_retire_threshold(threshold),
-            PortDevice::Nvdimm(d) => d.set_retire_threshold(threshold),
-        }
-    }
-
     /// Enables patrol scrub with the given interval; the first pass
     /// falls due one interval from time zero.
     pub fn enable_scrub(&mut self, interval: SimTime) {
@@ -164,24 +136,6 @@ impl MemoryController {
     /// Current patrol-scrub interval, if scrub is enabled.
     pub fn scrub_interval(&self) -> Option<SimTime> {
         self.scrub_interval
-    }
-
-    /// Cumulative media RAS counters for this port.
-    pub fn ras_counters(&self) -> RasCounters {
-        match &self.device {
-            PortDevice::Dram(d) => d.ras_counters(),
-            PortDevice::Mram(d) => d.ras_counters(),
-            PortDevice::Nvdimm(d) => d.ras_counters(),
-        }
-    }
-
-    /// Pages retired on this port so far.
-    pub fn retired_pages(&self) -> Vec<u64> {
-        match &self.device {
-            PortDevice::Dram(d) => d.retired_pages(),
-            PortDevice::Mram(d) => d.retired_pages(),
-            PortDevice::Nvdimm(d) => d.retired_pages(),
-        }
     }
 
     /// Replays every scrub pass that fell due at or before `now`, at
@@ -224,10 +178,27 @@ impl MemoryController {
 
     /// Capacity of the attached DIMM.
     pub fn capacity_bytes(&self) -> u64 {
+        self.array().capacity()
+    }
+
+    /// The DIMM's cell array, the same for every media technology:
+    /// untimed peek/poke (the accelerator DMA path, timed by the Access
+    /// processor's transfer engine), the sideband, fault arming and RAS
+    /// counters.
+    pub fn array(&self) -> &MediaArray {
         match &self.device {
-            PortDevice::Dram(d) => d.capacity_bytes(),
-            PortDevice::Mram(d) => d.capacity_bytes(),
-            PortDevice::Nvdimm(d) => d.capacity_bytes(),
+            PortDevice::Dram(d) => d.array(),
+            PortDevice::Mram(d) => d.array(),
+            PortDevice::Nvdimm(d) => d.array(),
+        }
+    }
+
+    /// Mutable access to the DIMM's cell array.
+    pub fn array_mut(&mut self) -> &mut MediaArray {
+        match &mut self.device {
+            PortDevice::Dram(d) => d.array_mut(),
+            PortDevice::Mram(d) => d.array_mut(),
+            PortDevice::Nvdimm(d) => d.array_mut(),
         }
     }
 
@@ -249,66 +220,6 @@ impl MemoryController {
         let done = self.device.as_device_mut().write(now, addr, data);
         self.last_write_durable = self.last_write_durable.max(done);
         done
-    }
-
-    /// Reads an arbitrary span (accelerator/Access-processor path).
-    pub fn read_span(&mut self, now: SimTime, addr: u64, buf: &mut [u8]) -> ReadResult {
-        self.run_due_scrub(now);
-        self.reads += 1;
-        let result = self.device.as_device_mut().read(now, addr, buf);
-        self.note_outcome(addr, result.outcome);
-        result
-    }
-
-    /// Writes an arbitrary span (accelerator/Access-processor path).
-    pub fn write_span(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        self.run_due_scrub(now);
-        self.writes += 1;
-        let done = self.device.as_device_mut().write(now, addr, data);
-        self.last_write_durable = self.last_write_durable.max(done);
-        done
-    }
-
-    /// Functional read without timing — the accelerator DMA path,
-    /// whose timing is accounted by the Access processor's transfer
-    /// engine rather than per-burst device charges.
-    pub fn peek_span(&self, addr: u64, buf: &mut [u8]) {
-        match &self.device {
-            PortDevice::Dram(d) => d.peek(addr, buf),
-            PortDevice::Mram(d) => d.peek(addr, buf),
-            PortDevice::Nvdimm(d) => d.peek(addr, buf),
-        }
-    }
-
-    /// Functional write without timing (accelerator DMA path).
-    pub fn poke_span(&mut self, addr: u64, data: &[u8]) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.poke(addr, data),
-            PortDevice::Mram(d) => d.poke(addr, data),
-            PortDevice::Nvdimm(d) => d.poke(addr, data),
-        }
-    }
-
-    /// Maintenance-path read of one 128 B line via the service
-    /// interface (FSI → I²C sideband, paper §3.4): functional, zero
-    /// timing, independent of the DMI link. Returns the ECC-verified
-    /// line and whether it must travel as poison.
-    pub fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> ([u8; 128], bool) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.sideband_read_line(now, addr),
-            PortDevice::Mram(d) => d.sideband_read_line(now, addr),
-            PortDevice::Nvdimm(d) => d.sideband_read_line(now, addr),
-        }
-    }
-
-    /// Maintenance-path write of one 128 B line, optionally depositing
-    /// it with its poison marker (evacuation moves rot as rot).
-    pub fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) {
-        match &mut self.device {
-            PortDevice::Dram(d) => d.sideband_write_line(addr, data, poison),
-            PortDevice::Mram(d) => d.sideband_write_line(addr, data, poison),
-            PortDevice::Nvdimm(d) => d.sideband_write_line(addr, data, poison),
-        }
     }
 
     /// Flush: completes when all previously issued writes are durable.
@@ -397,14 +308,6 @@ impl MemoryController {
     pub fn as_nvdimm_mut(&mut self) -> Option<&mut NvdimmN> {
         match &mut self.device {
             PortDevice::Nvdimm(d) => Some(d.as_mut()),
-            _ => None,
-        }
-    }
-
-    /// MRAM wear/energy telemetry, if this port drives MRAM.
-    pub fn as_mram(&self) -> Option<&SttMram> {
-        match &self.device {
-            PortDevice::Mram(d) => Some(d.as_ref()),
             _ => None,
         }
     }
@@ -501,8 +404,6 @@ mod tests {
         let (_, t_mram, _) = mram.read_line(SimTime::ZERO, 0);
         // pMTJ: 2 x 35 ns = 70 ns for 128 B vs DRAM ~51 ns.
         assert!(t_mram > t_dram);
-        assert!(mram.as_mram().is_some());
-        assert!(dram.as_mram().is_none());
     }
 
     #[test]
@@ -576,13 +477,16 @@ mod tests {
         let mut mc = MemoryController::new(MemoryKind::Ddr3Dram, 1 << 20);
         let tracer = Tracer::ring(256);
         mc.attach_tracer(tracer.clone());
-        mc.attach_media_faults(FaultConfig {
-            transient_flips: 4,
-            window: SimTime::from_us(100),
-            hot_start: 0,
-            hot_len: 256,
-            ..FaultConfig::none(7)
-        });
+        mc.array_mut().attach_media_faults_at(
+            SimTime::ZERO,
+            FaultConfig {
+                transient_flips: 4,
+                window: SimTime::from_us(100),
+                hot_start: 0,
+                hot_len: 256,
+                ..FaultConfig::none(7)
+            },
+        );
         mc.enable_scrub(SimTime::from_us(50));
         mc.write_line(SimTime::ZERO, 0, &[0x3Cu8; 128]);
         mc.write_line(SimTime::ZERO, 128, &[0x3Cu8; 128]);
@@ -592,7 +496,7 @@ mod tests {
         let (back, _, outcome) = mc.read_line(SimTime::from_ms(1), 0);
         assert!(!outcome.is_uncorrectable());
         assert_eq!(back, [0x3Cu8; 128]);
-        let c = mc.ras_counters();
+        let c = mc.array().ras_counters();
         assert!(c.scrub_passes >= 20, "passes {}", c.scrub_passes);
         assert!(
             tracer.count_matching(|e| matches!(e, TraceEvent::ScrubPass { .. })) > 0,

@@ -99,7 +99,8 @@ fn read_interleaved(bus: &mut AvalonBus, addr: u64, buf: &mut [u8]) {
         let span = 128 - a % 128;
         let n = span.min(buf.len() as u64 - off) as usize;
         bus.controller_mut(port)
-            .peek_span(local, &mut buf[off as usize..off as usize + n]);
+            .array()
+            .peek(local, &mut buf[off as usize..off as usize + n]);
         off += n as u64;
     }
 }
@@ -115,7 +116,8 @@ fn write_interleaved(bus: &mut AvalonBus, addr: u64, data: &[u8]) {
         let span = 128 - a % 128;
         let n = span.min(data.len() as u64 - off) as usize;
         bus.controller_mut(port)
-            .poke_span(local, &data[off as usize..off as usize + n]);
+            .array_mut()
+            .poke(local, &data[off as usize..off as usize + n]);
         off += n as u64;
     }
 }

@@ -1,4 +1,4 @@
-//! DIMM modules and SPD (serial presence detect).
+//! SPD (serial presence detect) contents of a DIMM.
 //!
 //! Paper §3.4: "The final use of the external FSI slave is to directly
 //! read the SPD (serial presence detect) on the DIMMs plugged into
@@ -6,12 +6,8 @@
 //! NVDIMMs." The firmware model reads these structures to decide
 //! memory-map placement and NVDIMM arming.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
-
-use crate::dram::{DdrTimings, Dram};
-use crate::mram::{MramGeneration, SttMram};
-use crate::nvdimm::NvdimmN;
-use crate::traits::{MediaKind, MemoryDevice};
+use crate::mram::MramGeneration;
+use crate::traits::MediaKind;
 
 /// Serial-presence-detect contents of a DIMM.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,185 +67,26 @@ impl Spd {
     }
 }
 
-/// A populated DIMM: SPD plus the live device model.
-#[derive(Debug)]
-pub struct DimmModule {
-    spd: Spd,
-    device: DimmDevice,
-}
-
-/// The device variants a DIMM slot can hold.
-#[derive(Debug)]
-pub enum DimmDevice {
-    /// Plain DRAM.
-    Dram(Box<Dram>),
-    /// STT-MRAM.
-    Mram(Box<SttMram>),
-    /// Flash-backed DRAM.
-    Nvdimm(Box<NvdimmN>),
-}
-
-impl DimmModule {
-    /// Builds a DRAM DIMM.
-    pub fn new_dram(capacity: u64, timings: DdrTimings) -> Self {
-        DimmModule {
-            spd: Spd::dram(capacity),
-            device: DimmDevice::Dram(Box::new(Dram::new(capacity, timings))),
-        }
-    }
-
-    /// Builds an STT-MRAM DIMM.
-    pub fn new_mram(capacity: u64, gen: MramGeneration) -> Self {
-        DimmModule {
-            spd: Spd::mram(capacity, gen),
-            device: DimmDevice::Mram(Box::new(SttMram::new(capacity, gen))),
-        }
-    }
-
-    /// Builds an NVDIMM-N.
-    pub fn new_nvdimm(capacity: u64, timings: DdrTimings) -> Self {
-        DimmModule {
-            spd: Spd::nvdimm(capacity),
-            device: DimmDevice::Nvdimm(Box::new(NvdimmN::new(capacity, timings))),
-        }
-    }
-
-    /// The SPD contents (what the firmware reads over FSI/I²C).
-    pub fn spd(&self) -> &Spd {
-        &self.spd
-    }
-
-    /// Mutable access to the device model.
-    pub fn device_mut(&mut self) -> &mut dyn MemoryDevice {
-        match &mut self.device {
-            DimmDevice::Dram(d) => d.as_mut(),
-            DimmDevice::Mram(d) => d.as_mut(),
-            DimmDevice::Nvdimm(d) => d.as_mut(),
-        }
-    }
-
-    /// Shared access to the device model.
-    pub fn device(&self) -> &dyn MemoryDevice {
-        match &self.device {
-            DimmDevice::Dram(d) => d.as_ref(),
-            DimmDevice::Mram(d) => d.as_ref(),
-            DimmDevice::Nvdimm(d) => d.as_ref(),
-        }
-    }
-
-    /// The NVDIMM engine, if this module is one (firmware needs the
-    /// arming controls).
-    pub fn as_nvdimm_mut(&mut self) -> Option<&mut NvdimmN> {
-        match &mut self.device {
-            DimmDevice::Nvdimm(d) => Some(d.as_mut()),
-            _ => None,
-        }
-    }
-
-    /// Serializes the device's dynamic state, tagged with the device
-    /// kind so a restore into a differently-populated slot fails as a
-    /// topology mismatch instead of misinterpreting the payload.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        match &self.device {
-            DimmDevice::Dram(d) => {
-                0u8.persist(out);
-                d.snapshot_state(out);
-            }
-            DimmDevice::Mram(d) => {
-                1u8.persist(out);
-                d.snapshot_state(out);
-            }
-            DimmDevice::Nvdimm(d) => {
-                2u8.persist(out);
-                d.snapshot_state(out);
-            }
-        }
-    }
-
-    /// Overlays a [`DimmModule::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if this slot holds
-    /// a different device kind than the image, or any decode error
-    /// from the embedded device payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let kind = r.u8()?;
-        match (&mut self.device, kind) {
-            (DimmDevice::Dram(d), 0) => d.restore_state(r),
-            (DimmDevice::Mram(d), 1) => d.restore_state(r),
-            (DimmDevice::Nvdimm(d), 2) => d.restore_state(r),
-            (_, 0..=2) => Err(snapshot::RestoreError::TopologyMismatch {
-                context: "dimm device kind",
-            }),
-            _ => Err(snapshot::RestoreError::Malformed {
-                context: "dimm device discriminant",
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contutto_sim::SimTime;
 
     #[test]
-    fn spd_matches_device() {
-        let dimm = DimmModule::new_mram(256 << 20, MramGeneration::Pmtj);
-        assert_eq!(dimm.spd().kind, MediaKind::SttMram);
-        assert_eq!(dimm.spd().capacity_bytes, 256 << 20);
-        assert!(dimm.spd().nonvolatile);
-        assert_eq!(dimm.device().capacity_bytes(), 256 << 20);
-        assert_eq!(dimm.device().kind(), MediaKind::SttMram);
+    fn mram_spd_describes_a_nonvolatile_part() {
+        let spd = Spd::mram(256 << 20, MramGeneration::Pmtj);
+        assert_eq!(spd.kind, MediaKind::SttMram);
+        assert_eq!(spd.capacity_bytes, 256 << 20);
+        assert!(spd.nonvolatile);
     }
 
     #[test]
     fn nvdimm_spd_flags_vendor_specific_save() {
-        let dimm = DimmModule::new_nvdimm(1 << 30, DdrTimings::ddr3_1600());
-        assert!(dimm.spd().vendor_specific_save);
-        assert!(dimm.spd().nonvolatile);
-        let dram = DimmModule::new_dram(4 << 30, DdrTimings::ddr3_1600());
-        assert!(!dram.spd().vendor_specific_save);
-        assert!(!dram.spd().nonvolatile);
-    }
-
-    #[test]
-    fn device_access_through_module() {
-        let mut dimm = DimmModule::new_dram(1 << 20, DdrTimings::ddr3_1600());
-        dimm.device_mut().write(SimTime::ZERO, 0, &[3u8; 64]);
-        let mut buf = [0u8; 64];
-        dimm.device_mut().read(SimTime::from_us(1), 0, &mut buf);
-        assert_eq!(buf, [3u8; 64]);
-    }
-
-    #[test]
-    fn as_nvdimm_only_for_nvdimms() {
-        let mut nv = DimmModule::new_nvdimm(1 << 20, DdrTimings::ddr3_1600());
-        assert!(nv.as_nvdimm_mut().is_some());
-        let mut dram = DimmModule::new_dram(1 << 20, DdrTimings::ddr3_1600());
-        assert!(dram.as_nvdimm_mut().is_none());
-    }
-
-    #[test]
-    fn snapshot_refuses_wrong_slot_population() {
-        let mut mram = DimmModule::new_mram(1 << 20, MramGeneration::Pmtj);
-        mram.device_mut().write(SimTime::ZERO, 0, &[5u8; 64]);
-        let mut img = Vec::new();
-        mram.snapshot_state(&mut img);
-
-        let mut same = DimmModule::new_mram(1 << 20, MramGeneration::Pmtj);
-        same.restore_state(&mut SnapReader::new(&img)).unwrap();
-        let mut buf = [0u8; 64];
-        same.device_mut().read(SimTime::from_us(1), 0, &mut buf);
-        assert_eq!(buf, [5u8; 64]);
-
-        let mut dram = DimmModule::new_dram(1 << 20, DdrTimings::ddr3_1600());
-        let err = dram.restore_state(&mut SnapReader::new(&img)).unwrap_err();
-        assert!(
-            matches!(err, snapshot::RestoreError::TopologyMismatch { .. }),
-            "got {err:?}"
-        );
+        let nv = Spd::nvdimm(1 << 30);
+        assert!(nv.vendor_specific_save);
+        assert!(nv.nonvolatile);
+        let dram = Spd::dram(4 << 30);
+        assert!(!dram.vendor_specific_save);
+        assert!(!dram.nonvolatile);
     }
 
     #[test]

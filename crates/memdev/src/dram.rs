@@ -2,8 +2,8 @@
 //!
 //! The model charges JEDEC-style timing: a read hitting an open row
 //! costs CL + burst; a closed bank adds tRCD; a row conflict adds tRP
-//! first. Periodic refresh steals tRFC every tREFI. Contents are
-//! functional via [`SparseMemory`].
+//! first. Periodic refresh steals tRFC every tREFI. Contents, ECC and
+//! RAS live in the device's [`MediaArray`].
 //!
 //! This is the device behind both the Centaur model's DDR ports and
 //! ConTutto's soft DDR3 controller (paper §3.3(v): "For DRAM
@@ -13,10 +13,10 @@ use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::SimTime;
 
-use crate::ecc::{MediaRas, RasCounters, ReadResult, ScrubReport};
-use crate::fault::{FaultConfig, MediaFaultInjector};
+use crate::array::MediaArray;
+use crate::ecc::{MediaRas, ReadResult, ScrubReport};
 use crate::store::SparseMemory;
-use crate::traits::{check_range, MediaKind, MemoryDevice};
+use crate::traits::{MediaKind, MemoryDevice};
 
 /// DDR3 timing parameters, in picoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,16 +126,14 @@ persist_fields!(DramStats {
 /// ```
 #[derive(Debug)]
 pub struct Dram {
-    capacity: u64,
+    array: MediaArray,
     timings: DdrTimings,
     banks: [BankState; NUM_BANKS],
-    store: SparseMemory,
     next_refresh: SimTime,
     /// Completion time of the last data-bus transfer (one shared bus
     /// per device; back-to-back bursts stream every tBURST).
     last_data_out: SimTime,
     stats: DramStats,
-    ras: MediaRas,
 }
 
 impl Dram {
@@ -145,16 +143,13 @@ impl Dram {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u64, timings: DdrTimings) -> Self {
-        assert!(capacity > 0, "capacity must be nonzero");
         Dram {
-            capacity,
+            array: MediaArray::new(capacity),
             timings,
             banks: [BankState::default(); NUM_BANKS],
-            store: SparseMemory::new(),
             next_refresh: SimTime::from_ps(timings.trefi),
             last_data_out: SimTime::ZERO,
             stats: DramStats::default(),
-            ras: MediaRas::new(),
         }
     }
 
@@ -163,87 +158,36 @@ impl Dram {
         self.stats
     }
 
-    /// Installs a deterministic media-fault injector.
-    pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        self.ras.attach_injector(MediaFaultInjector::new(cfg));
+    /// The cell array: contents, ECC, faults, scrub and retirement.
+    pub fn array(&self) -> &MediaArray {
+        &self.array
     }
 
-    /// Installs an injector whose flip schedule starts at `now`
-    /// (runtime re-arm from a chaos plan).
-    pub fn attach_media_faults_at(&mut self, now: SimTime, cfg: FaultConfig) {
-        self.ras
-            .attach_injector(MediaFaultInjector::new_at(cfg, now));
-    }
-
-    /// Correctable errors a page may accumulate before the patrol
-    /// scrubber retires it.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        self.ras.set_retire_threshold(threshold);
-    }
-
-    /// Cumulative RAS counters (ECC corrections, scrub activity,
-    /// retirements).
-    pub fn ras_counters(&self) -> RasCounters {
-        self.ras.counters()
-    }
-
-    /// Pages retired so far (4 KiB base addresses, ascending).
-    pub fn retired_pages(&self) -> Vec<u64> {
-        self.ras.retired_pages()
-    }
-
-    /// Functional read without charging timing (used when a
-    /// memory-side cache hit bypasses the array but the data is still
-    /// authoritative here).
-    pub fn peek(&self, addr: u64, buf: &mut [u8]) {
-        check_range(self.capacity, addr, buf.len());
-        self.store.read(addr, buf);
-    }
-
-    /// Functional write without charging timing (backing-store update
-    /// for writes absorbed by a cache model).
-    pub fn poke(&mut self, addr: u64, data: &[u8]) {
-        check_range(self.capacity, addr, data.len());
-        self.store.write(addr, data);
-        self.ras.record_write(addr, data.len(), &self.store);
-    }
-
-    /// Maintenance-path read of one line via the service interface
-    /// (zero timing, independent of the demand path): returns the
-    /// ECC-verified line and whether it must travel as poison.
-    pub fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> ([u8; 128], bool) {
-        check_range(self.capacity, addr, 128);
-        self.ras.sideband_read(now, addr, &mut self.store)
-    }
-
-    /// Maintenance-path write of one line, optionally depositing it
-    /// with its poison marker (evacuation moves rot as rot).
-    pub fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) {
-        check_range(self.capacity, addr, 128);
-        self.ras.sideband_write(addr, data, poison, &mut self.store);
+    /// Mutable access to the cell array.
+    pub fn array_mut(&mut self) -> &mut MediaArray {
+        &mut self.array
     }
 
     /// Simulates power loss: DRAM forgets everything.
     pub fn power_loss(&mut self) {
-        self.store.clear();
+        self.array.power_loss();
         self.banks = [BankState::default(); NUM_BANKS];
-        self.ras.on_power_loss();
     }
 
     /// Serializes all dynamic state (contents, bank/row state, RAS
     /// bookkeeping, stats). Capacity and timings are construction
     /// parameters: the image only cross-checks them.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.capacity.persist(out);
+        self.array.capacity.persist(out);
         for bank in &self.banks {
             bank.open_row.persist(out);
             bank.busy_until.persist(out);
         }
-        self.store.persist(out);
+        self.array.store.persist(out);
         self.next_refresh.persist(out);
         self.last_data_out.persist(out);
         self.stats.persist(out);
-        self.ras.persist(out);
+        self.array.ras.persist(out);
     }
 
     /// Overlays a [`Dram::snapshot_state`] image onto this device.
@@ -256,7 +200,7 @@ impl Dram {
     /// error from a corrupt payload.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
         let capacity = r.u64()?;
-        if capacity != self.capacity {
+        if capacity != self.array.capacity {
             return Err(snapshot::RestoreError::TopologyMismatch {
                 context: "dram capacity",
             });
@@ -272,11 +216,11 @@ impl Dram {
         let stats = DramStats::restore(r)?;
         let ras = MediaRas::restore(r)?;
         self.banks = banks;
-        self.store = store;
+        self.array.store = store;
         self.next_refresh = next_refresh;
         self.last_data_out = last_data_out;
         self.stats = stats;
-        self.ras = ras;
+        self.array.ras = ras;
         Ok(())
     }
 
@@ -348,7 +292,7 @@ impl Dram {
 
 impl MemoryDevice for Dram {
     fn capacity_bytes(&self) -> u64 {
-        self.capacity
+        self.array.capacity
     }
 
     fn kind(&self) -> MediaKind {
@@ -356,11 +300,7 @@ impl MemoryDevice for Dram {
     }
 
     fn read(&mut self, now: SimTime, addr: u64, buf: &mut [u8]) -> ReadResult {
-        check_range(self.capacity, addr, buf.len());
-        // The RAS layer fills `buf` with the verified (corrected)
-        // view of the array; the ECC pipeline is part of the array
-        // access, so it adds no simulated time.
-        let outcome = self.ras.verify_read(now, addr, buf, &mut self.store);
+        let outcome = self.array.read(now, addr, buf);
         ReadResult {
             done: self.access_span(now, addr, buf.len()),
             outcome,
@@ -368,21 +308,19 @@ impl MemoryDevice for Dram {
     }
 
     fn write(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        check_range(self.capacity, addr, data.len());
-        self.ras.pre_write(now, addr, data.len(), &mut self.store);
-        self.store.write(addr, data);
-        self.ras.record_write(addr, data.len(), &self.store);
+        self.array.write(now, addr, data);
         self.access_span(now, addr, data.len())
     }
 
     fn scrub_pass(&mut self, now: SimTime) -> ScrubReport {
-        self.ras.scrub(now, &mut self.store)
+        self.array.scrub_pass(now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
 
     fn dram() -> Dram {
         Dram::new(1 << 30, DdrTimings::ddr3_1600())
@@ -492,15 +430,18 @@ mod tests {
     #[test]
     fn injected_transient_is_corrected_never_silent() {
         let mut d = dram();
-        d.attach_media_faults(FaultConfig {
-            seed: 7,
-            transient_flips: 1,
-            window: SimTime::from_us(10),
-            hot_start: 0,
-            hot_len: 128,
-            stuck_cells: 0,
-            wear_acceleration: 0.0,
-        });
+        d.array_mut().attach_media_faults_at(
+            SimTime::ZERO,
+            FaultConfig {
+                seed: 7,
+                transient_flips: 1,
+                window: SimTime::from_us(10),
+                hot_start: 0,
+                hot_len: 128,
+                stuck_cells: 0,
+                wear_acceleration: 0.0,
+            },
+        );
         d.write(SimTime::ZERO, 0, &[0x77u8; 128]);
         let mut buf = [0u8; 128];
         let r = d.read(SimTime::from_us(20), 0, &mut buf);
@@ -516,16 +457,19 @@ mod tests {
     #[test]
     fn stuck_cell_drives_page_retirement() {
         let mut d = dram();
-        d.set_retire_threshold(3);
-        d.attach_media_faults(FaultConfig {
-            seed: 3,
-            transient_flips: 0,
-            window: SimTime::ZERO,
-            hot_start: 0,
-            hot_len: 64,
-            stuck_cells: 1,
-            wear_acceleration: 0.0,
-        });
+        d.array_mut().set_retire_threshold(3);
+        d.array_mut().attach_media_faults_at(
+            SimTime::ZERO,
+            FaultConfig {
+                seed: 3,
+                transient_flips: 0,
+                window: SimTime::ZERO,
+                hot_start: 0,
+                hot_len: 64,
+                stuck_cells: 1,
+                wear_acceleration: 0.0,
+            },
+        );
         // Data whose bits disagree with the stuck level roughly half
         // the time; alternate patterns so the cell shows up.
         let mut retired = false;
@@ -539,7 +483,7 @@ mod tests {
             }
         }
         assert!(retired, "repeated corrections retire the page");
-        assert_eq!(d.retired_pages(), vec![0]);
+        assert_eq!(d.array().retired_pages(), vec![0]);
         // A retired page goes quiet: the injector is mapped out.
         let mut buf = [0u8; 128];
         let r = d.read(SimTime::from_ms(1), 0, &mut buf);
@@ -549,15 +493,18 @@ mod tests {
     #[test]
     fn snapshot_restore_resumes_identically() {
         let mut d = dram();
-        d.attach_media_faults(FaultConfig {
-            seed: 11,
-            transient_flips: 4,
-            window: SimTime::from_us(100),
-            hot_start: 0,
-            hot_len: 4096,
-            stuck_cells: 1,
-            wear_acceleration: 0.0,
-        });
+        d.array_mut().attach_media_faults_at(
+            SimTime::ZERO,
+            FaultConfig {
+                seed: 11,
+                transient_flips: 4,
+                window: SimTime::from_us(100),
+                hot_start: 0,
+                hot_len: 4096,
+                stuck_cells: 1,
+                wear_acceleration: 0.0,
+            },
+        );
         let mut buf = [0u8; 128];
         d.write(SimTime::ZERO, 0, &[0x42; 128]);
         d.read(SimTime::from_us(10), 0, &mut buf);
@@ -575,7 +522,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(buf, data_a);
         assert_eq!(d.stats(), fresh.stats());
-        assert_eq!(d.ras_counters(), fresh.ras_counters());
+        assert_eq!(d.array().ras_counters(), fresh.array().ras_counters());
         let ra = d.scrub_pass(SimTime::from_us(300));
         let rb = fresh.scrub_pass(SimTime::from_us(300));
         assert_eq!(ra.corrected, rb.corrected);

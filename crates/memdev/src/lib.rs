@@ -10,8 +10,10 @@
 //! * [`flash`] — raw NAND flash (pages/blocks, erase-before-program,
 //!   per-block wear),
 //! * [`disk`] — a mechanical HDD (seek + rotation + transfer),
-//! * [`dimm`] — DIMM modules and their SPD (serial presence detect)
-//!   contents, which the ConTutto firmware reads over FSI (paper §3.4),
+//! * [`array`](mod@array) — the cell array every DIMM technology shares: contents,
+//!   ECC access protocol, fault arming, scrub and page retirement,
+//! * [`dimm`] — SPD (serial presence detect) contents, which the
+//!   ConTutto firmware reads over FSI (paper §3.4),
 //! * [`endurance`] — the write-endurance comparison behind Figure 8,
 //! * [`ecc`] — SEC-DED over 64-bit words, patrol scrub and page
 //!   retirement (the media RAS layer),
@@ -22,6 +24,7 @@
 //! completion time, so the same model serves both correctness tests
 //! and latency/bandwidth experiments.
 
+pub mod array;
 pub mod dimm;
 pub mod disk;
 pub mod dram;
@@ -34,7 +37,8 @@ pub mod nvdimm;
 pub mod store;
 pub mod traits;
 
-pub use dimm::{DimmModule, Spd};
+pub use array::MediaArray;
+pub use dimm::Spd;
 pub use disk::{DiskConfig, HardDiskDrive};
 pub use dram::{DdrTimings, Dram};
 pub use ecc::{RasCounters, ReadOutcome, ReadResult, ScrubReport};
@@ -44,4 +48,4 @@ pub use flash::{FlashError, NandFlash};
 pub use mram::{MramGeneration, SttMram};
 pub use nvdimm::{NvdimmN, RestoreError, SaveSequence, SaveState, SAVE_COST_PER_PAGE_NJ};
 pub use store::SparseMemory;
-pub use traits::{range_ok, MediaKind, MemoryDevice};
+pub use traits::{line_ok, range_ok, MediaKind, MemoryDevice};

@@ -16,11 +16,11 @@ use std::collections::HashMap;
 use contutto_sim::snapshot::{self, persist_sorted_map, restore_map, Persist, SnapReader};
 use contutto_sim::SimTime;
 
-use crate::ecc::{MediaRas, RasCounters, ReadResult, ScrubReport};
+use crate::array::MediaArray;
+use crate::ecc::{MediaRas, ReadResult, ScrubReport};
 use crate::endurance::Technology;
-use crate::fault::{FaultConfig, MediaFaultInjector};
 use crate::store::SparseMemory;
-use crate::traits::{check_range, MediaKind, MemoryDevice};
+use crate::traits::{MediaKind, MemoryDevice};
 
 /// STT-MRAM device generation (paper §4.2(ii)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,14 +81,12 @@ impl MramGeneration {
 /// ```
 #[derive(Debug)]
 pub struct SttMram {
-    capacity: u64,
+    array: MediaArray,
     generation: MramGeneration,
-    store: SparseMemory,
     busy_until: SimTime,
     write_counts: HashMap<u64, u64>,
     total_writes: u64,
     total_write_energy_pj: f64,
-    ras: MediaRas,
 }
 
 impl SttMram {
@@ -98,47 +96,25 @@ impl SttMram {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u64, generation: MramGeneration) -> Self {
-        assert!(capacity > 0, "capacity must be nonzero");
         SttMram {
-            capacity,
+            array: MediaArray::new(capacity),
             generation,
-            store: SparseMemory::new(),
             busy_until: SimTime::ZERO,
             write_counts: HashMap::new(),
             total_writes: 0,
             total_write_energy_pj: 0.0,
-            ras: MediaRas::new(),
         }
     }
 
-    /// Installs a deterministic media-fault injector. With
-    /// `wear_acceleration` set, per-line write counts drive stuck-cell
-    /// failures through the Figure 8 endurance band
-    /// ([`crate::EnduranceClass::expected_failures`]).
-    pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        self.ras.attach_injector(MediaFaultInjector::new(cfg));
+    /// The cell array: contents, ECC, faults, scrub and retirement.
+    /// Every write reports its lines' wear to the array's injector.
+    pub fn array(&self) -> &MediaArray {
+        &self.array
     }
 
-    /// Installs an injector whose flip schedule starts at `now`
-    /// (runtime re-arm from a chaos plan).
-    pub fn attach_media_faults_at(&mut self, now: SimTime, cfg: FaultConfig) {
-        self.ras
-            .attach_injector(MediaFaultInjector::new_at(cfg, now));
-    }
-
-    /// Correctable errors a page may accumulate before retirement.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        self.ras.set_retire_threshold(threshold);
-    }
-
-    /// Cumulative RAS counters.
-    pub fn ras_counters(&self) -> RasCounters {
-        self.ras.counters()
-    }
-
-    /// Pages retired so far.
-    pub fn retired_pages(&self) -> Vec<u64> {
-        self.ras.retired_pages()
+    /// Mutable access to the cell array.
+    pub fn array_mut(&mut self) -> &mut MediaArray {
+        &mut self.array
     }
 
     /// The device generation.
@@ -167,33 +143,6 @@ impl SttMram {
         self.max_line_wear() >= self.generation.endurance_cycles()
     }
 
-    /// Functional read without timing (accelerator DMA path).
-    pub fn peek(&self, addr: u64, buf: &mut [u8]) {
-        check_range(self.capacity, addr, buf.len());
-        self.store.read(addr, buf);
-    }
-
-    /// Functional write without timing (accelerator DMA path).
-    pub fn poke(&mut self, addr: u64, data: &[u8]) {
-        check_range(self.capacity, addr, data.len());
-        self.store.write(addr, data);
-        self.ras.record_write(addr, data.len(), &self.store);
-    }
-
-    /// Maintenance-path read of one line via the service interface
-    /// (zero timing): the ECC-verified line plus its poison status.
-    pub fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> ([u8; 128], bool) {
-        check_range(self.capacity, addr, 128);
-        self.ras.sideband_read(now, addr, &mut self.store)
-    }
-
-    /// Maintenance-path write of one line, optionally depositing it
-    /// with its poison marker (evacuation moves rot as rot).
-    pub fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) {
-        check_range(self.capacity, addr, 128);
-        self.ras.sideband_write(addr, data, poison, &mut self.store);
-    }
-
     /// Simulated power loss: contents are retained (non-volatile).
     pub fn power_loss(&mut self) {
         self.busy_until = SimTime::ZERO;
@@ -203,18 +152,18 @@ impl SttMram {
     /// bookkeeping). Capacity and generation are construction
     /// parameters: the image only cross-checks them.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.capacity.persist(out);
+        self.array.capacity.persist(out);
         let generation: u8 = match self.generation {
             MramGeneration::Imtj => 0,
             MramGeneration::Pmtj => 1,
         };
         generation.persist(out);
-        self.store.persist(out);
+        self.array.store.persist(out);
         self.busy_until.persist(out);
         persist_sorted_map(&self.write_counts, out);
         self.total_writes.persist(out);
         self.total_write_energy_pj.persist(out);
-        self.ras.persist(out);
+        self.array.ras.persist(out);
     }
 
     /// Overlays a [`SttMram::snapshot_state`] image onto this device.
@@ -231,7 +180,7 @@ impl SttMram {
             MramGeneration::Imtj => 0,
             MramGeneration::Pmtj => 1,
         };
-        if capacity != self.capacity || generation != expected {
+        if capacity != self.array.capacity || generation != expected {
             return Err(snapshot::RestoreError::TopologyMismatch {
                 context: "mram capacity or generation",
             });
@@ -242,12 +191,12 @@ impl SttMram {
         let total_writes = r.u64()?;
         let total_write_energy_pj = r.f64()?;
         let ras = MediaRas::restore(r)?;
-        self.store = store;
+        self.array.store = store;
         self.busy_until = busy_until;
         self.write_counts = write_counts;
         self.total_writes = total_writes;
         self.total_write_energy_pj = total_write_energy_pj;
-        self.ras = ras;
+        self.array.ras = ras;
         Ok(())
     }
 
@@ -260,7 +209,7 @@ impl SttMram {
 
 impl MemoryDevice for SttMram {
     fn capacity_bytes(&self) -> u64 {
-        self.capacity
+        self.array.capacity
     }
 
     fn kind(&self) -> MediaKind {
@@ -268,8 +217,7 @@ impl MemoryDevice for SttMram {
     }
 
     fn read(&mut self, now: SimTime, addr: u64, buf: &mut [u8]) -> ReadResult {
-        check_range(self.capacity, addr, buf.len());
-        let outcome = self.ras.verify_read(now, addr, buf, &mut self.store);
+        let outcome = self.array.read(now, addr, buf);
         let start = now.max(self.busy_until);
         let done = start + self.generation.read_latency() * Self::spans(addr, buf.len());
         self.busy_until = done;
@@ -277,17 +225,14 @@ impl MemoryDevice for SttMram {
     }
 
     fn write(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
-        check_range(self.capacity, addr, data.len());
-        self.ras.pre_write(now, addr, data.len(), &mut self.store);
-        self.store.write(addr, data);
-        self.ras.record_write(addr, data.len(), &self.store);
+        self.array.write(now, addr, data);
         let lines = Self::spans(addr, data.len());
         let endurance = Technology::SttMram.endurance();
         for i in 0..lines {
             let line = addr / 64 + i;
             let count = self.write_counts.entry(line).or_insert(0);
             *count += 1;
-            self.ras.note_write(line * 64, *count, endurance);
+            self.array.note_wear(line * 64, *count, endurance);
         }
         self.total_writes += lines;
         self.total_write_energy_pj += self.generation.write_energy_pj() * lines as f64;
@@ -298,7 +243,7 @@ impl MemoryDevice for SttMram {
     }
 
     fn scrub_pass(&mut self, now: SimTime) -> ScrubReport {
-        self.ras.scrub(now, &mut self.store)
+        self.array.scrub_pass(now)
     }
 }
 

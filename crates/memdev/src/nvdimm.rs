@@ -19,9 +19,9 @@ use std::fmt;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{SimTime, TraceEvent, Tracer};
 
+use crate::array::MediaArray;
 use crate::dram::{DdrTimings, Dram};
-use crate::ecc::{RasCounters, ReadResult, ScrubReport};
-use crate::fault::FaultConfig;
+use crate::ecc::{ReadResult, ScrubReport};
 use crate::flash::{FlashConfig, NandFlash};
 use crate::traits::{MediaKind, MemoryDevice};
 
@@ -201,30 +201,15 @@ impl NvdimmN {
         self.tracer = tracer;
     }
 
-    /// Installs a deterministic media-fault injector on the DRAM side.
-    pub fn attach_media_faults(&mut self, cfg: FaultConfig) {
-        self.dram.attach_media_faults(cfg);
+    /// The DRAM side's cell array (the flash holds only the backup
+    /// image).
+    pub fn array(&self) -> &MediaArray {
+        self.dram.array()
     }
 
-    /// Installs a media-fault injector whose flip schedule starts at
-    /// `now` (runtime re-arm from a chaos plan).
-    pub fn attach_media_faults_at(&mut self, now: SimTime, cfg: FaultConfig) {
-        self.dram.attach_media_faults_at(now, cfg);
-    }
-
-    /// Correctable errors a page may accumulate before retirement.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        self.dram.set_retire_threshold(threshold);
-    }
-
-    /// Cumulative RAS counters (DRAM side).
-    pub fn ras_counters(&self) -> RasCounters {
-        self.dram.ras_counters()
-    }
-
-    /// Pages retired so far (DRAM side).
-    pub fn retired_pages(&self) -> Vec<u64> {
-        self.dram.retired_pages()
+    /// Mutable access to the DRAM side's cell array.
+    pub fn array_mut(&mut self) -> &mut MediaArray {
+        self.dram.array_mut()
     }
 
     /// Whether a power cut **right now** would preserve the contents.
@@ -288,26 +273,6 @@ impl NvdimmN {
         SimTime::from_ps((secs * 1e12) as u64)
     }
 
-    /// Functional read without timing (accelerator DMA path).
-    pub fn peek(&self, addr: u64, buf: &mut [u8]) {
-        self.dram.peek(addr, buf);
-    }
-
-    /// Functional write without timing (accelerator DMA path).
-    pub fn poke(&mut self, addr: u64, data: &[u8]) {
-        self.dram.poke(addr, data);
-    }
-
-    /// Maintenance-path read of one line via the service interface.
-    pub fn sideband_read_line(&mut self, now: SimTime, addr: u64) -> ([u8; 128], bool) {
-        self.dram.sideband_read_line(now, addr)
-    }
-
-    /// Maintenance-path write of one line, optionally with poison.
-    pub fn sideband_write_line(&mut self, addr: u64, data: &[u8; 128], poison: bool) {
-        self.dram.sideband_write_line(addr, data, poison);
-    }
-
     /// Power is cut. If armed, the on-DIMM engine copies DRAM to flash
     /// (no CPU/FPGA involvement); otherwise contents are lost.
     /// Returns the time the DIMM is quiescent.
@@ -350,7 +315,7 @@ impl NvdimmN {
                     self.supercap_remaining_nj -= cost;
                     self.supercap_spent_nj += cost;
                 }
-                self.dram.peek(off, &mut buf[..n]);
+                self.dram.array().peek(off, &mut buf[..n]);
                 crc = crc32_update(crc, &buf[..n]);
                 self.flash.write(now, off, &buf[..n]);
                 off += n as u64;
@@ -510,7 +475,7 @@ impl NvdimmN {
             let n = (cap - off).min(buf.len() as u64) as usize;
             self.flash.read(now, off, &mut buf[..n]);
             crc = crc32_update(crc, &buf[..n]);
-            self.dram.poke(off, &buf[..n]);
+            self.dram.array_mut().poke(off, &buf[..n]);
             off += n as u64;
         }
         let actual = !crc;

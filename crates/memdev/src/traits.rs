@@ -5,7 +5,7 @@ use std::fmt;
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::SimTime;
 
-use crate::ecc::{ReadResult, ScrubReport};
+use crate::ecc::{ReadResult, ScrubReport, ECC_LINE_BYTES};
 
 /// The memory-cell technology backing a device.
 ///
@@ -132,6 +132,14 @@ pub fn range_ok(capacity: u64, addr: u64, len: usize) -> bool {
         .is_some_and(|end| end <= capacity)
 }
 
+/// Whether the 128 B line at `addr` is a valid sideband target: in
+/// range of `capacity` and line-aligned. The sideband entry points
+/// refuse anything else with a typed answer, since maintenance tools
+/// and fault reproducers hand them external addresses.
+pub fn line_ok(capacity: u64, addr: u64) -> bool {
+    addr.is_multiple_of(ECC_LINE_BYTES as u64) && range_ok(capacity, addr, ECC_LINE_BYTES)
+}
+
 /// Validates an access range against a capacity.
 ///
 /// # Panics
@@ -184,5 +192,15 @@ mod tests {
         // Address arithmetic overflow is a refusal, not a panic.
         assert!(!range_ok(u64::MAX, u64::MAX, 128));
         assert!(!range_ok(1024, u64::MAX - 64, 128));
+    }
+
+    #[test]
+    fn line_ok_requires_range_and_alignment() {
+        assert!(line_ok(1024, 0));
+        assert!(line_ok(1024, 1024 - 128));
+        assert!(!line_ok(1024, 1));
+        assert!(!line_ok(1024, 64));
+        assert!(!line_ok(1024, 1024));
+        assert!(!line_ok(u64::MAX, u64::MAX - 127));
     }
 }

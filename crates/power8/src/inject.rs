@@ -420,16 +420,18 @@ mod tests {
 
     #[test]
     fn hostile_sabotage_address_is_skipped_not_a_panic() {
-        // A reproducer is external input: an absurd address must come
-        // back as a typed skip, never abort the process.
+        // A reproducer is external input: an absurd or unaligned
+        // address must come back as a typed skip, never abort the
+        // process, on the Centaur (slot 0) and the ConTutto (slot 2).
         let mut sys = system();
         let now = sys.now();
-        let (slot, _) = sys.route(0).expect("mapped");
-        for addr in [u64::MAX, u64::MAX - 64, 1 << 60] {
-            assert_eq!(
-                sys.apply_fault_action(now, &FaultAction::Sabotage { slot, addr }),
-                FaultOutcome::Skipped("no sideband path or address out of range"),
-            );
+        for slot in [0, 2] {
+            for addr in [u64::MAX, u64::MAX - 64, 1 << 60, 1, 64] {
+                assert_eq!(
+                    sys.apply_fault_action(now, &FaultAction::Sabotage { slot, addr }),
+                    FaultOutcome::Skipped("no sideband path or address out of range"),
+                );
+            }
         }
     }
 }

@@ -3,11 +3,12 @@
 #
 #   scripts/smoke_diff.sh [REV]      # REV defaults to HEAD
 #
-# Builds the campaign binaries of both trees offline, runs every
-# `faults --smoke` mode, `pipeline --smoke` and `tables` in each, masks
-# the wall-clock figures (plans/sec, snapshot and restore rates, sweep
-# seconds, prefix-reuse speedup, pipeline's reads/wall-s) and diffs the
-# outputs, exit status included. Every run gets its own scratch
+# Builds the campaign binaries and the examples of both trees offline,
+# runs every `faults --smoke` mode, `pipeline --smoke`, `tables` and
+# every example (`examples/*.rs`) in each, masks the wall-clock figures
+# (plans/sec, snapshot and restore rates, sweep seconds, prefix-reuse
+# speedup, pipeline's reads/wall-s) and diffs the outputs, exit status
+# included. Every run gets its own scratch
 # directory, so the BENCH_*.json gate of one tree never sees the
 # other's report. Exits 1 on any difference.
 #
@@ -25,6 +26,8 @@ git archive "$rev" | tar -x -C "$tmp/base"
 
 build() { # <tree> <target dir>
   cargo build --release --offline --quiet -p contutto-bench --bins \
+    --manifest-path "$1/Cargo.toml" --target-dir "$2"
+  cargo build --release --offline --quiet -p contutto-system --examples \
     --manifest-path "$1/Cargo.toml" --target-dir "$2"
 }
 echo "==> building the working tree"
@@ -60,6 +63,11 @@ for side in base work; do
   done
   run "$out/pipeline" "$bins" pipeline --smoke
   run "$out/tables" "$bins" tables
+  echo "==> running the examples ($side)"
+  for ex in examples/*.rs; do
+    ex=$(basename "$ex" .rs)
+    run "$out/example-$ex" "$bins/examples" "$ex"
+  done
 done
 
 if diff -ru "$tmp/out/base" "$tmp/out/work"; then

@@ -8,15 +8,18 @@
 //! mirrored pair with every overload defense configured, cut with
 //! hedges, a media-fault storm and finished-but-uncollected results
 //! live. A sixth digest covers the two encodings no system image holds
-//! (the metrics registry and `MemCommand`). Between them they hold
-//! every struct-shaped `Persist` type, so one field written out of
-//! order, dropped or added changes a digest.
+//! (the metrics registry and `MemCommand`). A seventh image holds an
+//! STT-MRAM card with worn lines and an armed fault injector. Between
+//! them they hold every struct-shaped `Persist` type and every media
+//! technology, so one field written out of order, dropped or added
+//! changes a digest.
 //! Update a constant only with a change that is meant to alter the
 //! image format, and bump `SNAPSHOT_VERSION` with it.
 
 use contutto_system::contutto::{ContuttoConfig, MemoryKind, MemoryPopulation};
 use contutto_system::dmi::command::RmwOp;
 use contutto_system::dmi::{CacheLine, CommandOp, MemCommand, Tag};
+use contutto_system::memdev::MramGeneration;
 use contutto_system::power8::failover::FailoverMode;
 use contutto_system::power8::firmware::layouts;
 use contutto_system::power8::inject::{FaultAction, FaultOutcome};
@@ -153,6 +156,46 @@ fn post_epow_image_matches_its_golden_digest() {
     sys.power_cut(epow.done_at + SimTime::from_us(1));
     assert!(!sys.powered(), "cut must land powered off");
     check("post-EPOW", &sys.snapshot(), 15_266_200, 0x179c_e053);
+}
+
+/// A pMTJ STT-MRAM ConTutto in slot 0 beside six CDIMMs: stores spread
+/// over both DIMM ports, one line rewritten until its wear count is
+/// nonzero on the device, and a flip storm armed on the MRAM slot so
+/// the image holds live injector state.
+#[test]
+fn mram_image_matches_its_golden_digest() {
+    let mut sys = traced(
+        Power8System::boot(
+            layouts::one_contutto_six_cdimm(
+                ContuttoConfig::base(),
+                MemoryPopulation::mram_512mb(MramGeneration::Pmtj),
+            ),
+            SEED,
+        )
+        .expect("boots"),
+    );
+    let base = slot_base(&sys, 0);
+    let now = sys.now();
+    let storm = FaultAction::FlipStorm {
+        slot: 0,
+        seed: SEED,
+        flips: 6,
+        window: SimTime::from_us(40),
+        hot_start: 0,
+        hot_len: 4096,
+        stuck: 2,
+    };
+    assert_eq!(sys.apply_fault_action(now, &storm), FaultOutcome::Applied);
+    for i in 0..8u64 {
+        sys.store_line(base + i * 128, CacheLine::patterned(SEED * 17 + i))
+            .unwrap();
+    }
+    for round in 0..5u64 {
+        sys.store_line(base + 0x1000, CacheLine::patterned(SEED + round))
+            .unwrap();
+    }
+    let _ = sys.load_line(base + 128);
+    check("mram", &sys.snapshot(), 14_225_171, 0xdb1b_ec5c);
 }
 
 /// A mirrored pair with admission, retry budget, breakers, hedging and
