@@ -65,10 +65,63 @@ const POS_TO_BIT: [u8; 128] = {
     tbl
 };
 
+/// Check byte of a word whose only set bit is data bit `i`: the bit's
+/// codeword position, plus the overall parity of that bit and the
+/// position's Hamming bits.
+const fn unit_check(i: usize) -> u8 {
+    let p = DATA_POS[i];
+    let overall = (1 + p.count_ones()) & 1;
+    p | ((overall as u8) << 7)
+}
+
+/// `ENCODE_TABLES[k][b]` is the check byte of a word whose only
+/// non-zero byte is byte `k` (little-endian) holding `b`: the XOR of
+/// the unit checks of `b`'s set bits.
+static ENCODE_TABLES: [[u8; 256]; 8] = {
+    let mut tables = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if b & (1 << bit) != 0 {
+                    tables[k][b] ^= unit_check(8 * k + bit);
+                }
+                bit += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// Computes the check byte for a 64-bit data word: bits 0-6 are the
 /// Hamming parity bits (positions 1,2,4,…,64 of the codeword), bit 7
 /// is the overall parity that upgrades SEC to SEC-DED.
+///
+/// Every media access encodes sixteen words, so this is eight table
+/// lookups, one per data byte, XORed together. That is exact because
+/// the check byte is linear over GF(2): each Hamming bit is an XOR of
+/// data bits, and the overall parity is an XOR of data and Hamming
+/// bits. [`encode_reference`] is the bit walk it must equal.
 pub fn encode(word: u64) -> u8 {
+    let t = &ENCODE_TABLES;
+    let b = word.to_le_bytes();
+    t[0][b[0] as usize]
+        ^ t[1][b[1] as usize]
+        ^ t[2][b[2] as usize]
+        ^ t[3][b[3] as usize]
+        ^ t[4][b[4] as usize]
+        ^ t[5][b[5] as usize]
+        ^ t[6][b[6] as usize]
+        ^ t[7][b[7] as usize]
+}
+
+/// The set-bit walk that [`encode`] replaces, kept as its test
+/// oracle. Nothing outside tests calls it.
+pub fn encode_reference(word: u64) -> u8 {
     let mut p = 0u8;
     let mut w = word;
     while w != 0 {
@@ -139,7 +192,17 @@ pub fn encode_line(line: &[u8; ECC_LINE_BYTES]) -> LineCheck {
 }
 
 /// Decodes a 128-byte line in place; returns the merged outcome.
+///
+/// Nearly every line read is clean, so the line's check bytes are
+/// recomputed and compared with the stored ones first. A match is
+/// `Clean` exactly as the word-by-word decode would find it: a word
+/// whose check byte equals its encoding has a zero syndrome and even
+/// codeword parity. Only a mismatch runs the per-word decode, which is
+/// the path that corrects.
 pub fn decode_line(line: &mut [u8; ECC_LINE_BYTES], check: &LineCheck) -> ReadOutcome {
+    if encode_line(line) == *check {
+        return ReadOutcome::Clean;
+    }
     let mut outcome = ReadOutcome::Clean;
     for (w, c) in check.iter().enumerate() {
         let mut bytes = [0u8; 8];
@@ -673,6 +736,72 @@ mod tests {
         assert!(!poisoned);
         // Maintenance reads never perturb the demand accounting.
         assert_eq!(ras.counters(), before);
+    }
+
+    /// A complete proof, not a sample: `encode` and `encode_reference`
+    /// are both linear maps from GF(2)^64 to GF(2)^8 (every check bit,
+    /// overall parity included, is an XOR of data bits). Two linear
+    /// maps that agree on a basis agree everywhere, and the 64 unit
+    /// vectors are a basis; the zero word pins that neither map has a
+    /// constant term.
+    #[test]
+    fn table_encode_equals_the_bit_walk_on_a_basis() {
+        assert_eq!(encode(0), encode_reference(0));
+        for bit in 0..64 {
+            let unit = 1u64 << bit;
+            assert_eq!(encode(unit), encode_reference(unit), "bit {bit}");
+        }
+    }
+
+    /// `decode_line` without its clean-line fast path: the word-by-word
+    /// decode alone, as the oracle for the shortcut.
+    fn decode_line_word_by_word(line: &mut [u8; ECC_LINE_BYTES], check: &LineCheck) -> ReadOutcome {
+        let mut outcome = ReadOutcome::Clean;
+        for (w, c) in check.iter().enumerate() {
+            let mut word = u64::from_le_bytes(line[w * 8..w * 8 + 8].try_into().unwrap());
+            match decode(&mut word, *c) {
+                WordDecode::Clean => {}
+                WordDecode::CorrectedData { .. } => {
+                    line[w * 8..w * 8 + 8].copy_from_slice(&word.to_le_bytes());
+                    outcome = outcome.merge(ReadOutcome::Corrected { bits: 1 });
+                }
+                WordDecode::CorrectedCheck => {
+                    outcome = outcome.merge(ReadOutcome::Corrected { bits: 1 });
+                }
+                WordDecode::Uncorrectable => outcome = outcome.merge(ReadOutcome::Uncorrectable),
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn clean_line_fast_path_decodes_exactly_as_word_by_word() {
+        let mut rng = contutto_sim::SimRng::seed_from_u64(21);
+        const CODEWORD_BITS: u64 = (ECC_LINE_BYTES + ECC_WORDS_PER_LINE) as u64 * 8;
+        for case in 0..4_000 {
+            let mut line = [0u8; ECC_LINE_BYTES];
+            for b in line.iter_mut() {
+                *b = rng.next_u64() as u8;
+            }
+            let mut check = encode_line(&line);
+            let flips = case % 4;
+            for _ in 0..flips {
+                // Data and check bits alike; a repeated position
+                // cancels, which the differential covers too.
+                let bit = rng.gen_below(CODEWORD_BITS) as usize;
+                if bit < ECC_LINE_BYTES * 8 {
+                    line[bit / 8] ^= 1 << (bit % 8);
+                } else {
+                    let bit = bit - ECC_LINE_BYTES * 8;
+                    check[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            let (mut fast, mut slow) = (line, line);
+            let got = decode_line(&mut fast, &check);
+            let want = decode_line_word_by_word(&mut slow, &check);
+            assert_eq!(got, want, "case {case}, {flips} flips");
+            assert_eq!(fast, slow, "case {case}, {flips} flips");
+        }
     }
 
     #[test]

@@ -105,19 +105,6 @@ pub const SAVE_COST_PER_PAGE_NJ: u64 = 50_000;
 /// Bytes per flash page the save engine streams (and charges for).
 const SAVE_PAGE_BYTES: u64 = 4096;
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — the save engine's
-/// integrity check over the streamed image.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    crc
-}
-
 /// A flash-backed DRAM DIMM (NVDIMM-N).
 #[derive(Debug)]
 pub struct NvdimmN {
@@ -297,7 +284,7 @@ impl NvdimmN {
             let cap = self.dram.capacity_bytes();
             let mut buf = vec![0u8; 64 * 1024];
             let mut off = 0u64;
-            let mut crc = !0u32;
+            let mut crc = 0u32;
             while off < cap {
                 let n = (cap - off).min(buf.len() as u64) as usize;
                 if self.supercap_budget_nj.is_some() {
@@ -316,17 +303,13 @@ impl NvdimmN {
                     self.supercap_spent_nj += cost;
                 }
                 self.dram.array().peek(off, &mut buf[..n]);
-                crc = crc32_update(crc, &buf[..n]);
+                crc = snapshot::crc32_update(crc, &buf[..n]);
                 self.flash.write(now, off, &buf[..n]);
                 off += n as u64;
             }
             // A truncated image has no valid CRC: the truncation marker
             // itself is what makes the next restore fail loudly.
-            self.save_crc = if self.save_truncated {
-                None
-            } else {
-                Some(!crc)
-            };
+            self.save_crc = if self.save_truncated { None } else { Some(crc) };
             self.dram.power_loss();
             self.state = SaveState::Saving { done_at: done };
             done
@@ -470,15 +453,14 @@ impl NvdimmN {
         let cap = self.dram.capacity_bytes();
         let mut buf = vec![0u8; 64 * 1024];
         let mut off = 0u64;
-        let mut crc = !0u32;
+        let mut actual = 0u32;
         while off < cap {
             let n = (cap - off).min(buf.len() as u64) as usize;
             self.flash.read(now, off, &mut buf[..n]);
-            crc = crc32_update(crc, &buf[..n]);
+            actual = snapshot::crc32_update(actual, &buf[..n]);
             self.dram.array_mut().poke(off, &buf[..n]);
             off += n as u64;
         }
-        let actual = !crc;
         if let Some(expected) = self.save_crc {
             if expected != actual {
                 self.dram.power_loss();

@@ -127,8 +127,11 @@ impl std::error::Error for RestoreError {}
 
 // ------------------------------------------------------------- CRC-32
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[k][b]` is the reflected CRC register (from zero) after
+/// byte `b` followed by `k` zero bytes. Row 0 is the classic
+/// byte-at-a-time table.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -141,19 +144,83 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (IEEE, reflected) over a byte slice.
+///
+/// Every snapshot seals, and every restore checks, each byte of a
+/// multi-megabyte image, so this is slicing-by-16: sixteen table
+/// lookups consume sixteen bytes per step, with the byte-at-a-time
+/// loop for the tail. [`crc32_reference`] is the plain loop it must
+/// equal.
+///
+/// ```
+/// use contutto_sim::snapshot::crc32;
+/// // Standard check value for this CRC variant.
+/// assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+/// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extends a finished CRC-32 over more bytes:
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and
+/// `crc32_update(0, b) == crc32(b)`. For data that arrives in pieces,
+/// such as an NVDIMM save streamed page by page.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !crc;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        // The 32-bit register overlaps the block's first four bytes;
+        // each byte then contributes its own table row, shifted by the
+        // bytes that follow it in the block.
+        let [r0, r1, r2, r3] = crc.to_le_bytes();
+        crc = t[15][usize::from(b[0] ^ r0)]
+            ^ t[14][usize::from(b[1] ^ r1)]
+            ^ t[13][usize::from(b[2] ^ r2)]
+            ^ t[12][usize::from(b[3] ^ r3)]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
+    }
+    !crc
+}
+
+/// The byte-at-a-time CRC-32 that [`crc32`] replaces, kept as its
+/// test oracle. Nothing outside tests calls it.
+pub fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -592,49 +659,74 @@ where
 // ---------------------------------------------------- image framing
 
 /// Builds a snapshot image: header, then sections in the order added.
-#[derive(Default)]
+///
+/// Every section is encoded straight into the one image buffer: the
+/// writer reserves the frame's CRC and payload-length fields, lets the
+/// payload encode in place behind them, then patches the length and
+/// seals the CRC over the finished frame. [`SnapshotWriter::finish`]
+/// patches the header's section count and seals the header.
 pub struct SnapshotWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    image: Vec<u8>,
+    sections: u32,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        SnapshotWriter::new()
+    }
 }
 
 impl SnapshotWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        SnapshotWriter::default()
+        let mut image = Vec::new();
+        image.extend_from_slice(&SNAPSHOT_MAGIC);
+        image.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        image.resize(HEADER_LEN, 0); // section count and CRC, patched by `finish`
+        SnapshotWriter { image, sections: 0 }
     }
 
     /// Adds a named section with an already-built payload.
     pub fn section(&mut self, name: &str, payload: Vec<u8>) {
-        self.sections.push((name.to_owned(), payload));
+        self.section_with(name, |out| out.extend_from_slice(&payload));
     }
 
-    /// Adds a named section, building the payload in a closure.
+    /// Adds a named section, building the payload in a closure. The
+    /// closure appends to the image itself and must only append.
     pub fn section_with(&mut self, name: &str, build: impl FnOnce(&mut Vec<u8>)) {
-        let mut payload = Vec::new();
-        build(&mut payload);
-        self.section(name, payload);
+        let out = &mut self.image;
+        let crc_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        build(out);
+        let payload_len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = crc32(&out[crc_at + 4..]);
+        out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        self.sections += 1;
     }
 
     /// Seals the image: header (magic, version, section count, header
     /// CRC) followed by each section's CRC-sealed frame.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let header_crc = crc32(&out);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        for (name, payload) in &self.sections {
-            let mut frame = Vec::with_capacity(2 + name.len() + 8 + payload.len());
-            frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            frame.extend_from_slice(name.as_bytes());
-            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            frame.extend_from_slice(payload);
-            let crc = crc32(&frame);
-            out.extend_from_slice(&crc.to_le_bytes());
-            out.extend_from_slice(&frame);
+    ///
+    /// The buffer grew by doubling, so up to half of it can be unused.
+    /// When more than a quarter is, the slack is given back (an
+    /// in-place shrink, no copy): callers keep images, and a
+    /// multi-megabyte block freed with half its pages unused moves the
+    /// C allocator's mmap threshold, so the caller's own buffers of
+    /// that size land on the heap and are copied when they grow.
+    pub fn finish(mut self) -> Vec<u8> {
+        let out = &mut self.image;
+        out[6..10].copy_from_slice(&self.sections.to_le_bytes());
+        let header_crc = crc32(&out[0..10]);
+        out[10..14].copy_from_slice(&header_crc.to_le_bytes());
+        if out.capacity() - out.len() > out.capacity() / 4 {
+            out.shrink_to_fit();
         }
-        out
+        self.image
     }
 }
 
@@ -800,6 +892,126 @@ mod tests {
             vec![1u32, 2, 3].persist(out);
         });
         w.finish()
+    }
+
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(&[]), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_byte_loop_at_every_length_and_alignment() {
+        let bytes = random_bytes(11, 256 + 16);
+        for start in 0..16 {
+            for len in 0..=256 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = random_bytes(12, (1 << 17) + 13);
+        for len in [(1 << 16) + 1, (1 << 16) + 15, 100_003, big.len()] {
+            assert_eq!(
+                crc32(&big[..len]),
+                crc32_reference(&big[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_update_in_chunks_equals_one_shot() {
+        let bytes = random_bytes(13, 70_001);
+        let whole = crc32(&bytes);
+        for chunk in [1, 3, 16, 17, 4096, 65_536] {
+            let crc = bytes.chunks(chunk).fold(0, crc32_update);
+            assert_eq!(crc, whole, "chunk {chunk}");
+        }
+        let (a, b) = bytes.split_at(12_345);
+        assert_eq!(crc32_update(crc32(a), b), whole);
+    }
+
+    /// One section frame per the documented layout:
+    /// `crc32 ‖ name_len ‖ name ‖ payload_len ‖ payload`, the CRC over
+    /// everything after it.
+    fn hand_framed(name: &str, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        frame.extend_from_slice(name.as_bytes());
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(payload);
+        let mut out = crc32_reference(&frame).to_le_bytes().to_vec();
+        out.extend_from_slice(&frame);
+        out
+    }
+
+    /// The image header per the documented layout:
+    /// `magic ‖ version ‖ count ‖ crc32`, the CRC over the first three.
+    fn hand_header(count: u32) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        let crc = crc32_reference(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn writer_seals_sections_in_place_as_the_documented_layout() {
+        let sections = [
+            ("empty", Vec::new()),
+            ("one", vec![0xA5]),
+            ("big", random_bytes(14, (1 << 16) + 7)),
+        ];
+        let mut w = SnapshotWriter::new();
+        for (i, (name, payload)) in sections.iter().enumerate() {
+            if i % 2 == 0 {
+                w.section_with(name, |out| out.extend_from_slice(payload));
+            } else {
+                w.section(name, payload.clone());
+            }
+        }
+        let image = w.finish();
+
+        let mut want = hand_header(sections.len() as u32);
+        for (name, payload) in &sections {
+            want.extend_from_slice(&hand_framed(name, payload));
+        }
+        assert_eq!(image, want);
+        assert_eq!(SnapshotWriter::new().finish(), hand_header(0));
+
+        let parsed = SnapshotImage::parse(&image).expect("valid image");
+        for (name, payload) in &sections {
+            let mut r = parsed.section(name).unwrap();
+            assert_eq!(r.take(payload.len()).unwrap(), &payload[..]);
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_finished_image_leaves_at_most_a_quarter_of_its_buffer_unused() {
+        for len in [0, 1, 1000, (1 << 16) - 30, (1 << 16) + 1, 100_000] {
+            let mut w = SnapshotWriter::new();
+            // Byte by byte, so the buffer grows by doubling.
+            w.section_with("payload", |out| (0..len).for_each(|_| out.push(0xA5)));
+            let image = w.finish();
+            assert!(
+                image.capacity() - image.len() <= image.capacity() / 4,
+                "payload {len}: {} of {} bytes used",
+                image.len(),
+                image.capacity()
+            );
+        }
     }
 
     #[test]

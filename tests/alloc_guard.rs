@@ -2,13 +2,14 @@
 //! trace event allocates nothing, an idle frame slot stepped on a
 //! traced ConTutto channel allocates nothing (clean frames ride the
 //! wire as frames, not as freshly serialized bytes), a long idle
-//! stretch passed with `run_until` allocates a few blocks in total, and
-//! a closed loop of pipelined reads allocates at most two blocks per
-//! read.
+//! stretch passed with `run_until` allocates a few blocks in total, a
+//! closed loop of pipelined reads allocates at most two blocks per
+//! read, and a snapshot encodes its sections in place in the image
+//! instead of copying each one through buffers of its own.
 //!
-//! A counting global allocator tallies heap blocks per thread, so the
-//! tests in this binary can run in parallel without seeing each
-//! other's allocations.
+//! A counting global allocator tallies heap blocks and bytes per
+//! thread, so the tests in this binary can run in parallel without
+//! seeing each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,25 +25,33 @@ struct Counting;
 
 thread_local! {
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one block of `size` bytes; a `realloc` counts as a fresh
+/// block of its new size.
+fn tally(size: usize) {
+    BLOCKS.with(|b| b.set(b.get() + 1));
+    BYTES.with(|b| b.set(b.get() + size as u64));
 }
 
 // SAFETY: every call forwards to the system allocator unchanged; the
-// only addition is a thread-local counter with no destructor, which
-// never allocates.
+// only addition is a pair of thread-local counters with no destructor,
+// which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.with(|b| b.set(b.get() + 1));
+        tally(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.with(|b| b.set(b.get() + 1));
+        tally(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BLOCKS.with(|b| b.set(b.get() + 1));
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,11 +59,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Heap blocks and bytes this thread allocated while running `f`.
+fn heap_during(f: impl FnOnce()) -> (u64, u64) {
+    let before = (BLOCKS.with(Cell::get), BYTES.with(Cell::get));
+    f();
+    (
+        BLOCKS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
 /// Heap blocks this thread allocated while running `f`.
 fn blocks_during(f: impl FnOnce()) -> u64 {
-    let before = BLOCKS.with(Cell::get);
-    f();
-    BLOCKS.with(Cell::get) - before
+    heap_during(f).0
 }
 
 #[test]
@@ -185,5 +202,27 @@ fn a_pipelined_closed_loop_allocates_at_most_two_blocks_per_read() {
     assert!(
         per_read <= 2.0,
         "{blocks} heap blocks over {READS} pipelined reads at depth {DEPTH}"
+    );
+}
+
+#[test]
+fn a_snapshot_encodes_in_place_in_one_image_buffer() {
+    let mut sys = Power8System::boot(
+        layouts::one_contutto_six_cdimm(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
+        3,
+    )
+    .expect("boot");
+    let mut image = Vec::new();
+    let (blocks, bytes) = heap_during(|| image = sys.snapshot());
+    let ratio = bytes as f64 / image.len() as f64;
+    assert!(
+        blocks <= 40,
+        "{blocks} heap blocks for one {}-byte snapshot: sections are copied through buffers of their own",
+        image.len()
+    );
+    assert!(
+        ratio <= 3.0,
+        "{bytes} heap bytes for one {}-byte snapshot ({ratio:.2}x the image)",
+        image.len()
     );
 }

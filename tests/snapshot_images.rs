@@ -25,7 +25,7 @@ use contutto_system::power8::firmware::layouts;
 use contutto_system::power8::inject::{FaultAction, FaultOutcome};
 use contutto_system::power8::system::Power8System;
 use contutto_system::power8::{HedgeConfig, OverloadConfig};
-use contutto_system::sim::snapshot::{crc32, Persist, SNAPSHOT_VERSION};
+use contutto_system::sim::snapshot::{crc32, crc32_reference, Persist, SNAPSHOT_VERSION};
 use contutto_system::sim::SimTime;
 
 const SEED: u64 = 3;
@@ -33,6 +33,13 @@ const TRACE_CAP: usize = 1 << 10;
 
 fn check(name: &str, image: &[u8], want_len: usize, want_crc: u32) {
     let (len, crc) = (image.len(), crc32(image));
+    // Every pinned image doubles as a multi-megabyte case for the
+    // sliced CRC against its byte-at-a-time oracle.
+    assert_eq!(
+        crc,
+        crc32_reference(image),
+        "{name}: sliced CRC-32 disagrees"
+    );
     assert_eq!(
         (len, crc),
         (want_len, want_crc),
