@@ -13,16 +13,13 @@
 //!   rewinds) against a ledgered load,
 //!   every plan executed twice and held to the global durability
 //!   oracle; failing plans are shrunk to minimal JSON reproducers
-//!   (`CHAOS_repro_*.json`) replayable with `--replay FILE`, and
-//!   `BENCH_chaos.json` is written with a ≥0.8× plans/sec gate;
+//!   (`CHAOS_repro_*.json`) replayable with `--replay FILE`;
 //! * `--traffic` — run the SLO-under-fault traffic campaign: an
 //!   open-loop zipfian request stream over the failover testbed while
 //!   {nothing, a scrub storm, a channel failover, an EPOW + reboot}
 //!   fires mid-run; steady-phase vs fault-phase tail percentiles and
 //!   SLO-violation counts are reported, every run is executed twice
-//!   and must be byte-identical (fingerprint + histogram identity),
-//!   and `BENCH_traffic.json` is written with a ≥0.8× requests/sec
-//!   regression gate against any prior baseline;
+//!   and must be byte-identical (fingerprint + histogram identity);
 //! * `--overload` — run the metastable-failure campaign: the same
 //!   open-loop stream over the *mirrored* testbed while a slow-channel
 //!   plus link-noise trigger holds for a bounded window mid-run; the
@@ -30,8 +27,7 @@
 //!   the trigger clears, the protected row (deadlines, admission
 //!   control, retry budget, breakers, hedged reads, brownout) must
 //!   recover to within 2× of steady p99 with zero duplicate
-//!   completions; `BENCH_overload.json` is written with a ≥0.8×
-//!   requests/sec regression gate;
+//!   completions;
 //! * `--media`   — run the media-fault campaign (seeded bit flips in
 //!   the DIMM arrays across {DRAM, MRAM, NVDIMM} × {scrub on/off})
 //!   instead of the link-fault campaign;
@@ -46,8 +42,7 @@
 //! * `--checkpoint` — run the checkpoint campaign: snapshot/restore
 //!   throughput plus a prefix-reuse identity proof (the reused power
 //!   sweep must match the straight sweep record-for-record while
-//!   simulating strictly fewer stores); writes `BENCH_checkpoint.json`
-//!   with ≥0.8× snapshots/sec and restores/sec regression gates;
+//!   simulating strictly fewer stores);
 //! * `--smoke`   — the quick `scripts/verify.sh` gate;
 //! * `--seeds N` — sweep seeds 1..=N (default: the full 5-seed sweep);
 //! * `--lines N` — lines (requests for `--traffic`, `--overload` and
@@ -57,13 +52,14 @@
 //! Any other argument, a second mode, a non-number or `--replay`
 //! without `--chaos` prints the usage line and exits with status 2.
 //!
-//! Every mode ends in [`finish`]: it prints the table, gates
-//! the campaign's `BENCH_*.json` rows (when it writes any) against the
-//! previous file, writes the new one, and exits nonzero on any
-//! violation — a run that panics, corrupts data, or fails where the
-//! scenario does not permit a typed failure; for `--media`, disabling
-//! scrub not raising the uncorrectable aggregate; or a gated
-//! throughput below 0.8× its baseline.
+//! Every mode ends in [`finish`]: it prints the table and exits
+//! nonzero on any violation — a run that panics, corrupts data, or
+//! fails where the scenario does not permit a typed failure; or, for
+//! `--media`, disabling scrub not raising the uncorrectable aggregate.
+//! No mode writes a file except `--chaos`'s reproducers. The smoke
+//! traffic, overload, chaos and checkpoint rows are pinned exactly by
+//! `tests/campaign_counters.rs`; wall time is the `benchmark`
+//! package's to gate.
 
 use std::process::ExitCode;
 
@@ -158,7 +154,7 @@ fn main() -> ExitCode {
                 report.stores_executed
             );
             let metrics = args.metrics.then_some(&report.metrics);
-            finish("power-fail", &table, metrics, report.violations(), None)
+            finish("power-fail", &table, metrics, report.violations())
         }
         "--chaos" => {
             if let Some(path) = &args.replay {
@@ -166,13 +162,7 @@ fn main() -> ExitCode {
             }
             let report = chaos::run_campaign(&chaos::CampaignConfig::sized(smoke, seeds, lines));
             write_reproducers(&report);
-            finish(
-                "chaos",
-                &report.render_table(),
-                None,
-                report.violations(),
-                Some(&report.bench()),
-            )
+            finish("chaos", &report.render_table(), None, report.violations())
         }
         "--checkpoint" => {
             let cfg = checkpoint::CampaignConfig::sized(smoke, seeds, lines);
@@ -182,7 +172,6 @@ fn main() -> ExitCode {
                 &report.render_table(),
                 None,
                 report.violations(),
-                Some(&report.bench()),
             )
         }
         // No mode flag (`parse` accepts no other): the link faults.
@@ -199,7 +188,6 @@ fn run_sweep<S: Campaign>(args: &Args) -> ExitCode {
         &report.render_table(),
         args.metrics.then(|| report.merged_metrics()).as_ref(),
         report.violations(),
-        S::bench(&report).as_ref(),
     )
 }
 

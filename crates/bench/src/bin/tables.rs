@@ -5,11 +5,39 @@
 //! cargo run -p contutto-bench --release --bin tables            # everything
 //! cargo run -p contutto-bench --release --bin tables -- --table3
 //! ```
+//!
+//! Any argument that names no section prints the usage line and exits
+//! with status 2.
+
+use std::process::ExitCode;
 
 use contutto_bench as bench;
 
-fn main() {
+/// Every section flag; an argument that names none is refused.
+const SECTIONS: [&str; 12] = [
+    "--table1",
+    "--table2",
+    "--figure6",
+    "--table3",
+    "--figure7",
+    "--figure8",
+    "--table4",
+    "--figure9",
+    "--figure10",
+    "--table5",
+    "--mram",
+    "--metrics",
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args.iter().find(|a| !SECTIONS.contains(&a.as_str())) {
+        eprintln!(
+            "tables: unknown argument {bad:?}\nusage: tables [{}]...",
+            SECTIONS.join(" | ")
+        );
+        return ExitCode::from(2);
+    }
     let want = |key: &str| args.is_empty() || args.iter().any(|a| a == key);
 
     if want("--table1") {
@@ -45,6 +73,7 @@ fn main() {
     if want("--metrics") {
         print_metrics();
     }
+    ExitCode::SUCCESS
 }
 
 /// Runs a noisy-channel replay scenario with tracing enabled and

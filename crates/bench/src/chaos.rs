@@ -1242,7 +1242,7 @@ pub struct PlanRecord {
 pub struct CampaignReport {
     /// Every plan, seed-major.
     pub records: Vec<PlanRecord>,
-    /// Requests per plan (baseline key).
+    /// Requests per plan.
     pub requests: u64,
     /// Plans executed per host-second (each plan runs twice).
     pub plans_per_sec: f64,
@@ -1311,20 +1311,30 @@ impl CampaignReport {
         out
     }
 
-    /// The one-row `BENCH_chaos.json`: plans/sec (gated), keyed on
-    /// the requests per plan.
+    /// The pinned rows, one per plan: what the plan did and its trace
+    /// fingerprint, at the requests per plan.
     pub fn bench(&self) -> Bench {
-        let violations: usize = self.records.iter().map(|r| r.report.violations.len()).sum();
-        let row = Row::new()
-            .int("plans", self.records.len() as u64)
-            .int("requests_per_plan", self.requests)
-            .num("plans_per_sec", self.plans_per_sec)
-            .int("violations", violations as u64);
+        let rows = self
+            .records
+            .iter()
+            .map(|r| {
+                Row::new()
+                    .text("layout", r.layout.name())
+                    .int("seed", r.seed)
+                    .int("plan", r.index)
+                    .int("requests_per_plan", self.requests)
+                    .int("actions", r.actions as u64)
+                    .int("applied", r.report.applied)
+                    .int("skipped", r.report.skipped)
+                    .int("reboots", r.report.reboots)
+                    .int("resolved", r.report.resolved)
+                    .int("violations", r.report.violations.len() as u64)
+                    .text("fingerprint", format!("{:#x}", r.report.fingerprint))
+            })
+            .collect();
         Bench {
             name: "chaos",
-            rows: vec![row],
-            key: &["requests_per_plan"],
-            gated: &["plans_per_sec"],
+            rows,
         }
     }
 }
@@ -1679,13 +1689,5 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind() == "silent-corruption"));
-    }
-
-    #[test]
-    fn smoke_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations();
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(report.plans_per_sec > 0.0);
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! 1. **Throughput** — a steady-state testbed (stores landed, loads
 //!    in flight, tracer live) is snapshotted and restored in a tight
-//!    loop; `BENCH_checkpoint.json` records snapshots/sec and
-//!    restores/sec behind the shared [`crate::report`] regression
-//!    gate. The image size is byte-deterministic, so it doubles as
-//!    the baseline-comparability key.
+//!    loop, and the table prints snapshots/sec and restores/sec. Only
+//!    the byte-deterministic image (its size and CRC-32) and the
+//!    testbed's trace fingerprint are pinned
+//!    (`tests/campaign_counters.rs`); snapshot and restore wall time is
+//!    gated by the `benchmark` package's `checkpoint` workload.
 //!
 //! 2. **Prefix reuse** — the power crash-point sweep is run twice,
 //!    straight and with [`crate::power::CampaignConfig::reuse_prefix`]
@@ -27,6 +28,7 @@ use contutto_core::{ContuttoConfig, MemoryPopulation};
 use contutto_dmi::command::CacheLine;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
+use contutto_sim::snapshot::crc32;
 
 use crate::power;
 use crate::report::{Bench, Row};
@@ -80,9 +82,13 @@ pub struct CampaignReport {
     pub snapshots_per_sec: f64,
     /// Restores (into an already-booted twin) per host-second.
     pub restores_per_sec: f64,
-    /// Size of the testbed image — deterministic, used as the
-    /// baseline-comparability key.
+    /// Size of the testbed image (byte-deterministic).
     pub snapshot_bytes: u64,
+    /// CRC-32 of the testbed image: covers the stored data, which the
+    /// trace fingerprint does not.
+    pub image_crc32: u32,
+    /// Trace fingerprint of the snapshotted testbed.
+    pub testbed_fingerprint: u64,
     /// Host seconds for the straight power sweep.
     pub straight_secs: f64,
     /// Host seconds for the prefix-reused power sweep.
@@ -91,6 +97,11 @@ pub struct CampaignReport {
     pub stores_straight: u64,
     /// Stores simulated by the reused sweep (strictly fewer).
     pub stores_reused: u64,
+    /// Seeds of the power sweeps.
+    pub sweep_seeds: Vec<u64>,
+    /// Every straight-sweep record's trace fingerprint, folded in
+    /// sweep order.
+    pub sweep_fingerprint: u64,
     /// Identity / contract breaches found while running.
     pub failures: Vec<String>,
 }
@@ -162,25 +173,29 @@ impl CampaignReport {
         out
     }
 
-    /// The one-row `BENCH_checkpoint.json`: snapshot and restore
-    /// throughput (both gated), keyed on the image size so a format or
-    /// testbed change resets the comparison.
+    /// The one pinned row: the image's size and CRC-32, the stores
+    /// each sweep simulated, the sweep seeds and both fingerprints. The
+    /// wall-clock rates stay in the table.
     pub fn bench(&self) -> Bench {
+        let seeds: Vec<String> = self.sweep_seeds.iter().map(u64::to_string).collect();
         let row = Row::new()
             .int("snapshot_bytes", self.snapshot_bytes)
-            .num("snapshots_per_sec", self.snapshots_per_sec)
-            .num("restores_per_sec", self.restores_per_sec)
-            .num("straight_secs", self.straight_secs)
-            .num("reused_secs", self.reused_secs)
-            .num("prefix_reuse_speedup", self.speedup())
+            .text("image_crc32", format!("{:#010x}", self.image_crc32))
+            .text(
+                "testbed_fingerprint",
+                format!("{:#x}", self.testbed_fingerprint),
+            )
             .int("stores_straight", self.stores_straight)
             .int("stores_reused", self.stores_reused)
+            .text("sweep_seeds", seeds.join(","))
+            .text(
+                "sweep_fingerprint",
+                format!("{:#x}", self.sweep_fingerprint),
+            )
             .int("violations", self.failures.len() as u64);
         Bench {
             name: "checkpoint",
             rows: vec![row],
-            key: &["snapshot_bytes"],
-            gated: &["snapshots_per_sec", "restores_per_sec"],
         }
     }
 }
@@ -221,6 +236,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
     let snapshots_per_sec = f64::from(reps) / started.elapsed().as_secs_f64().max(1e-9);
     let snapshot_bytes = image.len() as u64;
+    let image_crc32 = crc32(&image);
 
     let mut twin = testbed(seed);
     let started = Instant::now();
@@ -231,7 +247,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         }
     }
     let restores_per_sec = f64::from(reps) / started.elapsed().as_secs_f64().max(1e-9);
-    if twin.tracer().fingerprint() != source.tracer().fingerprint() {
+    let testbed_fingerprint = source.tracer().fingerprint();
+    if twin.tracer().fingerprint() != testbed_fingerprint {
         failures.push(
             "checkpoint: restored twin's trace fingerprint diverges from the source".to_string(),
         );
@@ -266,6 +283,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             "checkpoint: reused power sweep table differs from the straight sweep".to_string(),
         );
     }
+    let sweep_fingerprint = straight
+        .scenarios
+        .iter()
+        .flat_map(|s| &s.ring)
+        .fold(0u64, |h, r| h.rotate_left(7) ^ r.fingerprint);
     for (a, b) in straight.scenarios.iter().zip(&reused.scenarios) {
         if a.ring.len() != b.ring.len() {
             failures.push(format!(
@@ -298,10 +320,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         snapshots_per_sec,
         restores_per_sec,
         snapshot_bytes,
+        image_crc32,
+        testbed_fingerprint,
         straight_secs,
         reused_secs,
         stores_straight: straight.stores_executed,
         stores_reused: reused.stores_executed,
+        sweep_seeds: cfg.seeds.clone(),
+        sweep_fingerprint,
         failures,
     }
 }
@@ -311,27 +337,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_campaign_is_clean_and_skips_the_prefix() {
-        let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations();
-        assert!(violations.is_empty(), "{}", violations.join("\n"));
-        assert!(report.stores_reused < report.stores_straight);
-        assert!(report.snapshots_per_sec > 0.0);
-        assert!(report.restores_per_sec > 0.0);
-        let table = report.render_table();
-        assert!(table.contains("prefix-reuse speedup"), "{table}");
-    }
-
-    #[test]
     fn a_failed_structural_skip_is_a_violation() {
         let report = CampaignReport {
             snapshots_per_sec: 10.0,
             restores_per_sec: 10.0,
             snapshot_bytes: 1234,
+            image_crc32: 0,
+            testbed_fingerprint: 0,
             straight_secs: 1.0,
             reused_secs: 1.0,
             stores_straight: 100,
             stores_reused: 100,
+            sweep_seeds: vec![1],
+            sweep_fingerprint: 0,
             failures: Vec::new(),
         };
         let violations = report.violations();

@@ -2,8 +2,8 @@
 //!
 //! Experiment runners that regenerate **every table and figure** of
 //! the ConTutto paper from the simulated system. The `tables` binary
-//! prints them; the benches under `benches/` time them with the
-//! in-repo [`harness`].
+//! prints them and `tests/experiments.rs` checks them against the
+//! paper.
 //!
 //! | function | paper artifact |
 //! |---|---|
@@ -25,7 +25,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod failover;
 pub mod faults;
-pub mod harness;
 pub mod media;
 pub mod overload;
 pub mod pipeline;

@@ -17,9 +17,9 @@
 //! Every depth runs **twice** and the two trace fingerprints must be
 //! byte-identical — the determinism invariant holds at any depth. The
 //! report gates on depth-16 achieving at least 4x the depth-1
-//! throughput, and [`PipelineReport::bench`] lets the shared
-//! [`crate::report`] gate hold each `(depth, reads)` row's simulated
-//! throughput to its previous `BENCH_pipeline.json` value.
+//! throughput. [`PipelineReport::bench`] gives the simulated rows that
+//! `tests/campaign_counters.rs` pins exactly at smoke size; the
+//! reads/wall-sec column stays in the printed table only.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -260,9 +260,8 @@ impl PipelineReport {
         out
     }
 
-    /// The `BENCH_pipeline.json` rows, one per depth, gated on
-    /// simulated throughput against a baseline of the same depth and
-    /// read count.
+    /// The pinned rows, one per depth: simulated throughput, achieved
+    /// MLP, simulated time and fingerprint.
     pub fn bench(&self) -> Bench {
         let rows = self
             .runs
@@ -274,15 +273,12 @@ impl PipelineReport {
                     .num("lines_per_sec", r.lines_per_sec)
                     .num("achieved_mlp", r.achieved_mlp)
                     .num("sim_seconds", r.sim_seconds)
-                    .num("reads_per_wall_sec", r.reads_per_wall_sec)
                     .text("fingerprint", format!("{:#x}", r.fingerprint))
             })
             .collect();
         Bench {
             name: "pipeline",
             rows,
-            key: &["depth", "reads"],
-            gated: &["lines_per_sec"],
         }
     }
 }
@@ -324,24 +320,5 @@ mod tests {
         for r in &report.runs {
             assert!(r.deterministic, "depth {} not deterministic", r.depth);
         }
-    }
-
-    #[test]
-    fn gate_keys_on_depth_and_reads() {
-        let report = run_sweep(&tiny());
-        let bench = report.bench();
-        assert!(bench.gate(&bench.to_json()).is_empty());
-        let inflated = |reads: u64| {
-            let mut old = report.clone();
-            for r in &mut old.runs {
-                r.reads = reads;
-                r.lines_per_sec *= 10.0;
-            }
-            old.bench().to_json()
-        };
-        // Same depth, same read count: a 10x faster baseline gates.
-        assert_eq!(bench.gate(&inflated(48)).len(), report.runs.len());
-        // Same depths at a different read count are another workload.
-        assert!(bench.gate(&inflated(2048)).is_empty());
     }
 }

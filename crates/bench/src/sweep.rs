@@ -16,8 +16,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use contutto_sim::MetricsRegistry;
 
-use crate::report::Bench;
-
 /// A campaign's size presets and floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sizing {
@@ -117,11 +115,6 @@ pub trait Campaign: Copy + PartialEq + fmt::Debug {
 
     /// Renders the campaign table.
     fn render(report: &Report<Self>) -> String;
-
-    /// The campaign's BENCH rows, if it writes any.
-    fn bench(_report: &Report<Self>) -> Option<Bench> {
-        None
-    }
 }
 
 /// Seeds and size for one sweep. Derefs to the size knob, so the size
@@ -228,8 +221,7 @@ impl<S: Campaign> Run<S> {
 pub struct Report<S: Campaign> {
     /// Every run, in scenario-major order.
     pub runs: Vec<Run<S>>,
-    /// The size every run used (a BENCH key where the campaign writes
-    /// one).
+    /// The size every run used.
     pub size: u64,
 }
 

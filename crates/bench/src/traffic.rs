@@ -9,8 +9,7 @@
 //! SLO-violation counts for steady state versus the fault window, for
 //! each of:
 //!
-//! * **steady** — no fault; the baseline row (and the row the
-//!   regression gate tracks);
+//! * **steady** — no fault; the baseline row;
 //! * **scrub-storm** — a seeded media flip storm lands while patrol
 //!   scrub sweeps the victim card and both link directions turn noisy
 //!   (CRC replays are what genuinely stretch the tail — scrub itself
@@ -122,10 +121,9 @@ pub struct Record {
 /// Seeds and requests per run (at least 30).
 pub type CampaignConfig = sweep::Config<Scenario>;
 
-/// The campaign's runs. Its `size`, the requests per run, is part of
-/// the BENCH key, so a smoke run never gates against a full-campaign
-/// baseline (a reboot outage amortizes differently over 150 vs 450
-/// requests).
+/// The campaign's runs. Its `size` is the requests per run, which each
+/// pinned row carries (a reboot outage amortizes differently over 150
+/// vs 450 requests).
 pub type CampaignReport = sweep::Report<Scenario>;
 
 impl Campaign for Scenario {
@@ -288,32 +286,31 @@ impl Campaign for Scenario {
             ]
         })
     }
+}
 
-    /// The `BENCH_traffic.json` rows, one per scenario: requests/sec
-    /// (gated), merged p99.9 and SLO violations, keyed on the request
-    /// count per run.
-    fn bench(report: &CampaignReport) -> Option<Bench> {
+impl CampaignReport {
+    /// The pinned rows, one per scenario: simulated requests/sec,
+    /// merged p99.9 and SLO violations at the request count per run.
+    pub fn bench(&self) -> Bench {
         let rows = Scenario::scenarios()
             .into_iter()
             .map(|s| {
-                let slo: u64 = report
+                let slo: u64 = self
                     .records_of(s)
                     .map(|r| r.report.steady_slo_violations + r.report.fault_slo_violations)
                     .sum();
                 Row::new()
                     .text("scenario", s.name())
-                    .int("requests_per_run", report.size)
-                    .num("requests_per_sec", scenario_rps(report, s))
-                    .int("p999_ns", merged_latency(report, s).quantile(0.999))
+                    .int("requests_per_run", self.size)
+                    .num("requests_per_sec", scenario_rps(self, s))
+                    .int("p999_ns", merged_latency(self, s).quantile(0.999))
                     .int("slo_violations", slo)
             })
             .collect();
-        Some(Bench {
+        Bench {
             name: "traffic",
             rows,
-            key: &["scenario", "requests_per_run"],
-            gated: &["requests_per_sec"],
-        })
+        }
     }
 }
 

@@ -8,9 +8,9 @@
 # every example (`examples/*.rs`) in each, masks the wall-clock figures
 # (plans/sec, snapshot and restore rates, sweep seconds, prefix-reuse
 # speedup, pipeline's reads/wall-s) and diffs the outputs, exit status
-# included. Every run gets its own scratch
-# directory, so the BENCH_*.json gate of one tree never sees the
-# other's report. Exits 1 on any difference.
+# included. Every run gets its own scratch directory, so the chaos
+# mode's CHAOS_repro_*.json reproducers of one tree never mix with the
+# other's. Exits 1 on any difference.
 #
 # REV is exported with `git archive` into a temporary directory (and
 # built there, cold): nothing is registered in the repository's .git.

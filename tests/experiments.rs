@@ -4,6 +4,9 @@
 //! numbers side by side).
 
 use contutto_bench as bench;
+use contutto_centaur::CentaurConfig;
+use contutto_core::ContuttoConfig;
+use contutto_workloads::spec;
 
 #[test]
 fn table1_regenerates_exactly() {
@@ -59,6 +62,88 @@ fn table3_rows_track_paper_anchors() {
         let measured = get(needle);
         let err = (measured - target).abs() / target;
         assert!(err < 0.05, "{needle}: {measured} vs paper {target}");
+    }
+}
+
+/// Checks a setting-major SPEC sweep: one point per setting and
+/// benchmark in suite order, latency rising strictly from each setting
+/// to the next, and no benchmark's ratio rising with it.
+fn assert_degrades_monotonically(points: &[bench::SpecPoint], settings: &[&str]) {
+    let suite = spec::suite();
+    assert_eq!(points.len(), settings.len() * suite.len());
+    let blocks: Vec<&[bench::SpecPoint]> = points.chunks(suite.len()).collect();
+    for (block, name) in blocks.iter().zip(settings) {
+        for (p, bm) in block.iter().zip(&suite) {
+            assert_eq!((p.setting.as_str(), p.benchmark), (*name, bm.name));
+        }
+    }
+    for pair in blocks.windows(2) {
+        let (before, after) = (&pair[0][0], &pair[1][0]);
+        assert!(
+            before.latency_ns < after.latency_ns,
+            "{} ({} ns) must be slower than {} ({} ns)",
+            after.setting,
+            after.latency_ns,
+            before.setting,
+            before.latency_ns
+        );
+        for (a, b) in pair[0].iter().zip(pair[1]) {
+            assert!(
+                b.ratio <= a.ratio,
+                "{}: ratio rises from {} to {}",
+                a.benchmark,
+                a.setting,
+                b.setting
+            );
+        }
+    }
+}
+
+#[test]
+fn figure6_degrades_monotonically() {
+    let points = bench::figure6();
+    let settings: Vec<&str> = CentaurConfig::table2_settings()
+        .iter()
+        .map(|c| c.name)
+        .collect();
+    assert_eq!(points.len(), 48, "4 settings x 12 benchmarks");
+    assert_degrades_monotonically(&points, &settings);
+    let (optimized, serialized) = (&points[..12], &points[36..]);
+    for (p, bm) in optimized.iter().zip(&spec::suite()) {
+        assert!(
+            (p.ratio - bm.base_ratio).abs() < 1e-9,
+            "{}: optimized ratio {} vs base {}",
+            bm.name,
+            p.ratio,
+            bm.base_ratio
+        );
+    }
+    // The memory-bound benchmarks lose the largest fraction at
+    // `serialized`.
+    let mut loss: Vec<(f64, &str)> = optimized
+        .iter()
+        .zip(serialized)
+        .map(|(o, s)| (1.0 - s.ratio / o.ratio, o.benchmark))
+        .collect();
+    loss.sort_by(|x, y| y.0.total_cmp(&x.0));
+    let worst: Vec<&str> = loss[..3].iter().map(|&(_, name)| name).collect();
+    assert_eq!(
+        worst,
+        ["429.mcf", "462.libquantum", "471.omnetpp"],
+        "{loss:?}"
+    );
+}
+
+#[test]
+fn figure7_degrades_monotonically_with_the_knob() {
+    let points = bench::figure7();
+    let settings = [0u8, 2, 6, 7].map(|knob| ContuttoConfig::with_knob(knob).name);
+    assert_eq!(points.len(), 48, "4 knob settings x 12 benchmarks");
+    assert_degrades_monotonically(&points, &settings);
+    // ConTutto at knob 0 is already slower than optimized Centaur, the
+    // ratios' baseline.
+    for (p, bm) in points[..12].iter().zip(&spec::suite()) {
+        assert!(p.ratio < bm.base_ratio, "{}: {}", bm.name, p.ratio);
     }
 }
 
