@@ -225,7 +225,13 @@ impl Campaign for Scenario {
                         > 0
             }
             Scenario::Failover => metrics.counter("system.failover.failovers") > 0,
-            Scenario::EpowReboot => fired && report.orphaned + report.errors > 0,
+            // The power counters, not lost requests: a cut that lands
+            // with nothing in flight orphans nothing, yet the EPOW,
+            // cut and reboot still happened.
+            Scenario::EpowReboot => {
+                metrics.counter("system.power.cuts") > 0
+                    && metrics.counter("system.power.reboots") > 0
+            }
         };
         Measured {
             record: Record {
@@ -387,6 +393,19 @@ mod tests {
             "a power cut mid-traffic must orphan or fail something"
         );
         assert!(r.completed > 0, "traffic must resume after reboot");
+    }
+
+    #[test]
+    fn epow_reboot_with_nothing_in_flight_still_counts_as_fired() {
+        // At these seeds the cut lands between requests: nothing is
+        // orphaned, but the power cycle happened and the run is clean.
+        for seed in [4, 5] {
+            let run = run_scenario(Scenario::EpowReboot, seed, 150);
+            let r = run.record();
+            assert!(r.fault_fired, "seed {seed}: the power cycle must count");
+            assert!(!run.is_violation(), "seed {seed} violated the contract");
+            assert_eq!(run.metrics.counter("system.power.reboots"), 1);
+        }
     }
 
     #[test]

@@ -580,7 +580,7 @@ mod tests {
         let mut img = Vec::new();
         c.snapshot_state(&mut img);
         // Pinned image of an open write engine and a non-empty queue.
-        assert_eq!((img.len(), snapshot::crc32(&img)), (2_364_813, 0x87e7_8689));
+        assert_eq!((img.len(), snapshot::crc32(&img)), (5_549, 0xfd85_f74d));
         let mut fresh = centaur();
         fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
 

@@ -15,6 +15,13 @@ pub struct EdramCache {
     /// Every set's ways in one array: way `w` of set `s` is at
     /// `s * ways + w`.
     tags: Vec<CacheWay>,
+    /// Bit `s % 64` of word `s / 64` is set once set `s` has had a
+    /// line installed since the last invalidation, so every set holding
+    /// a valid way has its bit set. Derived from `tags`: never
+    /// persisted, rebuilt by restore. Snapshot, restore and
+    /// invalidation visit only these sets, not all 16,384. Empty until
+    /// the first install, so a boot allocates nothing for it.
+    occupied: Vec<u64>,
     num_sets: usize,
     ways: usize,
     line_bytes: u64,
@@ -50,6 +57,7 @@ impl EdramCache {
         let num_sets = (capacity / set_bytes) as usize;
         EdramCache {
             tags: vec![(false, 0, 0); num_sets * ways],
+            occupied: Vec::new(),
             num_sets,
             ways,
             line_bytes,
@@ -148,13 +156,24 @@ impl EdramCache {
             return;
         };
         *victim = (true, tag, tick);
+        self.mark_occupied(set_idx);
     }
 
-    /// Invalidates the whole cache.
-    pub fn invalidate_all(&mut self) {
-        for (valid, _, _) in &mut self.tags {
-            *valid = false;
+    /// Records that `set_idx` holds a valid way.
+    fn mark_occupied(&mut self, set_idx: usize) {
+        if self.occupied.is_empty() {
+            self.occupied = vec![0; self.num_sets.div_ceil(64)];
         }
+        self.occupied[set_idx / 64] |= 1 << (set_idx % 64);
+    }
+
+    /// Invalidates the whole cache: every set that may hold a line
+    /// goes back to the all-invalid state a boot builds.
+    pub fn invalidate_all(&mut self) {
+        for set_idx in set_bits(&self.occupied) {
+            self.tags[set_idx * self.ways..(set_idx + 1) * self.ways].fill((false, 0, 0));
+        }
+        self.occupied.fill(0);
     }
 
     /// Demand hits so far.
@@ -187,20 +206,32 @@ impl EdramCache {
         self.num_sets as u64 * self.ways as u64 * self.line_bytes
     }
 
-    /// Serializes all dynamic state (tag array, LRU clock, stats).
-    /// Geometry is a construction parameter and is only cross-checked.
+    /// Serializes all dynamic state: the valid ways, the LRU clock and
+    /// the stats. Geometry is a construction parameter and is only
+    /// cross-checked.
+    ///
+    /// Only valid ways are written, as `(array index, tag, last_used)`
+    /// in strictly increasing index order after their count, so an
+    /// image grows with the lines the cache holds, not with its 16 MB
+    /// capacity. An invalid way's tag and `last_used` are dead state:
+    /// `probe_and_touch`, `contains` and `fill` read them only behind
+    /// `valid`, and victim choice keys every invalid way 0 whatever it
+    /// holds, with `min_by_key` breaking ties by the first index. A way
+    /// restored as `(false, 0, 0)` therefore behaves exactly like the
+    /// invalid way it stands for.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         (self.num_sets as u64).persist(out);
         (self.ways as u64).persist(out);
         self.line_bytes.persist(out);
-        for set_idx in 0..self.num_sets {
-            // Every set holds `ways` ways; the image still spells the
-            // count out per set.
-            (self.ways as u64).persist(out);
-            for way in self.set(set_idx) {
-                way.persist(out);
-            }
-        }
+        let valid_ways = set_bits(&self.occupied).flat_map(|set_idx| {
+            let first = set_idx * self.ways;
+            self.set(set_idx)
+                .iter()
+                .enumerate()
+                .filter(|(_, way)| way.0)
+                .map(move |(way, &(_, tag, last_used))| (first + way, (tag, last_used)))
+        });
+        snapshot::persist_sparse(valid_ways, out);
         self.tick.persist(out);
         self.hits.persist(out);
         self.misses.persist(out);
@@ -208,18 +239,19 @@ impl EdramCache {
         self.prefetch_fills.persist(out);
     }
 
-    /// Overlays an [`EdramCache::snapshot_state`] image onto this
-    /// cache.
+    /// Replaces this cache's state with an
+    /// [`EdramCache::snapshot_state`] image: the tag array goes back to
+    /// all-invalid, as a boot builds it, and the listed ways are laid
+    /// over it. Both steps touch only the sets involved.
     ///
     /// # Errors
     ///
     /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a different geometry, [`snapshot::RestoreError::Malformed`]
-    /// if a set does not hold exactly `ways` ways, or any decode error
-    /// from a corrupt payload. Ways are decoded straight into the tag
-    /// array, so after an error past the geometry check the cache is
-    /// partly overwritten and must be discarded, like the system a
-    /// failed restore leaves behind.
+    /// from a different geometry, any [`snapshot::restore_sparse`]
+    /// error from the way list (a way index out of range or not above
+    /// the one before it, so each state has one encoding, or a count
+    /// the bytes left cannot hold), or any decode error from a corrupt
+    /// payload. The cache is left untouched on every error.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
         let num_sets = r.len()?;
         let ways = r.len()?;
@@ -229,21 +261,19 @@ impl EdramCache {
                 context: "cache geometry",
             });
         }
-        for set_idx in 0..num_sets {
-            if r.len()? != ways {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "cache set way count",
-                });
-            }
-            for way in self.set_mut(set_idx) {
-                *way = CacheWay::restore(r)?;
-            }
-        }
+        // Decoded in full before anything changes, so an error leaves
+        // the cache as it was.
+        let listed = snapshot::restore_sparse::<(u64, u64)>(r, self.tags.len(), VALID_WAY_BYTES)?;
         let tick = r.u64()?;
         let hits = r.u64()?;
         let misses = r.u64()?;
         let prefetch_degree = r.u64()?;
         let prefetch_fills = r.u64()?;
+        self.invalidate_all();
+        for (idx, (tag, last_used)) in listed {
+            self.tags[idx] = (true, tag, last_used);
+            self.mark_occupied(idx / self.ways);
+        }
         self.tick = tick;
         self.hits = hits;
         self.misses = misses;
@@ -251,6 +281,23 @@ impl EdramCache {
         self.prefetch_fills = prefetch_fills;
         Ok(())
     }
+}
+
+/// Image bytes per valid way: index, tag and `last_used`, a `u64` each.
+const VALID_WAY_BYTES: usize = 3 * 8;
+
+/// The indices of the set bits of `words`, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -358,30 +405,194 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_set_with_the_wrong_way_count_is_malformed() {
-        let c = EdramCache::new(256 * 4, 2); // 4 sets x 2 ways
+    /// Header (sets, ways, line size) plus the valid-way count.
+    const LIST_AT: usize = 4 * 8;
+    /// Trailer: tick, hits, misses, prefetch degree, prefetch fills.
+    const TRAILER_BYTES: usize = 5 * 8;
+
+    fn image(c: &EdramCache) -> Vec<u8> {
         let mut img = Vec::new();
         c.snapshot_state(&mut img);
-        // Header: sets, ways, line size; then set 0's way count.
-        let count_at = 3 * 8;
-        for bad in [0u64, 1, 3] {
-            let mut ragged = img.clone();
-            ragged[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
-            let mut fresh = EdramCache::new(256 * 4, 2);
-            let err = fresh
-                .restore_state(&mut SnapReader::new(&ragged))
-                .unwrap_err();
+        img
+    }
+
+    fn valid_ways(c: &EdramCache) -> usize {
+        c.tags.iter().filter(|&&(valid, _, _)| valid).count()
+    }
+
+    /// An image of a 4-set x 2-way cache holding `list` as its valid
+    /// ways, each `(index, tag, last_used)`, under a declared `count`.
+    fn hand_image(count: u64, list: &[(u64, u64, u64)]) -> Vec<u8> {
+        let mut img = Vec::new();
+        for field in [4u64, 2, 128, count] {
+            field.persist(&mut img);
+        }
+        for &(idx, tag, last_used) in list {
+            for field in [idx, tag, last_used] {
+                field.persist(&mut img);
+            }
+        }
+        for field in [9u64, 1, 2, 0, 0] {
+            field.persist(&mut img);
+        }
+        img
+    }
+
+    fn restore_hand_image(img: &[u8]) -> Result<EdramCache, snapshot::RestoreError> {
+        let mut c = EdramCache::new(256 * 4, 2); // 4 sets x 2 ways
+        c.restore_state(&mut SnapReader::new(img))?;
+        Ok(c)
+    }
+
+    /// The `(index, tag, last_used)` of every valid way, found by
+    /// scanning the whole array: the oracle for the bitmap-driven image.
+    fn scanned_ways(c: &EdramCache) -> Vec<(u64, u64, u64)> {
+        c.tags
+            .iter()
+            .enumerate()
+            .filter(|(_, way)| way.0)
+            .map(|(idx, &(_, tag, last_used))| (idx as u64, tag, last_used))
+            .collect()
+    }
+
+    fn listed_ways(img: &[u8]) -> Vec<(u64, u64, u64)> {
+        let mut r = SnapReader::new(&img[LIST_AT - 8..]);
+        let count = r.u64().unwrap();
+        (0..count)
+            .map(|_| (r.u64().unwrap(), r.u64().unwrap(), r.u64().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn the_image_lists_exactly_the_ways_a_full_scan_finds() {
+        let mut rng = contutto_sim::SimRng::seed_from_u64(11);
+        let mut c = EdramCache::new(64 << 10, 4); // 128 sets x 4 ways
+        let mut twin = EdramCache::new(64 << 10, 4);
+        for round in 0..40 {
+            for _ in 0..rng.gen_below(200) {
+                c.access(rng.gen_below(1 << 20) * 128);
+            }
+            if round % 7 == 3 {
+                c.invalidate_all();
+            }
+            let img = image(&c);
+            assert_eq!(listed_ways(&img), scanned_ways(&c), "round {round}");
+            // The twin, restored over whatever it held, images and
+            // scans the same.
+            twin.restore_state(&mut SnapReader::new(&img)).unwrap();
+            assert_eq!(scanned_ways(&twin), scanned_ways(&c));
+            assert_eq!(image(&twin), img);
+        }
+    }
+
+    #[test]
+    fn a_hand_written_way_list_restores_onto_the_listed_ways() {
+        let c = restore_hand_image(&hand_image(2, &[(1, 5, 3), (6, 7, 8)])).unwrap();
+        assert_eq!(valid_ways(&c), 2);
+        // Way 1 is set 0's second way; way 6 is set 3's first.
+        assert!(c.contains(5 * 4 * 128) && c.contains((7 * 4 + 3) * 128));
+        assert_eq!((c.tick, c.hits, c.misses), (9, 1, 2));
+    }
+
+    #[test]
+    fn a_way_index_past_the_array_is_malformed() {
+        for idx in [8u64, 9, u64::MAX] {
+            let err = restore_hand_image(&hand_image(1, &[(idx, 1, 1)])).unwrap_err();
             assert_eq!(
                 err,
                 snapshot::RestoreError::Malformed {
-                    context: "cache set way count"
+                    context: "sparse table index out of range"
                 },
-                "way count {bad}"
+                "index {idx}"
             );
         }
-        let mut fresh = EdramCache::new(256 * 4, 2);
-        fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
+    }
+
+    #[test]
+    fn a_duplicate_or_decreasing_way_index_is_malformed() {
+        for list in [[(3, 1, 1), (3, 2, 2)], [(5, 1, 1), (2, 2, 2)]] {
+            let err = restore_hand_image(&hand_image(2, &list)).unwrap_err();
+            assert_eq!(
+                err,
+                snapshot::RestoreError::Malformed {
+                    context: "sparse table indices not strictly increasing"
+                },
+                "list {list:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_way_count_past_the_bytes_left_is_truncated() {
+        // The trailer's 40 bytes fit one more way but not two; a huge
+        // count must fail before anything is allocated for it.
+        for count in [3u64, 4, u64::MAX >> 1] {
+            let err = restore_hand_image(&hand_image(count, &[(0, 1, 1)])).unwrap_err();
+            assert!(
+                matches!(err, snapshot::RestoreError::Truncated { .. }),
+                "count {count}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_cache_untouched() {
+        let mut c = EdramCache::new(256 * 4, 2);
+        c.access(0);
+        let before = image(&c);
+        let bad = hand_image(2, &[(4, 1, 1), (4, 2, 2)]);
+        assert!(c.restore_state(&mut SnapReader::new(&bad)).is_err());
+        assert_eq!(image(&c), before);
+    }
+
+    #[test]
+    fn a_cold_image_restored_onto_a_warm_cache_leaves_no_way_valid() {
+        let cold = image(&EdramCache::new(16 << 10, 4));
+        let mut warm = EdramCache::new(16 << 10, 4);
+        for addr in (0..(8u64 << 10)).step_by(128) {
+            warm.access(addr);
+        }
+        assert!(valid_ways(&warm) > 0);
+        warm.restore_state(&mut SnapReader::new(&cold)).unwrap();
+        assert_eq!(valid_ways(&warm), 0);
+        assert!(!warm.contains(0));
+        assert_eq!(image(&warm), cold);
+    }
+
+    #[test]
+    fn an_invalidated_cache_images_like_a_fresh_one_with_its_counters() {
+        let mut c = EdramCache::new(16 << 10, 4);
+        for addr in (0..(4u64 << 10)).step_by(128) {
+            c.access(addr);
+        }
+        c.access(0);
+        c.invalidate_all();
+        let mut fresh = EdramCache::new(16 << 10, 4);
+        fresh.tick = c.tick;
+        fresh.hits = c.hits;
+        fresh.misses = c.misses;
+        fresh.prefetch_fills = c.prefetch_fills;
+        // The stale tags and LRU stamps behind `valid == false` never
+        // reach the image.
+        assert_eq!(image(&c), image(&fresh));
+    }
+
+    #[test]
+    fn an_image_is_the_header_plus_a_fixed_size_per_valid_way() {
+        let mut c = EdramCache::centaur();
+        assert_eq!(image(&c).len(), LIST_AT + TRAILER_BYTES);
+        for (i, addr) in (0..(1u64 << 20)).step_by(4096).enumerate() {
+            c.access(addr);
+            if i % 64 == 0 {
+                let valid = valid_ways(&c);
+                assert_eq!(
+                    image(&c).len(),
+                    LIST_AT + valid * VALID_WAY_BYTES + TRAILER_BYTES
+                );
+            }
+        }
+        // Degree-2 prefetch: three lines per missed 4 KiB stride.
+        assert_eq!(valid_ways(&c), 3 * 256);
     }
 
     #[test]

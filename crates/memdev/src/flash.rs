@@ -74,6 +74,17 @@ struct BlockState {
     bad: bool,
 }
 
+impl BlockState {
+    /// Still as a boot builds it: nothing programmed, never erased.
+    fn is_fresh(&self) -> bool {
+        self.programmed == 0 && self.erase_count == 0 && !self.bad
+    }
+}
+
+/// Image bytes per listed block: index, program bitmap and erase count
+/// as `u64`s, plus the bad flag.
+const WRITTEN_BLOCK_BYTES: usize = 3 * 8 + 1;
+
 /// Errors from flash operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlashError {
@@ -179,29 +190,43 @@ impl NandFlash {
         self.store.write(addr, &b);
     }
 
-    /// Serializes all dynamic state (contents, per-block wear and
-    /// program bitmaps). Geometry is a construction parameter: the
-    /// image only cross-checks it.
+    /// Serializes all dynamic state (contents, and the wear and program
+    /// bitmap of every block that left its boot state). Geometry is a
+    /// construction parameter: the image only cross-checks it.
+    ///
+    /// A block still as a boot builds it (nothing programmed, never
+    /// erased, not bad) is left out, so the table grows with the blocks
+    /// written, not with the device's capacity. The rest are written as
+    /// `(block index, programmed, erase count, bad)` in strictly
+    /// increasing index order after their count.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         self.capacity.persist(out);
         self.store.persist(out);
         (self.blocks.len() as u64).persist(out);
-        for block in &self.blocks {
-            block.programmed.persist(out);
-            block.erase_count.persist(out);
-            block.bad.persist(out);
-        }
+        let written = self
+            .blocks
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_fresh());
+        snapshot::persist_sparse(
+            written.map(|(idx, b)| (idx, (b.programmed, b.erase_count, b.bad))),
+            out,
+        );
         self.busy_until.persist(out);
         self.dropped_writes.persist(out);
     }
 
-    /// Overlays a [`NandFlash::snapshot_state`] image onto this device.
+    /// Overlays a [`NandFlash::snapshot_state`] image onto this device:
+    /// every block starts over in its boot state and the listed blocks
+    /// are laid over it.
     ///
     /// # Errors
     ///
     /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a device of a different capacity or block count, or any
-    /// decode error from a corrupt payload.
+    /// from a device of a different capacity or block count, any
+    /// [`snapshot::restore_sparse`] error from the block list, or any
+    /// decode error from a corrupt payload. The device is left
+    /// untouched on every error.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
         let capacity = r.u64()?;
         if capacity != self.capacity {
@@ -210,19 +235,23 @@ impl NandFlash {
             });
         }
         let store = SparseMemory::restore(r)?;
-        let count = r.len()?;
-        if count != self.blocks.len() {
+        if r.len()? != self.blocks.len() {
             return Err(snapshot::RestoreError::TopologyMismatch {
                 context: "flash block count",
             });
         }
-        let mut blocks = Vec::with_capacity(count);
-        for _ in 0..count {
-            blocks.push(BlockState {
-                programmed: r.u64()?,
-                erase_count: r.u64()?,
-                bad: r.bool()?,
-            });
+        let written = snapshot::restore_sparse::<(u64, u64, bool)>(
+            r,
+            self.blocks.len(),
+            WRITTEN_BLOCK_BYTES,
+        )?;
+        let mut blocks = vec![BlockState::default(); self.blocks.len()];
+        for (idx, (programmed, erase_count, bad)) in written {
+            blocks[idx] = BlockState {
+                programmed,
+                erase_count,
+                bad,
+            };
         }
         let busy_until = SimTime::restore(r)?;
         let dropped_writes = r.u64()?;
@@ -538,6 +567,81 @@ mod tests {
             matches!(err, snapshot::RestoreError::TopologyMismatch { .. }),
             "got {err:?}"
         );
+    }
+
+    fn image(f: &NandFlash) -> Vec<u8> {
+        let mut img = Vec::new();
+        f.snapshot_state(&mut img);
+        img
+    }
+
+    #[test]
+    fn only_blocks_out_of_their_boot_state_reach_the_image() {
+        let cold = image(&flash());
+        let mut f = flash();
+        f.write(SimTime::ZERO, 0, &vec![1u8; 4096]); // block 0
+        f.write(SimTime::ZERO, 5 << 18, &vec![1u8; 4096]); // block 5
+        let img = image(&f);
+        // Two listed blocks, and the two written pages in the store.
+        let store_growth = 2 * (8 + 4096);
+        assert_eq!(
+            img.len(),
+            cold.len() + store_growth + 2 * WRITTEN_BLOCK_BYTES
+        );
+        // Restoring the cold image onto the written device puts every
+        // block back in its boot state.
+        f.restore_state(&mut SnapReader::new(&cold)).unwrap();
+        assert_eq!(image(&f), cold);
+        assert!(f.blocks.iter().all(BlockState::is_fresh));
+    }
+
+    #[test]
+    fn a_hostile_block_list_is_a_typed_error_and_changes_nothing() {
+        let mut f = flash();
+        f.write(SimTime::ZERO, 0, &vec![1u8; 4096]);
+        f.write(SimTime::ZERO, 3 << 18, &vec![1u8; 4096]);
+        let img = image(&f);
+        // Capacity, the two-page store, the block count; then the
+        // listed-block count and the list itself.
+        let count_at = 8 + 8 + 2 * (8 + 4096) + 8;
+        let first = count_at + 8;
+        let second = first + WRITTEN_BLOCK_BYTES;
+        let patch = |at: usize, v: u64| {
+            let mut bad = img.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        let cases = [
+            (patch(first, 64), "sparse table index out of range"),
+            (
+                patch(second, 0),
+                "sparse table indices not strictly increasing",
+            ),
+            (
+                patch(first, 4),
+                "sparse table indices not strictly increasing",
+            ),
+        ];
+        let mut target = flash();
+        let before = image(&target);
+        for (bad, context) in cases {
+            let err = target
+                .restore_state(&mut SnapReader::new(&bad))
+                .unwrap_err();
+            assert_eq!(err, snapshot::RestoreError::Malformed { context });
+        }
+        for count in [3u64, u64::MAX >> 1] {
+            let err = target
+                .restore_state(&mut SnapReader::new(&patch(count_at, count)))
+                .unwrap_err();
+            assert!(
+                matches!(err, snapshot::RestoreError::Truncated { .. }),
+                "count {count}: got {err:?}"
+            );
+        }
+        assert_eq!(image(&target), before);
+        target.restore_state(&mut SnapReader::new(&img)).unwrap();
+        assert_eq!(image(&target), img);
     }
 
     #[test]

@@ -36,10 +36,16 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CTSS";
 /// the tracer section's fingerprint accumulator now folds a binary
 /// event encoding instead of rendered text: a version-1 accumulator
 /// restored and carried on would match no straight run, so those images
-/// are refused.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// are refused. Version 3 lists only the Centaur eDRAM cache's valid
+/// ways and only the NAND flash blocks out of their boot state, where
+/// version 2 wrote every way and every block.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 const HEADER_LEN: usize = 4 + 2 + 4 + 4; // magic + version + count + crc
+
+/// glibc's initial mmap threshold: a block this large or larger may be
+/// mapped, and the dynamic threshold only ever rises from here.
+const MMAP_THRESHOLD_FLOOR: usize = 128 << 10;
 
 /// Why an image could not be restored. Every constructor of this type
 /// replaces what would otherwise be a panic or a silent misparse.
@@ -656,6 +662,67 @@ where
     Ok(map)
 }
 
+/// Persists the entries of a fixed-size table that are out of their
+/// boot state: their count, then `(index, entry)` for each. `entries`
+/// must yield strictly increasing indices, the one encoding
+/// [`restore_sparse`] accepts, so an image grows with the entries a
+/// table uses, not with its capacity. `entries` is walked once; the
+/// count is patched in after.
+pub fn persist_sparse<E: Persist>(
+    entries: impl IntoIterator<Item = (usize, E)>,
+    out: &mut Vec<u8>,
+) {
+    let count_at = out.len();
+    0u64.persist(out);
+    let mut count = 0u64;
+    for (idx, entry) in entries {
+        idx.persist(out);
+        entry.persist(out);
+        count += 1;
+    }
+    out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Reads a [`persist_sparse`] list for a table of `len` entries, where
+/// one listed entry takes `entry_bytes`, its index included.
+///
+/// # Errors
+///
+/// [`RestoreError::Truncated`] if the count needs more bytes than are
+/// left, before anything is allocated for it;
+/// [`RestoreError::Malformed`] if an index is `len` or more, or not
+/// above the one before it; or any decode error of an entry.
+pub fn restore_sparse<E: Persist>(
+    r: &mut SnapReader<'_>,
+    len: usize,
+    entry_bytes: usize,
+) -> Result<Vec<(usize, E)>, RestoreError> {
+    let count = r.len()?;
+    if count > r.remaining() / entry_bytes {
+        return Err(RestoreError::Truncated {
+            context: "sparse table shorter than its count",
+        });
+    }
+    let mut listed = Vec::with_capacity(count);
+    let mut lowest = 0;
+    for _ in 0..count {
+        let idx = r.len()?;
+        if idx >= len {
+            return Err(RestoreError::Malformed {
+                context: "sparse table index out of range",
+            });
+        }
+        if idx < lowest {
+            return Err(RestoreError::Malformed {
+                context: "sparse table indices not strictly increasing",
+            });
+        }
+        listed.push((idx, E::restore(r)?));
+        lowest = idx + 1;
+    }
+    Ok(listed)
+}
+
 // ---------------------------------------------------- image framing
 
 /// Builds a snapshot image: header, then sections in the order added.
@@ -713,17 +780,20 @@ impl SnapshotWriter {
     /// CRC) followed by each section's CRC-sealed frame.
     ///
     /// The buffer grew by doubling, so up to half of it can be unused.
-    /// When more than a quarter is, the slack is given back (an
-    /// in-place shrink, no copy): callers keep images, and a
-    /// multi-megabyte block freed with half its pages unused moves the
-    /// C allocator's mmap threshold, so the caller's own buffers of
-    /// that size land on the heap and are copied when they grow.
+    /// When more than a quarter of a mapped buffer is, the slack is
+    /// given back (an in-place shrink, no copy): callers keep images,
+    /// and a multi-megabyte block freed with half its pages unused
+    /// moves the C allocator's mmap threshold, so the caller's own
+    /// buffers of that size land on the heap and are copied when they
+    /// grow. A buffer below the threshold's 128 KiB floor is never
+    /// mapped, so freeing it moves nothing and it is kept as grown.
     pub fn finish(mut self) -> Vec<u8> {
         let out = &mut self.image;
         out[6..10].copy_from_slice(&self.sections.to_le_bytes());
         let header_crc = crc32(&out[0..10]);
         out[10..14].copy_from_slice(&header_crc.to_le_bytes());
-        if out.capacity() - out.len() > out.capacity() / 4 {
+        if out.capacity() >= MMAP_THRESHOLD_FLOOR && out.capacity() - out.len() > out.capacity() / 4
+        {
             out.shrink_to_fit();
         }
         self.image
@@ -999,17 +1069,29 @@ mod tests {
     }
 
     #[test]
-    fn a_finished_image_leaves_at_most_a_quarter_of_its_buffer_unused() {
-        for len in [0, 1, 1000, (1 << 16) - 30, (1 << 16) + 1, 100_000] {
+    fn a_finished_mapped_image_leaves_at_most_a_quarter_of_its_buffer_unused() {
+        let finished = |len: usize| {
             let mut w = SnapshotWriter::new();
             // Byte by byte, so the buffer grows by doubling.
             w.section_with("payload", |out| (0..len).for_each(|_| out.push(0xA5)));
             let image = w.finish();
+            (image.len(), image.capacity())
+        };
+        // Grown past the mmap threshold's floor: trimmed.
+        for len in [(1 << 16) - 30, (1 << 16) + 1, 100_000, 300_000] {
+            let (used, capacity) = finished(len);
             assert!(
-                image.capacity() - image.len() <= image.capacity() / 4,
-                "payload {len}: {} of {} bytes used",
-                image.len(),
-                image.capacity()
+                capacity - used <= capacity / 4,
+                "payload {len}: {used} of {capacity} bytes used"
+            );
+        }
+        // Never mapped: kept as the doubling left it, with no
+        // reallocation for a trim.
+        for len in [0, 1, 1000, 40_000] {
+            let (used, capacity) = finished(len);
+            assert!(
+                capacity < MMAP_THRESHOLD_FLOOR && capacity.is_power_of_two(),
+                "payload {len}: {used} of {capacity} bytes used"
             );
         }
     }
@@ -1060,19 +1142,18 @@ mod tests {
     }
 
     #[test]
-    fn version_one_image_is_refused() {
-        // A well-formed version-1 header, header CRC included.
-        let mut image = sample_image();
-        image[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let crc = crc32(&image[0..10]);
-        image[10..14].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            SnapshotImage::parse(&image).unwrap_err(),
-            RestoreError::VersionMismatch {
-                found: 1,
-                expected: 2
-            }
-        );
+    fn older_version_images_are_refused() {
+        for found in [1u16, 2] {
+            // A well-formed older header, header CRC included.
+            let mut image = sample_image();
+            image[4..6].copy_from_slice(&found.to_le_bytes());
+            let crc = crc32(&image[0..10]);
+            image[10..14].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                SnapshotImage::parse(&image).unwrap_err(),
+                RestoreError::VersionMismatch { found, expected: 3 }
+            );
+        }
     }
 
     #[test]

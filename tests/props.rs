@@ -409,3 +409,22 @@ fn snapshot_bitflip_sweep_is_a_typed_error() {
         }
     }
 }
+
+/// An image written under format version 2 (every eDRAM way and flash
+/// block listed) is refused by its version, before any section is read.
+#[test]
+fn a_version_two_image_is_refused_with_version_mismatch() {
+    use contutto_system::sim::snapshot::{crc32, RestoreError, SNAPSHOT_VERSION};
+
+    let (mut sys, mut image) = snapshot_testbed();
+    image[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let crc = crc32(&image[0..10]);
+    image[10..14].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(
+        sys.restore(&image).unwrap_err(),
+        RestoreError::VersionMismatch {
+            found: 2,
+            expected: SNAPSHOT_VERSION
+        }
+    );
+}

@@ -87,8 +87,8 @@ fn poison_line(sys: &mut Power8System, idx: u64) {
 }
 
 #[test]
-fn image_format_version_is_two() {
-    assert_eq!(SNAPSHOT_VERSION, 2);
+fn image_format_version_is_three() {
+    assert_eq!(SNAPSHOT_VERSION, 3);
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn mid_steady_image_matches_its_golden_digest() {
     for i in 0..4u64 {
         sys.submit_load(0x10_0000 + i * 128).unwrap();
     }
-    check("mid-steady", &sys.snapshot(), 14_225_046, 0xc5f5_f628);
+    check("mid-steady", &sys.snapshot(), 69_318, 0x4d91_7ddf);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn mid_fault_image_matches_its_golden_digest() {
     poison_line(&mut sys, 1);
     let _ = sys.load_line(base);
     let _ = sys.load_line(base + 128);
-    check("mid-fault", &sys.snapshot(), 2_421_339, 0x0b19_50f0);
+    check("mid-fault", &sys.snapshot(), 62_051, 0xb523_96d3);
 }
 
 #[test]
@@ -135,7 +135,7 @@ fn mid_evacuation_image_matches_its_golden_digest() {
     }
     sys.maintenance_pull(2).unwrap();
     assert!(sys.migration_backlog() > 0, "cut must land mid-copy");
-    check("mid-evacuation", &sys.snapshot(), 2_421_585, 0x21ae_20ff);
+    check("mid-evacuation", &sys.snapshot(), 62_297, 0x6437_a0e8);
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn post_epow_image_matches_its_golden_digest() {
     let epow = sys.epow();
     sys.power_cut(epow.done_at + SimTime::from_us(1));
     assert!(!sys.powered(), "cut must land powered off");
-    check("post-EPOW", &sys.snapshot(), 15_266_200, 0x179c_e053);
+    check("post-EPOW", &sys.snapshot(), 1_110_520, 0x34d5_f1c1);
 }
 
 /// A pMTJ STT-MRAM ConTutto in slot 0 beside six CDIMMs: stores spread
@@ -202,7 +202,7 @@ fn mram_image_matches_its_golden_digest() {
             .unwrap();
     }
     let _ = sys.load_line(base + 128);
-    check("mram", &sys.snapshot(), 14_225_171, 0xdb1b_ec5c);
+    check("mram", &sys.snapshot(), 69_443, 0x7b5d_4aa5);
 }
 
 /// A mirrored pair with admission, retry budget, breakers, hedging and
@@ -271,8 +271,8 @@ fn overload_image_matches_its_golden_digest() {
     check(
         "overload",
         &overload_system().snapshot(),
-        2_436_513,
-        0x26ed_c6ea,
+        77_297,
+        0xf4b2_e714,
     );
 }
 
