@@ -14,9 +14,10 @@
 use contutto_dmi::buffer::{BufferFrontEnd, DmiBuffer, WriteBeat};
 use contutto_dmi::command::{CacheLine, Tag, CACHE_LINE_BYTES};
 use contutto_dmi::frame::{CommandHeader, DownstreamPayload, UpstreamPayload};
-use contutto_memdev::{line_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
+use contutto_memdev::{
+    line_ok, range_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome,
+};
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
 
 use crate::cache::EdramCache;
@@ -135,6 +136,11 @@ impl Centaur {
         &self.cfg
     }
 
+    /// DDR ports behind the buffer, checked on restore.
+    fn port_count(&self) -> usize {
+        self.ports.len()
+    }
+
     fn route(&self, addr: u64) -> (usize, u64) {
         let line = addr / CACHE_LINE_BYTES as u64;
         let port = (line % DDR_PORTS as u64) as usize;
@@ -145,7 +151,12 @@ impl Centaur {
         )
     }
 
+    /// A line beyond the DRAM reads back poisoned: the host gets a
+    /// typed poisoned-read error, not an aborted process.
     fn read_line(&mut self, start: SimTime, addr: u64) -> (CacheLine, SimTime, ReadOutcome) {
+        if !range_ok(self.capacity_bytes(), addr, CACHE_LINE_BYTES) {
+            return (CacheLine::ZERO, start, ReadOutcome::Uncorrectable);
+        }
         let (port, local) = self.route(addr);
         let mut line = CacheLine::ZERO;
         if self.cfg.cache_enabled && self.cache.access(addr) {
@@ -173,7 +184,11 @@ impl Centaur {
         }
     }
 
+    /// A write to a line beyond the DRAM is dropped.
     fn write_line(&mut self, start: SimTime, addr: u64, line: &CacheLine) -> SimTime {
+        if !range_ok(self.capacity_bytes(), addr, CACHE_LINE_BYTES) {
+            return start;
+        }
         let (port, local) = self.route(addr);
         if self.cfg.cache_enabled {
             // Write-allocate so subsequent reads hit.
@@ -316,33 +331,13 @@ impl DmiBuffer for Centaur {
         now
     }
 
-    fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.cache.snapshot_state(out);
-        (self.ports.len() as u64).persist(out);
-        for port in &self.ports {
-            port.snapshot_state(out);
-        }
-        self.front.persist(out);
-        self.stats.persist(out);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        self.cache.restore_state(r)?;
-        let ports = r.len()?;
-        if ports != self.ports.len() {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "centaur port count",
-            });
-        }
-        for port in &mut self.ports {
-            port.restore_state(r)?;
-        }
-        let front = BufferFrontEnd::restore(r)?;
-        let stats = CentaurStats::restore(r)?;
-        self.front = front;
-        self.stats = stats;
-        Ok(())
-    }
+    contutto_sim::state_fields!({
+        state cache,
+        same_as(Centaur::port_count) => "centaur port count",
+        state each ports,
+        front,
+        stats,
+    });
 
     fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
         let s = self.stats;
@@ -371,6 +366,7 @@ mod tests {
     use super::*;
     use contutto_dmi::command::RmwOp;
     use contutto_dmi::frame::{line_to_downstream_beats, LineAssembler};
+    use contutto_sim::snapshot::{self, SnapReader};
 
     fn t(n: u8) -> Tag {
         Tag::new(n).unwrap()

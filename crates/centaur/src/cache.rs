@@ -7,7 +7,7 @@
 //! authoritative in DRAM (the model writes through), so the cache only
 //! decides whether an access pays DRAM latency.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, SnapReader};
 
 /// A set-associative tag array with LRU replacement.
 #[derive(Debug, Clone)]
@@ -206,23 +206,9 @@ impl EdramCache {
         self.num_sets as u64 * self.ways as u64 * self.line_bytes
     }
 
-    /// Serializes all dynamic state: the valid ways, the LRU clock and
-    /// the stats. Geometry is a construction parameter and is only
-    /// cross-checked.
-    ///
-    /// Only valid ways are written, as `(array index, tag, last_used)`
-    /// in strictly increasing index order after their count, so an
-    /// image grows with the lines the cache holds, not with its 16 MB
-    /// capacity. An invalid way's tag and `last_used` are dead state:
-    /// `probe_and_touch`, `contains` and `fill` read them only behind
-    /// `valid`, and victim choice keys every invalid way 0 whatever it
-    /// holds, with `min_by_key` breaking ties by the first index. A way
-    /// restored as `(false, 0, 0)` therefore behaves exactly like the
-    /// invalid way it stands for.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        (self.num_sets as u64).persist(out);
-        (self.ways as u64).persist(out);
-        self.line_bytes.persist(out);
+    /// The valid ways, as `(array index, (tag, last_used))` in strictly
+    /// increasing index order after their count.
+    fn persist_valid_ways(&self, out: &mut Vec<u8>) {
         let valid_ways = set_bits(&self.occupied).flat_map(|set_idx| {
             let first = set_idx * self.ways;
             self.set(set_idx)
@@ -232,56 +218,75 @@ impl EdramCache {
                 .map(move |(way, &(_, tag, last_used))| (first + way, (tag, last_used)))
         });
         snapshot::persist_sparse(valid_ways, out);
-        self.tick.persist(out);
-        self.hits.persist(out);
-        self.misses.persist(out);
-        self.prefetch_degree.persist(out);
-        self.prefetch_fills.persist(out);
     }
 
-    /// Replaces this cache's state with an
-    /// [`EdramCache::snapshot_state`] image: the tag array goes back to
-    /// all-invalid, as a boot builds it, and the listed ways are laid
-    /// over it. Both steps touch only the sets involved.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a different geometry, any [`snapshot::restore_sparse`]
-    /// error from the way list (a way index out of range or not above
-    /// the one before it, so each state has one encoding, or a count
-    /// the bytes left cannot hold), or any decode error from a corrupt
-    /// payload. The cache is left untouched on every error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let num_sets = r.len()?;
-        let ways = r.len()?;
-        let line_bytes = r.u64()?;
-        if num_sets != self.num_sets || ways != self.ways || line_bytes != self.line_bytes {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "cache geometry",
-            });
-        }
-        // Decoded in full before anything changes, so an error leaves
-        // the cache as it was.
-        let listed = snapshot::restore_sparse::<(u64, u64)>(r, self.tags.len(), VALID_WAY_BYTES)?;
-        let tick = r.u64()?;
-        let hits = r.u64()?;
-        let misses = r.u64()?;
-        let prefetch_degree = r.u64()?;
-        let prefetch_fills = r.u64()?;
+    fn restore_valid_ways(
+        &self,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Vec<ValidWay>, snapshot::RestoreError> {
+        snapshot::restore_sparse(r, self.tags.len(), VALID_WAY_BYTES)
+    }
+
+    /// The tag array goes back to all-invalid, as a boot builds it, and
+    /// the listed ways are laid over it. Both steps touch only the sets
+    /// involved.
+    fn lay_valid_ways(&mut self, listed: Vec<ValidWay>) -> Result<(), snapshot::RestoreError> {
         self.invalidate_all();
         for (idx, (tag, last_used)) in listed {
             self.tags[idx] = (true, tag, last_used);
             self.mark_occupied(idx / self.ways);
         }
-        self.tick = tick;
-        self.hits = hits;
-        self.misses = misses;
-        self.prefetch_degree = prefetch_degree;
-        self.prefetch_fills = prefetch_fills;
         Ok(())
     }
+
+    /// A miss prefetches `degree` lines, one by one: a degree past the
+    /// lines the cache holds only evicts what it just filled, and one
+    /// near `u64::MAX` would never finish a miss.
+    fn degree_fits(&self, degree: &u64) -> Result<(), snapshot::RestoreError> {
+        if *degree > self.tags.len() as u64 {
+            return Err(snapshot::RestoreError::Malformed {
+                context: "prefetch degree beyond the cache's lines",
+            });
+        }
+        Ok(())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic state: the valid ways, the LRU clock
+        /// and the stats. Geometry is a construction parameter and is
+        /// only cross-checked.
+        ///
+        /// Only valid ways are written, as `(array index, tag,
+        /// last_used)` in strictly increasing index order after their
+        /// count, so an image grows with the lines the cache holds, not
+        /// with its 16 MB capacity; [`snapshot::restore_sparse`] accepts
+        /// no other order, so each state has one encoding. An invalid
+        /// way's tag and `last_used` are dead state: `probe_and_touch`,
+        /// `contains` and `fill` read them only behind `valid`, and
+        /// victim choice keys every invalid way 0 whatever it holds,
+        /// with `min_by_key` breaking ties by the first index. A way
+        /// restored as `(false, 0, 0)` therefore behaves exactly like
+        /// the invalid way it stands for.
+        ///
+        /// The list holds no nested owner, so a restore error leaves
+        /// the cache untouched: the ways are laid only once the whole
+        /// payload has decoded.
+        pub {
+            same num_sets => "cache geometry",
+            same ways => "cache geometry",
+            same line_bytes => "cache geometry",
+            apply (Self::persist_valid_ways, Self::restore_valid_ways => Self::lay_valid_ways),
+            tick,
+            hits,
+            misses,
+            prefetch_degree if Self::degree_fits,
+            prefetch_fills,
+        }
+    }
 }
+
+/// A valid way in the image: its array index, then `(tag, last_used)`.
+type ValidWay = (usize, (u64, u64));
 
 /// Image bytes per valid way: index, tag and `last_used`, a `u64` each.
 const VALID_WAY_BYTES: usize = 3 * 8;
@@ -303,6 +308,7 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contutto_sim::snapshot::Persist;
 
     #[test]
     fn centaur_geometry() {
@@ -531,6 +537,30 @@ mod tests {
             assert!(
                 matches!(err, snapshot::RestoreError::Truncated { .. }),
                 "count {count}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_prefetch_degree_beyond_the_cache_is_malformed() {
+        // Degree is the second-to-last field of the image.
+        let c = EdramCache::new(256 * 4, 2);
+        let mut img = image(&c);
+        let at = img.len() - 16;
+        let mut target = EdramCache::new(256 * 4, 2);
+        let lines = target.tags.len() as u64;
+        img[at..at + 8].copy_from_slice(&lines.to_le_bytes());
+        target.restore_state(&mut SnapReader::new(&img)).unwrap();
+        for degree in [lines + 1, u64::MAX] {
+            img[at..at + 8].copy_from_slice(&degree.to_le_bytes());
+            let err = target
+                .restore_state(&mut SnapReader::new(&img))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                snapshot::RestoreError::Malformed {
+                    context: "prefetch degree beyond the cache's lines"
+                }
             );
         }
     }

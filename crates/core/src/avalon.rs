@@ -15,8 +15,7 @@
 //! latency each way, and serializes transfers per port.
 
 use contutto_dmi::PowerRestoreOutcome;
-use contutto_memdev::{FaultConfig, RasCounters, ReadOutcome};
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_memdev::{range_ok, FaultConfig, RasCounters, ReadOutcome};
 use contutto_sim::{time::clocks, Cycles, SimTime, Tracer};
 
 use crate::memctl::{MemoryController, MemoryKind};
@@ -118,6 +117,11 @@ impl AvalonBus {
         port: ReadPort,
         addr: u64,
     ) -> ([u8; 128], SimTime, ReadOutcome) {
+        // A line beyond the media reads back poisoned: the host gets a
+        // typed poisoned-read error, not an aborted process.
+        if !range_ok(self.capacity_bytes(), addr, 128) {
+            return ([0; 128], now, ReadOutcome::Uncorrectable);
+        }
         self.transfers += 1;
         let idx = match port {
             ReadPort::R0 => 0,
@@ -141,6 +145,10 @@ impl AvalonBus {
         addr: u64,
         data: &[u8; 128],
     ) -> SimTime {
+        // A write to a line beyond the media is dropped.
+        if !range_ok(self.capacity_bytes(), addr, 128) {
+            return now;
+        }
         self.transfers += 1;
         let idx = match port {
             WritePort::W0 => 0,
@@ -289,50 +297,23 @@ impl AvalonBus {
         }
     }
 
-    /// Serializes the bus's dynamic state: every port controller plus
-    /// the port-busy bookkeeping and transfer counter. Port count and
-    /// CDC depth are construction parameters and only cross-checked.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        (self.controllers.len() as u64).persist(out);
-        self.cdc_cycles.persist(out);
-        for c in &self.controllers {
-            c.snapshot_state(out);
-        }
-        for t in &self.read_busy {
-            t.persist(out);
-        }
-        for t in &self.write_busy {
-            t.persist(out);
-        }
-        self.transfers.persist(out);
+    /// Ports on the bus, checked on restore like the CDC depth.
+    fn port_count(&self) -> usize {
+        self.controllers.len()
     }
 
-    /// Overlays an [`AvalonBus::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a bus with a different port count or CDC depth, or any
-    /// decode error from the per-port payloads.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let ports = r.len()?;
-        let cdc = r.u64()?;
-        if ports != self.controllers.len() || cdc != self.cdc_cycles {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "avalon port count or cdc depth",
-            });
+    contutto_sim::state_fields! {
+        /// Serializes the bus's dynamic state: every port controller plus
+        /// the port-busy bookkeeping and transfer counter. Port count and
+        /// CDC depth are construction parameters and only cross-checked.
+        pub {
+            same_as(Self::port_count) => "avalon port count or cdc depth",
+            same cdc_cycles => "avalon port count or cdc depth",
+            state each controllers,
+            each read_busy,
+            each write_busy,
+            transfers,
         }
-        for c in &mut self.controllers {
-            c.restore_state(r)?;
-        }
-        for t in &mut self.read_busy {
-            *t = SimTime::restore(r)?;
-        }
-        for t in &mut self.write_busy {
-            *t = SimTime::restore(r)?;
-        }
-        self.transfers = r.u64()?;
-        Ok(())
     }
 
     /// Media RAS counters summed across ports.

@@ -12,7 +12,6 @@
 use contutto_dmi::buffer::{DmiBuffer, MediaFaultSpec, PowerRestoreOutcome};
 use contutto_dmi::frame::{DownstreamPayload, UpstreamPayload};
 use contutto_memdev::{line_ok, FaultConfig, MramGeneration, RasCounters};
-use contutto_sim::snapshot::{self, SnapReader};
 use contutto_sim::{MetricsRegistry, SimTime, Tracer};
 
 use crate::avalon::AvalonBus;
@@ -343,15 +342,11 @@ impl DmiBuffer for ConTutto {
         self.mbs.avalon().scrub_interval()
     }
 
-    fn snapshot_state(&self, out: &mut Vec<u8>) {
-        // All dynamic card state lives in the MBS and below (Avalon,
-        // controllers, media); the PHY/MBI layers are pure latency.
-        self.mbs.snapshot_state(out);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        self.mbs.restore_state(r)
-    }
+    // All dynamic card state lives in the MBS and below (Avalon,
+    // controllers, media); the PHY/MBI layers are pure latency.
+    contutto_sim::state_fields!({
+        state mbs,
+    });
 
     fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
         let stats = self.stats();
@@ -387,6 +382,7 @@ mod tests {
     use super::*;
     use contutto_dmi::command::{CacheLine, Tag};
     use contutto_dmi::frame::{line_to_downstream_beats, CommandHeader, LineAssembler};
+    use contutto_sim::snapshot::{self, SnapReader};
 
     fn t(n: u8) -> Tag {
         Tag::new(n).unwrap()

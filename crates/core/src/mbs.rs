@@ -30,7 +30,7 @@ use contutto_dmi::buffer::{BufferFrontEnd, WriteBeat};
 use contutto_dmi::command::{CacheLine, Tag};
 use contutto_dmi::frame::{CommandHeader, DownstreamPayload, UpstreamPayload};
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot;
 use contutto_sim::{time::clocks, Cycles, SimTime, TraceEvent, Tracer};
 
 use crate::avalon::{AvalonBus, ReadPort, WritePort};
@@ -341,70 +341,37 @@ impl MbsLogic {
         self.front.push_done(done_at, tag);
     }
 
-    /// Serializes all dynamic MBS state: the runtime latency knob, the
-    /// Avalon bus and media below it, every in-flight command engine,
-    /// the upstream response queue and the statistics. Pipeline depths
-    /// and PHY/MBI latencies are construction parameters and only
-    /// cross-checked.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.cfg.decode_cycles.persist(out);
-        self.cfg.engine_cycles.persist(out);
-        self.cfg.arb_cycles.persist(out);
-        self.cfg.memctl_issue_cycles.persist(out);
-        self.cfg.memctl_return_cycles.persist(out);
-        self.rx_extra.persist(out);
-        self.tx_extra.persist(out);
-        // The knob is software-writable at runtime, so it travels as
-        // state rather than a construction parameter.
-        self.cfg.latency_knob.persist(out);
-        self.avalon.snapshot_state(out);
-        self.front.persist(out);
-        self.decoder_toggle.persist(out);
-        self.stats.persist(out);
-    }
-
-    /// Overlays an [`MbsLogic::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a differently-configured pipeline, or any decode error
-    /// from a corrupt payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let decode_cycles = r.u64()?;
-        let engine_cycles = r.u64()?;
-        let arb_cycles = r.u64()?;
-        let memctl_issue_cycles = r.u64()?;
-        let memctl_return_cycles = r.u64()?;
-        let rx_extra = SimTime::restore(r)?;
-        let tx_extra = SimTime::restore(r)?;
-        if decode_cycles != self.cfg.decode_cycles
-            || engine_cycles != self.cfg.engine_cycles
-            || arb_cycles != self.cfg.arb_cycles
-            || memctl_issue_cycles != self.cfg.memctl_issue_cycles
-            || memctl_return_cycles != self.cfg.memctl_return_cycles
-            || rx_extra != self.rx_extra
-            || tx_extra != self.tx_extra
-        {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "mbs pipeline parameters",
-            });
-        }
-        let latency_knob = r.u8()?;
-        if latency_knob > 7 {
+    fn knob_in_range(&self, knob: &u8) -> Result<(), snapshot::RestoreError> {
+        if *knob > 7 {
             return Err(snapshot::RestoreError::Malformed {
                 context: "latency knob out of range",
             });
         }
-        self.avalon.restore_state(r)?;
-        let front = BufferFrontEnd::restore(r)?;
-        let decoder_toggle = r.bool()?;
-        let stats = MbsStats::restore(r)?;
-        self.cfg.latency_knob = latency_knob;
-        self.front = front;
-        self.decoder_toggle = decoder_toggle;
-        self.stats = stats;
         Ok(())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic MBS state: the runtime latency knob
+        /// (software-writable at runtime, so it travels as state rather
+        /// than a construction parameter), the Avalon bus and media
+        /// below it, every in-flight command engine, the upstream
+        /// response queue and the statistics. Pipeline depths and
+        /// PHY/MBI latencies are construction parameters and only
+        /// cross-checked.
+        pub {
+            same cfg.decode_cycles => "mbs pipeline parameters",
+            same cfg.engine_cycles => "mbs pipeline parameters",
+            same cfg.arb_cycles => "mbs pipeline parameters",
+            same cfg.memctl_issue_cycles => "mbs pipeline parameters",
+            same cfg.memctl_return_cycles => "mbs pipeline parameters",
+            same rx_extra => "mbs pipeline parameters",
+            same tx_extra => "mbs pipeline parameters",
+            cfg.latency_knob if Self::knob_in_range,
+            state avalon,
+            front,
+            decoder_toggle,
+            stats,
+        }
     }
 
     /// Power cut: every in-flight engine assembly and queued response
@@ -434,6 +401,7 @@ mod tests {
     use crate::memctl::{MemoryController, MemoryKind};
     use contutto_dmi::command::RmwOp;
     use contutto_dmi::frame::{line_to_downstream_beats, LineAssembler};
+    use contutto_sim::snapshot::SnapReader;
 
     fn t(n: u8) -> Tag {
         Tag::new(n).unwrap()

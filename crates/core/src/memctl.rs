@@ -19,7 +19,7 @@ use contutto_memdev::{
     DdrTimings, Dram, MediaArray, MemoryDevice, MramGeneration, NvdimmN, ReadOutcome, RestoreError,
     SaveState, SttMram,
 };
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, SnapReader};
 use contutto_sim::{SimTime, TraceEvent, Tracer};
 
 /// The memory technology a controller instance drives.
@@ -48,6 +48,41 @@ enum PortDevice {
 }
 
 impl PortDevice {
+    /// The device image, tagged with the media kind so a restore into a
+    /// differently populated port fails as a topology mismatch instead
+    /// of misreading the bytes. Hand-written: the tag selects which
+    /// device list follows.
+    fn snapshot_state(&self, out: &mut Vec<u8>) {
+        match self {
+            PortDevice::Dram(d) => {
+                out.push(0);
+                d.snapshot_state(out);
+            }
+            PortDevice::Mram(d) => {
+                out.push(1);
+                d.snapshot_state(out);
+            }
+            PortDevice::Nvdimm(d) => {
+                out.push(2);
+                d.snapshot_state(out);
+            }
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
+        match (self, r.u8()?) {
+            (PortDevice::Dram(d), 0) => d.restore_state(r),
+            (PortDevice::Mram(d), 1) => d.restore_state(r),
+            (PortDevice::Nvdimm(d), 2) => d.restore_state(r),
+            (_, 0..=2) => Err(snapshot::RestoreError::TopologyMismatch {
+                context: "memory-controller media kind",
+            }),
+            _ => Err(snapshot::RestoreError::Malformed {
+                context: "memory-controller media discriminant",
+            }),
+        }
+    }
+
     fn as_device_mut(&mut self) -> &mut dyn MemoryDevice {
         match self {
             PortDevice::Dram(d) => d.as_mut(),
@@ -312,71 +347,19 @@ impl MemoryController {
         }
     }
 
-    /// Serializes the controller's dynamic state: the device (contents,
-    /// wear, save engine), flush bookkeeping, op counters and the
-    /// patrol-scrub schedule. The payload is tagged with the media kind
-    /// so a restore into a differently-populated port fails as a
-    /// topology mismatch instead of misinterpreting the bytes.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        match &self.device {
-            PortDevice::Dram(d) => {
-                0u8.persist(out);
-                d.snapshot_state(out);
-            }
-            PortDevice::Mram(d) => {
-                1u8.persist(out);
-                d.snapshot_state(out);
-            }
-            PortDevice::Nvdimm(d) => {
-                2u8.persist(out);
-                d.snapshot_state(out);
-            }
+    contutto_sim::state_fields! {
+        /// Serializes the controller's dynamic state: the device (contents,
+        /// wear, save engine), flush bookkeeping, op counters and the
+        /// patrol-scrub schedule.
+        pub {
+            state device,
+            last_write_durable,
+            reads,
+            writes,
+            flushes,
+            scrub_interval,
+            next_scrub,
         }
-        self.last_write_durable.persist(out);
-        self.reads.persist(out);
-        self.writes.persist(out);
-        self.flushes.persist(out);
-        self.scrub_interval.persist(out);
-        self.next_scrub.persist(out);
-    }
-
-    /// Overlays a [`MemoryController::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if this port drives
-    /// a different media kind than the image, or any decode error from
-    /// a corrupt payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let tag = r.u8()?;
-        match (&mut self.device, tag) {
-            (PortDevice::Dram(d), 0) => d.restore_state(r)?,
-            (PortDevice::Mram(d), 1) => d.restore_state(r)?,
-            (PortDevice::Nvdimm(d), 2) => d.restore_state(r)?,
-            (_, 0..=2) => {
-                return Err(snapshot::RestoreError::TopologyMismatch {
-                    context: "memory-controller media kind",
-                })
-            }
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "memory-controller media discriminant",
-                })
-            }
-        }
-        let last_write_durable = SimTime::restore(r)?;
-        let reads = r.u64()?;
-        let writes = r.u64()?;
-        let flushes = r.u64()?;
-        let scrub_interval = Option::<SimTime>::restore(r)?;
-        let next_scrub = SimTime::restore(r)?;
-        self.last_write_durable = last_write_durable;
-        self.reads = reads;
-        self.writes = writes;
-        self.flushes = flushes;
-        self.scrub_interval = scrub_interval;
-        self.next_scrub = next_scrub;
-        Ok(())
     }
 }
 

@@ -230,22 +230,13 @@ impl TagPool {
         self.free & (1 << tag.0) == 0
     }
 
-    /// Serializes the pool's dynamic state (the free bitmask) into a
-    /// snapshot payload. The tracer attachment is construction-time
-    /// wiring and is not part of the image.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.free.persist(out);
-    }
-
-    /// Overlays pool state from a snapshot payload, keeping the
-    /// existing tracer attachment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RestoreError`] from the payload decode.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        self.free = u32::restore(r)?;
-        Ok(())
+    contutto_sim::state_fields! {
+        /// Serializes the pool's dynamic state (the free bitmask) into a
+        /// snapshot payload. The tracer attachment is construction-time
+        /// wiring and is not part of the image.
+        pub {
+            free,
+        }
     }
 }
 

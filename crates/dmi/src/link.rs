@@ -385,6 +385,11 @@ impl<F: WireFrame> LinkSegment<F> {
         self.wire.next_ready_time()
     }
 
+    /// Time the last frame in flight arrives, if any is in flight.
+    pub fn last_arrival(&self) -> Option<SimTime> {
+        self.wire.iter().last().map(|(at, _)| at)
+    }
+
     /// Total per-frame latency: propagation plus one serialization.
     pub(crate) fn latency(&self) -> SimTime {
         self.wire.latency()
@@ -444,38 +449,28 @@ impl<F: WireFrame> LinkSegment<F> {
         self.injector = injector;
     }
 
-    /// Serializes the segment's dynamic state (in-flight frames, each
-    /// as its wire image, injector, frame accounting). The speed grade
-    /// is a construction parameter and is not persisted; the wire
-    /// latency it implies is cross-checked on restore instead.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.wire.persist(out);
-        self.injector.persist(out);
-        self.frames_sent.persist(out);
-        self.frames_corrupted.persist(out);
-    }
-
-    /// Overlays segment state from a snapshot payload. Restored frames
-    /// ride as their wire images until they are delivered.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::TopologyMismatch`] when the stored wire latency
-    /// does not match this segment's construction (different speed
-    /// grade or propagation delay); otherwise propagates the payload
-    /// decode error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let wire = DelayQueue::<OnWire<F>>::restore(r)?;
+    fn latency_matches(&self, wire: &DelayQueue<OnWire<F>>) -> Result<(), RestoreError> {
         if wire.latency() != self.wire.latency() {
             return Err(RestoreError::TopologyMismatch {
                 context: "link segment latency",
             });
         }
-        self.injector = BitErrorInjector::restore(r)?;
-        self.frames_sent = u64::restore(r)?;
-        self.frames_corrupted = u64::restore(r)?;
-        self.wire = wire;
         Ok(())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes the segment's dynamic state (in-flight frames,
+        /// each as its wire image, injector, frame accounting). Restored
+        /// frames ride as their wire images until they are delivered.
+        /// The speed grade is a construction parameter and is not
+        /// persisted; the wire latency it implies is cross-checked on
+        /// restore instead.
+        pub {
+            wire if Self::latency_matches,
+            injector,
+            frames_sent,
+            frames_corrupted,
+        }
     }
 }
 

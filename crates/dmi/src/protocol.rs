@@ -48,7 +48,7 @@ pub enum LinkRole {
 /// A frame type that can ride the link. Implemented by
 /// [`DownstreamFrame`] and [`UpstreamFrame`]; sealed in practice by the
 /// crate's frame formats.
-pub trait WireFrame: Sized + Clone + PartialEq + std::fmt::Debug {
+pub trait WireFrame: Sized + Clone + PartialEq + std::fmt::Debug + Persist {
     /// The payload enum carried by this direction.
     type Payload: Clone + PartialEq + std::fmt::Debug;
 
@@ -717,27 +717,116 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         self.stats.frames_rx_ok += k;
     }
 
-    /// Serializes the endpoint's dynamic state into a snapshot
-    /// payload. Frames (replay buffer, last frame) and backlogged
-    /// payloads ride as their wire bytes — the same encoding the link
-    /// itself uses, CRC included — so a flipped byte in a stored frame
-    /// is caught on restore by the frame decoder. The role and buffer
-    /// sizing are construction parameters; only the runtime-mutable
-    /// ACK timeout (set after FRTL measurement) is persisted.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.cfg.ack_timeout_frames.persist(out);
-        let backlog: Vec<Vec<u8>> = self
-            .backlog
-            .iter()
-            .map(|p| T::assemble(0, None, p.clone()).serialize())
-            .collect();
-        backlog.persist(out);
-        let replay: Vec<Vec<u8>> = self.replay.iter().map(WireFrame::serialize).collect();
-        replay.persist(out);
-        self.next_seq.persist(out);
-        self.acked_upto.persist(out);
-        self.slots_since_progress.persist(out);
+    fn ack_timeout_fits(&self, ack_timeout_frames: &u64) -> Result<(), RestoreError> {
+        let candidate = LinkEndpointConfig {
+            ack_timeout_frames: *ack_timeout_frames,
+            ..self.cfg.clone()
+        };
+        candidate.validate().map_err(|_| RestoreError::Malformed {
+            context: "link ack timeout",
+        })
+    }
+
+    fn replay_fits(&self, replay: &VecDeque<T>) -> Result<(), RestoreError> {
+        if replay.len() > self.cfg.replay_buffer_frames {
+            return Err(RestoreError::Malformed {
+                context: "replay buffer overflow",
+            });
+        }
+        Ok(())
+    }
+
+    fn seq_fits(&self, seq: &u8) -> Result<(), RestoreError> {
+        self.ack_fits(&Some(*seq))
+    }
+
+    fn ack_fits(&self, ack: &Option<u8>) -> Result<(), RestoreError> {
+        if ack.is_some_and(|a| a >= SEQ_MODULO) {
+            return Err(RestoreError::Malformed {
+                context: "sequence ID out of range",
+            });
+        }
+        Ok(())
+    }
+
+    fn replay_cursor_fits(&self) -> Result<(), RestoreError> {
         match self.tx_state {
+            TxState::Replay { next_idx } if next_idx > self.replay.len() => {
+                Err(RestoreError::Malformed {
+                    context: "replay cursor out of range",
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Backlogged payloads ride as whole frames, like the replay
+    /// buffer, so a stored payload is checked by the frame decoder.
+    fn persist_backlog(backlog: &VecDeque<T::Payload>, out: &mut Vec<u8>) {
+        (backlog.len() as u64).persist(out);
+        for payload in backlog {
+            T::assemble(0, None, payload.clone()).persist(out);
+        }
+    }
+
+    fn restore_backlog(r: &mut SnapReader<'_>) -> Result<VecDeque<T::Payload>, RestoreError> {
+        Ok(VecDeque::<T>::restore(r)?
+            .into_iter()
+            .map(WireFrame::into_payload)
+            .collect())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes the endpoint's dynamic state into a snapshot
+        /// payload. Frames (replay buffer, last frame) and backlogged
+        /// payloads ride as their wire bytes — the same encoding the
+        /// link itself uses, CRC included — so a flipped byte in a
+        /// stored frame is caught on restore by the frame decoder. The
+        /// role and buffer sizing are construction parameters; only the
+        /// runtime-mutable ACK timeout (set after FRTL measurement) is
+        /// persisted, and restore checks it against the replay buffer's
+        /// coverage invariant, every sequence ID against the 7-bit
+        /// space and the replay cursor against the buffer.
+        pub {
+            cfg.ack_timeout_frames if Self::ack_timeout_fits,
+            backlog with (Self::persist_backlog, Self::restore_backlog),
+            replay if Self::replay_fits,
+            next_seq if Self::seq_fits,
+            acked_upto if Self::ack_fits,
+            slots_since_progress,
+            tx_state,
+            last_frame,
+            rx_expected if Self::seq_fits,
+            rx_state,
+            pending_ack if Self::ack_fits,
+            stats,
+            check Self::replay_cursor_fits,
+        }
+    }
+}
+
+/// A frame persists as its wire bytes, CRC included; restoring one the
+/// frame decoder rejects is [`RestoreError::Malformed`].
+macro_rules! persist_as_wire_bytes {
+    ($($frame:ty),+) => {$(
+        impl Persist for $frame {
+            fn persist(&self, out: &mut Vec<u8>) {
+                self.serialize().persist(out);
+            }
+            fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+                Self::deserialize(&Vec::<u8>::restore(r)?).map_err(|_| RestoreError::Malformed {
+                    context: "stored link frame",
+                })
+            }
+        }
+    )+};
+}
+
+persist_as_wire_bytes!(DownstreamFrame, UpstreamFrame);
+
+impl Persist for TxState {
+    fn persist(&self, out: &mut Vec<u8>) {
+        match self {
             TxState::Normal => out.push(0),
             TxState::Freeze { slots_left } => {
                 out.push(1);
@@ -748,121 +837,40 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
                 next_idx.persist(out);
             }
         }
-        self.last_frame
-            .as_ref()
-            .map(WireFrame::serialize)
-            .persist(out);
-        self.rx_expected.persist(out);
-        out.push(match self.rx_state {
-            RxState::Normal => 0,
-            RxState::AwaitReplay => 1,
-        });
-        self.pending_ack.persist(out);
-        self.stats.persist(out);
     }
-
-    /// Overlays endpoint state from a snapshot payload onto this
-    /// (identically configured) endpoint, keeping the existing tracer
-    /// attachment.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::Malformed`] when a stored frame fails to decode,
-    /// a sequence ID is outside the 7-bit space, the replay cursor is
-    /// out of range, or the stored ACK timeout violates the replay
-    /// buffer's coverage invariant; otherwise propagates the payload
-    /// decode error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        fn decode_frame<F: WireFrame>(bytes: &[u8]) -> Result<F, RestoreError> {
-            F::deserialize(bytes).map_err(|_| RestoreError::Malformed {
-                context: "stored link frame",
-            })
-        }
-
-        let ack_timeout_frames = u64::restore(r)?;
-        let candidate = LinkEndpointConfig {
-            ack_timeout_frames,
-            ..self.cfg.clone()
-        };
-        if candidate.validate().is_err() {
-            return Err(RestoreError::Malformed {
-                context: "link ack timeout",
-            });
-        }
-        let backlog = Vec::<Vec<u8>>::restore(r)?
-            .iter()
-            .map(|bytes| Ok(decode_frame::<T>(bytes)?.into_payload()))
-            .collect::<Result<VecDeque<_>, RestoreError>>()?;
-        let replay = Vec::<Vec<u8>>::restore(r)?
-            .iter()
-            .map(|bytes| decode_frame::<T>(bytes))
-            .collect::<Result<VecDeque<_>, RestoreError>>()?;
-        if replay.len() > candidate.replay_buffer_frames {
-            return Err(RestoreError::Malformed {
-                context: "replay buffer overflow",
-            });
-        }
-        let next_seq = r.u8()?;
-        let acked_upto = Option::<u8>::restore(r)?;
-        let slots_since_progress = u64::restore(r)?;
-        let tx_state = match r.u8()? {
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        Ok(match r.u8()? {
             0 => TxState::Normal,
             1 => TxState::Freeze {
                 slots_left: r.u64()?,
             },
-            2 => {
-                let next_idx = usize::restore(r)?;
-                if next_idx > replay.len() {
-                    return Err(RestoreError::Malformed {
-                        context: "replay cursor out of range",
-                    });
-                }
-                TxState::Replay { next_idx }
-            }
+            2 => TxState::Replay {
+                next_idx: usize::restore(r)?,
+            },
             _ => {
                 return Err(RestoreError::Malformed {
                     context: "TxState discriminant",
                 })
             }
-        };
-        let last_frame = Option::<Vec<u8>>::restore(r)?
-            .map(|bytes| decode_frame::<T>(&bytes))
-            .transpose()?;
-        let rx_expected = r.u8()?;
-        let rx_state = match r.u8()? {
-            0 => RxState::Normal,
-            1 => RxState::AwaitReplay,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "RxState discriminant",
-                })
-            }
-        };
-        let pending_ack = Option::<u8>::restore(r)?;
-        if next_seq >= SEQ_MODULO
-            || rx_expected >= SEQ_MODULO
-            || acked_upto.is_some_and(|a| a >= SEQ_MODULO)
-            || pending_ack.is_some_and(|a| a >= SEQ_MODULO)
-        {
-            return Err(RestoreError::Malformed {
-                context: "sequence ID out of range",
-            });
-        }
-        let stats = LinkStats::restore(r)?;
+        })
+    }
+}
 
-        self.cfg = candidate;
-        self.backlog = backlog;
-        self.replay = replay;
-        self.next_seq = next_seq;
-        self.acked_upto = acked_upto;
-        self.slots_since_progress = slots_since_progress;
-        self.tx_state = tx_state;
-        self.last_frame = last_frame;
-        self.rx_expected = rx_expected;
-        self.rx_state = rx_state;
-        self.pending_ack = pending_ack;
-        self.stats = stats;
-        Ok(())
+impl Persist for RxState {
+    fn persist(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            RxState::Normal => 0,
+            RxState::AwaitReplay => 1,
+        });
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        match r.u8()? {
+            0 => Ok(RxState::Normal),
+            1 => Ok(RxState::AwaitReplay),
+            _ => Err(RestoreError::Malformed {
+                context: "RxState discriminant",
+            }),
+        }
     }
 }
 

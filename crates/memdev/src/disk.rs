@@ -7,7 +7,6 @@
 //! GPFS write cache exploits by turning random writes into sequential
 //! ones (paper §4.2, Table 4).
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::SimTime;
 
 use crate::ecc::{ReadOutcome, ReadResult};
@@ -96,42 +95,6 @@ impl HardDiskDrive {
     /// Accesses recognized as sequential (no mechanical delay).
     pub fn sequential_hits(&self) -> u64 {
         self.sequential_hits
-    }
-
-    /// Serializes all dynamic state (contents, head position, stats).
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.capacity.persist(out);
-        self.store.persist(out);
-        self.head_pos.persist(out);
-        self.busy_until.persist(out);
-        self.seeks.persist(out);
-        self.sequential_hits.persist(out);
-    }
-
-    /// Overlays a [`HardDiskDrive::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] on a capacity
-    /// mismatch, or any decode error from a corrupt payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let capacity = r.u64()?;
-        if capacity != self.capacity {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "disk capacity",
-            });
-        }
-        let store = SparseMemory::restore(r)?;
-        let head_pos = r.u64()?;
-        let busy_until = SimTime::restore(r)?;
-        let seeks = r.u64()?;
-        let sequential_hits = r.u64()?;
-        self.store = store;
-        self.head_pos = head_pos;
-        self.busy_until = busy_until;
-        self.seeks = seeks;
-        self.sequential_hits = sequential_hits;
-        Ok(())
     }
 
     fn rotational_half_turn(&self) -> SimTime {
@@ -250,22 +213,6 @@ mod tests {
         }
         let iops = n as f64 / now.as_secs_f64();
         assert!((55.0..95.0).contains(&iops), "measured {iops} IOPS");
-    }
-
-    #[test]
-    fn snapshot_restore_keeps_head_position() {
-        let mut d = hdd();
-        let t1 = d.write(SimTime::ZERO, 0, &[0u8; 4096]);
-        let mut img = Vec::new();
-        d.snapshot_state(&mut img);
-        let mut fresh = hdd();
-        fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
-        // The restored head parks where the original left it: the next
-        // sequential write skips mechanics in both copies.
-        let a = d.write(t1, 4096, &[1u8; 4096]);
-        let b = fresh.write(t1, 4096, &[1u8; 4096]);
-        assert_eq!(a, b);
-        assert_eq!(d.sequential_hits(), fresh.sequential_hits());
     }
 
     #[test]

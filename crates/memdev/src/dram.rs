@@ -10,12 +10,10 @@
 //! enablement, we use the soft DDR3 memory controller from Altera").
 
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::SimTime;
 
 use crate::array::MediaArray;
-use crate::ecc::{MediaRas, ReadResult, ScrubReport};
-use crate::store::SparseMemory;
+use crate::ecc::{ReadResult, ScrubReport};
 use crate::traits::{MediaKind, MemoryDevice};
 
 /// DDR3 timing parameters, in picoseconds.
@@ -75,6 +73,11 @@ struct BankState {
     open_row: Option<u64>,
     busy_until: SimTime,
 }
+
+persist_fields!(BankState {
+    open_row,
+    busy_until
+});
 
 /// Outcome classification of a single DRAM access, for stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,54 +177,20 @@ impl Dram {
         self.banks = [BankState::default(); NUM_BANKS];
     }
 
-    /// Serializes all dynamic state (contents, bank/row state, RAS
-    /// bookkeeping, stats). Capacity and timings are construction
-    /// parameters: the image only cross-checks them.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.array.capacity.persist(out);
-        for bank in &self.banks {
-            bank.open_row.persist(out);
-            bank.busy_until.persist(out);
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic state (contents, bank/row state, RAS
+        /// bookkeeping, stats). Capacity and timings are construction
+        /// parameters: the image only cross-checks them. Restore decodes
+        /// the whole payload before it changes anything.
+        pub {
+            same array.capacity => "dram capacity",
+            each banks,
+            array.store,
+            next_refresh,
+            last_data_out,
+            stats,
+            array.ras,
         }
-        self.array.store.persist(out);
-        self.next_refresh.persist(out);
-        self.last_data_out.persist(out);
-        self.stats.persist(out);
-        self.array.ras.persist(out);
-    }
-
-    /// Overlays a [`Dram::snapshot_state`] image onto this device.
-    /// Nothing is mutated until the whole payload validates.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image was
-    /// taken from a device of a different capacity, or any decode
-    /// error from a corrupt payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let capacity = r.u64()?;
-        if capacity != self.array.capacity {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "dram capacity",
-            });
-        }
-        let mut banks = [BankState::default(); NUM_BANKS];
-        for bank in banks.iter_mut() {
-            bank.open_row = Option::restore(r)?;
-            bank.busy_until = SimTime::restore(r)?;
-        }
-        let store = SparseMemory::restore(r)?;
-        let next_refresh = SimTime::restore(r)?;
-        let last_data_out = SimTime::restore(r)?;
-        let stats = DramStats::restore(r)?;
-        let ras = MediaRas::restore(r)?;
-        self.banks = banks;
-        self.array.store = store;
-        self.next_refresh = next_refresh;
-        self.last_data_out = last_data_out;
-        self.stats = stats;
-        self.array.ras = ras;
-        Ok(())
     }
 
     fn bank_and_row(&self, addr: u64) -> (usize, u64) {
@@ -321,6 +290,7 @@ impl MemoryDevice for Dram {
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use contutto_sim::snapshot::SnapReader;
 
     fn dram() -> Dram {
         Dram::new(1 << 30, DdrTimings::ddr3_1600())

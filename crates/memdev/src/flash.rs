@@ -7,7 +7,8 @@
 //! This is the media model under the SSD / PCIe-flash baselines in the
 //! storage crate and the backup store inside NVDIMM-N.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::persist_fields;
+use contutto_sim::snapshot::{self, SnapReader};
 use contutto_sim::SimTime;
 
 use crate::ecc::{ReadOutcome, ReadResult};
@@ -73,6 +74,12 @@ struct BlockState {
     /// come back uncorrectable.
     bad: bool,
 }
+
+persist_fields!(BlockState {
+    programmed,
+    erase_count,
+    bad
+});
 
 impl BlockState {
     /// Still as a boot builds it: nothing programmed, never erased.
@@ -190,76 +197,58 @@ impl NandFlash {
         self.store.write(addr, &b);
     }
 
-    /// Serializes all dynamic state (contents, and the wear and program
-    /// bitmap of every block that left its boot state). Geometry is a
-    /// construction parameter: the image only cross-checks it.
-    ///
-    /// A block still as a boot builds it (nothing programmed, never
-    /// erased, not bad) is left out, so the table grows with the blocks
-    /// written, not with the device's capacity. The rest are written as
-    /// `(block index, programmed, erase count, bad)` in strictly
-    /// increasing index order after their count.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.capacity.persist(out);
-        self.store.persist(out);
-        (self.blocks.len() as u64).persist(out);
+    /// The blocks out of their boot state, as `(block index, state)` in
+    /// strictly increasing index order after their count.
+    fn persist_written_blocks(&self, out: &mut Vec<u8>) {
         let written = self
             .blocks
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.is_fresh());
-        snapshot::persist_sparse(
-            written.map(|(idx, b)| (idx, (b.programmed, b.erase_count, b.bad))),
-            out,
-        );
-        self.busy_until.persist(out);
-        self.dropped_writes.persist(out);
+        snapshot::persist_sparse(written.map(|(idx, b)| (idx, b.clone())), out);
     }
 
-    /// Overlays a [`NandFlash::snapshot_state`] image onto this device:
-    /// every block starts over in its boot state and the listed blocks
+    fn restore_written_blocks(
+        &self,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Vec<(usize, BlockState)>, snapshot::RestoreError> {
+        snapshot::restore_sparse(r, self.blocks.len(), WRITTEN_BLOCK_BYTES)
+    }
+
+    /// Every block starts over in its boot state and the listed blocks
     /// are laid over it.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a device of a different capacity or block count, any
-    /// [`snapshot::restore_sparse`] error from the block list, or any
-    /// decode error from a corrupt payload. The device is left
-    /// untouched on every error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let capacity = r.u64()?;
-        if capacity != self.capacity {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "flash capacity",
-            });
+    fn lay_written_blocks(
+        &mut self,
+        written: Vec<(usize, BlockState)>,
+    ) -> Result<(), snapshot::RestoreError> {
+        self.blocks.fill(BlockState::default());
+        for (idx, block) in written {
+            self.blocks[idx] = block;
         }
-        let store = SparseMemory::restore(r)?;
-        if r.len()? != self.blocks.len() {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "flash block count",
-            });
-        }
-        let written = snapshot::restore_sparse::<(u64, u64, bool)>(
-            r,
-            self.blocks.len(),
-            WRITTEN_BLOCK_BYTES,
-        )?;
-        let mut blocks = vec![BlockState::default(); self.blocks.len()];
-        for (idx, (programmed, erase_count, bad)) in written {
-            blocks[idx] = BlockState {
-                programmed,
-                erase_count,
-                bad,
-            };
-        }
-        let busy_until = SimTime::restore(r)?;
-        let dropped_writes = r.u64()?;
-        self.store = store;
-        self.blocks = blocks;
-        self.busy_until = busy_until;
-        self.dropped_writes = dropped_writes;
         Ok(())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic state (contents, and the wear and
+        /// program bitmap of every block that left its boot state).
+        /// Geometry is a construction parameter: the image only
+        /// cross-checks it.
+        ///
+        /// A block still as a boot builds it (nothing programmed, never
+        /// erased, not bad) is left out, so the table grows with the
+        /// blocks written, not with the device's capacity. The rest are
+        /// written as `(block index, programmed, erase count, bad)` in
+        /// strictly increasing index order after their count, the one
+        /// order [`snapshot::restore_sparse`] accepts. The list holds no
+        /// nested owner, so a restore error leaves the device untouched.
+        pub {
+            same capacity => "flash capacity",
+            store,
+            same_as(Self::block_count) => "flash block count",
+            apply (Self::persist_written_blocks, Self::restore_written_blocks => Self::lay_written_blocks),
+            busy_until,
+            dropped_writes,
+        }
     }
 
     fn page_of(&self, addr: u64) -> u64 {

@@ -13,13 +13,12 @@
 
 use std::collections::HashMap;
 
-use contutto_sim::snapshot::{self, persist_sorted_map, restore_map, Persist, SnapReader};
+use contutto_sim::snapshot::{persist_sorted_map, restore_map};
 use contutto_sim::SimTime;
 
 use crate::array::MediaArray;
-use crate::ecc::{MediaRas, ReadResult, ScrubReport};
+use crate::ecc::{ReadResult, ScrubReport};
 use crate::endurance::Technology;
-use crate::store::SparseMemory;
 use crate::traits::{MediaKind, MemoryDevice};
 
 /// STT-MRAM device generation (paper §4.2(ii)).
@@ -148,56 +147,28 @@ impl SttMram {
         self.busy_until = SimTime::ZERO;
     }
 
-    /// Serializes all dynamic state (contents, wear counters, RAS
-    /// bookkeeping). Capacity and generation are construction
-    /// parameters: the image only cross-checks them.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.array.capacity.persist(out);
-        let generation: u8 = match self.generation {
+    /// The generation's image code, checked on restore like capacity.
+    fn generation_code(&self) -> u8 {
+        match self.generation {
             MramGeneration::Imtj => 0,
             MramGeneration::Pmtj => 1,
-        };
-        generation.persist(out);
-        self.array.store.persist(out);
-        self.busy_until.persist(out);
-        persist_sorted_map(&self.write_counts, out);
-        self.total_writes.persist(out);
-        self.total_write_energy_pj.persist(out);
-        self.array.ras.persist(out);
+        }
     }
 
-    /// Overlays a [`SttMram::snapshot_state`] image onto this device.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a device of a different capacity or generation, or any
-    /// decode error from a corrupt payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let capacity = r.u64()?;
-        let generation = r.u8()?;
-        let expected: u8 = match self.generation {
-            MramGeneration::Imtj => 0,
-            MramGeneration::Pmtj => 1,
-        };
-        if capacity != self.array.capacity || generation != expected {
-            return Err(snapshot::RestoreError::TopologyMismatch {
-                context: "mram capacity or generation",
-            });
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic state (contents, wear counters, RAS
+        /// bookkeeping). Capacity and generation are construction
+        /// parameters: the image only cross-checks them.
+        pub {
+            same array.capacity => "mram capacity or generation",
+            same_as(Self::generation_code) => "mram capacity or generation",
+            array.store,
+            busy_until,
+            write_counts with (persist_sorted_map, restore_map),
+            total_writes,
+            total_write_energy_pj,
+            array.ras,
         }
-        let store = SparseMemory::restore(r)?;
-        let busy_until = SimTime::restore(r)?;
-        let write_counts = restore_map::<u64, u64>(r)?;
-        let total_writes = r.u64()?;
-        let total_write_energy_pj = r.f64()?;
-        let ras = MediaRas::restore(r)?;
-        self.array.store = store;
-        self.busy_until = busy_until;
-        self.write_counts = write_counts;
-        self.total_writes = total_writes;
-        self.total_write_energy_pj = total_write_energy_pj;
-        self.array.ras = ras;
-        Ok(())
     }
 
     fn spans(addr: u64, len: usize) -> u64 {
@@ -250,6 +221,7 @@ impl MemoryDevice for SttMram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contutto_sim::snapshot::{self, SnapReader};
 
     #[test]
     fn functional_roundtrip_survives_power_loss() {

@@ -53,6 +53,56 @@ pub enum SaveSequence {
     VendorDdr3(u8),
 }
 
+impl Persist for SaveState {
+    fn persist(&self, out: &mut Vec<u8>) {
+        match self {
+            SaveState::Idle => out.push(0),
+            SaveState::Saving { done_at } => {
+                out.push(1);
+                done_at.persist(out);
+            }
+            SaveState::Saved => out.push(2),
+            SaveState::Lost => out.push(3),
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, snapshot::RestoreError> {
+        Ok(match r.u8()? {
+            0 => SaveState::Idle,
+            1 => SaveState::Saving {
+                done_at: SimTime::restore(r)?,
+            },
+            2 => SaveState::Saved,
+            3 => SaveState::Lost,
+            _ => {
+                return Err(snapshot::RestoreError::Malformed {
+                    context: "save state discriminant",
+                })
+            }
+        })
+    }
+}
+
+impl Persist for SaveSequence {
+    fn persist(&self, out: &mut Vec<u8>) {
+        match self {
+            SaveSequence::JedecDdr4 => out.push(0),
+            SaveSequence::VendorDdr3(vendor) => {
+                out.push(1);
+                vendor.persist(out);
+            }
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, snapshot::RestoreError> {
+        match r.u8()? {
+            0 => Ok(SaveSequence::JedecDdr4),
+            1 => Ok(SaveSequence::VendorDdr3(r.u8()?)),
+            _ => Err(snapshot::RestoreError::Malformed {
+                context: "save sequence discriminant",
+            }),
+        }
+    }
+}
+
 /// Why a power-restore failed to bring the data back. Either way the
 /// DIMM refuses to present the image as valid: the failure is loud,
 /// never silent corruption.
@@ -376,77 +426,24 @@ impl NvdimmN {
         }
     }
 
-    /// Serializes all dynamic state: both media sides (DRAM contents
-    /// plus the flash backup image), the save engine state machine,
-    /// and the supercap accounting. The attached tracer is a wiring
-    /// concern and is not part of the image.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.dram.snapshot_state(out);
-        self.flash.snapshot_state(out);
-        self.armed.persist(out);
-        match self.state {
-            SaveState::Idle => 0u8.persist(out),
-            SaveState::Saving { done_at } => {
-                1u8.persist(out);
-                done_at.persist(out);
-            }
-            SaveState::Saved => 2u8.persist(out),
-            SaveState::Lost => 3u8.persist(out),
+    contutto_sim::state_fields! {
+        /// Serializes all dynamic state: both media sides (DRAM contents
+        /// plus the flash backup image), the save engine state machine,
+        /// including an in-flight or completed flash save, and the
+        /// supercap accounting. The attached tracer is a wiring concern
+        /// and is not part of the image.
+        pub {
+            state dram,
+            state flash,
+            armed,
+            state,
+            sequence,
+            save_crc,
+            supercap_budget_nj,
+            supercap_remaining_nj,
+            supercap_spent_nj,
+            save_truncated,
         }
-        match self.sequence {
-            SaveSequence::JedecDdr4 => 0u8.persist(out),
-            SaveSequence::VendorDdr3(vendor) => {
-                1u8.persist(out);
-                vendor.persist(out);
-            }
-        }
-        self.save_crc.persist(out);
-        self.supercap_budget_nj.persist(out);
-        self.supercap_remaining_nj.persist(out);
-        self.supercap_spent_nj.persist(out);
-        self.save_truncated.persist(out);
-    }
-
-    /// Overlays an [`NvdimmN::snapshot_state`] image onto this DIMM,
-    /// including an in-flight or completed flash save.
-    ///
-    /// # Errors
-    ///
-    /// Any decode or topology error from the embedded DRAM/flash
-    /// images, or [`snapshot::RestoreError::Malformed`] for an
-    /// unrecognized save-engine state.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        self.dram.restore_state(r)?;
-        self.flash.restore_state(r)?;
-        self.armed = r.bool()?;
-        self.state = match r.u8()? {
-            0 => SaveState::Idle,
-            1 => SaveState::Saving {
-                done_at: SimTime::restore(r)?,
-            },
-            2 => SaveState::Saved,
-            3 => SaveState::Lost,
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "save state discriminant",
-                })
-            }
-        };
-        self.sequence = match r.u8()? {
-            0 => SaveSequence::JedecDdr4,
-            1 => SaveSequence::VendorDdr3(r.u8()?),
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "save sequence discriminant",
-                })
-            }
-        };
-        self.save_crc = Option::restore(r)?;
-        self.supercap_budget_nj = Option::restore(r)?;
-        self.supercap_remaining_nj = r.u64()?;
-        self.supercap_spent_nj = r.u64()?;
-        self.save_truncated = r.bool()?;
-        Ok(())
     }
 
     fn restore_image(&mut self, now: SimTime) -> Result<SimTime, RestoreError> {

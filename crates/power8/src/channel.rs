@@ -46,7 +46,7 @@ use contutto_dmi::protocol::{LinkEndpoint, LinkEndpointConfig};
 use contutto_dmi::training::{measure_frtl, LinkTrainer, TrainerConfig, TrainingOutcome};
 use contutto_dmi::DmiError;
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{self, Persist, RestoreError, SnapReader};
 use contutto_sim::{Frequency, LatencyStats, MetricsRegistry, SimTime, TraceEvent, Tracer};
 
 type HostEndpoint = LinkEndpoint<DownstreamFrame, UpstreamFrame>;
@@ -1448,213 +1448,154 @@ impl DmiChannel {
         Ok(c.completed_at)
     }
 
-    /// Serializes the channel's full dynamic state: both link
-    /// endpoints, both wire segments, the buffer chip, the tag pool,
-    /// every in-flight / queued / finished tracked command, the ladder
-    /// configuration and counters. Construction parameters (link
-    /// speed, endpoint configs, wiring) are not persisted — the
-    /// restorer must already hold an identically-constructed channel;
-    /// the frame slot is recorded only to cross-check that.
-    ///
-    /// The shared retry budget ([`DmiChannel::set_retry_budget`]) is
-    /// deliberately excluded: it is system-owned wiring, restored once
-    /// at system level and redistributed to every channel.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.slot.persist(out);
-        self.now.persist(out);
-        self.host.snapshot_state(out);
-        self.buffer_ep.snapshot_state(out);
-        self.down.snapshot_state(out);
-        self.up.snapshot_state(out);
-        self.buffer.snapshot_state(out);
-        self.tags.snapshot_state(out);
-        (self.pending.len() as u64).persist(out);
-        for (tag, p) in &self.pending {
-            tag.persist(out);
-            p.issued.persist(out);
-            p.addr.persist(out);
-            p.assembler.persist(out);
-            p.data.persist(out);
-            p.poisoned.persist(out);
-            match &p.tracked {
-                None => false.persist(out),
-                Some(t) => {
-                    true.persist(out);
-                    t.id.persist(out);
-                    t.op.persist(out);
-                    t.enqueued.persist(out);
-                    t.attempt.persist(out);
-                    t.retrains_used.persist(out);
-                    t.deadline.persist(out);
-                    t.abs_deadline.persist(out);
-                }
-            }
-        }
-        self.completions.persist(out);
-        self.quarantine.persist(out);
-        (self.queue.len() as u64).persist(out);
-        for ((not_before, id), q) in &self.queue {
-            not_before.persist(out);
-            id.persist(out);
-            q.op.persist(out);
-            q.enqueued.persist(out);
-            q.attempt.persist(out);
-            q.retrains_used.persist(out);
-            q.abs_deadline.persist(out);
-        }
-        self.finished.persist(out);
-        self.finished_order.persist(out);
-        self.next_cmd.persist(out);
-        self.window.persist(out);
-        self.issue_hold.persist(out);
-        self.retry.persist(out);
-        self.trained.persist(out);
-        self.trainer_cfg.persist(out);
-        self.train_seed.persist(out);
-        self.command_latency.persist(out);
-        self.tags_reclaimed.persist(out);
-        self.retries_scheduled.persist(out);
-        self.link_retrains.persist(out);
-        self.stale_responses.persist(out);
-        self.poisoned_reads.persist(out);
-        self.rmw_aborts.persist(out);
-        self.retries_denied.persist(out);
-        self.deadline_drops.persist(out);
-        self.degrade_windows.persist(out);
-        self.degraded_until.persist(out);
-        self.degraded_saved_window.persist(out);
-    }
-
-    /// Overlays [`DmiChannel::snapshot_state`] bytes onto this channel.
-    /// The target must have been constructed with the same
-    /// [`ChannelConfig`] and buffer as the snapshotted one.
-    ///
-    /// On error the channel may be partially restored; callers discard
-    /// the target (the system-level restore rebuilds from a fresh
-    /// boot, so a failed overlay never serves traffic).
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::TopologyMismatch`] when the frame slot (link
-    /// speed) differs; any [`RestoreError`] from a truncated or
-    /// malformed payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let slot = SimTime::restore(r)?;
-        if slot != self.slot {
-            return Err(RestoreError::TopologyMismatch {
-                context: "channel link speed (frame slot)",
+    fn window_fits(&self, window: &usize) -> Result<(), RestoreError> {
+        if *window == 0 || *window > NUM_TAGS {
+            return Err(RestoreError::Malformed {
+                context: "in-flight window out of range",
             });
         }
-        self.now = SimTime::restore(r)?;
-        self.host.restore_state(r)?;
-        self.buffer_ep.restore_state(r)?;
-        self.down.restore_state(r)?;
-        self.up.restore_state(r)?;
-        self.buffer.restore_state(r)?;
-        self.tags.restore_state(r)?;
+        Ok(())
+    }
+
+    /// The image's times must fit its clock: every command was issued
+    /// or enqueued at or before it, and every frame in flight left at
+    /// or before it, so arrives within one wire latency. A retrain
+    /// holds issue for at most [`RETRAIN_SETTLE`]; a hold further out
+    /// would stall every queued command slot by slot.
+    fn times_fit_the_clock(&self) -> Result<(), RestoreError> {
+        let stamped_ahead = self.pending.values().any(|p| {
+            p.issued > self.now || p.tracked.as_ref().is_some_and(|t| t.enqueued > self.now)
+        }) || self.queue.values().any(|q| q.enqueued > self.now);
+        if stamped_ahead {
+            return Err(RestoreError::Malformed {
+                context: "command stamped after the channel clock",
+            });
+        }
+        if self.issue_hold.saturating_sub(self.now) > RETRAIN_SETTLE {
+            return Err(RestoreError::Malformed {
+                context: "issue hold past the retrain settle window",
+            });
+        }
+        let latest = self.now + WIRE_PROPAGATION + self.slot;
+        if [self.down.last_arrival(), self.up.last_arrival()]
+            .into_iter()
+            .flatten()
+            .any(|at| at > latest)
+        {
+            return Err(RestoreError::Malformed {
+                context: "frame in flight past the wire latency",
+            });
+        }
+        Ok(())
+    }
+
+    /// A pending table longer than the tag space is malformed before
+    /// any entry decodes.
+    fn restore_pending(r: &mut SnapReader<'_>) -> Result<BTreeMap<Tag, Pending>, RestoreError> {
         let n = r.len()?;
         if n > NUM_TAGS {
             return Err(RestoreError::Malformed {
                 context: "more pending tags than the tag space",
             });
         }
-        let mut pending = BTreeMap::new();
-        for _ in 0..n {
-            let tag = Tag::restore(r)?;
-            let issued = SimTime::restore(r)?;
-            let addr = r.u64()?;
-            let assembler = Option::restore(r)?;
-            let data = Option::restore(r)?;
-            let poisoned = r.bool()?;
-            let tracked = if r.bool()? {
-                Some(TrackedPending {
-                    id: CmdId::restore(r)?,
-                    op: CommandOp::restore(r)?,
-                    enqueued: SimTime::restore(r)?,
-                    attempt: r.u32()?,
-                    retrains_used: r.u32()?,
-                    deadline: SimTime::restore(r)?,
-                    abs_deadline: Option::restore(r)?,
-                })
-            } else {
-                None
-            };
-            if pending
-                .insert(
-                    tag,
-                    Pending {
-                        issued,
-                        addr,
-                        assembler,
-                        data,
-                        poisoned,
-                        tracked,
-                    },
-                )
-                .is_some()
-            {
-                return Err(RestoreError::Malformed {
-                    context: "duplicate pending tag",
-                });
-            }
-        }
-        self.pending = pending;
-        self.completions = VecDeque::restore(r)?;
-        self.quarantine = BTreeMap::restore(r)?;
+        snapshot::restore_entries(r, n, Persist::restore)
+    }
+
+    /// An issue queue whose count the bytes left cannot hold (each
+    /// entry takes at least 17) is truncated before any entry decodes.
+    fn restore_queue(
+        r: &mut SnapReader<'_>,
+    ) -> Result<BTreeMap<(SimTime, CmdId), QueuedCmd>, RestoreError> {
         let n = r.len()?;
         if n > r.remaining() / 17 {
             return Err(RestoreError::Truncated {
                 context: "channel issue queue",
             });
         }
-        let mut queue = BTreeMap::new();
-        for _ in 0..n {
-            let not_before = SimTime::restore(r)?;
-            let id = CmdId::restore(r)?;
-            let q = QueuedCmd {
-                op: CommandOp::restore(r)?,
-                enqueued: SimTime::restore(r)?,
-                attempt: r.u32()?,
-                retrains_used: r.u32()?,
-                abs_deadline: Option::restore(r)?,
-            };
-            if queue.insert((not_before, id), q).is_some() {
-                return Err(RestoreError::Malformed {
-                    context: "duplicate queued command",
-                });
-            }
+        snapshot::restore_entries(r, n, Persist::restore)
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes the channel's full dynamic state: both link
+        /// endpoints, both wire segments, the buffer chip, the tag pool,
+        /// every in-flight / queued / finished tracked command, the
+        /// ladder configuration and counters. Construction parameters
+        /// (link speed, endpoint configs, wiring) are not persisted —
+        /// the restorer must already hold an identically-constructed
+        /// channel; the frame slot is recorded only to cross-check that.
+        /// On a restore error the channel may be partially restored;
+        /// callers discard the target (the system-level restore
+        /// rebuilds from a fresh boot, so a failed overlay never serves
+        /// traffic).
+        ///
+        /// The shared retry budget ([`DmiChannel::set_retry_budget`]) is
+        /// deliberately excluded: it is system-owned wiring, restored
+        /// once at system level and redistributed to every channel.
+        pub {
+            same slot => "channel link speed (frame slot)",
+            now,
+            state host,
+            state buffer_ep,
+            state down,
+            state up,
+            state buffer,
+            state tags,
+            pending with (Persist::persist, Self::restore_pending),
+            completions,
+            quarantine,
+            queue with (Persist::persist, Self::restore_queue),
+            finished,
+            finished_order,
+            next_cmd,
+            window if Self::window_fits,
+            issue_hold,
+            retry,
+            trained,
+            trainer_cfg,
+            train_seed,
+            command_latency,
+            tags_reclaimed,
+            retries_scheduled,
+            link_retrains,
+            stale_responses,
+            poisoned_reads,
+            rmw_aborts,
+            retries_denied,
+            deadline_drops,
+            degrade_windows,
+            degraded_until,
+            degraded_saved_window if Self::window_fits,
+            check Self::times_fit_the_clock,
         }
-        self.queue = queue;
-        self.finished = BTreeMap::restore(r)?;
-        self.finished_order = VecDeque::restore(r)?;
-        self.next_cmd = r.u64()?;
-        let window = usize::restore(r)?;
-        if window == 0 || window > NUM_TAGS {
-            return Err(RestoreError::Malformed {
-                context: "in-flight window out of range",
-            });
-        }
-        self.window = window;
-        self.issue_hold = SimTime::restore(r)?;
-        self.retry = RetryPolicy::restore(r)?;
-        self.trained = Option::restore(r)?;
-        self.trainer_cfg = TrainerConfig::restore(r)?;
-        self.train_seed = r.u64()?;
-        self.command_latency = LatencyStats::restore(r)?;
-        self.tags_reclaimed = r.u64()?;
-        self.retries_scheduled = r.u64()?;
-        self.link_retrains = r.u64()?;
-        self.stale_responses = r.u64()?;
-        self.poisoned_reads = r.u64()?;
-        self.rmw_aborts = r.u64()?;
-        self.retries_denied = r.u64()?;
-        self.deadline_drops = r.u64()?;
-        self.degrade_windows = r.u64()?;
-        self.degraded_until = Option::restore(r)?;
-        self.degraded_saved_window = usize::restore(r)?;
-        Ok(())
     }
 }
+
+persist_fields!(QueuedCmd {
+    op,
+    enqueued,
+    attempt,
+    retrains_used,
+    abs_deadline
+});
+
+persist_fields!(TrackedPending {
+    id,
+    op,
+    enqueued,
+    attempt,
+    retrains_used,
+    deadline,
+    abs_deadline
+});
+
+persist_fields!(Pending {
+    issued,
+    addr,
+    assembler,
+    data,
+    poisoned,
+    tracked
+});
 
 persist_fields!(CmdId { 0 });
 
@@ -2006,6 +1947,86 @@ mod tests {
         assert!(
             ch.host_stats().crc_errors + ch.host_stats().seq_errors > 0
                 || ch.host_stats().replays_triggered > 0
+        );
+    }
+
+    #[test]
+    fn a_restored_degrade_must_keep_a_window_to_return_to() {
+        // The saved window is the last field of a channel image; a
+        // degrade that ended on a window of 0 would issue nothing ever
+        // again, so 0 is malformed, as for the live window.
+        let mut ch = contutto_channel();
+        ch.degrade_for(SimTime::from_us(5));
+        let mut img = Vec::new();
+        ch.snapshot_state(&mut img);
+        let mut fresh = contutto_channel();
+        fresh.restore_state(&mut SnapReader::new(&img)).unwrap();
+        let at = img.len() - 8;
+        img[at..].copy_from_slice(&0u64.to_le_bytes());
+        let err = contutto_channel()
+            .restore_state(&mut SnapReader::new(&img))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RestoreError::Malformed {
+                context: "in-flight window out of range"
+            }
+        );
+    }
+
+    #[test]
+    fn a_command_beyond_the_media_reads_poisoned_on_either_buffer() {
+        for (mut ch, capacity) in [
+            (centaur_channel(), 8u64 << 30),
+            (contutto_channel(), 8 << 30),
+        ] {
+            for addr in [capacity, !127] {
+                let err = ch.read_line_blocking(addr).unwrap_err();
+                assert!(
+                    matches!(err, DmiError::Poisoned { .. }),
+                    "{addr:#x}: {err:?}"
+                );
+                ch.write_line_blocking(addr, CacheLine::patterned(1))
+                    .unwrap();
+            }
+            let line = CacheLine::patterned(2);
+            ch.write_line_blocking(0x80, line).unwrap();
+            assert_eq!(ch.read_line_blocking(0x80).unwrap().0, line);
+        }
+    }
+
+    #[test]
+    fn an_image_stamped_past_its_clock_is_malformed() {
+        let restore = |ch: &DmiChannel| {
+            let mut img = Vec::new();
+            ch.snapshot_state(&mut img);
+            contutto_channel().restore_state(&mut SnapReader::new(&img))
+        };
+        let malformed = |context| Err(RestoreError::Malformed { context });
+        let mut ch = contutto_channel();
+        ch.issue_hold = ch.now + RETRAIN_SETTLE;
+        assert_eq!(restore(&ch), Ok(()));
+        ch.issue_hold += SimTime::from_ps(1);
+        assert_eq!(
+            restore(&ch),
+            malformed("issue hold past the retrain settle window")
+        );
+
+        let mut ch = contutto_channel();
+        ch.submit(CommandOp::Read { addr: 0 }).unwrap();
+        let ahead = ch.now + SimTime::from_ps(1);
+        ch.pending.values_mut().for_each(|p| p.issued = ahead);
+        assert_eq!(
+            restore(&ch),
+            malformed("command stamped after the channel clock")
+        );
+
+        let mut ch = contutto_channel();
+        let far = ch.now + SimTime::from_ms(1);
+        ch.up.transmit(far, vec![0; 8]);
+        assert_eq!(
+            restore(&ch),
+            malformed("frame in flight past the wire latency")
         );
     }
 }

@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{persist_sorted_map, restore_map, Persist, RestoreError, SnapReader};
 use contutto_sim::SimTime;
 
@@ -221,86 +222,67 @@ impl ServiceProcessor {
         &self.deconfigured
     }
 
-    /// Serializes the FSP's full state: the retained log (entries are
-    /// stored verbatim so restored logs render identically), drop
-    /// counter, per-channel error budgets spent, deconfiguration list
-    /// and breaker reports.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        (self.log_capacity as u64).persist(out);
-        self.log_dropped.persist(out);
-        self.error_budget.persist(out);
-        self.breaker_reports.persist(out);
-        (self.log.len() as u64).persist(out);
-        for e in &self.log {
-            e.at.persist(out);
-            e.channel.persist(out);
-            let sev: u8 = match e.severity {
-                Severity::Info => 0,
-                Severity::Recovered => 1,
-                Severity::Unrecovered => 2,
-            };
-            sev.persist(out);
-            e.message.persist(out);
-        }
-        persist_sorted_map(&self.unrecovered_counts, out);
-        self.deconfigured.persist(out);
-    }
-
-    /// Overlays [`ServiceProcessor::snapshot_state`] bytes onto this
-    /// FSP.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RestoreError`] from a truncated or malformed payload; a
-    /// log longer than its recorded capacity is rejected as malformed.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let log_capacity = r.len()?;
-        if log_capacity == 0 {
+    fn capacity_is_nonzero(&self, capacity: &usize) -> Result<(), RestoreError> {
+        if *capacity == 0 {
             return Err(RestoreError::Malformed {
                 context: "fsp log capacity",
             });
         }
-        let log_dropped = r.u64()?;
-        let error_budget = r.u32()?;
-        let breaker_reports = r.u64()?;
-        let n = r.len()?;
-        if n > log_capacity {
+        Ok(())
+    }
+
+    fn log_fits(&self) -> Result<(), RestoreError> {
+        if self.log.len() > self.log_capacity {
             return Err(RestoreError::Malformed {
                 context: "fsp log holds more than its capacity",
             });
         }
-        let mut log = VecDeque::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let at = SimTime::restore(r)?;
-            let channel = usize::restore(r)?;
-            let severity = match r.u8()? {
-                0 => Severity::Info,
-                1 => Severity::Recovered,
-                2 => Severity::Unrecovered,
-                _ => {
-                    return Err(RestoreError::Malformed {
-                        context: "fsp severity discriminant",
-                    })
-                }
-            };
-            let message = r.string()?;
-            log.push_back(LogEntry {
-                at,
-                channel,
-                severity,
-                message,
-            });
-        }
-        let unrecovered_counts = restore_map(r)?;
-        let deconfigured = Vec::restore(r)?;
-        self.log = log;
-        self.log_capacity = log_capacity;
-        self.log_dropped = log_dropped;
-        self.unrecovered_counts = unrecovered_counts;
-        self.deconfigured = deconfigured;
-        self.error_budget = error_budget;
-        self.breaker_reports = breaker_reports;
         Ok(())
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes the FSP's full state: the retained log (entries
+        /// are stored verbatim so restored logs render identically),
+        /// drop counter, per-channel error budgets spent,
+        /// deconfiguration list and breaker reports. A log longer than
+        /// its recorded capacity is rejected as malformed.
+        pub {
+            log_capacity if Self::capacity_is_nonzero,
+            log_dropped,
+            error_budget,
+            breaker_reports,
+            log,
+            unrecovered_counts with (persist_sorted_map, restore_map),
+            deconfigured,
+            check Self::log_fits,
+        }
+    }
+}
+
+persist_fields!(LogEntry {
+    at,
+    channel,
+    severity,
+    message
+});
+
+impl Persist for Severity {
+    fn persist(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Severity::Info => 0,
+            Severity::Recovered => 1,
+            Severity::Unrecovered => 2,
+        });
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        match r.u8()? {
+            0 => Ok(Severity::Info),
+            1 => Ok(Severity::Recovered),
+            2 => Ok(Severity::Unrecovered),
+            _ => Err(RestoreError::Malformed {
+                context: "fsp severity discriminant",
+            }),
+        }
     }
 }
 

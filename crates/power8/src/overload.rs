@@ -192,51 +192,43 @@ impl CircuitBreaker {
         self.times_opened += 1;
     }
 
-    /// Serializes the breaker's dynamic state (the tuning is a
-    /// construction parameter the restorer already holds).
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        let state: u8 = match self.state {
+    /// This breaker's state under another tuning: a restored breaker
+    /// takes the tuning of the restored overload policy.
+    pub(crate) fn with_config(self, cfg: BreakerConfig) -> Self {
+        CircuitBreaker { cfg, ..self }
+    }
+
+    contutto_sim::state_fields! {
+        /// Serializes the breaker's dynamic state (the tuning is a
+        /// construction parameter the restorer already holds).
+        pub {
+            state,
+            consecutive_failures,
+            opened_at,
+            probes_in_flight,
+            probe_successes,
+            times_opened,
+        }
+    }
+}
+
+impl Persist for BreakerState {
+    fn persist(&self, out: &mut Vec<u8>) {
+        out.push(match self {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
             BreakerState::HalfOpen => 2,
-        };
-        state.persist(out);
-        self.consecutive_failures.persist(out);
-        self.opened_at.persist(out);
-        self.probes_in_flight.persist(out);
-        self.probe_successes.persist(out);
-        self.times_opened.persist(out);
+        });
     }
-
-    /// Overlays [`CircuitBreaker::snapshot_state`] bytes onto this
-    /// breaker.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError`] on truncation or an unknown state discriminant.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let state = match r.u8()? {
-            0 => BreakerState::Closed,
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "breaker state discriminant",
-                })
-            }
-        };
-        let consecutive_failures = r.u32()?;
-        let opened_at = SimTime::restore(r)?;
-        let probes_in_flight = r.u32()?;
-        let probe_successes = r.u32()?;
-        let times_opened = r.u32()?;
-        self.state = state;
-        self.consecutive_failures = consecutive_failures;
-        self.opened_at = opened_at;
-        self.probes_in_flight = probes_in_flight;
-        self.probe_successes = probe_successes;
-        self.times_opened = times_opened;
-        Ok(())
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        match r.u8()? {
+            0 => Ok(BreakerState::Closed),
+            1 => Ok(BreakerState::Open),
+            2 => Ok(BreakerState::HalfOpen),
+            _ => Err(RestoreError::Malformed {
+                context: "breaker state discriminant",
+            }),
+        }
     }
 }
 
@@ -317,26 +309,20 @@ impl RetryBudget {
         self.denied
     }
 
-    /// Serializes the bucket's dynamic state (fill level and counters).
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.milli.persist(out);
-        self.spent.persist(out);
-        self.denied.persist(out);
+    /// This bucket's state under another tuning, as for
+    /// [`CircuitBreaker`].
+    pub(crate) fn with_config(self, cfg: RetryBudgetConfig) -> Self {
+        RetryBudget { cfg, ..self }
     }
 
-    /// Overlays [`RetryBudget::snapshot_state`] bytes onto this bucket.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::Truncated`] on short input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let milli = r.u64()?;
-        let spent = r.u64()?;
-        let denied = r.u64()?;
-        self.milli = milli;
-        self.spent = spent;
-        self.denied = denied;
-        Ok(())
+    contutto_sim::state_fields! {
+        /// Serializes the bucket's dynamic state (fill level and
+        /// counters).
+        pub {
+            milli,
+            spent,
+            denied,
+        }
     }
 }
 

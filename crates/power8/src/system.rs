@@ -19,11 +19,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use contutto_dmi::command::{CacheLine, CommandOp};
-use contutto_dmi::training::TrainingOutcome;
 use contutto_dmi::{DmiError, PowerRestoreOutcome};
 use contutto_memdev::MediaKind;
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader, SnapshotImage, SnapshotWriter};
+use contutto_sim::snapshot::{
+    self, Persist, RestoreError, SnapReader, SnapshotImage, SnapshotWriter,
+};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
 
 use crate::channel::{CmdId, RetryPolicy};
@@ -36,7 +37,10 @@ use crate::firmware::{
 };
 use crate::fsp::{FspError, ServiceProcessor, Severity};
 use crate::memmap::{ChannelMemory, MemoryMap, RouteError};
-use crate::overload::{BreakerState, CircuitBreaker, OverloadConfig, OverloadStats, RetryBudget};
+use crate::overload::{
+    BreakerConfig, BreakerState, CircuitBreaker, OverloadConfig, OverloadStats, RetryBudget,
+    RetryBudgetConfig,
+};
 
 /// Quiesce budget, in multiples of the channel's per-op timeout:
 /// enough for in-flight commands to complete or time out before the
@@ -2283,7 +2287,176 @@ impl Persist for SystemError {
     }
 }
 
+/// A channel section: the slot, media kind and capacity it was taken
+/// from, checked against the booted channel, then the training outcome
+/// and the channel itself.
+impl BootedChannel {
+    contutto_sim::state_fields!({
+        same slot => "channel section slot",
+        same kind => "channel media kind",
+        same capacity => "channel capacity",
+        training,
+        state channel,
+    });
+}
+
+/// The `system` section: everything the machine owns above its
+/// channels.
 impl Power8System {
+    fn channel_count(&self) -> usize {
+        self.channels.len()
+    }
+
+    fn persist_retry_budget(&self, out: &mut Vec<u8>) {
+        self.retry_budget.is_some().persist(out);
+        if let Some(budget) = &self.retry_budget {
+            budget.borrow().snapshot_state(out);
+        }
+    }
+
+    /// A budget's state decodes over a default tuning: the restored
+    /// overload policy that tunes it is in place only once the list has
+    /// decoded.
+    fn restore_retry_budget(
+        &self,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Option<RetryBudget>, RestoreError> {
+        if !r.bool()? {
+            return Ok(None);
+        }
+        let mut budget = RetryBudget::new(RetryBudgetConfig::default());
+        budget.restore_state(r)?;
+        Ok(Some(budget))
+    }
+
+    /// Tunes the restored budget by the restored policy and shares it
+    /// with every channel's ladder.
+    fn install_retry_budget(&mut self, budget: Option<RetryBudget>) -> Result<(), RestoreError> {
+        let budget = match budget {
+            None => None,
+            Some(budget) => {
+                let Some(cfg) = self.overload.retry_budget else {
+                    return Err(RestoreError::Malformed {
+                        context: "retry budget state without a budget config",
+                    });
+                };
+                Some(Rc::new(RefCell::new(budget.with_config(cfg))))
+            }
+        };
+        for c in &mut self.channels {
+            c.channel.set_retry_budget(budget.clone());
+        }
+        self.retry_budget = budget;
+        Ok(())
+    }
+
+    fn persist_breakers(&self, out: &mut Vec<u8>) {
+        (self.breakers.len() as u64).persist(out);
+        for (slot, breaker) in &self.breakers {
+            slot.persist(out);
+            breaker.snapshot_state(out);
+        }
+    }
+
+    /// Breakers decode over a default tuning, as the retry budget does;
+    /// a count the bytes left cannot hold (each entry takes at least 9)
+    /// is truncated before any entry decodes.
+    fn restore_breakers(
+        &self,
+        r: &mut SnapReader<'_>,
+    ) -> Result<BTreeMap<usize, CircuitBreaker>, RestoreError> {
+        let n = r.len()?;
+        if n > r.remaining() / 9 {
+            return Err(RestoreError::Truncated {
+                context: "breaker table",
+            });
+        }
+        snapshot::restore_entries(r, n, |r| {
+            let mut breaker = CircuitBreaker::new(BreakerConfig::default());
+            breaker.restore_state(r)?;
+            Ok(breaker)
+        })
+    }
+
+    fn install_breakers(
+        &mut self,
+        breakers: BTreeMap<usize, CircuitBreaker>,
+    ) -> Result<(), RestoreError> {
+        if breakers.is_empty() {
+            self.breakers = breakers;
+            return Ok(());
+        }
+        let Some(cfg) = self.overload.breaker else {
+            return Err(RestoreError::Malformed {
+                context: "breaker state without a breaker config",
+            });
+        };
+        self.breakers = breakers
+            .into_iter()
+            .map(|(slot, breaker)| (slot, breaker.with_config(cfg)))
+            .collect();
+        Ok(())
+    }
+
+    /// Every channel command routed back, and every hedge, belongs to
+    /// an outstanding request: a completion for any other would find
+    /// no request to complete.
+    fn routes_lead_to_outstanding_requests(&self) -> Result<(), RestoreError> {
+        let known = |id: &u64| self.outstanding.contains_key(id);
+        if !self.route_back.values().all(known) || !self.hedge_arms.keys().all(known) {
+            return Err(RestoreError::Malformed {
+                context: "route to a request not outstanding",
+            });
+        }
+        Ok(())
+    }
+
+    /// Every region fits the channel behind it: an address the map
+    /// routes must be one the channel's media holds.
+    fn regions_fit_their_channels(&self) -> Result<(), RestoreError> {
+        let fits = |r: &crate::memmap::MemoryRegion| {
+            self.channels
+                .iter()
+                .find(|c| c.slot == r.channel)
+                .is_none_or(|c| r.os_size <= c.capacity)
+        };
+        if !self.memory_map.regions().iter().all(fits) {
+            return Err(RestoreError::Malformed {
+                context: "memory region larger than its channel",
+            });
+        }
+        Ok(())
+    }
+
+    contutto_sim::state_fields!({
+        same_as(Self::channel_count) => "channel count",
+        same mode => "failover mode",
+        memory_map,
+        state fsp,
+        migration,
+        written,
+        inherited_poison,
+        stats,
+        power,
+        powered,
+        power_stats,
+        nvdimm_armed,
+        next_req,
+        outstanding,
+        route_back,
+        finished_sys,
+        mlp_stats,
+        overload,
+        apply (Self::persist_retry_budget, Self::restore_retry_budget => Self::install_retry_budget),
+        apply (Self::persist_breakers, Self::restore_breakers => Self::install_breakers),
+        hedge_arms,
+        ov_stats,
+        brownout,
+        brownout_saved_scrub,
+        check Self::regions_fit_their_channels,
+        check Self::routes_lead_to_outstanding_requests,
+    });
+
     /// Serializes the whole machine — memory map, FSP, failover and
     /// power state, the pipelined request plumbing, overload governors,
     /// every channel (buffer, devices, link, tags, queues) and the
@@ -2298,50 +2471,9 @@ impl Power8System {
     /// counters; simulation state is untouched.
     pub fn snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.section_with("system", |out| {
-            (self.channels.len() as u64).persist(out);
-            self.mode.persist(out);
-            self.memory_map.persist(out);
-            self.fsp.snapshot_state(out);
-            self.migration.persist(out);
-            self.written.persist(out);
-            self.inherited_poison.persist(out);
-            self.stats.persist(out);
-            self.power.persist(out);
-            self.powered.persist(out);
-            self.power_stats.persist(out);
-            self.nvdimm_armed.persist(out);
-            self.next_req.persist(out);
-            self.outstanding.persist(out);
-            self.route_back.persist(out);
-            self.finished_sys.persist(out);
-            self.mlp_stats.persist(out);
-            self.overload.persist(out);
-            match &self.retry_budget {
-                None => false.persist(out),
-                Some(b) => {
-                    true.persist(out);
-                    b.borrow().snapshot_state(out);
-                }
-            }
-            (self.breakers.len() as u64).persist(out);
-            for (slot, b) in &self.breakers {
-                slot.persist(out);
-                b.snapshot_state(out);
-            }
-            self.hedge_arms.persist(out);
-            self.ov_stats.persist(out);
-            self.brownout.persist(out);
-            self.brownout_saved_scrub.persist(out);
-        });
+        w.section_with("system", |out| self.snapshot_state(out));
         for c in &self.channels {
-            w.section_with(&format!("channel.{}", c.slot), |out| {
-                c.slot.persist(out);
-                c.kind.persist(out);
-                c.capacity.persist(out);
-                c.training.persist(out);
-                c.channel.snapshot_state(out);
-            });
+            w.section_with(&format!("channel.{}", c.slot), |out| c.snapshot_state(out));
         }
         if self.tracer.is_enabled() {
             w.section_with("tracer", |out| self.tracer.snapshot_state(out));
@@ -2382,6 +2514,8 @@ impl Power8System {
         }
     }
 
+    /// The sections, not their fields: each section's layout is its
+    /// owner's `state_fields!` list.
     fn restore_inner(&mut self, image: &[u8]) -> Result<(), RestoreError> {
         let img = SnapshotImage::parse(image)?;
         for name in img.names() {
@@ -2408,77 +2542,8 @@ impl Power8System {
         }
 
         let mut r = img.section("system")?;
-        let nchan = r.u64()? as usize;
-        if nchan != self.channels.len() {
-            return Err(RestoreError::TopologyMismatch {
-                context: "channel count",
-            });
-        }
-        let mode = FailoverMode::restore(&mut r)?;
-        if mode != self.mode {
-            return Err(RestoreError::TopologyMismatch {
-                context: "failover mode",
-            });
-        }
-        let memory_map = MemoryMap::restore(&mut r)?;
-        self.fsp.restore_state(&mut r)?;
-        let migration = Option::<Migration>::restore(&mut r)?;
-        let written = BTreeMap::restore(&mut r)?;
-        let inherited_poison = BTreeMap::restore(&mut r)?;
-        let stats = FailoverStats::restore(&mut r)?;
-        let power = PowerConfig::restore(&mut r)?;
-        let powered = r.bool()?;
-        let power_stats = PowerStats::restore(&mut r)?;
-        let nvdimm_armed = BTreeSet::restore(&mut r)?;
-        let next_req = r.u64()?;
-        let outstanding = BTreeMap::<u64, OutstandingReq>::restore(&mut r)?;
-        let route_back = BTreeMap::<(usize, CmdId), u64>::restore(&mut r)?;
-        let finished_sys = VecDeque::restore(&mut r)?;
-        let mlp_stats = MlpStats::restore(&mut r)?;
-        let overload = OverloadConfig::restore(&mut r)?;
-        let budget = if r.bool()? {
-            let Some(bcfg) = overload.retry_budget else {
-                return Err(RestoreError::Malformed {
-                    context: "retry budget state without a budget config",
-                });
-            };
-            let mut b = RetryBudget::new(bcfg);
-            b.restore_state(&mut r)?;
-            Some(Rc::new(RefCell::new(b)))
-        } else {
-            None
-        };
-        let nb = r.len()?;
-        if nb > r.remaining() / 9 {
-            return Err(RestoreError::Truncated {
-                context: "breaker table",
-            });
-        }
-        let mut breakers = BTreeMap::new();
-        for _ in 0..nb {
-            let slot = usize::restore(&mut r)?;
-            let Some(bcfg) = overload.breaker else {
-                return Err(RestoreError::Malformed {
-                    context: "breaker state without a breaker config",
-                });
-            };
-            let mut b = CircuitBreaker::new(bcfg);
-            b.restore_state(&mut r)?;
-            if breakers.insert(slot, b).is_some() {
-                return Err(RestoreError::Malformed {
-                    context: "duplicate breaker slot",
-                });
-            }
-        }
-        let hedge_arms = BTreeMap::restore(&mut r)?;
-        let ov_stats = OverloadStats::restore(&mut r)?;
-        let brownout = r.bool()?;
-        let brownout_saved_scrub = BTreeMap::restore(&mut r)?;
-        if !r.is_empty() {
-            return Err(RestoreError::Malformed {
-                context: "trailing bytes in system section",
-            });
-        }
+        self.restore_state(&mut r)?;
+        all_read(&r, "trailing bytes in system section")?;
 
         // Tracer wiring has to exist before the channels restore so
         // every clone shares the overlaid ring; the ring *contents*
@@ -2495,72 +2560,27 @@ impl Power8System {
             self.tracer = Tracer::off();
         }
 
-        for i in 0..self.channels.len() {
-            let slot = self.channels[i].slot;
-            let mut cr = img.section(&format!("channel.{slot}"))?;
-            let s = usize::restore(&mut cr)?;
-            if s != slot {
-                return Err(RestoreError::TopologyMismatch {
-                    context: "channel section slot",
-                });
-            }
-            let kind = MediaKind::restore(&mut cr)?;
-            if kind != self.channels[i].kind {
-                return Err(RestoreError::TopologyMismatch {
-                    context: "channel media kind",
-                });
-            }
-            let capacity = cr.u64()?;
-            if capacity != self.channels[i].capacity {
-                return Err(RestoreError::TopologyMismatch {
-                    context: "channel capacity",
-                });
-            }
-            let training = TrainingOutcome::restore(&mut cr)?;
-            self.channels[i].channel.restore_state(&mut cr)?;
-            if !cr.is_empty() {
-                return Err(RestoreError::Malformed {
-                    context: "trailing bytes in channel section",
-                });
-            }
-            self.channels[i].training = training;
-        }
-
-        self.memory_map = memory_map;
-        self.migration = migration;
-        self.written = written;
-        self.inherited_poison = inherited_poison;
-        self.stats = stats;
-        self.power = power;
-        self.powered = powered;
-        self.power_stats = power_stats;
-        self.nvdimm_armed = nvdimm_armed;
-        self.next_req = next_req;
-        self.outstanding = outstanding;
-        self.route_back = route_back;
-        self.finished_sys = finished_sys;
-        self.mlp_stats = mlp_stats;
-        self.overload = overload;
         for c in &mut self.channels {
-            c.channel.set_retry_budget(budget.clone());
+            let mut r = img.section(&format!("channel.{}", c.slot))?;
+            c.restore_state(&mut r)?;
+            all_read(&r, "trailing bytes in channel section")?;
         }
-        self.retry_budget = budget;
-        self.breakers = breakers;
-        self.hedge_arms = hedge_arms;
-        self.ov_stats = ov_stats;
-        self.brownout = brownout;
-        self.brownout_saved_scrub = brownout_saved_scrub;
 
         if has_tracer {
-            let mut tr = img.section("tracer")?;
-            self.tracer.restore_state(&mut tr)?;
-            if !tr.is_empty() {
-                return Err(RestoreError::Malformed {
-                    context: "trailing bytes in tracer section",
-                });
-            }
+            let mut r = img.section("tracer")?;
+            self.tracer.restore_state(&mut r)?;
+            all_read(&r, "trailing bytes in tracer section")?;
         }
         Ok(())
+    }
+}
+
+/// A section must decode to its last byte.
+fn all_read(r: &SnapReader<'_>, context: &'static str) -> Result<(), RestoreError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(RestoreError::Malformed { context })
     }
 }
 
@@ -3087,6 +3107,58 @@ mod tests {
         assert!(
             matches!(err, RestoreError::UnknownSection { ref section } if section == "mystery"),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn a_route_to_no_outstanding_request_is_malformed() {
+        let boot = || {
+            Power8System::boot(
+                layouts::one_contutto_six_cdimm(
+                    ContuttoConfig::base(),
+                    MemoryPopulation::dram_8gb(),
+                ),
+                3,
+            )
+            .unwrap()
+        };
+        let mut sys = boot();
+        sys.submit_load(0x1000).unwrap();
+        let image = sys.snapshot();
+        boot().restore(&image).unwrap();
+        sys.outstanding.clear();
+        let err = boot().restore(&sys.snapshot()).unwrap_err();
+        assert_eq!(
+            err,
+            RestoreError::Malformed {
+                context: "route to a request not outstanding"
+            }
+        );
+    }
+
+    #[test]
+    fn a_region_larger_than_its_channel_is_malformed() {
+        let boot = || Power8System::boot(layouts::mram_storage_system(), 5).unwrap();
+        let mut sys = boot();
+        let small = sys
+            .channels
+            .iter()
+            .min_by_key(|c| c.capacity)
+            .map(|c| c.slot)
+            .unwrap();
+        let big = sys
+            .channels
+            .iter()
+            .max_by_key(|c| c.capacity)
+            .map(|c| c.slot)
+            .unwrap();
+        assert!(sys.memory_map.rebind_channel(big, small) > 0);
+        let err = boot().restore(&sys.snapshot()).unwrap_err();
+        assert_eq!(
+            err,
+            RestoreError::Malformed {
+                context: "memory region larger than its channel"
+            }
         );
     }
 }

@@ -378,9 +378,12 @@ macro_rules! persist_int {
 /// leaves a field out. Tuple structs name their fields by index
 /// (`persist_fields!(Id { 0 })`).
 ///
-/// Write the impl by hand instead when restore must validate (a value
-/// range, an invariant across fields) or read a field differently from
-/// its type's own impl, and for enums.
+/// Write the impl by hand only for an enum, or when restore must read a
+/// field differently from its type's own impl (a length bounded before
+/// anything decodes, a discriminant that selects what follows). A value
+/// range or an invariant across fields belongs in a checked type or in
+/// the owner's [`state_fields!`](crate::state_fields) list, not in a
+/// second, hand-written copy of the field order.
 #[macro_export]
 macro_rules! persist_fields {
     ($ty:ident { $($field:tt),+ $(,)? }) => {
@@ -396,6 +399,173 @@ macro_rules! persist_fields {
                 })
             }
         }
+    };
+}
+
+/// Declares an owner's image layout once: the list generates both
+/// `snapshot_state(&self, out)` and `restore_state(&mut self, r)`, so
+/// the two directions cannot drift apart. An owner is state restored
+/// over an identically constructed twin (a device, a buffer, a link
+/// endpoint); the list's order is the byte layout. Entries, each ending
+/// in a comma:
+///
+/// * `a.b,` — a plain field, through its type's [`Persist`];
+///   `a.b if check,` also has `check(&self, &value)` vet the decoded
+///   value (a range, or a cross-check against construction).
+/// * `a.b with (encode, decode),` — written by `encode(&field, out)`
+///   and read by `decode(r)`: a length bounded before anything
+///   decodes, or an encoding other than the type's own.
+/// * `each a.b,` — a fixed-size array of plain values, no length.
+/// * `same a.b => "context",` — a construction parameter: written, and
+///   on restore compared with this owner's own ([`expect_same`]), a
+///   difference being [`RestoreError::TopologyMismatch`];
+///   `same_as(get) => "context",` does the same for `get(&self)`.
+/// * `state a.b,` — a nested owner, through its own pair;
+///   `state each a.b,` — every owner in a collection, no length.
+/// * `apply (encode, decode => apply),` — state that is not one field:
+///   `encode(&self, out)`, `decode(&self, r)`, `apply(&mut self, v)`.
+/// * `check check,` — `check(&self)` vets the restored owner, for an
+///   invariant across fields.
+///
+/// Restore is an overlay in two passes. The decode pass reads the list
+/// in order: plain and `with` fields into locals, `same` and `if`
+/// checks as they come, nested owners straight into place. Only once
+/// the whole list has decoded does the assignment pass store the fields
+/// and run the `apply` entries, in list order, then the `check`
+/// entries. So a decode error leaves an owner with no nested owner
+/// untouched.
+///
+/// `pub { ... }` makes both methods public; `{ ... }` leaves them
+/// private, or inside a trait impl implements the trait's pair. Doc
+/// comments before the braces document `snapshot_state`.
+#[macro_export]
+macro_rules! state_fields {
+    ($(#[$doc:meta])* pub { $($list:tt)* }) => {
+        $crate::state_fields!(@methods [pub] [$(#[$doc])*] $($list)*);
+    };
+    ($(#[$doc:meta])* { $($list:tt)* }) => {
+        $crate::state_fields!(@methods [] [$(#[$doc])*] $($list)*);
+    };
+    (@methods [$($vis:tt)*] [$($doc:tt)*] $($list:tt)*) => {
+        $($doc)*
+        $($vis)* fn snapshot_state(&self, out: &mut ::std::vec::Vec<u8>) {
+            $crate::state_fields!(@persist self out [$($list)*]);
+        }
+
+        /// Overlays a [`Self::snapshot_state`] image onto this value, in
+        /// the two passes of its `state_fields!` list.
+        ///
+        /// # Errors
+        ///
+        /// Any `RestoreError` from a field's decode or from a check in
+        /// the list.
+        $($vis)* fn restore_state(
+            &mut self,
+            r: &mut $crate::snapshot::SnapReader<'_>,
+        ) -> ::std::result::Result<(), $crate::snapshot::RestoreError> {
+            $crate::state_fields!(@restore self r [] [] [$($list)*]);
+            ::std::result::Result::Ok(())
+        }
+    };
+
+    (@persist $s:ident $o:ident []) => {};
+    (@persist $s:ident $o:ident [same_as($get:path) => $ctx:expr, $($rest:tt)*]) => {
+        $crate::snapshot::Persist::persist(&$get($s), $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [same $($f:ident).+ => $ctx:expr, $($rest:tt)*]) => {
+        $crate::snapshot::Persist::persist(&$s.$($f).+, $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [state each $($f:ident).+, $($rest:tt)*]) => {
+        for owner in &$s.$($f).+ {
+            owner.snapshot_state($o);
+        }
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [each $($f:ident).+, $($rest:tt)*]) => {
+        for value in &$s.$($f).+ {
+            $crate::snapshot::Persist::persist(value, $o);
+        }
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [state $($f:ident).+, $($rest:tt)*]) => {
+        $s.$($f).+.snapshot_state($o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [check $c:path, $($rest:tt)*]) => {
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident
+        [apply ($enc:path, $dec:path => $apply:path), $($rest:tt)*]) => {
+        $enc($s, $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident
+        [$($f:ident).+ with ($enc:path, $dec:path), $($rest:tt)*]) => {
+        $enc(&$s.$($f).+, $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident [$($f:ident).+ $(if $c:path)?, $($rest:tt)*]) => {
+        $crate::snapshot::Persist::persist(&$s.$($f).+, $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+
+    // Decode pass: each step binds its own `v` (macro hygiene keeps the
+    // steps' bindings apart) and queues its assignment or check.
+    (@restore $s:ident $r:ident [$($assign:tt)*] [$($checks:tt)*] []) => {
+        $($assign)*
+        $($checks)*
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [same_as($get:path) => $ctx:expr, $($rest:tt)*]) => {
+        $crate::snapshot::expect_same($r, &$get($s), $ctx)?;
+        $crate::state_fields!(@restore $s $r [$($a)*] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [same $($f:ident).+ => $ctx:expr, $($rest:tt)*]) => {
+        $crate::snapshot::expect_same($r, &$s.$($f).+, $ctx)?;
+        $crate::state_fields!(@restore $s $r [$($a)*] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [state each $($f:ident).+, $($rest:tt)*]) => {
+        for owner in &mut $s.$($f).+ {
+            owner.restore_state($r)?;
+        }
+        $crate::state_fields!(@restore $s $r [$($a)*] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [each $($f:ident).+, $($rest:tt)*]) => {
+        let mut v = $s.$($f).+.clone();
+        for value in &mut v {
+            *value = $crate::snapshot::Persist::restore($r)?;
+        }
+        $crate::state_fields!(@restore $s $r [$($a)* $s.$($f).+ = v;] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [state $($f:ident).+, $($rest:tt)*]) => {
+        $s.$($f).+.restore_state($r)?;
+        $crate::state_fields!(@restore $s $r [$($a)*] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [check $check:path, $($rest:tt)*]) => {
+        $crate::state_fields!(@restore $s $r [$($a)*] [$($c)* $check($s)?;] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [apply ($enc:path, $dec:path => $apply:path), $($rest:tt)*]) => {
+        let v = $dec($s, $r)?;
+        $crate::state_fields!(@restore $s $r [$($a)* $apply($s, v)?;] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [$($f:ident).+ with ($enc:path, $dec:path), $($rest:tt)*]) => {
+        let v = $dec($r)?;
+        $crate::state_fields!(@restore $s $r [$($a)* $s.$($f).+ = v;] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [$($f:ident).+ $(if $check:path)?, $($rest:tt)*]) => {
+        let v = $crate::snapshot::Persist::restore($r)?;
+        $($check($s, &v)?;)?
+        $crate::state_fields!(@restore $s $r [$($a)* $s.$($f).+ = v;] [$($c)*] [$($rest)*]);
     };
 }
 
@@ -579,13 +749,7 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
         let n = r.seq_len()?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::restore(r)?;
-            let v = V::restore(r)?;
-            map.insert(k, v);
-        }
-        Ok(map)
+        restore_entries(r, n, V::restore)
     }
 }
 
@@ -600,7 +764,11 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
         let n = r.seq_len()?;
         let mut set = BTreeSet::new();
         for _ in 0..n {
-            set.insert(T::restore(r)?);
+            let item = T::restore(r)?;
+            if set.last().is_some_and(|last| *last >= item) {
+                return Err(keys_not_increasing());
+            }
+            set.insert(item);
         }
         Ok(set)
     }
@@ -645,21 +813,80 @@ where
 }
 
 /// Restores a `HashMap` written by [`persist_sorted_map`].
+///
+/// # Errors
+///
+/// [`RestoreError::Malformed`] unless the keys strictly increase, the
+/// one order [`persist_sorted_map`] writes; or any decode error.
 pub fn restore_map<K, V>(
     r: &mut SnapReader<'_>,
 ) -> Result<std::collections::HashMap<K, V>, RestoreError>
 where
-    K: Persist + Eq + std::hash::Hash,
+    K: Persist + Ord + std::hash::Hash + Clone,
     V: Persist,
 {
     let n = r.seq_len()?;
     let mut map = std::collections::HashMap::with_capacity(n.min(1 << 16));
+    let mut last: Option<K> = None;
     for _ in 0..n {
         let k = K::restore(r)?;
-        let v = V::restore(r)?;
-        map.insert(k, v);
+        if last.as_ref().is_some_and(|last| *last >= k) {
+            return Err(keys_not_increasing());
+        }
+        last = Some(k.clone());
+        map.insert(k, V::restore(r)?);
     }
     Ok(map)
+}
+
+/// Reads the `n` entries of a `BTreeMap` image, the part after its
+/// length prefix, each value through `value`: for a decoder that
+/// bounds the length itself, or whose values restore over owners.
+///
+/// # Errors
+///
+/// [`RestoreError::Malformed`] unless the keys strictly increase, the
+/// one order a `BTreeMap` writes, so each map has one encoding; or any
+/// decode error of an entry.
+pub fn restore_entries<K: Persist + Ord, V>(
+    r: &mut SnapReader<'_>,
+    n: usize,
+    mut value: impl FnMut(&mut SnapReader<'_>) -> Result<V, RestoreError>,
+) -> Result<BTreeMap<K, V>, RestoreError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let k = K::restore(r)?;
+        if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+            return Err(keys_not_increasing());
+        }
+        map.insert(k, value(r)?);
+    }
+    Ok(map)
+}
+
+fn keys_not_increasing() -> RestoreError {
+    RestoreError::Malformed {
+        context: "map keys not strictly increasing",
+    }
+}
+
+/// Reads a value written for a construction parameter and checks it
+/// against the restoring owner's own.
+///
+/// # Errors
+///
+/// [`RestoreError::TopologyMismatch`] with `context` when they differ,
+/// or any decode error.
+pub fn expect_same<T: Persist + PartialEq>(
+    r: &mut SnapReader<'_>,
+    own: &T,
+    context: &'static str,
+) -> Result<(), RestoreError> {
+    if T::restore(r)? == *own {
+        Ok(())
+    } else {
+        Err(RestoreError::TopologyMismatch { context })
+    }
 }
 
 /// Persists the entries of a fixed-size table that are out of their
@@ -1250,6 +1477,60 @@ mod tests {
         let mut r = SnapReader::new(&a);
         let back: std::collections::HashMap<u64, u32> = restore_map(&mut r).unwrap();
         assert_eq!(back, map);
+    }
+
+    /// Keys written by hand: `0`, then each of `keys` with value 7.
+    fn map_bytes(keys: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (keys.len() as u64).persist(&mut out);
+        for k in keys {
+            k.persist(&mut out);
+            7u32.persist(&mut out);
+        }
+        out
+    }
+
+    fn set_bytes(keys: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (keys.len() as u64).persist(&mut out);
+        for k in keys {
+            k.persist(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn every_map_decoder_rejects_a_repeated_or_decreasing_key() {
+        let keys_not_increasing = RestoreError::Malformed {
+            context: "map keys not strictly increasing",
+        };
+        for keys in [[3u64, 3], [5, 2]] {
+            let bytes = map_bytes(&keys);
+            let got = BTreeMap::<u64, u32>::restore(&mut SnapReader::new(&bytes));
+            assert_eq!(got.unwrap_err(), keys_not_increasing, "BTreeMap {keys:?}");
+            let got = restore_map::<u64, u32>(&mut SnapReader::new(&bytes));
+            assert_eq!(got.unwrap_err(), keys_not_increasing, "HashMap {keys:?}");
+            let bytes = set_bytes(&keys);
+            let got = BTreeSet::<u64>::restore(&mut SnapReader::new(&bytes));
+            assert_eq!(got.unwrap_err(), keys_not_increasing, "BTreeSet {keys:?}");
+        }
+        // Strictly increasing keys are the one accepted encoding.
+        let bytes = map_bytes(&[2, 5]);
+        assert_eq!(
+            BTreeMap::<u64, u32>::restore(&mut SnapReader::new(&bytes)).unwrap(),
+            [(2, 7), (5, 7)].into_iter().collect()
+        );
+        assert_eq!(
+            restore_map::<u64, u32>(&mut SnapReader::new(&bytes))
+                .unwrap()
+                .len(),
+            2
+        );
+        let bytes = set_bytes(&[2, 5]);
+        assert_eq!(
+            BTreeSet::<u64>::restore(&mut SnapReader::new(&bytes)).unwrap(),
+            [2, 5].into_iter().collect()
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
-use crate::snapshot::Persist;
+use crate::snapshot::{Persist, RestoreError, SnapReader};
 use crate::time::SimTime;
 
 /// Direction a DMI frame travels: host→buffer is downstream, buffer→host
@@ -530,6 +530,65 @@ struct TraceRing {
     fingerprint: u64,
 }
 
+impl TraceRing {
+    fn capacity_is_nonzero(&self, capacity: &usize) -> Result<(), RestoreError> {
+        if *capacity == 0 {
+            return Err(RestoreError::Malformed {
+                context: "trace ring capacity",
+            });
+        }
+        Ok(())
+    }
+
+    fn holds_at_most_its_capacity(&self) -> Result<(), RestoreError> {
+        if self.events.len() > self.capacity {
+            return Err(RestoreError::Malformed {
+                context: "trace ring holds more than its capacity",
+            });
+        }
+        Ok(())
+    }
+
+    crate::state_fields!({
+        capacity if Self::capacity_is_nonzero,
+        total,
+        dropped,
+        fingerprint,
+        events,
+        check Self::holds_at_most_its_capacity,
+    });
+}
+
+/// A record is imaged as its time and its rendered text, rendered
+/// straight into the image, and restores as a
+/// [`TraceEvent::Restored`] line that renders the same.
+impl Persist for TraceRecord {
+    fn persist(&self, out: &mut Vec<u8>) {
+        struct Utf8Sink<'a>(&'a mut Vec<u8>);
+        impl fmt::Write for Utf8Sink<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.extend_from_slice(s.as_bytes());
+                Ok(())
+            }
+        }
+        self.at.persist(out);
+        let len_at = out.len();
+        0u64.persist(out);
+        write!(Utf8Sink(out), "{}", self.event).expect("writing to a Vec cannot fail");
+        let len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        Ok(TraceRecord {
+            at: SimTime::restore(r)?,
+            event: TraceEvent::Restored {
+                line: String::restore(r)?,
+            },
+        })
+    }
+}
+
 struct TracerShared {
     now: Cell<SimTime>,
     ring: RefCell<TraceRing>,
@@ -733,90 +792,43 @@ impl Tracer {
         })
     }
 
-    /// Serializes the full trace state — clock, ring capacity, totals,
-    /// fingerprint and the retained events (as rendered text, so no
-    /// event structure needs to survive the image). No-op encoding is
-    /// not provided for a disabled tracer; callers skip the section.
+    /// Serializes the full trace state: the clock, then the ring
+    /// (capacity, totals, fingerprint and the retained events, as
+    /// rendered text, so no event structure needs to survive the
+    /// image). No-op encoding is not provided for a disabled tracer;
+    /// callers skip the section.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         let inner = self.inner.as_ref().expect("snapshot of a disabled tracer");
-        let ring = inner.ring.borrow();
         inner.now.get().persist(out);
-        (ring.capacity as u64).persist(out);
-        ring.total.persist(out);
-        ring.dropped.persist(out);
-        ring.fingerprint.persist(out);
-        (ring.events.len() as u64).persist(out);
-        let mut line = String::new();
-        for record in &ring.events {
-            record.at.persist(out);
-            line.clear();
-            write!(line, "{}", record.event).expect("writing to a String cannot fail");
-            line.persist(out);
-        }
+        inner.ring.borrow().snapshot_state(out);
     }
 
     /// Rebuilds trace state from [`Tracer::snapshot_state`] bytes.
     ///
-    /// When this handle is already enabled the state is overlaid into
-    /// the existing shared ring, so every clone distributed through the
+    /// When this handle is already enabled the ring is overlaid in the
+    /// existing shared ring, so every clone distributed through the
     /// system observes the restored state; otherwise a fresh ring is
     /// created. Restored events render byte-identically to the
     /// originals, and the fingerprint continues from the restored
     /// accumulator, so a resumed run's fingerprint equals the straight
     /// run's.
+    ///
+    /// # Errors
+    ///
+    /// Any decode error, or [`crate::snapshot::RestoreError::Malformed`]
+    /// for a zero capacity or a ring holding more than its capacity.
     pub fn restore_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::RestoreError> {
-        use crate::snapshot::RestoreError;
+        // Hand-written: the clock and ring sit behind the handle every
+        // clone shares, so they are overlaid through it.
         let now = SimTime::restore(r)?;
-        let capacity = r.len()?;
-        if capacity == 0 {
-            return Err(RestoreError::Malformed {
-                context: "trace ring capacity",
-            });
-        }
-        let total = r.u64()?;
-        let dropped = r.u64()?;
-        let fingerprint = r.u64()?;
-        let count = r.len()?;
-        if count > capacity {
-            return Err(RestoreError::Malformed {
-                context: "trace ring holds more than its capacity",
-            });
-        }
-        let mut events = VecDeque::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let at = SimTime::restore(r)?;
-            let line = String::restore(r)?;
-            events.push_back(TraceRecord {
-                at,
-                event: TraceEvent::Restored { line },
-            });
-        }
-        match &self.inner {
-            Some(inner) => {
-                inner.now.set(now);
-                let mut ring = inner.ring.borrow_mut();
-                ring.capacity = capacity;
-                ring.events = events;
-                ring.total = total;
-                ring.dropped = dropped;
-                ring.fingerprint = fingerprint;
-            }
-            None => {
-                self.inner = Some(Rc::new(TracerShared {
-                    now: Cell::new(now),
-                    ring: RefCell::new(TraceRing {
-                        capacity,
-                        events,
-                        total,
-                        dropped,
-                        fingerprint,
-                    }),
-                }));
-            }
-        }
+        let inner = self
+            .inner
+            .get_or_insert_with(|| Tracer::ring(1).inner.expect("an enabled tracer has a ring"));
+        inner.ring.borrow_mut().restore_state(r)?;
+        inner.now.set(now);
         Ok(())
     }
 
