@@ -128,7 +128,7 @@ impl Scenario {
 /// hedge), faster and with retrying clients.
 fn traffic_config(scenario: Scenario, requests: u64, seed: u64) -> TrafficConfig {
     TrafficConfig {
-        per_user_rps: 6_000.0, // 6M rps aggregate of simulated time
+        offered_rps: 6e6, // per second of simulated time
         deadline: scenario.deadline(),
         client_retries: CLIENT_RETRIES,
         ..crate::traffic::traffic_config(requests, seed)

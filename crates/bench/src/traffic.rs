@@ -33,9 +33,7 @@ use contutto_power8::failover::FailoverMode;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 use contutto_sim::{LogHistogram, SimTime};
-use contutto_workloads::traffic::{
-    ArrivalProcess, LoopMode, Phase, TrafficConfig, TrafficEngine, TrafficReport,
-};
+use contutto_workloads::traffic::{Phase, TrafficConfig, TrafficEngine, TrafficReport};
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
@@ -90,12 +88,8 @@ impl Scenario {
 /// delay during the fault is the result), zipfian keys, mostly reads.
 pub(crate) fn traffic_config(requests: u64, seed: u64) -> TrafficConfig {
     TrafficConfig {
-        mode: LoopMode::Open,
-        arrival: ArrivalProcess::Poisson,
         requests,
-        users: 1000,
-        per_user_rps: 4_000.0, // 4M rps aggregate of simulated time
-        think: SimTime::from_us(1),
+        offered_rps: 4e6, // per second of simulated time
         keys: 2048,
         zipf_theta: 0.99,
         read_fraction: 0.9,

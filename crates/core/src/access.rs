@@ -274,38 +274,21 @@ pub fn encode_program(program: &[Insn]) -> Vec<u8> {
     program.iter().flat_map(|i| encode(*i)).collect()
 }
 
-/// Programmable address mapping (paper: "a programmable address
-/// mapping scheme that allows to change the way in which addresses
-/// ... are mapped on the physical storage locations in the DIMMs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddressMap {
-    /// Line-interleave across ports every `granule` bytes.
-    Interleave {
-        /// Interleave granule in bytes (power of two).
-        granule: u64,
-    },
-    /// Linear: low half of the space on port 0, high half on port 1.
-    Split,
-}
+/// Interleave granule of the address map. The paper's Access
+/// processor has "a programmable address mapping scheme that allows to
+/// change the way in which addresses ... are mapped on the physical
+/// storage locations in the DIMMs"; this model programs one scheme,
+/// consecutive 4 KiB blocks alternating across the populated ports.
+const INTERLEAVE_GRANULE: u64 = 4096;
 
-impl AddressMap {
-    /// Maps a global address to (port, local address) for `ports`
-    /// populated ports and `port_capacity` bytes each.
-    pub fn map(self, addr: u64, ports: u64, port_capacity: u64) -> (usize, u64) {
-        match self {
-            AddressMap::Interleave { granule } => {
-                let unit = addr / granule;
-                (
-                    (unit % ports) as usize,
-                    (unit / ports) * granule + addr % granule,
-                )
-            }
-            AddressMap::Split => {
-                let port = (addr / port_capacity).min(ports - 1);
-                (port as usize, addr % port_capacity)
-            }
-        }
-    }
+/// Maps a global address to (port, local address) for `ports`
+/// populated ports.
+fn map_address(addr: u64, ports: u64) -> (usize, u64) {
+    let unit = addr / INTERLEAVE_GRANULE;
+    (
+        (unit % ports) as usize,
+        (unit / ports) * INTERLEAVE_GRANULE + addr % INTERLEAVE_GRANULE,
+    )
 }
 
 /// Performance monitors (paper: "performance monitoring functions
@@ -357,7 +340,6 @@ pub struct AccessProcessor<'a> {
     cfg: AccessConfig,
     avalon: &'a mut AvalonBus,
     accelerators: HashMap<u8, &'a mut dyn StreamAccelerator>,
-    map: AddressMap,
     perf: AccessPerf,
     /// Time the shared access path is busy until.
     path_busy: SimTime,
@@ -369,7 +351,6 @@ impl fmt::Debug for AccessProcessor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AccessProcessor")
             .field("cfg", &self.cfg)
-            .field("map", &self.map)
             .field("perf", &self.perf)
             .finish_non_exhaustive()
     }
@@ -382,7 +363,6 @@ impl<'a> AccessProcessor<'a> {
             cfg,
             avalon,
             accelerators: HashMap::new(),
-            map: AddressMap::Interleave { granule: 4096 },
             perf: AccessPerf::default(),
             path_busy: SimTime::ZERO,
             accel_busy: HashMap::new(),
@@ -392,11 +372,6 @@ impl<'a> AccessProcessor<'a> {
     /// Attaches a stream accelerator under an id.
     pub fn attach_accelerator(&mut self, id: u8, accel: &'a mut dyn StreamAccelerator) {
         self.accelerators.insert(id, accel);
-    }
-
-    /// Selects the address-mapping scheme.
-    pub fn set_address_map(&mut self, map: AddressMap) {
-        self.map = map;
     }
 
     /// Performance monitors.
@@ -442,16 +417,12 @@ impl<'a> AccessProcessor<'a> {
     /// and by overlapped result write-back).
     pub fn dma_read(&mut self, addr: u64, buf: &mut [u8]) {
         let ports = self.avalon.ports() as u64;
-        let cap = self.avalon.capacity_bytes() / ports;
         // Chunked by mapping granule boundaries.
         let mut off = 0u64;
         while (off as usize) < buf.len() {
             let a = addr + off;
-            let (port, local) = self.map.map(a, ports, cap);
-            let granule = match self.map {
-                AddressMap::Interleave { granule } => granule - a % granule,
-                AddressMap::Split => cap - local,
-            };
+            let (port, local) = map_address(a, ports);
+            let granule = INTERLEAVE_GRANULE - a % INTERLEAVE_GRANULE;
             let n = granule.min(buf.len() as u64 - off) as usize;
             self.avalon
                 .controller_mut(port)
@@ -464,15 +435,11 @@ impl<'a> AccessProcessor<'a> {
     /// Functional DMA write through the address map.
     pub fn dma_write(&mut self, addr: u64, data: &[u8]) {
         let ports = self.avalon.ports() as u64;
-        let cap = self.avalon.capacity_bytes() / ports;
         let mut off = 0u64;
         while (off as usize) < data.len() {
             let a = addr + off;
-            let (port, local) = self.map.map(a, ports, cap);
-            let granule = match self.map {
-                AddressMap::Interleave { granule } => granule - a % granule,
-                AddressMap::Split => cap - local,
-            };
+            let (port, local) = map_address(a, ports);
+            let granule = INTERLEAVE_GRANULE - a % INTERLEAVE_GRANULE;
             let n = granule.min(data.len() as u64 - off) as usize;
             self.avalon
                 .controller_mut(port)
@@ -812,14 +779,11 @@ mod tests {
     }
 
     #[test]
-    fn address_maps_differ() {
-        let il = AddressMap::Interleave { granule: 4096 };
-        assert_eq!(il.map(0, 2, 1 << 30), (0, 0));
-        assert_eq!(il.map(4096, 2, 1 << 30), (1, 0));
-        assert_eq!(il.map(8192, 2, 1 << 30), (0, 4096));
-        let sp = AddressMap::Split;
-        assert_eq!(sp.map(0, 2, 1 << 30), (0, 0));
-        assert_eq!(sp.map(1 << 30, 2, 1 << 30), (1, 0));
+    fn the_address_map_interleaves_4_kib_blocks() {
+        assert_eq!(map_address(0, 2), (0, 0));
+        assert_eq!(map_address(4096, 2), (1, 0));
+        assert_eq!(map_address(8192, 2), (0, 4096));
+        assert_eq!(map_address(8192 + 5, 1), (0, 8192 + 5));
     }
 
     #[test]

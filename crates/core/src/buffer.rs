@@ -19,7 +19,6 @@ use crate::mbi::MbiConfig;
 use crate::mbs::{MbsConfig, MbsLogic, MbsStats};
 use crate::memctl::{MemoryController, MemoryKind};
 use crate::phy::PhyConfig;
-use crate::resources::ResourceReport;
 
 /// Full configuration of a ConTutto card's FPGA design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,11 +228,6 @@ impl ConTutto {
     /// Media RAS counters aggregated across DIMM ports.
     pub fn ras_counters(&self) -> RasCounters {
         self.mbs.avalon().ras_counters()
-    }
-
-    /// FPGA resource utilization of this design variant (Table 1).
-    pub fn resource_report(&self) -> ResourceReport {
-        ResourceReport::for_base_design()
     }
 }
 

@@ -225,11 +225,6 @@ impl TagPool {
         NUM_TAGS - self.available()
     }
 
-    /// Whether a specific tag is currently in flight.
-    pub fn is_in_flight(&self, tag: Tag) -> bool {
-        self.free & (1 << tag.0) == 0
-    }
-
     contutto_sim::state_fields! {
         /// Serializes the pool's dynamic state (the free bitmask) into a
         /// snapshot payload. The tracer attachment is construction-time

@@ -390,11 +390,6 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         self.backlog.len()
     }
 
-    /// Whether the transmitter is mid-recovery (freeze or replay).
-    pub fn is_recovering(&self) -> bool {
-        self.tx_state != TxState::Normal
-    }
-
     /// Protocol statistics so far.
     pub fn stats(&self) -> &LinkStats {
         &self.stats

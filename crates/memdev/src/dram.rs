@@ -45,18 +45,6 @@ impl DdrTimings {
             tburst: 5_000, // 64 B over an 8-byte DDR-1600 channel
         }
     }
-
-    /// A slower DDR3-1066 CL8 profile (for latency-knob experiments).
-    pub fn ddr3_1066() -> Self {
-        DdrTimings {
-            cl: 15_000,
-            trcd: 15_000,
-            trp: 15_000,
-            trfc: 160_000,
-            trefi: 7_800_000,
-            tburst: 7_500,
-        }
-    }
 }
 
 impl Default for DdrTimings {

@@ -30,13 +30,12 @@ use crate::traits::{MediaKind, MemoryDevice};
 pub enum SaveState {
     /// Normal operation; no valid image in flash.
     Idle,
-    /// A power-loss save is in progress until the given time.
+    /// A power-loss save runs until `done_at`; from then until the
+    /// restore, a valid image sits in flash.
     Saving {
         /// When the save completes.
         done_at: SimTime,
     },
-    /// A valid image sits in flash (power was lost, save completed).
-    Saved,
     /// Power loss hit with the supercap disarmed: contents lost.
     Lost,
 }
@@ -61,7 +60,9 @@ impl Persist for SaveState {
                 out.push(1);
                 done_at.persist(out);
             }
-            SaveState::Saved => out.push(2),
+            // Tag 2 is unused, so an image carrying it restores as
+            // malformed; the other tags keep their values, so every
+            // earlier image restores unchanged.
             SaveState::Lost => out.push(3),
         }
     }
@@ -71,7 +72,6 @@ impl Persist for SaveState {
             1 => SaveState::Saving {
                 done_at: SimTime::restore(r)?,
             },
-            2 => SaveState::Saved,
             3 => SaveState::Lost,
             _ => {
                 return Err(snapshot::RestoreError::Malformed {
@@ -263,7 +263,6 @@ impl NvdimmN {
         match self.state {
             SaveState::Lost => false,
             SaveState::Saving { done_at } => now >= done_at,
-            SaveState::Saved => true,
             SaveState::Idle => self.armed,
         }
     }
@@ -315,13 +314,12 @@ impl NvdimmN {
     /// Returns the time the DIMM is quiescent.
     pub fn power_loss(&mut self, now: SimTime) -> SimTime {
         // A redundant cut — power glitching again while the engine is
-        // still saving, or after a save completed but before restore —
+        // still saving, or after its save completed but before restore —
         // must not re-stream the now-dark DRAM over the valid flash
         // image: that would replace saved data with zeroes behind a
         // clean CRC, a silent loss no restore check could catch.
         match self.state {
             SaveState::Saving { done_at } => return done_at.max(now),
-            SaveState::Saved => return now,
             SaveState::Idle | SaveState::Lost => {}
         }
         if self.armed {
@@ -418,7 +416,7 @@ impl NvdimmN {
                     save_done_at: done_at,
                 })
             }
-            SaveState::Saving { .. } | SaveState::Saved => self.restore_image(now),
+            SaveState::Saving { .. } => self.restore_image(now),
             SaveState::Idle | SaveState::Lost => {
                 self.state = SaveState::Idle;
                 Ok(now)
@@ -717,6 +715,30 @@ mod tests {
         assert!(
             matches!(err, snapshot::RestoreError::Malformed { .. }),
             "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn the_unused_save_state_tag_restores_as_malformed() {
+        // Idle, Saving and Lost persist as tags 0, 1 and 3; 2 is unused.
+        let image = |state| {
+            let mut nv = nvdimm();
+            nv.state = state;
+            let mut img = Vec::new();
+            nv.snapshot_state(&mut img);
+            img
+        };
+        let mut img = image(SaveState::Idle);
+        let lost = image(SaveState::Lost);
+        assert_eq!(img.len(), lost.len());
+        let at = (0..img.len()).find(|&i| img[i] != lost[i]).unwrap();
+        assert_eq!((img[at], lost[at]), (0, 3));
+        img[at] = 2;
+        assert_eq!(
+            nvdimm().restore_state(&mut SnapReader::new(&img)),
+            Err(snapshot::RestoreError::Malformed {
+                context: "save state discriminant"
+            })
         );
     }
 

@@ -537,11 +537,6 @@ impl DmiChannel {
         !self.queue.is_empty() || self.pending.values().any(|p| p.tracked.is_some())
     }
 
-    /// The in-flight window for tracked commands.
-    pub fn inflight_window(&self) -> usize {
-        self.window
-    }
-
     /// Sets the max tracked commands in flight at once, clamped to
     /// `1..=32` (the DMI tag space). Commands beyond the window wait
     /// on the issue queue.
@@ -1457,11 +1452,26 @@ impl DmiChannel {
         Ok(())
     }
 
+    /// The longest backoff the retry policy can schedule past the
+    /// clock: a retry after attempt `n < max_attempts` waits
+    /// `base_backoff × 2^(n-1)`. Saturates instead of overflowing.
+    fn longest_backoff(&self) -> SimTime {
+        let Some(doublings) = self.retry.max_attempts.checked_sub(2) else {
+            return SimTime::ZERO;
+        };
+        let ps = 1u64
+            .checked_shl(doublings)
+            .and_then(|factor| self.retry.base_backoff.as_ps().checked_mul(factor));
+        SimTime::from_ps(ps.unwrap_or(u64::MAX))
+    }
+
     /// The image's times must fit its clock: every command was issued
-    /// or enqueued at or before it, and every frame in flight left at
-    /// or before it, so arrives within one wire latency. A retrain
-    /// holds issue for at most [`RETRAIN_SETTLE`]; a hold further out
-    /// would stall every queued command slot by slot.
+    /// or enqueued at or before it, every tag was quarantined at or
+    /// before it, and every frame in flight left at or before it, so
+    /// arrives within one wire latency. A queued retry is due at most
+    /// the policy's longest backoff ahead. A retrain holds issue for
+    /// at most [`RETRAIN_SETTLE`]; a hold further out would stall
+    /// every queued command slot by slot.
     fn times_fit_the_clock(&self) -> Result<(), RestoreError> {
         let stamped_ahead = self.pending.values().any(|p| {
             p.issued > self.now || p.tracked.as_ref().is_some_and(|t| t.enqueued > self.now)
@@ -1469,6 +1479,21 @@ impl DmiChannel {
         if stamped_ahead {
             return Err(RestoreError::Malformed {
                 context: "command stamped after the channel clock",
+            });
+        }
+        if self.quarantine.values().any(|&parked| parked > self.now) {
+            return Err(RestoreError::Malformed {
+                context: "tag quarantined after the channel clock",
+            });
+        }
+        let longest = self.longest_backoff();
+        if self
+            .queue
+            .keys()
+            .any(|&(not_before, _)| not_before.saturating_sub(self.now) > longest)
+        {
+            return Err(RestoreError::Malformed {
+                context: "queued retry due past the longest backoff",
             });
         }
         if self.issue_hold.saturating_sub(self.now) > RETRAIN_SETTLE {
@@ -2027,6 +2052,32 @@ mod tests {
         assert_eq!(
             restore(&ch),
             malformed("frame in flight past the wire latency")
+        );
+
+        // Stepping this channel would subtract the stamp from the clock.
+        let mut ch = contutto_channel();
+        ch.quarantine
+            .insert(Tag::new(3).unwrap(), ch.now + SimTime::from_ms(1));
+        assert_eq!(
+            restore(&ch),
+            malformed("tag quarantined after the channel clock")
+        );
+
+        // A read due an hour out would be stepped to slot by slot.
+        let mut ch = contutto_channel();
+        let id = ch.enqueue_command(CommandOp::Read { addr: 0 });
+        let (key, cmd) = ch.queue.pop_first().unwrap();
+        assert_eq!(key.1, id);
+        let longest = ch.longest_backoff();
+        assert_eq!(longest, ch.retry.base_backoff * 2);
+        ch.queue.insert((ch.now + longest, id), cmd.clone());
+        assert_eq!(restore(&ch), Ok(()));
+        ch.queue.clear();
+        ch.queue
+            .insert((ch.now + SimTime::from_secs(3600), id), cmd);
+        assert_eq!(
+            restore(&ch),
+            malformed("queued retry due past the longest backoff")
         );
     }
 }

@@ -21,6 +21,12 @@ use contutto_sim::SimTime;
 
 use crate::system::{Power8System, RebootReport};
 
+/// The longest span a fault action's duration or interval takes: a
+/// power-cut outage, a slow-channel window or a scrub interval longer
+/// than this is clamped to it, so the clock keeps the headroom every
+/// later timeout, backoff and deadline adds to it.
+pub const MAX_FAULT_SPAN: SimTime = SimTime::from_secs(3600);
+
 /// One typed fault, applicable to any [`Power8System`] layout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
@@ -95,7 +101,8 @@ pub enum FaultAction {
     Epow,
     /// Surprise mains cut (no EPOW), dark for `outage`, then reboot.
     PowerCut {
-        /// How long the machine stays dark before power returns.
+        /// How long the machine stays dark before power returns (at
+        /// most [`MAX_FAULT_SPAN`]).
         outage: SimTime,
     },
     /// Test-only oracle bait: deposits garbage in a line over the
@@ -171,7 +178,8 @@ impl Power8System {
                 let Some(ch) = self.channel_mut(slot) else {
                     return FaultOutcome::Skipped("no live channel in slot");
                 };
-                ch.channel.degrade_for(window.max(SimTime::from_ps(1)));
+                ch.channel
+                    .degrade_for(window.max(SimTime::from_ps(1)).min(MAX_FAULT_SPAN));
                 FaultOutcome::Applied
             }
             FaultAction::FlipStorm {
@@ -204,7 +212,11 @@ impl Power8System {
                 let Some(ch) = self.channel_mut(slot) else {
                     return FaultOutcome::Skipped("no live channel in slot");
                 };
-                if ch.channel.buffer_mut().set_scrub(now, Some(interval)) {
+                if ch
+                    .channel
+                    .buffer_mut()
+                    .set_scrub(now, Some(interval.min(MAX_FAULT_SPAN)))
+                {
                     FaultOutcome::Applied
                 } else {
                     FaultOutcome::Skipped("buffer has no scrub engine")
@@ -231,7 +243,7 @@ impl Power8System {
             FaultAction::PowerCut { outage } => {
                 let at = now.max(self.now());
                 let quiet = self.power_cut(at);
-                match self.reboot(quiet + outage) {
+                match self.reboot(quiet + outage.min(MAX_FAULT_SPAN)) {
                     Ok(report) => FaultOutcome::Rebooted(report),
                     Err(e) => FaultOutcome::RebootFailed(e.to_string()),
                 }
@@ -399,6 +411,39 @@ mod tests {
         };
         assert!(report.ready_at > now);
         assert!(sys.powered());
+    }
+
+    #[test]
+    fn spans_past_the_clock_are_clamped_to_the_longest_fault_span() {
+        let mut sys = system();
+        let now = sys.now();
+        let out = sys.apply_fault_action(
+            now,
+            &FaultAction::PowerCut {
+                outage: SimTime::MAX,
+            },
+        );
+        let FaultOutcome::Rebooted(report) = out else {
+            panic!("expected a reboot, got {out:?}");
+        };
+        assert!(report.at > now + MAX_FAULT_SPAN - SimTime::from_ms(1));
+        assert!(report.at <= now + MAX_FAULT_SPAN + SimTime::from_ms(1));
+        let now = sys.now();
+        let (slot, _) = sys.route(0).expect("mapped");
+        for action in [
+            FaultAction::SlowChannel {
+                slot,
+                window: SimTime::MAX,
+            },
+            FaultAction::ScrubOn {
+                slot: 2,
+                interval: SimTime::MAX,
+            },
+        ] {
+            assert_eq!(sys.apply_fault_action(now, &action), FaultOutcome::Applied);
+        }
+        sys.store_line(0, CacheLine::patterned(4)).expect("store");
+        assert_eq!(sys.load_line(0).expect("load").0, CacheLine::patterned(4));
     }
 
     #[test]

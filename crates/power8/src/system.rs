@@ -577,11 +577,6 @@ impl Power8System {
         }
     }
 
-    /// The circuit breaker state for a slot, when breakers are armed.
-    pub fn breaker_state(&self, slot: usize) -> Option<BreakerState> {
-        self.breakers.get(&slot).map(CircuitBreaker::state)
-    }
-
     /// Whether brownout is currently engaged.
     pub fn brownout_active(&self) -> bool {
         self.brownout
@@ -2127,11 +2122,6 @@ impl Power8System {
             }
         }
         poison
-    }
-
-    /// Whether an evacuation is still running.
-    pub fn failover_in_progress(&self) -> bool {
-        self.migration.is_some()
     }
 
     /// Lines still waiting to reach the spare.

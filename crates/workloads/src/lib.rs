@@ -37,4 +37,4 @@ pub use db2::{Db2Workload, QueryKind};
 pub use fio::{FioEngine, FioPattern, FioResult};
 pub use gpfs::GpfsExperiment;
 pub use spec::{SpecBenchmark, SpecModel};
-pub use traffic::{ArrivalProcess, LoopMode, Phase, TrafficConfig, TrafficEngine, TrafficReport};
+pub use traffic::{Phase, TrafficConfig, TrafficEngine, TrafficReport};

@@ -1,26 +1,19 @@
-//! Service-level traffic generator: millions of simulated users with
-//! tail-latency SLOs (ROADMAP item 2).
+//! Service-level traffic generator: open-loop Poisson arrivals with
+//! tail-latency SLOs.
 //!
 //! The paper's DB2/GPFS/FIO results are latency-sensitivity curves;
 //! the production-scale extension is the *tail*. This module drives a
 //! KV-style serving layer over [`Power8System`]'s pipelined
-//! submit/poll path with open- or closed-loop request arrivals
-//! (Poisson or bursty), a configurable user population, and zipfian
-//! key skew, recording every per-request latency into a
-//! [`LogHistogram`] so p50/p99/p99.9/p99.99 are reported with bounded
-//! relative error and no silent overflow.
+//! submit/poll path with open-loop Poisson arrivals at a fixed offered
+//! rate and zipfian key skew, recording every per-request latency into
+//! a [`LogHistogram`] so p50/p99/p99.9/p99.99 are reported with
+//! bounded relative error and no silent overflow.
 //!
-//! Two disciplines, per the standard load-testing taxonomy:
-//!
-//! * **Open loop** — arrivals follow the configured process regardless
-//!   of completions, so queueing delay is part of the measured latency
-//!   (`completion − nominal arrival`). This is what exposes tail
-//!   collapse under a fault: arrivals keep coming while the system
-//!   recovers.
-//! * **Closed loop** — each simulated user waits for its response,
-//!   thinks, and issues the next request; latency is service time
-//!   (`completion − issue`). Coordinated omission applies, which is
-//!   exactly why campaigns run both.
+//! Arrivals are independent of completions, so queueing delay is part
+//! of the measured latency (`completion − nominal arrival`). This is
+//! what exposes tail collapse under a fault: arrivals keep coming
+//! while the system recovers, and no coordinated omission hides the
+//! backlog.
 //!
 //! A per-iteration hook lets a campaign trigger faults mid-run
 //! (patrol-scrub storm, channel failover, EPOW/reboot) and label the
@@ -34,29 +27,6 @@ use std::collections::BTreeMap;
 use contutto_dmi::command::CacheLine;
 use contutto_power8::system::{Power8System, ReqId, SystemError};
 use contutto_sim::{LogHistogram, MetricsRegistry, SimRng, SimTime};
-
-/// Load-generation discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopMode {
-    /// Arrivals are independent of completions (queueing delay is
-    /// measured).
-    Open,
-    /// Each user waits for its response and thinks before re-issuing.
-    Closed,
-}
-
-/// Inter-arrival (open loop) / think-time (closed loop) process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalProcess {
-    /// Exponential gaps — memoryless, the classic M/G/k offered load.
-    Poisson,
-    /// `burst_len` back-to-back arrivals, then one long exponential
-    /// gap scaled so the mean offered rate matches Poisson.
-    Bursty {
-        /// Arrivals per burst (≥ 1; 1 degenerates to Poisson).
-        burst_len: u32,
-    },
-}
 
 /// Which regime a request was issued in (set by the campaign hook).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,21 +44,11 @@ pub enum Phase {
 /// Traffic generator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
-    /// Open or closed loop.
-    pub mode: LoopMode,
-    /// Arrival / think process.
-    pub arrival: ArrivalProcess,
     /// Total requests to issue.
     pub requests: u64,
-    /// Simulated user population (closed loop: concurrent users; open
-    /// loop: only scales the offered rate via `per_user_rps`).
-    pub users: u64,
-    /// Open loop: offered requests/sec *per user* (aggregate offered
-    /// load is `users × per_user_rps` of simulated time).
-    pub per_user_rps: f64,
-    /// Closed loop: mean think time between a response and the user's
-    /// next request.
-    pub think: SimTime,
+    /// Offered load: mean Poisson arrivals per second of simulated
+    /// time.
+    pub offered_rps: f64,
     /// Key-space size (each key maps to one cache line, spread across
     /// every memory-map region for channel-level parallelism).
     pub keys: u64,
@@ -105,38 +65,16 @@ pub struct TrafficConfig {
     /// and the system sheds them (pre-issue) once it passes. `None`
     /// disables deadline propagation.
     pub deadline: Option<SimTime>,
-    /// Client-side retries per logical request after a retryable error
-    /// (open loop only). Each retry asks the system's shared retry
-    /// budget first — with no budget configured, retries are
-    /// unconditional, which is exactly the metastable-failure
-    /// amplifier the overload campaign demonstrates.
+    /// Client-side retries per logical request after a retryable
+    /// error. Each retry asks the system's shared retry budget first —
+    /// with no budget configured, retries are unconditional, which is
+    /// exactly the metastable-failure amplifier the overload campaign
+    /// demonstrates.
     pub client_retries: u32,
     /// Base client backoff; retry `n` waits `n × client_backoff`.
     pub client_backoff: SimTime,
     /// RNG seed — same seed, byte-identical run.
     pub seed: u64,
-}
-
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            mode: LoopMode::Open,
-            arrival: ArrivalProcess::Poisson,
-            requests: 512,
-            users: 1000,
-            per_user_rps: 4_000.0, // 4M rps aggregate at 1000 users
-            think: SimTime::from_us(1),
-            keys: 4096,
-            zipf_theta: 0.99,
-            read_fraction: 0.9,
-            mlp_window: 16,
-            slo: SimTime::from_us(2),
-            deadline: None,
-            client_retries: 0,
-            client_backoff: SimTime::from_us(2),
-            seed: 0xC0FFEE,
-        }
-    }
 }
 
 /// Everything a campaign hook needs to decide whether to fire a fault.
@@ -153,7 +91,7 @@ pub struct TrafficTick {
 /// Results of one traffic run. Structural equality covers the full
 /// latency distributions, so two same-seed runs can be asserted
 /// identical with `==`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrafficReport {
     /// Requests issued (including failed submissions).
     pub submitted: u64,
@@ -217,17 +155,6 @@ impl TrafficReport {
         SimTime::from_ns(hist.quantile(q))
     }
 
-    /// Shed count for one phase (admission/breaker sheds + expired
-    /// deadlines, wherever in the request's life they fired).
-    pub fn shed_in(&self, phase: Phase) -> u64 {
-        self.shed[phase_idx(phase)]
-    }
-
-    /// Hedged reads issued while the run was in `phase`.
-    pub fn hedges_in(&self, phase: Phase) -> u64 {
-        self.hedges[phase_idx(phase)]
-    }
-
     /// Successful completions per simulated second.
     pub fn achieved_rps(&self) -> f64 {
         contutto_sim::stats::ops_per_sec(self.completed, self.elapsed)
@@ -283,9 +210,9 @@ impl TrafficReport {
 }
 
 struct PendingReq {
-    /// Nominal arrival (open loop) or issue instant (closed loop) —
-    /// the latency epoch. Retries keep the *original* epoch: a retried
-    /// request's latency honestly includes every failed attempt.
+    /// Nominal arrival — the latency epoch. Retries keep the
+    /// *original* epoch: a retried request's latency honestly includes
+    /// every failed attempt.
     issued: SimTime,
     /// Absolute deadline submitted with every attempt. Fixed at the
     /// first issue, so an expired retry is refused at submit and never
@@ -298,8 +225,6 @@ struct PendingReq {
     is_read: bool,
     /// Client retries performed so far.
     attempts: u32,
-    /// Closed loop: which user is blocked on this request.
-    user: Option<usize>,
 }
 
 /// Client-side retries waiting out their backoff, ordered by due time
@@ -340,9 +265,9 @@ impl RetryQueue {
     }
 }
 
-/// The traffic engine: key table, popularity distribution, arrival
-/// state. Build once per run with [`TrafficEngine::new`], then drive
-/// a system with [`TrafficEngine::run`].
+/// The traffic engine: key table and popularity distribution. Build
+/// once per run with [`TrafficEngine::new`], then drive a system with
+/// [`TrafficEngine::run`].
 pub struct TrafficEngine {
     cfg: TrafficConfig,
     /// key → physical line address, spread across regions.
@@ -357,13 +282,12 @@ impl TrafficEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the config is degenerate (no keys, no requests, no
-    /// users, a non-positive rate, or an unbootable empty map).
+    /// Panics if the config is degenerate (no keys, no requests, a
+    /// non-positive rate, or an unbootable empty map).
     pub fn new(cfg: TrafficConfig, sys: &Power8System) -> Self {
         assert!(cfg.requests > 0, "need at least one request");
-        assert!(cfg.users > 0, "need at least one user");
         assert!(cfg.keys > 0 && cfg.keys <= 1 << 22, "keys must be 1..=4M");
-        assert!(cfg.per_user_rps > 0.0, "offered rate must be positive");
+        assert!(cfg.offered_rps > 0.0, "offered rate must be positive");
         assert!(
             (0.0..=1.0).contains(&cfg.read_fraction),
             "read fraction must be a probability"
@@ -403,31 +327,12 @@ impl TrafficEngine {
             .min(self.addrs.len() - 1) as u64
     }
 
-    /// Exponential sample with the given mean, floored at one
-    /// picosecond so time always moves.
-    fn sample_exp(rng: &mut SimRng, mean_ps: f64) -> SimTime {
+    /// The next exponential inter-arrival gap with the given mean,
+    /// floored at one picosecond so time always moves.
+    fn next_gap(rng: &mut SimRng, mean_ps: f64) -> SimTime {
         let u = rng.next_f64();
         let ps = -(1.0 - u).ln() * mean_ps;
         SimTime::from_ps((ps as u64).max(1))
-    }
-
-    /// The next inter-arrival gap (open loop) or think time (closed
-    /// loop). `burst_pos` cycles through the burst so bursty traffic
-    /// alternates zero-gap clusters with long compensating gaps.
-    fn next_gap(&self, rng: &mut SimRng, mean_ps: f64, burst_pos: &mut u32) -> SimTime {
-        match self.cfg.arrival {
-            ArrivalProcess::Poisson => Self::sample_exp(rng, mean_ps),
-            ArrivalProcess::Bursty { burst_len } => {
-                let len = burst_len.max(1);
-                *burst_pos = (*burst_pos + 1) % len;
-                if *burst_pos == 0 {
-                    // One long gap carries the whole burst's budget.
-                    Self::sample_exp(rng, mean_ps * f64::from(len))
-                } else {
-                    SimTime::ZERO
-                }
-            }
-        }
     }
 
     fn submit_req(&self, sys: &mut Power8System, req: &PendingReq) -> Result<ReqId, SystemError> {
@@ -454,14 +359,35 @@ impl TrafficEngine {
             )
     }
 
-    /// Linear client backoff: retry `n` waits `n × client_backoff`.
-    fn backoff_for(&self, attempts: u32) -> SimTime {
-        self.cfg.client_backoff.max(SimTime::from_ps(1)) * u64::from(attempts.max(1))
+    /// One failed attempt, at submit or completion: the request is
+    /// re-queued with linear backoff (retry `n` waits
+    /// `n × client_backoff`) if it may retry and the shared retry
+    /// budget allows, otherwise counted as finished.
+    fn fail(
+        &self,
+        sys: &mut Power8System,
+        acc: &mut Accumulator,
+        retries: &mut RetryQueue,
+        mut req: PendingReq,
+        e: SystemError,
+    ) {
+        acc.note_error_kind(req.phase, &e);
+        let eligible = self.retry_eligible(&req, &e);
+        if eligible && sys.client_retry_allowed() {
+            acc.report.client_retries += 1;
+            req.attempts += 1;
+            let backoff = self.cfg.client_backoff.max(SimTime::from_ps(1));
+            retries.push(sys.now() + backoff * u64::from(req.attempts), req);
+        } else {
+            if eligible {
+                acc.report.client_retries_denied += 1;
+            }
+            acc.finish(&req, Err(e));
+        }
     }
 
-    /// Submits one logical request (first attempt or retry): on a
-    /// retryable submit error it is re-queued with backoff if the
-    /// shared retry budget allows, otherwise counted as finished.
+    /// Submits one logical request (first attempt or retry) stamped
+    /// with the current phase.
     fn issue(
         &self,
         sys: &mut Power8System,
@@ -476,19 +402,7 @@ impl TrafficEngine {
             Ok(id) => {
                 pending.insert(id, req);
             }
-            Err(e) => {
-                acc.note_error_kind(phase, &e);
-                if self.retry_eligible(&req, &e) && sys.client_retry_allowed() {
-                    acc.client_retries += 1;
-                    req.attempts += 1;
-                    retries.push(sys.now() + self.backoff_for(req.attempts), req);
-                } else {
-                    if self.retry_eligible(&req, &e) {
-                        acc.client_retries_denied += 1;
-                    }
-                    acc.finish(&req, Err(e));
-                }
-            }
+            Err(e) => self.fail(sys, acc, retries, req, e),
         }
     }
 
@@ -512,28 +426,18 @@ impl TrafficEngine {
         H: FnMut(&mut Power8System, &TrafficTick) -> Phase,
     {
         sys.set_mlp_window(self.cfg.mlp_window);
-        match self.cfg.mode {
-            LoopMode::Open => self.run_open(sys, &mut hook),
-            LoopMode::Closed => self.run_closed(sys, &mut hook),
-        }
-    }
-
-    fn run_open<H>(&self, sys: &mut Power8System, hook: &mut H) -> TrafficReport
-    where
-        H: FnMut(&mut Power8System, &TrafficTick) -> Phase,
-    {
         let mut rng = SimRng::seed_from_u64(self.cfg.seed);
-        let mean_gap_ps = 1e12 / (self.cfg.per_user_rps * self.cfg.users as f64);
-        let mut burst_pos = 0u32;
+        let mean_gap_ps = 1e12 / self.cfg.offered_rps;
         let start = sys.now();
-        let mut next_arrival = start + self.next_gap(&mut rng, mean_gap_ps, &mut burst_pos);
+        let mut next_arrival = start + Self::next_gap(&mut rng, mean_gap_ps);
         let mut acc = Accumulator::new(&self.cfg, self.hot_keys, start);
         let mut pending: BTreeMap<ReqId, PendingReq> = BTreeMap::new();
         let mut retries = RetryQueue::new();
         loop {
+            let r = &acc.report;
             let tick = TrafficTick {
-                submitted: acc.submitted,
-                completed: acc.completed + acc.errors + acc.orphaned,
+                submitted: r.submitted,
+                completed: r.completed + r.errors + r.orphaned,
                 now: sys.now(),
             };
             let phase = hook(sys, &tick);
@@ -549,12 +453,12 @@ impl TrafficEngine {
                 self.issue(sys, &mut acc, &mut pending, &mut retries, req, phase);
             }
             // Issue every arrival that is due.
-            while acc.submitted < self.cfg.requests && next_arrival <= sys.now() {
+            while acc.report.submitted < self.cfg.requests && next_arrival <= sys.now() {
                 let key = self.sample_key(&mut rng);
                 let is_read = rng.gen_bool(self.cfg.read_fraction);
                 let arrival = next_arrival;
-                acc.submitted += 1;
-                next_arrival += self.next_gap(&mut rng, mean_gap_ps, &mut burst_pos);
+                acc.report.submitted += 1;
+                next_arrival += Self::next_gap(&mut rng, mean_gap_ps);
                 let req = PendingReq {
                     issued: arrival,
                     deadline: self.cfg.deadline.map(|d| arrival + d),
@@ -562,7 +466,6 @@ impl TrafficEngine {
                     key,
                     is_read,
                     attempts: 0,
-                    user: None,
                 };
                 self.issue(sys, &mut acc, &mut pending, &mut retries, req, phase);
             }
@@ -570,192 +473,43 @@ impl TrafficEngine {
             let progressed = !finished.is_empty();
             for (id, result) in finished {
                 let Some(req) = pending.remove(&id) else {
-                    acc.duplicate_completions += 1;
+                    acc.report.duplicate_completions += 1;
                     continue;
                 };
                 match result {
-                    Ok(c) => {
-                        acc.finish(&req, Ok(c.completed_at));
-                    }
-                    Err(e) => {
-                        acc.note_error_kind(req.phase, &e);
-                        if self.retry_eligible(&req, &e) && sys.client_retry_allowed() {
-                            acc.client_retries += 1;
-                            let mut r = req;
-                            r.attempts += 1;
-                            let due = sys.now() + self.backoff_for(r.attempts);
-                            retries.push(due, r);
-                        } else {
-                            if self.retry_eligible(&req, &e) {
-                                acc.client_retries_denied += 1;
-                            }
-                            acc.finish(&req, Err(e));
-                        }
-                    }
+                    Ok(c) => acc.finish(&req, Ok(c.completed_at)),
+                    Err(e) => self.fail(sys, &mut acc, &mut retries, req, e),
                 }
             }
-            if acc.submitted >= self.cfg.requests && pending.is_empty() && retries.is_empty() {
+            let all_issued = acc.report.submitted >= self.cfg.requests;
+            if all_issued && pending.is_empty() && retries.is_empty() {
                 break;
             }
             if !progressed && pending.is_empty() {
                 // Idle: jump to the next arrival or due retry.
-                let next_new = (acc.submitted < self.cfg.requests).then_some(next_arrival);
+                let next_new = (!all_issued).then_some(next_arrival);
                 if let Some(t) = [next_new, retries.next_due()].into_iter().flatten().min() {
                     sys.advance_to(t.max(sys.now()));
                 }
             } else if !progressed && sys.outstanding_reqs() == 0 {
                 // A power cut wiped the in-flight set — these
                 // completions will never arrive.
-                for (_, req) in std::mem::take(&mut pending) {
-                    acc.orphaned += 1;
-                    acc.last_event = acc.last_event.max(sys.now());
-                    let _ = req;
-                }
-            }
-        }
-        acc.into_report()
-    }
-
-    fn run_closed<H>(&self, sys: &mut Power8System, hook: &mut H) -> TrafficReport
-    where
-        H: FnMut(&mut Power8System, &TrafficTick) -> Phase,
-    {
-        let mut rng = SimRng::seed_from_u64(self.cfg.seed);
-        let think_ps = self.cfg.think.as_ps() as f64;
-        let start = sys.now();
-        struct User {
-            next_issue: SimTime,
-            waiting: bool,
-            burst_pos: u32,
-        }
-        let mut users: Vec<User> = (0..self.cfg.users)
-            .map(|_| User {
-                // Staggered cold start so the population doesn't
-                // stampede in one slot.
-                next_issue: start + Self::sample_exp(&mut rng, think_ps),
-                waiting: false,
-                burst_pos: 0,
-            })
-            .collect();
-        let mut acc = Accumulator::new(&self.cfg, self.hot_keys, start);
-        let mut pending: BTreeMap<ReqId, PendingReq> = BTreeMap::new();
-        loop {
-            let tick = TrafficTick {
-                submitted: acc.submitted,
-                completed: acc.completed + acc.errors + acc.orphaned,
-                now: sys.now(),
-            };
-            let phase = hook(sys, &tick);
-            acc.note_hedges(sys, phase);
-            // Same timebase rule as the open loop: no channel may lag
-            // the global clock that issue times are stamped with.
-            sys.advance_to(tick.now);
-            let now = sys.now();
-            for (idx, user) in users.iter_mut().enumerate() {
-                if acc.submitted >= self.cfg.requests {
-                    break;
-                }
-                if user.waiting || user.next_issue > now {
-                    continue;
-                }
-                let key = self.sample_key(&mut rng);
-                acc.submitted += 1;
-                let req = PendingReq {
-                    issued: now,
-                    deadline: self.cfg.deadline.map(|d| now + d),
-                    phase,
-                    key,
-                    is_read: rng.gen_bool(self.cfg.read_fraction),
-                    attempts: 0,
-                    user: Some(idx),
-                };
-                match self.submit_req(sys, &req) {
-                    Ok(id) => {
-                        user.waiting = true;
-                        pending.insert(id, req);
-                    }
-                    Err(e) => {
-                        // Closed-loop users don't retry: the blocked
-                        // user simply thinks and issues fresh work —
-                        // the loop is self-clocking, so there is no
-                        // retry storm to model here.
-                        acc.note_error_kind(phase, &e);
-                        acc.errors += 1;
-                        user.next_issue =
-                            now + self.next_gap(&mut rng, think_ps, &mut user.burst_pos);
-                    }
-                }
-            }
-            let finished = sys.poll();
-            let progressed = !finished.is_empty();
-            for (id, result) in finished {
-                let Some(req) = pending.remove(&id) else {
-                    acc.duplicate_completions += 1;
-                    continue;
-                };
-                if let Err(e) = &result {
-                    acc.note_error_kind(req.phase, e);
-                }
-                let end = acc.finish(&req, result.map(|c| c.completed_at));
-                if let Some(u) = req.user {
-                    users[u].waiting = false;
-                    users[u].next_issue =
-                        end + self.next_gap(&mut rng, think_ps, &mut users[u].burst_pos);
-                }
-            }
-            if acc.submitted >= self.cfg.requests && pending.is_empty() {
-                break;
-            }
-            if !progressed {
-                if pending.is_empty() {
-                    if let Some(next) = users
-                        .iter()
-                        .filter(|u| !u.waiting)
-                        .map(|u| u.next_issue)
-                        .min()
-                    {
-                        sys.advance_to(next.max(sys.now()));
-                    }
-                } else if sys.outstanding_reqs() == 0 {
-                    let now = sys.now();
-                    for (_, req) in std::mem::take(&mut pending) {
-                        acc.orphaned += 1;
-                        acc.last_event = acc.last_event.max(now);
-                        if let Some(u) = req.user {
-                            users[u].waiting = false;
-                            users[u].next_issue =
-                                now + self.next_gap(&mut rng, think_ps, &mut users[u].burst_pos);
-                        }
-                    }
-                }
+                acc.report.orphaned += pending.len() as u64;
+                pending.clear();
+                acc.last_event = acc.last_event.max(sys.now());
             }
         }
         acc.into_report()
     }
 }
 
-/// Shared per-run bookkeeping between the two loop disciplines.
+/// Per-run bookkeeping: the report being filled in, plus what it is
+/// derived from.
 struct Accumulator {
-    submitted: u64,
-    completed: u64,
-    errors: u64,
-    orphaned: u64,
-    steady: LogHistogram,
-    fault: LogHistogram,
-    recovery: LogHistogram,
-    steady_slo_violations: u64,
-    fault_slo_violations: u64,
-    recovery_slo_violations: u64,
-    shed: [u64; 3],
-    deadline_expired: u64,
-    client_retries: u64,
-    client_retries_denied: u64,
-    duplicate_completions: u64,
-    hedges: [u64; 3],
+    report: TrafficReport,
     /// Last `hedges_issued` sample from the system's overload stats
     /// (`None` until the first tick sets the baseline).
     hedge_seen: Option<u64>,
-    hot_key_completions: u64,
     hot_keys: u64,
     slo: SimTime,
     start: SimTime,
@@ -765,24 +519,8 @@ struct Accumulator {
 impl Accumulator {
     fn new(cfg: &TrafficConfig, hot_keys: u64, start: SimTime) -> Self {
         Accumulator {
-            submitted: 0,
-            completed: 0,
-            errors: 0,
-            orphaned: 0,
-            steady: LogHistogram::new(),
-            fault: LogHistogram::new(),
-            recovery: LogHistogram::new(),
-            steady_slo_violations: 0,
-            fault_slo_violations: 0,
-            recovery_slo_violations: 0,
-            shed: [0; 3],
-            deadline_expired: 0,
-            client_retries: 0,
-            client_retries_denied: 0,
-            duplicate_completions: 0,
-            hedges: [0; 3],
+            report: TrafficReport::default(),
             hedge_seen: None,
-            hot_key_completions: 0,
             hot_keys,
             slo: cfg.slo,
             start,
@@ -794,10 +532,10 @@ impl Accumulator {
     /// counters. Other error kinds are left to the plain error count.
     fn note_error_kind(&mut self, phase: Phase, e: &SystemError) {
         match e {
-            SystemError::Shed { .. } => self.shed[phase_idx(phase)] += 1,
+            SystemError::Shed { .. } => self.report.shed[phase_idx(phase)] += 1,
             SystemError::DeadlineExceeded => {
-                self.shed[phase_idx(phase)] += 1;
-                self.deadline_expired += 1;
+                self.report.shed[phase_idx(phase)] += 1;
+                self.report.deadline_expired += 1;
             }
             _ => {}
         }
@@ -808,73 +546,38 @@ impl Accumulator {
     fn note_hedges(&mut self, sys: &Power8System, phase: Phase) {
         let issued = sys.overload_stats().hedges_issued;
         if let Some(seen) = self.hedge_seen {
-            self.hedges[phase_idx(phase)] += issued.saturating_sub(seen);
+            self.report.hedges[phase_idx(phase)] += issued.saturating_sub(seen);
         }
         self.hedge_seen = Some(issued);
     }
 
-    /// Records one finished request; returns the completion time used
-    /// (for closed-loop think scheduling).
-    fn finish(&mut self, req: &PendingReq, result: Result<SimTime, SystemError>) -> SimTime {
-        match result {
-            Ok(completed_at) => {
-                self.completed += 1;
-                self.last_event = self.last_event.max(completed_at);
-                let latency = completed_at.saturating_sub(req.issued);
-                if req.key < self.hot_keys {
-                    self.hot_key_completions += 1;
-                }
-                let over = latency > self.slo;
-                match req.phase {
-                    Phase::Steady => {
-                        self.steady.record(latency.as_ns());
-                        if over {
-                            self.steady_slo_violations += 1;
-                        }
-                    }
-                    Phase::Fault => {
-                        self.fault.record(latency.as_ns());
-                        if over {
-                            self.fault_slo_violations += 1;
-                        }
-                    }
-                    Phase::Recovery => {
-                        self.recovery.record(latency.as_ns());
-                        if over {
-                            self.recovery_slo_violations += 1;
-                        }
-                    }
-                }
-                completed_at
-            }
-            Err(_) => {
-                self.errors += 1;
-                self.last_event
-            }
+    /// Records one finished request.
+    fn finish(&mut self, req: &PendingReq, result: Result<SimTime, SystemError>) {
+        let r = &mut self.report;
+        let Ok(completed_at) = result else {
+            r.errors += 1;
+            return;
+        };
+        r.completed += 1;
+        self.last_event = self.last_event.max(completed_at);
+        let latency = completed_at.saturating_sub(req.issued);
+        if req.key < self.hot_keys {
+            r.hot_key_completions += 1;
+        }
+        let (hist, violations) = match req.phase {
+            Phase::Steady => (&mut r.steady, &mut r.steady_slo_violations),
+            Phase::Fault => (&mut r.fault, &mut r.fault_slo_violations),
+            Phase::Recovery => (&mut r.recovery, &mut r.recovery_slo_violations),
+        };
+        hist.record(latency.as_ns());
+        if latency > self.slo {
+            *violations += 1;
         }
     }
 
-    fn into_report(self) -> TrafficReport {
-        TrafficReport {
-            submitted: self.submitted,
-            completed: self.completed,
-            errors: self.errors,
-            orphaned: self.orphaned,
-            elapsed: self.last_event.saturating_sub(self.start),
-            steady: self.steady,
-            fault: self.fault,
-            recovery: self.recovery,
-            steady_slo_violations: self.steady_slo_violations,
-            fault_slo_violations: self.fault_slo_violations,
-            recovery_slo_violations: self.recovery_slo_violations,
-            shed: self.shed,
-            deadline_expired: self.deadline_expired,
-            client_retries: self.client_retries,
-            client_retries_denied: self.client_retries_denied,
-            duplicate_completions: self.duplicate_completions,
-            hedges: self.hedges,
-            hot_key_completions: self.hot_key_completions,
-        }
+    fn into_report(mut self) -> TrafficReport {
+        self.report.elapsed = self.last_event.saturating_sub(self.start);
+        self.report
     }
 }
 
@@ -889,25 +592,26 @@ mod tests {
             .expect("cdimm system must boot")
     }
 
-    fn quick(mode: LoopMode, arrival: ArrivalProcess, seed: u64) -> TrafficConfig {
+    fn quick(seed: u64) -> TrafficConfig {
         TrafficConfig {
-            mode,
-            arrival,
             requests: 96,
-            users: 16,
-            per_user_rps: 250_000.0,
-            think: SimTime::from_us(1),
+            offered_rps: 4e6,
             keys: 256,
+            zipf_theta: 0.99,
+            read_fraction: 0.9,
+            mlp_window: 16,
+            slo: SimTime::from_us(2),
+            deadline: None,
+            client_retries: 0,
+            client_backoff: SimTime::from_us(2),
             seed,
-            ..TrafficConfig::default()
         }
     }
 
     #[test]
     fn open_loop_completes_every_request() {
         let mut sys = boot();
-        let cfg = quick(LoopMode::Open, ArrivalProcess::Poisson, 7);
-        let engine = TrafficEngine::new(cfg, &sys);
+        let engine = TrafficEngine::new(quick(7), &sys);
         let r = engine.run_steady(&mut sys);
         assert_eq!(r.submitted, 96);
         assert_eq!(r.completed, 96);
@@ -920,18 +624,8 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_completes_every_request() {
-        let mut sys = boot();
-        let cfg = quick(LoopMode::Closed, ArrivalProcess::Bursty { burst_len: 4 }, 9);
-        let engine = TrafficEngine::new(cfg, &sys);
-        let r = engine.run_steady(&mut sys);
-        assert_eq!(r.completed, 96);
-        assert_eq!(r.steady.count(), 96);
-    }
-
-    #[test]
     fn same_seed_reports_are_identical() {
-        let cfg = quick(LoopMode::Open, ArrivalProcess::Bursty { burst_len: 8 }, 21);
+        let cfg = quick(21);
         let mut a = boot();
         let ra = TrafficEngine::new(cfg, &a).run_steady(&mut a);
         let mut b = boot();
@@ -944,11 +638,11 @@ mod tests {
         // Same system, same request count: offered load far above
         // capacity must show a worse tail than a trickle (queueing
         // delay measured from the *nominal* arrival).
-        let base = quick(LoopMode::Open, ArrivalProcess::Poisson, 33);
+        let base = quick(33);
         let mut sys = boot();
         let trickle = TrafficEngine::new(
             TrafficConfig {
-                per_user_rps: 62_500.0, // 1M rps aggregate: well under capacity
+                offered_rps: 1e6, // well under capacity
                 ..base
             },
             &sys,
@@ -957,7 +651,7 @@ mod tests {
         let mut sys2 = boot();
         let flood = TrafficEngine::new(
             TrafficConfig {
-                per_user_rps: 4e9, // everything arrives at once: pure queueing
+                offered_rps: 6.4e10, // everything arrives at once: pure queueing
                 ..base
             },
             &sys2,
@@ -978,7 +672,7 @@ mod tests {
             requests: 256,
             keys: 1000,
             zipf_theta: 0.99,
-            ..quick(LoopMode::Open, ArrivalProcess::Poisson, 5)
+            ..quick(5)
         };
         let skewed = TrafficEngine::new(cfg, &sys).run_steady(&mut sys);
         let mut sys2 = boot();
@@ -1007,8 +701,7 @@ mod tests {
     #[test]
     fn fault_phase_is_recorded_separately() {
         let mut sys = boot();
-        let cfg = quick(LoopMode::Open, ArrivalProcess::Poisson, 11);
-        let engine = TrafficEngine::new(cfg, &sys);
+        let engine = TrafficEngine::new(quick(11), &sys);
         let r = engine.run(&mut sys, |_, tick| {
             if tick.completed >= 48 {
                 Phase::Fault
@@ -1026,8 +719,8 @@ mod tests {
         let mut sys = boot();
         let cfg = TrafficConfig {
             requests: 64,
-            per_user_rps: 4_000_000.0, // flood so plenty are in flight
-            ..quick(LoopMode::Open, ArrivalProcess::Poisson, 13)
+            offered_rps: 6.4e7, // flood so plenty are in flight
+            ..quick(13)
         };
         let engine = TrafficEngine::new(cfg, &sys);
         let mut cut = false;

@@ -24,9 +24,7 @@ use contutto_system::power8::{
     AdmissionConfig, BreakerConfig, HedgeConfig, OverloadConfig, Power8System, RetryBudgetConfig,
 };
 use contutto_system::sim::SimTime;
-use contutto_system::workloads::traffic::{
-    ArrivalProcess, LoopMode, Phase, TrafficConfig, TrafficEngine, TrafficReport,
-};
+use contutto_system::workloads::traffic::{Phase, TrafficConfig, TrafficEngine, TrafficReport};
 
 /// ConTutto slot backing live regions in [`layouts::failover_pair`].
 const PRIMARY: usize = 2;
@@ -272,12 +270,8 @@ fn blackout_drain_terminates_with_typed_errors() {
 
 fn matrix_traffic(deadline: Option<SimTime>, seed: u64) -> TrafficConfig {
     TrafficConfig {
-        mode: LoopMode::Open,
-        arrival: ArrivalProcess::Poisson,
         requests: 72,
-        users: 256,
-        per_user_rps: 20_000.0,
-        think: SimTime::from_us(1),
+        offered_rps: 5.12e6,
         keys: 512,
         zipf_theta: 0.99,
         read_fraction: 0.9,
