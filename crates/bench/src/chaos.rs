@@ -68,6 +68,17 @@ const LOAD_READ_FRACTION: f64 = 0.5;
 /// Default inter-submit gap (a plan's `RateStep` actions rewrite it).
 const DEFAULT_GAP: SimTime = SimTime::from_ns(400);
 
+/// The longest inter-submit gap a plan's header, `RateStep` or
+/// `TrafficSpike` hands the load. The generator draws at most 1.5 µs,
+/// so no generated plan moves; a replayed gap of hours, or one
+/// saturated at [`SimTime::MAX`], would pace the load for that long.
+const MAX_GAP: SimTime = SimTime::from_us(100);
+
+/// A plan's gap as the load takes it: at least 1 ps, at most [`MAX_GAP`].
+fn load_gap(gap: SimTime) -> SimTime {
+    gap.clamp(SimTime::from_ps(1), MAX_GAP)
+}
+
 // ------------------------------------------------------------- layouts
 
 /// Which testbed a plan runs against.
@@ -452,9 +463,10 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a description of the first unparseable field. Hostile
-    /// values (absurd probabilities, zero ranges) are *not* rejected
-    /// here — the injection layer clamps them, because a reproducer is
-    /// external input and must never abort the process.
+    /// values (absurd probabilities, zero ranges, endless gaps) are
+    /// *not* rejected here — the injection layer and [`run_plan_once`]
+    /// clamp them, because a reproducer is external input and must
+    /// never abort the process.
     pub fn from_json(json: &str) -> Result<FaultPlan, String> {
         if !json.contains("\"chaos_plan\"") {
             return Err("not a chaos plan (missing \"chaos_plan\" marker)".into());
@@ -489,7 +501,7 @@ impl FaultPlan {
         let head = json.split("\"actions\"").next().unwrap_or(json);
         let seed = int(head, "\"seed\"").ok_or("missing seed")?;
         let requests = int(head, "\"requests\"").ok_or("missing requests")?;
-        let gap = SimTime::from_ps(int(head, "\"gap_ps\"").ok_or("missing gap_ps")?.max(1));
+        let gap = SimTime::from_ps(int(head, "\"gap_ps\"").ok_or("missing gap_ps")?);
         let mut actions = Vec::new();
         for chunk in json.split("{\"at_step\"").skip(1) {
             let at_step = int(chunk, ":").ok_or("action missing at_step")?;
@@ -498,76 +510,57 @@ impl FaultPlan {
                 .nth(1)
                 .and_then(|rest| rest.split('"').nth(1))
                 .ok_or("action missing kind")?;
-            let slot = || int(chunk, "\"slot\"").ok_or("action missing slot");
+            // A missing field is reported with its action kind.
+            let field = |key: &str| {
+                int(chunk, &format!("\"{key}\"")).ok_or_else(|| format!("{kind} missing {key}"))
+            };
+            let time = |key: &str| field(key).map(SimTime::from_ps);
+            let slot = || field("slot").map(|slot| slot as usize);
             let action = match kind {
                 "link_noise" => PlanAction::Fault(FaultAction::LinkNoise {
-                    slot: slot()? as usize,
+                    slot: slot()?,
                     down: num(chunk, "\"down\"").ok_or("link_noise missing down")?,
                     up: num(chunk, "\"up\"").ok_or("link_noise missing up")?,
-                    seed: int(chunk, "\"seed\"").ok_or("link_noise missing seed")?,
+                    seed: field("seed")?,
                 }),
-                "link_clear" => PlanAction::Fault(FaultAction::LinkClear {
-                    slot: slot()? as usize,
-                }),
+                "link_clear" => PlanAction::Fault(FaultAction::LinkClear { slot: slot()? }),
                 "slow_channel" => PlanAction::Fault(FaultAction::SlowChannel {
-                    slot: slot()? as usize,
-                    window: SimTime::from_ps(
-                        int(chunk, "\"window_ps\"")
-                            .ok_or("slow_channel missing window_ps")?
-                            .max(1),
-                    ),
+                    slot: slot()?,
+                    window: time("window_ps")?.max(SimTime::from_ps(1)),
                 }),
                 "flip_storm" => PlanAction::Fault(FaultAction::FlipStorm {
-                    slot: slot()? as usize,
-                    seed: int(chunk, "\"seed\"").ok_or("flip_storm missing seed")?,
-                    flips: int(chunk, "\"flips\"").ok_or("flip_storm missing flips")? as u32,
-                    window: SimTime::from_ps(
-                        int(chunk, "\"window_ps\"").ok_or("flip_storm missing window_ps")?,
-                    ),
-                    hot_start: int(chunk, "\"hot_start\"").ok_or("flip_storm missing hot_start")?,
-                    hot_len: int(chunk, "\"hot_len\"").ok_or("flip_storm missing hot_len")?,
-                    stuck: int(chunk, "\"stuck\"").ok_or("flip_storm missing stuck")? as u32,
+                    slot: slot()?,
+                    seed: field("seed")?,
+                    flips: field("flips")? as u32,
+                    window: time("window_ps")?,
+                    hot_start: field("hot_start")?,
+                    hot_len: field("hot_len")?,
+                    stuck: field("stuck")? as u32,
                 }),
                 "scrub_on" => PlanAction::Fault(FaultAction::ScrubOn {
-                    slot: slot()? as usize,
-                    interval: SimTime::from_ps(
-                        int(chunk, "\"interval_ps\"").ok_or("scrub_on missing interval_ps")?,
-                    ),
+                    slot: slot()?,
+                    interval: time("interval_ps")?,
                 }),
-                "scrub_off" => PlanAction::Fault(FaultAction::ScrubOff {
-                    slot: slot()? as usize,
-                }),
-                "maintenance_pull" => PlanAction::Fault(FaultAction::MaintenancePull {
-                    slot: slot()? as usize,
-                }),
+                "scrub_off" => PlanAction::Fault(FaultAction::ScrubOff { slot: slot()? }),
+                "maintenance_pull" => {
+                    PlanAction::Fault(FaultAction::MaintenancePull { slot: slot()? })
+                }
                 "epow" => PlanAction::Fault(FaultAction::Epow),
                 "power_cut" => PlanAction::Fault(FaultAction::PowerCut {
-                    outage: SimTime::from_ps(
-                        int(chunk, "\"outage_ps\"").ok_or("power_cut missing outage_ps")?,
-                    ),
+                    outage: time("outage_ps")?,
                 }),
                 "sabotage" => PlanAction::Fault(FaultAction::Sabotage {
-                    slot: slot()? as usize,
-                    addr: int(chunk, "\"addr\"").ok_or("sabotage missing addr")?,
+                    slot: slot()?,
+                    addr: field("addr")?,
                 }),
                 "checkpoint" => PlanAction::Checkpoint,
                 "restore" => PlanAction::RestoreLatest,
                 "rate_step" => PlanAction::RateStep {
-                    gap: SimTime::from_ps(
-                        int(chunk, "\"gap_ps\"")
-                            .ok_or("rate_step missing gap_ps")?
-                            .max(1),
-                    ),
+                    gap: time("gap_ps")?,
                 },
                 "traffic_spike" => PlanAction::TrafficSpike {
-                    gap: SimTime::from_ps(
-                        int(chunk, "\"gap_ps\"")
-                            .ok_or("traffic_spike missing gap_ps")?
-                            .max(1),
-                    ),
-                    steps: int(chunk, "\"steps\"")
-                        .ok_or("traffic_spike missing steps")?
-                        .max(1),
+                    gap: time("gap_ps")?,
+                    steps: field("steps")?.max(1),
                 },
                 other => return Err(format!("unknown action kind {other:?}")),
             };
@@ -928,7 +921,7 @@ pub fn run_plan_once(plan: &FaultPlan) -> PlanRunReport {
         let load = ChaosLoad::new(
             ChaosLoadConfig {
                 requests: plan.requests,
-                gap: plan.gap,
+                gap: load_gap(plan.gap),
                 keys: LOAD_KEYS,
                 read_fraction: LOAD_READ_FRACTION,
                 mlp_window: 8,
@@ -941,7 +934,7 @@ pub fn run_plan_once(plan: &FaultPlan) -> PlanRunReport {
         let mut applied = 0u64;
         let mut skipped = 0u64;
         let mut reboots = 0u64;
-        let mut base_gap = plan.gap;
+        let mut base_gap = load_gap(plan.gap);
         let mut spike_until: Option<u64> = None;
         // The latest `Checkpoint`'s image plus the rewind point a
         // `RestoreLatest` hands back to the driver.
@@ -958,13 +951,13 @@ pub fn run_plan_once(plan: &FaultPlan) -> PlanRunReport {
                 let now = sys.now();
                 match &plan.actions[cursor].action {
                     PlanAction::RateStep { gap } => {
-                        base_gap = *gap;
-                        new_gap = Some(*gap);
+                        base_gap = load_gap(*gap);
+                        new_gap = Some(base_gap);
                         applied += 1;
                     }
                     PlanAction::TrafficSpike { gap, steps } => {
-                        new_gap = Some(*gap);
-                        spike_until = Some(tick.step + (*steps).max(1));
+                        new_gap = Some(load_gap(*gap));
+                        spike_until = Some(tick.step.saturating_add((*steps).max(1)));
                         applied += 1;
                     }
                     PlanAction::Checkpoint => {
@@ -1124,56 +1117,26 @@ pub fn shrink(plan: &FaultPlan) -> Option<(FaultPlan, &'static str)> {
 }
 
 fn narrow(pa: &PlannedAction) -> PlannedAction {
-    let action = match &pa.action {
-        PlanAction::Fault(FaultAction::LinkNoise {
-            slot,
-            down,
-            up,
-            seed,
-        }) => PlanAction::Fault(FaultAction::LinkNoise {
-            slot: *slot,
-            down: down / 2.0,
-            up: up / 2.0,
-            seed: *seed,
-        }),
-        PlanAction::Fault(FaultAction::FlipStorm {
-            slot,
-            seed,
-            flips,
-            window,
-            hot_start,
-            hot_len,
-            stuck,
-        }) => PlanAction::Fault(FaultAction::FlipStorm {
-            slot: *slot,
-            seed: *seed,
-            flips: (*flips / 2).max(1),
-            window: *window,
-            hot_start: *hot_start,
-            hot_len: *hot_len,
-            stuck: *stuck / 2,
-        }),
-        PlanAction::Fault(FaultAction::PowerCut { outage }) => {
-            PlanAction::Fault(FaultAction::PowerCut {
-                outage: SimTime::from_ps((outage.as_ps() / 2).max(1_000_000)),
-            })
+    let mut narrowed = pa.clone();
+    match &mut narrowed.action {
+        PlanAction::Fault(FaultAction::LinkNoise { down, up, .. }) => {
+            *down /= 2.0;
+            *up /= 2.0;
         }
-        PlanAction::Fault(FaultAction::SlowChannel { slot, window }) => {
-            PlanAction::Fault(FaultAction::SlowChannel {
-                slot: *slot,
-                window: SimTime::from_ps((window.as_ps() / 2).max(1_000_000)),
-            })
+        PlanAction::Fault(FaultAction::FlipStorm { flips, stuck, .. }) => {
+            *flips = (*flips / 2).max(1);
+            *stuck /= 2;
         }
-        PlanAction::TrafficSpike { gap, steps } => PlanAction::TrafficSpike {
-            gap: SimTime::from_ps(gap.as_ps().saturating_mul(2)),
-            steps: (*steps / 2).max(1),
-        },
-        other => other.clone(),
-    };
-    PlannedAction {
-        at_step: pa.at_step,
-        action,
+        PlanAction::Fault(
+            FaultAction::PowerCut { outage: span } | FaultAction::SlowChannel { window: span, .. },
+        ) => *span = (*span / 2).max(SimTime::from_us(1)),
+        PlanAction::TrafficSpike { gap, steps } => {
+            *gap = *gap * 2;
+            *steps = (*steps / 2).max(1);
+        }
+        _ => {}
     }
+    narrowed
 }
 
 // -------------------------------------------------------------- campaign

@@ -117,14 +117,14 @@ impl MediaFaultInjector {
     /// land over `[start, start + window)`. This is what lets a chaos
     /// plan arm a fault burst on a device mid-run without the burst
     /// retroactively landing in the past. An empty hot range is
-    /// clamped to one byte, and a hot range or window running past the
-    /// end of the address space or the clock is clamped to end there,
-    /// rather than rejected — replayed plan files are external input
-    /// and must not abort the process.
+    /// clamped to one byte, and a hot range running past the end of
+    /// the address space is clamped to end there, rather than
+    /// rejected — replayed plan files are external input and must not
+    /// abort the process.
     pub fn new_at(cfg: FaultConfig, start: SimTime) -> Self {
         let hot_len = cfg.hot_len.min(u64::MAX - cfg.hot_start).max(1);
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let window_ps = cfg.window.as_ps().min(u64::MAX - start.as_ps()).max(1);
+        let window_ps = cfg.window.as_ps().max(1);
         let mut schedule: Vec<TransientFlip> = (0..cfg.transient_flips)
             .map(|_| TransientFlip {
                 due: start + SimTime::from_ps(rng.gen_below(window_ps)),

@@ -1055,7 +1055,7 @@ impl DmiChannel {
             }
         };
         if retry_allowed {
-            let backoff = self.retry.base_backoff * (1u64 << (t.attempt - 1));
+            let backoff = self.backoff_for(t.attempt);
             self.retries_scheduled += 1;
             self.tracer.record(TraceEvent::RetryScheduled {
                 tag: tag.raw(),
@@ -1390,7 +1390,7 @@ impl DmiChannel {
             if self.now > deadline {
                 return None;
             }
-            self.advance(SimTime::from_ps(deadline.as_ps().saturating_add(1)));
+            self.advance(deadline + SimTime::from_ps(1));
         }
     }
 
@@ -1452,17 +1452,20 @@ impl DmiChannel {
         Ok(())
     }
 
+    /// The backoff before the retry after attempt `attempt` (from 1):
+    /// `base_backoff × 2^(attempt-1)`, saturating for any policy.
+    fn backoff_for(&self, attempt: u32) -> SimTime {
+        let doubling = 1u64.checked_shl(attempt.saturating_sub(1));
+        self.retry.base_backoff * doubling.unwrap_or(u64::MAX)
+    }
+
     /// The longest backoff the retry policy can schedule past the
-    /// clock: a retry after attempt `n < max_attempts` waits
-    /// `base_backoff × 2^(n-1)`. Saturates instead of overflowing.
+    /// clock: the one after attempt `max_attempts - 1`.
     fn longest_backoff(&self) -> SimTime {
-        let Some(doublings) = self.retry.max_attempts.checked_sub(2) else {
-            return SimTime::ZERO;
-        };
-        let ps = 1u64
-            .checked_shl(doublings)
-            .and_then(|factor| self.retry.base_backoff.as_ps().checked_mul(factor));
-        SimTime::from_ps(ps.unwrap_or(u64::MAX))
+        match self.retry.max_attempts {
+            0 | 1 => SimTime::ZERO,
+            n => self.backoff_for(n - 1),
+        }
     }
 
     /// The image's times must fit its clock: every command was issued
@@ -2079,5 +2082,16 @@ mod tests {
             restore(&ch),
             malformed("queued retry due past the longest backoff")
         );
+    }
+
+    #[test]
+    fn a_backoff_past_64_doublings_saturates() {
+        let mut ch = contutto_channel();
+        assert_eq!(ch.backoff_for(1), ch.retry.base_backoff);
+        assert_eq!(ch.backoff_for(3), ch.retry.base_backoff * 4);
+        assert_eq!(ch.backoff_for(64), SimTime::MAX);
+        assert_eq!(ch.backoff_for(65), SimTime::MAX);
+        ch.retry.max_attempts = 66;
+        assert_eq!(ch.longest_backoff(), SimTime::MAX);
     }
 }

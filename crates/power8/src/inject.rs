@@ -23,9 +23,16 @@ use crate::system::{Power8System, RebootReport};
 
 /// The longest span a fault action's duration or interval takes: a
 /// power-cut outage, a slow-channel window or a scrub interval longer
-/// than this is clamped to it, so the clock keeps the headroom every
-/// later timeout, backoff and deadline adds to it.
+/// than this is clamped to it. This bounds how long a run simulates:
+/// a clock saturated at [`SimTime::MAX`] never times a command out.
 pub const MAX_FAULT_SPAN: SimTime = SimTime::from_secs(3600);
+
+/// The shortest patrol-scrub interval a fault action arms (the plan
+/// generator draws 5–25 µs): one pass per picosecond runs for minutes.
+pub const MIN_SCRUB_INTERVAL: SimTime = SimTime::from_us(1);
+
+/// The most transient flips, or stuck cells, one flip storm plants.
+pub const MAX_STORM_CELLS: u32 = 1 << 16;
 
 /// One typed fault, applicable to any [`Power8System`] layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +76,7 @@ pub enum FaultAction {
         slot: usize,
         /// Seed for the burst's flip schedule.
         seed: u64,
-        /// Transient flips to schedule.
+        /// Transient flips to schedule (at most [`MAX_STORM_CELLS`]).
         flips: u32,
         /// Window the flips land in, starting at the apply time.
         window: SimTime,
@@ -77,7 +84,7 @@ pub enum FaultAction {
         hot_start: u64,
         /// Hot-range length in bytes.
         hot_len: u64,
-        /// Stuck cells planted immediately.
+        /// Stuck cells planted immediately (at most [`MAX_STORM_CELLS`]).
         stuck: u32,
     },
     /// (Re)arms patrol scrub on a slot with the given interval.
@@ -179,7 +186,7 @@ impl Power8System {
                     return FaultOutcome::Skipped("no live channel in slot");
                 };
                 ch.channel
-                    .degrade_for(window.max(SimTime::from_ps(1)).min(MAX_FAULT_SPAN));
+                    .degrade_for(window.clamp(SimTime::from_ps(1), MAX_FAULT_SPAN));
                 FaultOutcome::Applied
             }
             FaultAction::FlipStorm {
@@ -196,11 +203,11 @@ impl Power8System {
                 };
                 let spec = MediaFaultSpec {
                     seed,
-                    transient_flips: flips,
+                    transient_flips: flips.min(MAX_STORM_CELLS),
                     window,
                     hot_start,
                     hot_len: hot_len.max(1),
-                    stuck_cells: stuck,
+                    stuck_cells: stuck.min(MAX_STORM_CELLS),
                 };
                 if ch.channel.buffer_mut().arm_media_faults(now, spec) {
                     FaultOutcome::Applied
@@ -212,11 +219,8 @@ impl Power8System {
                 let Some(ch) = self.channel_mut(slot) else {
                     return FaultOutcome::Skipped("no live channel in slot");
                 };
-                if ch
-                    .channel
-                    .buffer_mut()
-                    .set_scrub(now, Some(interval.min(MAX_FAULT_SPAN)))
-                {
+                let interval = interval.clamp(MIN_SCRUB_INTERVAL, MAX_FAULT_SPAN);
+                if ch.channel.buffer_mut().set_scrub(now, Some(interval)) {
                     FaultOutcome::Applied
                 } else {
                     FaultOutcome::Skipped("buffer has no scrub engine")

@@ -53,11 +53,6 @@ const QUIESCE_TIMEOUTS: u64 = 3;
 /// remap that happened while the retry was in flight.
 const MAX_REDIRECTS: u32 = 2;
 
-/// Pump rounds with outstanding work but no finished request and no
-/// clock progress before the no-progress watchdog gives up and fails
-/// the work with [`SystemError::Stalled`] instead of livelocking.
-const STALL_ROUNDS: u32 = 3;
-
 /// Hold-up energy charged per written cache line pushed out of the
 /// core caches in EPOW stage 1, in nanojoules.
 pub const EPOW_CORE_FLUSH_COST_PER_LINE_NJ: u64 = 100;
@@ -186,8 +181,8 @@ pub enum SystemError {
         /// The channel whose admission gate refused the request.
         slot: usize,
     },
-    /// The no-progress watchdog fired: pump rounds stopped advancing
-    /// the clock or finishing work while requests were outstanding.
+    /// The no-progress watchdog fired: the pump was wedged with
+    /// requests outstanding.
     Stalled,
     /// The request id was never submitted, or its result was already
     /// collected.
@@ -1163,50 +1158,46 @@ impl Power8System {
         self.finished_sys.drain(..).collect()
     }
 
-    /// One pump round (see [`Power8System::poll`]). Returns whether it
-    /// made progress — a request finished or a channel clock moved —
-    /// the signal the no-progress watchdogs count.
-    fn pump_round(&mut self) -> bool {
-        let before_clock = self.clock_sum();
-        let before_finished = self.finished_sys.len();
+    /// One pump round (see [`Power8System::poll`]).
+    fn pump_round(&mut self) {
         self.pump_migration();
         self.pump_hedges();
         self.pump_channels();
-        self.finished_sys.len() > before_finished || self.clock_sum() > before_clock
+    }
+
+    /// One pump round; true if the pump is wedged: the round finished
+    /// nothing and left no channel with command work, and only a channel
+    /// with work can finish a request. No clock is read: time moving, by
+    /// a slot or a jump, is not progress.
+    fn pump_wedged(&mut self) -> bool {
+        let finished_before = self.finished_sys.len();
+        self.pump_round();
+        self.finished_sys.len() == finished_before
+            && !self.channels.iter().any(|c| c.channel.has_command_work())
     }
 
     /// Runs [`Power8System::poll`] rounds until no pipelined request
     /// is outstanding, returning everything that finished. Stops early
-    /// if the system powers off mid-drain, and — if `STALL_ROUNDS`
-    /// consecutive rounds finish nothing and advance
-    /// no clock — fails the remaining requests with
-    /// [`SystemError::Stalled`] rather than livelocking on a wedged
-    /// channel.
+    /// if the system powers off mid-drain, and fails every remaining
+    /// request with [`SystemError::Stalled`] once the pump is wedged,
+    /// rather than livelocking.
     pub fn drain(&mut self) -> Vec<(ReqId, Result<MemCompletion, SystemError>)> {
-        let mut out = Vec::new();
-        let mut stalled_rounds = 0u32;
-        loop {
-            // Results already queued (left by `wait_req`) count as
-            // progress too.
-            let progressed = (self.powered && self.pump_round()) || !self.finished_sys.is_empty();
-            out.extend(self.finished_sys.drain(..));
+        while self.powered {
+            let wedged = self.pump_wedged();
             if self.outstanding.is_empty() || !self.powered {
                 break;
             }
-            if progressed {
-                stalled_rounds = 0;
-            } else {
-                stalled_rounds += 1;
-                if stalled_rounds >= STALL_ROUNDS {
-                    // One verdict fails every outstanding request.
-                    self.ov_stats.stalls += 1;
-                    let ids: Vec<u64> = self.outstanding.keys().copied().collect();
-                    out.extend(ids.into_iter().map(|id| (ReqId(id), self.abandon(id))));
-                    break;
+            if wedged {
+                // One verdict fails every outstanding request.
+                self.ov_stats.stalls += 1;
+                for id in self.outstanding.keys().copied().collect::<Vec<_>>() {
+                    let result = self.abandon(id);
+                    self.finished_sys.push_back((ReqId(id), result));
                 }
+                break;
             }
         }
-        out
+        self.finished_sys.drain(..).collect()
     }
 
     /// The no-progress watchdog's verdict on one request: it fails
@@ -1224,17 +1215,6 @@ impl Power8System {
     /// Pipelined requests currently in flight.
     pub fn outstanding_reqs(&self) -> usize {
         self.outstanding.len()
-    }
-
-    /// Progress signal for the no-progress watchdogs: the sum of every
-    /// channel clock. [`Power8System::now`] is the *max* across
-    /// channels, which hides a behind-the-max channel catching up;
-    /// the sum moves whenever any channel steps forward.
-    fn clock_sum(&self) -> u128 {
-        self.channels
-            .iter()
-            .map(|c| u128::from(c.channel.now().as_ps()))
-            .sum()
     }
 
     /// The system clock: the furthest-ahead channel. Channels advance
@@ -1278,10 +1258,9 @@ impl Power8System {
     /// [`SystemError::PoweredOff`] if the rail dropped while waiting,
     /// [`SystemError::UnknownRequest`] if `id` was never submitted or
     /// its result was already collected, and [`SystemError::Stalled`]
-    /// if the pump stops making progress while the request is still
-    /// outstanding (no-progress watchdog; never a livelock).
+    /// if the pump is wedged while the request is still outstanding
+    /// (no-progress watchdog; never a livelock).
     pub fn wait_req(&mut self, id: ReqId) -> Result<MemCompletion, SystemError> {
-        let mut stalled_rounds = 0u32;
         loop {
             if let Some(pos) = self.finished_sys.iter().position(|(r, _)| *r == id) {
                 return self
@@ -1296,16 +1275,10 @@ impl Power8System {
             if !self.outstanding.contains_key(&id.0) {
                 return Err(SystemError::UnknownRequest);
             }
-            if self.pump_round() {
-                stalled_rounds = 0;
-            } else {
-                stalled_rounds += 1;
-                if stalled_rounds >= STALL_ROUNDS {
-                    // Only this request is stalled; the others stay
-                    // outstanding.
-                    self.ov_stats.stalls += 1;
-                    return self.abandon(id.0);
-                }
+            if self.pump_wedged() {
+                // Only this request is abandoned; the rest stay outstanding.
+                self.ov_stats.stalls += 1;
+                return self.abandon(id.0);
             }
         }
     }

@@ -13,10 +13,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An absolute simulation timestamp or a duration, in picoseconds.
 ///
-/// `SimTime` is used for both points in time and durations; the
-/// arithmetic provided (saturating-free checked-in-debug `+`/`-`) is the
-/// same for both, and in a simulator the distinction carries little
-/// weight. Use [`SimTime::ZERO`] as the origin.
+/// `SimTime` is used for both points in time and durations, with the
+/// same arithmetic: `+`, `*` and `Sum` saturate at [`SimTime::MAX`],
+/// the "never" deadline, and `-` panics on underflow in every build
+/// profile (use [`SimTime::saturating_sub`] or [`SimTime::checked_sub`]
+/// where operands may be reversed). Use [`SimTime::ZERO`] as the origin.
 ///
 /// # Example
 ///
@@ -117,33 +118,35 @@ impl SimTime {
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[track_caller]
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 - rhs.0)
+        SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
 }
 
 impl SubAssign for SimTime {
+    #[track_caller]
     fn sub_assign(&mut self, rhs: SimTime) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
     fn mul(self, rhs: u64) -> SimTime {
-        SimTime(self.0 * rhs)
+        SimTime(self.0.saturating_mul(rhs))
     }
 }
 
@@ -356,6 +359,30 @@ mod tests {
         assert_eq!(a.saturating_sub(SimTime::from_ns(20)), SimTime::ZERO);
         assert_eq!(b.checked_sub(a), None);
         assert_eq!(a.checked_sub(b), Some(SimTime::from_ns(6)));
+    }
+
+    #[test]
+    fn add_mul_and_sum_saturate_at_max() {
+        let near = SimTime::MAX - SimTime::from_ps(1);
+        assert_eq!(near + SimTime::from_ps(5), SimTime::MAX);
+        let mut t = near;
+        t += SimTime::from_ns(1);
+        assert_eq!(t, SimTime::MAX);
+        assert_eq!(SimTime::from_secs(3600) * u64::MAX, SimTime::MAX);
+        assert_eq!([near, near].into_iter().sum::<SimTime>(), SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime underflow")]
+    fn sub_underflow_panics() {
+        let _ = SimTime::from_ns(1) - SimTime::from_ns(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime underflow")]
+    fn sub_assign_underflow_panics() {
+        let mut t = SimTime::ZERO;
+        t -= SimTime::from_ps(1);
     }
 
     #[test]

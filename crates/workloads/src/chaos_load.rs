@@ -138,14 +138,6 @@ impl HookVerdict {
         new_gap: None,
         rewound: None,
     };
-
-    /// A traffic-rate step to `gap`.
-    pub fn gap(gap: SimTime) -> HookVerdict {
-        HookVerdict {
-            new_gap: Some(gap),
-            rewound: None,
-        }
-    }
 }
 
 /// What a run produced: counters plus the full store ledger.

@@ -16,6 +16,11 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> cargo test --release -p contutto-sim"
+# SimTime's saturating sums and underflow panic must hold in the
+# profile the campaigns run in, not only in the dev profile above.
+cargo test --release -p contutto-sim --quiet
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
