@@ -61,6 +61,8 @@
 //! `tests/campaign_counters.rs`; wall time is the `benchmark`
 //! package's to gate.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use contutto_bench::report::finish;

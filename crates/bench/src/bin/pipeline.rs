@@ -18,6 +18,8 @@
 //! simulated rows are pinned exactly by `tests/campaign_counters.rs`;
 //! wall time is the `benchmark` package's to gate.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use contutto_bench::pipeline::{run_sweep, PipelineConfig};

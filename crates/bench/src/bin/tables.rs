@@ -9,6 +9,8 @@
 //! Any argument that names no section prints the usage line and exits
 //! with status 2.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use contutto_bench as bench;

@@ -21,6 +21,8 @@
 //! the dependent-load probe on the simulated channel of the
 //! corresponding configuration — the same methodology as the paper.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod checkpoint;
 pub mod failover;

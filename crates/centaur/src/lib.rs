@@ -19,6 +19,8 @@
 //! "functionality matched to ConTutto" configuration of Table 3
 //! (cache and auxiliary functions disabled).
 
+#![deny(unsafe_code)]
+
 pub mod buffer;
 pub mod cache;
 pub mod config;

@@ -32,6 +32,8 @@
 //! assert!(card.frtl_turnaround().as_ns() >= 50);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod accel;
 pub mod access;
 pub mod avalon;

@@ -40,6 +40,8 @@
 //! assert_eq!(LinkSpeed::Gbps8.frame_time().as_ps(), 2000);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod buffer;
 pub mod command;
 pub mod crc;

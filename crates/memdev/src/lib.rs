@@ -24,6 +24,8 @@
 //! completion time, so the same model serves both correctness tests
 //! and latency/bandwidth experiments.
 
+#![deny(unsafe_code)]
+
 pub mod array;
 pub mod dimm;
 pub mod disk;

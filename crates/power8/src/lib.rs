@@ -16,6 +16,8 @@
 //! | [`overload`] | overload-resilience policy: admission control, retry budgets, circuit breakers, hedging, brownout |
 //! | [`system`] | a whole S824-class system: 8 DMI channels with mixed Centaur/ConTutto population |
 
+#![deny(unsafe_code)]
+
 pub mod caches;
 pub mod channel;
 pub mod failover;

@@ -28,6 +28,10 @@
 //! assert_eq!(wire.next_ready_time(), Some(SimTime::from_ns(6)));
 //! ```
 
+// The one `unsafe` block in the workspace is the snapshot CRC-32's
+// call into its carry-less-multiply fold, allowed where it is.
+#![deny(unsafe_code)]
+
 pub mod queue;
 pub mod registry;
 pub mod rng;

@@ -38,8 +38,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CTSS";
 /// restored and carried on would match no straight run, so those images
 /// are refused. Version 3 lists only the Centaur eDRAM cache's valid
 /// ways and only the NAND flash blocks out of their boot state, where
-/// version 2 wrote every way and every block.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// version 2 wrote every way and every block. Version 4 images each
+/// trace record as its time and the binary encoding the fingerprint
+/// folds, where version 3 wrote its rendered text.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 const HEADER_LEN: usize = 4 + 2 + 4 + 4; // magic + version + count + crc
 
@@ -171,9 +173,9 @@ static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 /// CRC-32 (IEEE, reflected) over a byte slice.
 ///
 /// Every snapshot seals, and every restore checks, each byte of a
-/// multi-megabyte image, so this is slicing-by-16: sixteen table
-/// lookups consume sixteen bytes per step, with the byte-at-a-time
-/// loop for the tail. [`crc32_reference`] is the plain loop it must
+/// multi-megabyte image, so this runs at memory speed: by carry-less
+/// multiplication where the CPU has it, otherwise sliced by 16 (see
+/// [`crc32_update`]). [`crc32_reference`] is the plain loop both must
 /// equal.
 ///
 /// ```
@@ -189,7 +191,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and
 /// `crc32_update(0, b) == crc32(b)`. For data that arrives in pieces,
 /// such as an NVDIMM save streamed page by page.
+///
+/// Inputs of 64 bytes or more fold by carry-less multiplication on an
+/// x86-64 CPU with PCLMULQDQ and SSE4.1; every other input, and the
+/// last partial block, takes the sliced loop. Both give the same value
+/// for every input.
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    crc32_clmul(crc, bytes).unwrap_or_else(|| crc32_sliced(crc, bytes))
+}
+
+/// The carry-less-multiply CRC-32 dispatch: [`crc32_update`]'s value,
+/// or `None` where the CPU lacks PCLMULQDQ or SSE4.1, or the input is
+/// shorter than the four 16-byte blocks the fold starts from. From
+/// there on the fold is the faster: 17 ns to the sliced loop's 34 at
+/// 64 bytes, 52 to 576 at 1 KiB (2-vCPU Xeon container).
+#[allow(unsafe_code)]
+fn crc32_clmul(crc: u32, bytes: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 64
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::crc32` only requires the `pclmulqdq` and
+        // `sse4.1` target features, and both were detected on this
+        // CPU just above.
+        return Some(unsafe { clmul::crc32(crc, bytes) });
+    }
+    let _ = (crc, bytes);
+    None
+}
+
+/// Slicing-by-16: sixteen table lookups consume sixteen bytes per
+/// step, with the byte-at-a-time loop for the tail.
+fn crc32_sliced(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = !crc;
     let mut blocks = bytes.chunks_exact(16);
@@ -219,6 +253,148 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+/// CRC-32 by folding 16-byte blocks with carry-less multiplication
+/// (PCLMULQDQ), after Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in its
+/// bit-reflected form. Four accumulators fold 64 bytes per step, merge
+/// into one, fold the remaining whole blocks, and reduce to 32 bits by
+/// Barrett reduction; the sliced loop takes the last partial block.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // `x^n mod P(x)` for the CRC-32 polynomial, bit-reflected and
+    // shifted left by one, as the folds multiply by them; the unit test
+    // `fold_constants_are_powers_of_x_mod_the_polynomial` derives each.
+    /// Folds an accumulator four blocks on: `x^(4·128+32)`, `x^(4·128-32)`.
+    const X544: i64 = 0x1_5444_2bd4;
+    const X480: i64 = 0x1_c6e4_1596;
+    /// Folds an accumulator one block on: `x^(128+32)`, `x^(128-32)`.
+    const X160: i64 = 0x1_7519_97d0;
+    const X96: i64 = 0x0_ccaa_009e;
+    /// Reduces 96 bits to 64: `x^64`.
+    const X64: i64 = 0x1_63cd_6124;
+    /// The polynomial itself, and `floor(x^64 / P(x))`, both
+    /// bit-reflected: the Barrett reduction's two multipliers.
+    const POLY: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// One little-endian 16-byte block as a vector, lane 0 first.
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(block[..8].try_into().expect("a 16-byte block"));
+        let hi = u64::from_le_bytes(block[8..16].try_into().expect("a 16-byte block"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// `acc`'s low lane times `keys`' low lane, plus its high lane
+    /// times `keys`' high lane, plus `next`: `acc` carried forward by
+    /// the distance `keys` encodes and `next` added in.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// [`super::crc32_update`] for `bytes` of at least 64 bytes.
+    /// Outside a context with both target features, calling it is
+    /// `unsafe`: the caller must first have detected them on this CPU.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.split_at(bytes.len() & !15);
+        let (first, rest) = blocks.split_at(64);
+        let mut acc = [
+            load(&first[..16]),
+            load(&first[16..32]),
+            load(&first[32..48]),
+            load(&first[48..]),
+        ];
+        // The incoming register is added to the first four bytes.
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(!crc as i32));
+        let by_four = _mm_set_epi64x(X480, X544);
+        let mut quads = rest.chunks_exact(64);
+        for quad in &mut quads {
+            for (a, block) in acc.iter_mut().zip(quad.chunks_exact(16)) {
+                *a = fold(*a, load(block), by_four);
+            }
+        }
+        let by_one = _mm_set_epi64x(X96, X160);
+        let mut x = fold(
+            fold(fold(acc[0], acc[1], by_one), acc[2], by_one),
+            acc[3],
+            by_one,
+        );
+        for block in quads.remainder().chunks_exact(16) {
+            x = fold(x, load(block), by_one);
+        }
+
+        // 128 bits to 96: the low lane times x^96, plus the high lane.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, by_one),
+            _mm_srli_si128::<8>(x),
+        );
+        // 96 bits to 64: the low 32 bits times x^64, plus the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, X64)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction to the 32-bit register, which the
+        // bit-reflected form leaves in the second 32-bit lane.
+        let barrett = _mm_set_epi64x(MU, POLY);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), barrett);
+        let register = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        super::crc32_sliced(!register, tail)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// The CRC-32 polynomial without its `x^32` term, unreflected.
+        const P: u64 = 0x04C1_1DB7;
+
+        /// `x^n mod P(x)`, shifting one power of x at a time.
+        fn x_pow_mod(n: u32) -> u32 {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r & 1 << 32 != 0 {
+                    r ^= 1 << 32 | P;
+                }
+            }
+            r as u32
+        }
+
+        /// The low `bits` bits of `v`, in reverse order.
+        fn reflect(v: u64, bits: u32) -> i64 {
+            (v.reverse_bits() >> (64 - bits)) as i64
+        }
+
+        #[test]
+        fn fold_constants_are_powers_of_x_mod_the_polynomial() {
+            for (constant, n) in [(X544, 544), (X480, 480), (X160, 160), (X96, 96), (X64, 64)] {
+                assert_eq!(constant, reflect(u64::from(x_pow_mod(n)), 32) << 1, "x^{n}");
+            }
+            assert_eq!(POLY, reflect(1 << 32 | P, 33));
+            // floor(x^64 / P(x)) by long division.
+            let (mut rem, mut quotient) = (1u128 << 64, 0u64);
+            for bit in (0..=32).rev() {
+                if rem & 1 << (bit + 32) != 0 {
+                    rem ^= u128::from(1 << 32 | P) << bit;
+                    quotient |= 1 << bit;
+                }
+            }
+            assert_eq!(MU, reflect(quotient, 33));
+        }
+    }
 }
 
 /// The byte-at-a-time CRC-32 that [`crc32`] replaces, kept as its
@@ -1203,26 +1379,54 @@ mod tests {
         assert_eq!(crc32(&[]), 0);
     }
 
-    #[test]
-    fn sliced_crc32_equals_the_byte_loop_at_every_length_and_alignment() {
-        let bytes = random_bytes(11, 256 + 16);
-        for start in 0..16 {
-            for len in 0..=256 {
-                let slice = &bytes[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_reference(slice),
-                    "start {start} len {len}"
-                );
-            }
+    #[cfg(target_arch = "x86_64")]
+    fn cpu_has_clmul() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn cpu_has_clmul() -> bool {
+        false
+    }
+
+    /// Extends the CRC of `prefix` over `bytes` by the carry-less fold,
+    /// the sliced loop and the dispatch, and compares each with the
+    /// byte loop over the two concatenated. On a CPU with the
+    /// instructions the fold must run for every input of four blocks
+    /// or more, so the comparison is never vacuous there.
+    fn three_way(prefix: &[u8], bytes: &[u8], case: &str) {
+        let incoming = crc32_reference(prefix);
+        let want = crc32_reference(&[prefix, bytes].concat());
+        assert_eq!(crc32_sliced(incoming, bytes), want, "sliced, {case}");
+        assert_eq!(crc32_update(incoming, bytes), want, "dispatch, {case}");
+        match crc32_clmul(incoming, bytes) {
+            Some(crc) => assert_eq!(crc, want, "carry-less, {case}"),
+            None => assert!(
+                !cpu_has_clmul() || bytes.len() < 64,
+                "the carry-less fold did not run, {case}"
+            ),
         }
-        let big = random_bytes(12, (1 << 17) + 13);
-        for len in [(1 << 16) + 1, (1 << 16) + 15, 100_003, big.len()] {
-            assert_eq!(
-                crc32(&big[..len]),
-                crc32_reference(&big[..len]),
-                "len {len}"
-            );
+    }
+
+    #[test]
+    fn carry_less_and_sliced_crc32_equal_the_byte_loop() {
+        let big = random_bytes(15, (1 << 20) + 3 + 16);
+        let prefixes = [0, 1, 9, 100].map(|n| random_bytes(16 + n as u64, n));
+        for prefix in &prefixes {
+            let incoming = prefix.len();
+            for start in 0..16 {
+                for len in 0..=512 {
+                    let case = format!("prefix {incoming} start {start} len {len}");
+                    three_way(prefix, &big[start..start + len], &case);
+                }
+            }
+            // Around the one-block and four-block folds, and a large
+            // odd length at an odd address.
+            for len in [63, 64, 127, 128, 129, 191, 192, (1 << 20) + 3] {
+                let case = format!("prefix {incoming} start 1 len {len}");
+                three_way(prefix, &big[1..1 + len], &case);
+            }
         }
     }
 
@@ -1370,7 +1574,7 @@ mod tests {
 
     #[test]
     fn older_version_images_are_refused() {
-        for found in [1u16, 2] {
+        for found in [1u16, 2, 3] {
             // A well-formed older header, header CRC included.
             let mut image = sample_image();
             image[4..6].copy_from_slice(&found.to_le_bytes());
@@ -1378,7 +1582,7 @@ mod tests {
             image[10..14].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 SnapshotImage::parse(&image).unwrap_err(),
-                RestoreError::VersionMismatch { found, expected: 3 }
+                RestoreError::VersionMismatch { found, expected: 4 }
             );
         }
     }

@@ -35,7 +35,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::rc::Rc;
 
 use crate::snapshot::{Persist, RestoreError, SnapReader};
@@ -197,11 +197,6 @@ pub enum TraceEvent {
     /// A per-channel circuit breaker changed state (`open` = tripped,
     /// `!open` = closed again after successful probes).
     BreakerTransition { slot: usize, open: bool },
-    /// An event carried across a snapshot/restore boundary as its
-    /// canonical rendered text (everything after the timestamp
-    /// prefix). Re-rendering a restored ring is byte-identical to the
-    /// original because this variant displays the text verbatim.
-    Restored { line: String },
 }
 
 impl fmt::Display for TraceEvent {
@@ -302,7 +297,6 @@ impl fmt::Display for TraceEvent {
             BreakerTransition { slot, open } => {
                 write!(f, "breaker-transition slot={slot} open={open}")
             }
-            Restored { line } => f.write_str(line),
         }
     }
 }
@@ -312,9 +306,7 @@ impl TraceEvent {
     /// at a time. The first word is a head: the variant tag in bits
     /// 0..8 and the narrow fields (directions, flags, `u8`s, `u32`s)
     /// packed above it at fixed offsets. Every `u64`/`usize` field then
-    /// takes a word of its own, in declaration order. A `Restored` line
-    /// packs its byte length into the head and follows it with its
-    /// bytes, eight to a little-endian word, zero-padded.
+    /// takes a word of its own, in declaration order.
     ///
     /// The tag fixes the layout and no field is truncated, so distinct
     /// events always encode differently, and the encodings of a record
@@ -482,15 +474,184 @@ impl TraceEvent {
                 word(head(37, u64::from(*open)));
                 word(*slot as u64);
             }
-            Restored { line } => {
-                word(head(38, line.len() as u64));
-                for chunk in line.as_bytes().chunks(8) {
-                    let mut bytes = [0u8; 8];
-                    bytes[..chunk.len()].copy_from_slice(chunk);
-                    word(u64::from_le_bytes(bytes));
-                }
-            }
         }
+    }
+
+    /// Reads back one event [`TraceEvent::encode`] wrote, drawing its
+    /// words one at a time from `word`: the exact inverse, so an event
+    /// decoded from any words re-encodes to exactly the words it read.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Malformed`] for an unknown tag, a direction or
+    /// flag other than 0 or 1, a head bit no field of the variant
+    /// packs, or a `usize` field this platform cannot hold; and any
+    /// error of `word`, such as [`RestoreError::Truncated`] for a short
+    /// read.
+    fn decode(mut word: impl FnMut() -> Result<u64, RestoreError>) -> Result<Self, RestoreError> {
+        use TraceEvent::*;
+        fn size(w: u64) -> Result<usize, RestoreError> {
+            usize::try_from(w).map_err(|_| RestoreError::Malformed {
+                context: "trace event size exceeds usize",
+            })
+        }
+        let head = word()?;
+        let mut h = Head(head >> 8);
+        // Struct fields evaluate in the order written: each variant
+        // lists its fields in the order `encode` packs them.
+        let event = match head & 0xFF {
+            0 => FrameTx {
+                dir: h.dir()?,
+                seq: h.u8(),
+                replayed: h.flag()?,
+            },
+            1 => FrameRx {
+                dir: h.dir()?,
+                seq: h.u8(),
+            },
+            2 => CrcFailure { dir: h.dir()? },
+            3 => SeqGap {
+                dir: h.dir()?,
+                expected: h.u8(),
+                got: h.u8(),
+            },
+            4 => ReplayTrigger {
+                dir: h.dir()?,
+                unacked: size(word()?)?,
+            },
+            5 => ReplayRewind {
+                dir: h.dir()?,
+                from_seq: h.u8(),
+                frames: size(word()?)?,
+            },
+            6 => TagAcquire { tag: h.u8() },
+            7 => TagRelease { tag: h.u8() },
+            8 => TagExhausted,
+            9 => TagTimeout { tag: h.u8() },
+            10 => TagReclaimed { tag: h.u8() },
+            11 => RetryScheduled {
+                tag: h.u8(),
+                attempt: h.u32(),
+                backoff_ps: word()?,
+            },
+            12 => LinkRetrain { count: word()? },
+            13 => DeviceRead { addr: word()? },
+            14 => DeviceWrite { addr: word()? },
+            15 => CacheHit { addr: word()? },
+            16 => CacheMiss { addr: word()? },
+            17 => EccCorrected {
+                bits: h.u32(),
+                addr: word()?,
+            },
+            18 => EccUncorrectable { addr: word()? },
+            19 => PoisonDelivered { addr: word()? },
+            20 => ScrubPass {
+                corrected: word()?,
+                uncorrectable: word()?,
+            },
+            21 => PageRetired { addr: word()? },
+            22 => SaveTorn {
+                restored_ps: word()?,
+                save_done_ps: word()?,
+            },
+            23 => ChannelQuiesced {
+                clean: h.flag()?,
+                slot: size(word()?)?,
+            },
+            24 => MigrationProgress {
+                from: size(word()?)?,
+                to: size(word()?)?,
+                migrated: word()?,
+                remaining: word()?,
+            },
+            25 => ChannelFailedOver {
+                mirrored: h.flag()?,
+                from: size(word()?)?,
+                to: size(word()?)?,
+            },
+            26 => MirrorReadFallback { addr: word()? },
+            27 => FrameOrphaned { tag: h.u8() },
+            28 => EpowAsserted,
+            29 => EpowFlushStage {
+                stage: h.u8(),
+                charged_nj: word()?,
+            },
+            30 => EpowHoldupExhausted { stage: h.u8() },
+            31 => PowerCut,
+            32 => SaveEnergyExhausted {
+                saved_bytes: word()?,
+                capacity_bytes: word()?,
+            },
+            33 => PowerRestored,
+            34 => NvdimmRestored {
+                slot: size(word()?)?,
+            },
+            35 => NvdimmRestoreFailed {
+                slot: size(word()?)?,
+            },
+            36 => HedgeIssued { addr: word()? },
+            37 => BreakerTransition {
+                open: h.flag()?,
+                slot: size(word()?)?,
+            },
+            _ => {
+                return Err(RestoreError::Malformed {
+                    context: "unknown trace event tag",
+                })
+            }
+        };
+        h.end()?;
+        Ok(event)
+    }
+}
+
+/// The packed fields of an encoded event's head, above its tag, read
+/// back lowest bits first in the order [`TraceEvent::encode`] packed
+/// them.
+struct Head(u64);
+
+impl Head {
+    fn bits(&mut self, n: u32) -> u64 {
+        let field = self.0 & ((1 << n) - 1);
+        self.0 >>= n;
+        field
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.bits(8) as u8
+    }
+
+    fn u32(&mut self) -> u32 {
+        self.bits(32) as u32
+    }
+
+    fn flag(&mut self) -> Result<bool, RestoreError> {
+        match self.bits(8) {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(RestoreError::Malformed {
+                context: "trace event flag or direction out of range",
+            }),
+        }
+    }
+
+    fn dir(&mut self) -> Result<LinkDir, RestoreError> {
+        Ok(if self.flag()? {
+            LinkDir::Upstream
+        } else {
+            LinkDir::Downstream
+        })
+    }
+
+    /// Every bit the variant's fields packed has been read: any left
+    /// over is one no field owns.
+    fn end(self) -> Result<(), RestoreError> {
+        if self.0 != 0 {
+            return Err(RestoreError::Malformed {
+                context: "stray bits in a trace event head",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -559,32 +720,20 @@ impl TraceRing {
     });
 }
 
-/// A record is imaged as its time and its rendered text, rendered
-/// straight into the image, and restores as a
-/// [`TraceEvent::Restored`] line that renders the same.
+/// A record is imaged as its time, then the words of its event's
+/// encoding, the same words the fingerprint folds. The tag fixes how
+/// many words follow, so no length is stored and each record has one
+/// image; it restores as the event it was.
 impl Persist for TraceRecord {
     fn persist(&self, out: &mut Vec<u8>) {
-        struct Utf8Sink<'a>(&'a mut Vec<u8>);
-        impl fmt::Write for Utf8Sink<'_> {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0.extend_from_slice(s.as_bytes());
-                Ok(())
-            }
-        }
         self.at.persist(out);
-        let len_at = out.len();
-        0u64.persist(out);
-        write!(Utf8Sink(out), "{}", self.event).expect("writing to a Vec cannot fail");
-        let len = (out.len() - len_at - 8) as u64;
-        out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        self.event.encode(|w| w.persist(out));
     }
 
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
         Ok(TraceRecord {
             at: SimTime::restore(r)?,
-            event: TraceEvent::Restored {
-                line: String::restore(r)?,
-            },
+            event: TraceEvent::decode(|| r.u64())?,
         })
     }
 }
@@ -793,10 +942,9 @@ impl Tracer {
     }
 
     /// Serializes the full trace state: the clock, then the ring
-    /// (capacity, totals, fingerprint and the retained events, as
-    /// rendered text, so no event structure needs to survive the
-    /// image). No-op encoding is not provided for a disabled tracer;
-    /// callers skip the section.
+    /// (capacity, totals, fingerprint and the retained events, each as
+    /// its binary encoding). No-op encoding is not provided for a
+    /// disabled tracer; callers skip the section.
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         let inner = self.inner.as_ref().expect("snapshot of a disabled tracer");
         inner.now.get().persist(out);
@@ -808,10 +956,10 @@ impl Tracer {
     /// When this handle is already enabled the ring is overlaid in the
     /// existing shared ring, so every clone distributed through the
     /// system observes the restored state; otherwise a fresh ring is
-    /// created. Restored events render byte-identically to the
-    /// originals, and the fingerprint continues from the restored
-    /// accumulator, so a resumed run's fingerprint equals the straight
-    /// run's.
+    /// created. Restored events are the original events, so they
+    /// count, match and render as before; the fingerprint continues
+    /// from the restored accumulator, so a resumed run's fingerprint
+    /// equals the straight run's.
     ///
     /// # Errors
     ///
@@ -1046,143 +1194,157 @@ mod tests {
         assert_ne!(d.fingerprint(), e.fingerprint());
     }
 
-    /// Every variant, with boundary values in every field.
-    fn corpus() -> Vec<TraceEvent> {
+    const DIRS: [LinkDir; 2] = [LinkDir::Downstream, LinkDir::Upstream];
+    const U8S: [u8; 4] = [0, 1, 0x7F, u8::MAX];
+    const U32S: [u32; 3] = [0, 1, u32::MAX];
+    const U64S: [u64; 5] = [0, 1, 0xFF, 1 << 32, u64::MAX];
+    const USIZES: [usize; 3] = [0, 1, usize::MAX];
+    const FLAGS: [bool; 2] = [false, true];
+    /// Encode tags in use: `0..VARIANTS`.
+    const VARIANTS: u64 = 38;
+
+    fn pairs<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+        a.iter()
+            .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+            .collect()
+    }
+
+    /// `proto`'s variant with boundary values in every field. The match
+    /// has no wildcard, so a new variant does not compile until it is
+    /// listed here, and from then on [`corpus`] round-trips it.
+    fn boundary_values(proto: &TraceEvent) -> Vec<TraceEvent> {
         use TraceEvent::*;
-        let dirs = [LinkDir::Downstream, LinkDir::Upstream];
-        let u8s = [0u8, 1, 0x7F, u8::MAX];
-        let u32s = [0u32, 1, u32::MAX];
-        let u64s = [0u64, 1, 0xFF, 1 << 32, u64::MAX];
-        let usizes = [0usize, 1, usize::MAX];
-        let flags = [false, true];
-        let mut v = vec![TagExhausted, EpowAsserted, PowerCut, PowerRestored];
-        for dir in dirs {
-            v.push(CrcFailure { dir });
-            for unacked in usizes {
-                v.push(ReplayTrigger { dir, unacked });
+        let tags = |f: fn(u8) -> TraceEvent| U8S.map(f).to_vec();
+        let u64s = |f: fn(u64) -> TraceEvent| U64S.map(f).to_vec();
+        let usizes = |f: fn(usize) -> TraceEvent| USIZES.map(f).to_vec();
+        let u64_pairs = |f: fn(u64, u64) -> TraceEvent| {
+            pairs(&U64S, &U64S)
+                .into_iter()
+                .map(|(a, b)| f(a, b))
+                .collect()
+        };
+        let slot_flags = |f: fn(usize, bool) -> TraceEvent| {
+            pairs(&USIZES, &FLAGS)
+                .into_iter()
+                .map(|(a, b)| f(a, b))
+                .collect()
+        };
+        match proto {
+            FrameTx { .. } => pairs(&pairs(&DIRS, &U8S), &FLAGS)
+                .into_iter()
+                .map(|((dir, seq), replayed)| FrameTx { dir, seq, replayed })
+                .collect(),
+            FrameRx { .. } => pairs(&DIRS, &U8S)
+                .into_iter()
+                .map(|(dir, seq)| FrameRx { dir, seq })
+                .collect(),
+            CrcFailure { .. } => DIRS.map(|dir| CrcFailure { dir }).to_vec(),
+            SeqGap { .. } => pairs(&pairs(&DIRS, &U8S), &U8S)
+                .into_iter()
+                .map(|((dir, expected), got)| SeqGap { dir, expected, got })
+                .collect(),
+            ReplayTrigger { .. } => pairs(&DIRS, &USIZES)
+                .into_iter()
+                .map(|(dir, unacked)| ReplayTrigger { dir, unacked })
+                .collect(),
+            ReplayRewind { .. } => pairs(&pairs(&DIRS, &U8S), &USIZES)
+                .into_iter()
+                .map(|((dir, from_seq), frames)| ReplayRewind {
+                    dir,
+                    from_seq,
+                    frames,
+                })
+                .collect(),
+            TagAcquire { .. } => tags(|tag| TagAcquire { tag }),
+            TagRelease { .. } => tags(|tag| TagRelease { tag }),
+            TagTimeout { .. } => tags(|tag| TagTimeout { tag }),
+            TagReclaimed { .. } => tags(|tag| TagReclaimed { tag }),
+            FrameOrphaned { .. } => tags(|tag| FrameOrphaned { tag }),
+            EpowHoldupExhausted { .. } => tags(|stage| EpowHoldupExhausted { stage }),
+            TagExhausted | EpowAsserted | PowerCut | PowerRestored => vec![proto.clone()],
+            RetryScheduled { .. } => pairs(&pairs(&U8S, &U32S), &U64S)
+                .into_iter()
+                .map(|((tag, attempt), backoff_ps)| RetryScheduled {
+                    tag,
+                    attempt,
+                    backoff_ps,
+                })
+                .collect(),
+            EpowFlushStage { .. } => pairs(&U8S, &U64S)
+                .into_iter()
+                .map(|(stage, charged_nj)| EpowFlushStage { stage, charged_nj })
+                .collect(),
+            EccCorrected { .. } => pairs(&U64S, &U32S)
+                .into_iter()
+                .map(|(addr, bits)| EccCorrected { addr, bits })
+                .collect(),
+            LinkRetrain { .. } => u64s(|count| LinkRetrain { count }),
+            DeviceRead { .. } => u64s(|addr| DeviceRead { addr }),
+            DeviceWrite { .. } => u64s(|addr| DeviceWrite { addr }),
+            CacheHit { .. } => u64s(|addr| CacheHit { addr }),
+            CacheMiss { .. } => u64s(|addr| CacheMiss { addr }),
+            EccUncorrectable { .. } => u64s(|addr| EccUncorrectable { addr }),
+            PoisonDelivered { .. } => u64s(|addr| PoisonDelivered { addr }),
+            PageRetired { .. } => u64s(|addr| PageRetired { addr }),
+            MirrorReadFallback { .. } => u64s(|addr| MirrorReadFallback { addr }),
+            HedgeIssued { .. } => u64s(|addr| HedgeIssued { addr }),
+            ScrubPass { .. } => u64_pairs(|corrected, uncorrectable| ScrubPass {
+                corrected,
+                uncorrectable,
+            }),
+            SaveTorn { .. } => u64_pairs(|restored_ps, save_done_ps| SaveTorn {
+                restored_ps,
+                save_done_ps,
+            }),
+            SaveEnergyExhausted { .. } => {
+                u64_pairs(|saved_bytes, capacity_bytes| SaveEnergyExhausted {
+                    saved_bytes,
+                    capacity_bytes,
+                })
             }
-            for seq in u8s {
-                v.push(FrameRx { dir, seq });
-                for replayed in flags {
-                    v.push(FrameTx { dir, seq, replayed });
-                }
-                for got in u8s {
-                    v.push(SeqGap {
-                        dir,
-                        expected: seq,
-                        got,
-                    });
-                }
-                for frames in usizes {
-                    v.push(ReplayRewind {
-                        dir,
-                        from_seq: seq,
-                        frames,
-                    });
-                }
-            }
+            NvdimmRestored { .. } => usizes(|slot| NvdimmRestored { slot }),
+            NvdimmRestoreFailed { .. } => usizes(|slot| NvdimmRestoreFailed { slot }),
+            ChannelQuiesced { .. } => slot_flags(|slot, clean| ChannelQuiesced { slot, clean }),
+            BreakerTransition { .. } => slot_flags(|slot, open| BreakerTransition { slot, open }),
+            ChannelFailedOver { .. } => pairs(&pairs(&USIZES, &USIZES), &FLAGS)
+                .into_iter()
+                .map(|((from, to), mirrored)| ChannelFailedOver { from, to, mirrored })
+                .collect(),
+            MigrationProgress { .. } => pairs(&pairs(&USIZES, &USIZES), &U64S)
+                .into_iter()
+                .map(|((from, to), migrated)| MigrationProgress {
+                    from,
+                    to,
+                    migrated,
+                    remaining: u64::MAX - migrated,
+                })
+                .collect(),
         }
-        for x in u8s {
-            v.extend([
-                TagAcquire { tag: x },
-                TagRelease { tag: x },
-                TagTimeout { tag: x },
-                TagReclaimed { tag: x },
-                FrameOrphaned { tag: x },
-                EpowHoldupExhausted { stage: x },
-            ]);
-            for attempt in u32s {
-                for backoff_ps in u64s {
-                    v.push(RetryScheduled {
-                        tag: x,
-                        attempt,
-                        backoff_ps,
-                    });
-                }
-            }
-            for charged_nj in u64s {
-                v.push(EpowFlushStage {
-                    stage: x,
-                    charged_nj,
-                });
-            }
-        }
-        for a in u64s {
-            v.extend([
-                LinkRetrain { count: a },
-                DeviceRead { addr: a },
-                DeviceWrite { addr: a },
-                CacheHit { addr: a },
-                CacheMiss { addr: a },
-                EccUncorrectable { addr: a },
-                PoisonDelivered { addr: a },
-                PageRetired { addr: a },
-                MirrorReadFallback { addr: a },
-                HedgeIssued { addr: a },
-            ]);
-            for bits in u32s {
-                v.push(EccCorrected { addr: a, bits });
-            }
-            for b in u64s {
-                v.extend([
-                    ScrubPass {
-                        corrected: a,
-                        uncorrectable: b,
-                    },
-                    SaveTorn {
-                        restored_ps: a,
-                        save_done_ps: b,
-                    },
-                    SaveEnergyExhausted {
-                        saved_bytes: a,
-                        capacity_bytes: b,
-                    },
-                ]);
-            }
-        }
-        for slot in usizes {
-            v.extend([NvdimmRestored { slot }, NvdimmRestoreFailed { slot }]);
-            for flag in flags {
-                v.extend([
-                    ChannelQuiesced { slot, clean: flag },
-                    BreakerTransition { slot, open: flag },
-                ]);
-            }
-            for to in usizes {
-                for mirrored in flags {
-                    v.push(ChannelFailedOver {
-                        from: slot,
-                        to,
-                        mirrored,
-                    });
-                }
-                for migrated in u64s {
-                    v.push(MigrationProgress {
-                        from: slot,
-                        to,
-                        migrated,
-                        remaining: u64::MAX - migrated,
-                    });
-                }
-            }
-        }
-        // Restored lines around the 8-byte word boundary, plus a
-        // trailing NUL that only the length in the head tells apart.
-        // None spells a live event: a restored line stands in for an
-        // event whose structure did not survive the image, so it
-        // encodes as text, not as the event it renders like.
-        for line in ["", "x", "x\0", "12345678", "123456789", "restored"] {
-            v.push(Restored {
-                line: line.to_owned(),
-            });
-        }
-        v
+    }
+
+    /// Every variant, with boundary values in every field: one
+    /// prototype per tag [`TraceEvent::decode`] accepts (all fields
+    /// zero), widened by [`boundary_values`].
+    fn corpus() -> Vec<TraceEvent> {
+        (0..=u8::MAX)
+            .filter_map(|tag| {
+                let mut head = Some(u64::from(tag));
+                TraceEvent::decode(|| Ok(head.take().unwrap_or(0))).ok()
+            })
+            .flat_map(|proto| boundary_values(&proto))
+            .collect()
     }
 
     fn encoding(event: &TraceEvent) -> Vec<u64> {
         let mut words = Vec::new();
         event.encode(|w| words.push(w));
         words
+    }
+
+    fn image(record: &TraceRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        record.persist(&mut out);
+        out
     }
 
     #[test]
@@ -1194,7 +1356,7 @@ mod tests {
         // The corpus reaches every variant tag.
         let tags: std::collections::BTreeSet<u64> =
             events.iter().map(|(_, words)| words[0] & 0xFF).collect();
-        assert_eq!(tags, (0..=38).collect());
+        assert_eq!(tags, (0..VARIANTS).collect());
         for (text_a, enc_a) in &events {
             for (text_b, enc_b) in &events {
                 assert_eq!(enc_a == enc_b, text_a == text_b, "{text_a:?} vs {text_b:?}");
@@ -1203,16 +1365,119 @@ mod tests {
     }
 
     #[test]
-    fn restored_lines_encode_their_text() {
-        let line = "frame-rx dir=up seq=9";
-        let words = encoding(&TraceEvent::Restored {
-            line: line.to_owned(),
-        });
-        assert_eq!(words[0], 38 | (line.len() as u64) << 8);
-        let bytes: Vec<u8> = words[1..].iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(&bytes[..line.len()], line.as_bytes());
-        assert!(bytes[line.len()..].iter().all(|&b| b == 0));
-        assert_eq!(words.len(), 1 + line.len().div_ceil(8));
+    fn a_record_images_as_its_time_and_encoding_and_restores_as_itself() {
+        for (i, event) in corpus().into_iter().enumerate() {
+            let record = TraceRecord {
+                at: SimTime::from_ps(u64::MAX - i as u64),
+                event,
+            };
+            let bytes = image(&record);
+            let mut want = record.at.as_ps().to_le_bytes().to_vec();
+            for w in encoding(&record.event) {
+                want.extend_from_slice(&w.to_le_bytes());
+            }
+            assert_eq!(bytes, want, "{record}");
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(TraceRecord::restore(&mut r).unwrap(), record);
+            assert!(r.is_empty(), "{record}");
+        }
+    }
+
+    /// Restores a record from `bytes`: an error must be typed, and a
+    /// record must re-image to exactly the bytes it was read from.
+    fn restore_is_typed_or_exact(bytes: &[u8], case: &str) -> Result<(), RestoreError> {
+        let mut r = SnapReader::new(bytes);
+        match TraceRecord::restore(&mut r) {
+            Ok(record) => {
+                let read = bytes.len() - r.remaining();
+                assert_eq!(image(&record), bytes[..read], "{case}: {record}");
+                Ok(())
+            }
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e,
+                        RestoreError::Malformed { .. } | RestoreError::Truncated { .. }
+                    ),
+                    "{case}: {e:?}"
+                );
+                Err(e)
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_tracer_records_restore_typed_or_as_exactly_their_bytes() {
+        let mut rejected = 0;
+        for (i, event) in corpus().into_iter().enumerate() {
+            let at = SimTime::from_ps(i as u64);
+            let bytes = image(&TraceRecord { at, event });
+            // Every cut short of the whole record is truncated: the tag
+            // fixes the word count, so no prefix is itself a record.
+            for cut in 0..bytes.len() {
+                let got = restore_is_typed_or_exact(&bytes[..cut], &format!("{i} cut {cut}"));
+                assert!(
+                    matches!(got, Err(RestoreError::Truncated { .. })),
+                    "{i} cut {cut}: {got:?}"
+                );
+            }
+            // Every value of every head byte: each tag 0..=255, each
+            // stray head bit, and every direction and flag 2..=255.
+            for byte in 8..16 {
+                for value in 0..=u8::MAX {
+                    let mut bad = bytes.clone();
+                    bad[byte] = value;
+                    let case = format!("{i} head byte {} = {value}", byte - 8);
+                    rejected += usize::from(restore_is_typed_or_exact(&bad, &case).is_err());
+                }
+            }
+        }
+        assert!(rejected > 0);
+        // By name: unknown tags; stray bits above TagExhausted's empty
+        // head, TagAcquire's tag and RetryScheduled's attempt; FrameTx
+        // with direction 2 and with `replayed` 2.
+        for head in [
+            VARIANTS,
+            0xFF,
+            8 | 1 << 8,
+            6 | 1 << 16,
+            11 | 1 << 48,
+            2 << 8,
+            2 << 24,
+        ] {
+            let mut bytes = 0u64.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&head.to_le_bytes());
+            bytes.extend_from_slice(&[0; 32]);
+            let got = TraceRecord::restore(&mut SnapReader::new(&bytes));
+            assert!(
+                matches!(got, Err(RestoreError::Malformed { .. })),
+                "head {head:#x}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_restored_ring_counts_and_renders_the_events_it_was_imaged_with() {
+        let events = corpus();
+        let original = Tracer::ring(2 * events.len());
+        for (i, event) in events.into_iter().enumerate() {
+            original.advance(SimTime::from_ps(7 * i as u64));
+            original.record(event);
+        }
+        let mut bytes = Vec::new();
+        original.snapshot_state(&mut bytes);
+        let mut restored = Tracer::off();
+        restored
+            .restore_state(&mut SnapReader::new(&bytes))
+            .expect("restore");
+
+        for tag in 0..VARIANTS {
+            let count = |t: &Tracer| t.count_matching(|e| encoding(e)[0] & 0xFF == tag);
+            assert!(count(&original) > 0, "tag {tag}");
+            assert_eq!(count(&restored), count(&original), "tag {tag}");
+        }
+        assert_eq!(restored.render(), original.render());
+        assert_eq!(restored.snapshot(), original.snapshot());
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! | [`slram`] | the raw slram driver (no persistence guarantees) |
 //! | [`writecache`] | the GPFS-style non-volatile write cache aggregating small random writes into sequential disk writes |
 
+#![deny(unsafe_code)]
+
 pub mod blockdev;
 pub mod pcie;
 pub mod pmem;

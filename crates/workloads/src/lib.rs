@@ -20,6 +20,8 @@
 //! simulated channels — the same methodology the paper uses: measure
 //! the latency knob's effect with a probe, then run applications.
 
+#![deny(unsafe_code)]
+
 pub mod baseline;
 pub mod chaos_load;
 pub mod db2;

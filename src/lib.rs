@@ -3,6 +3,8 @@
 //! Re-exports the member crates so integration tests and examples can
 //! use one import root.
 
+#![deny(unsafe_code)]
+
 pub use contutto_centaur as centaur;
 pub use contutto_core as contutto;
 pub use contutto_dmi as dmi;

@@ -4,8 +4,9 @@
 //! wire as frames, not as freshly serialized bytes), a long idle
 //! stretch passed with `run_until` allocates a few blocks in total, a
 //! closed loop of pipelined reads allocates at most two blocks per
-//! read, and a snapshot encodes its sections in place in the image
-//! instead of copying each one through buffers of its own.
+//! read, a snapshot encodes its sections in place in the image
+//! instead of copying each one through buffers of its own, and a
+//! restore allocates nothing per retained trace record.
 //!
 //! A counting global allocator tallies heap blocks and bytes per
 //! thread, so the tests in this binary can run in parallel without
@@ -224,5 +225,35 @@ fn a_snapshot_encodes_in_place_in_one_image_buffer() {
         ratio <= 3.0,
         "{bytes} heap bytes for one {}-byte snapshot ({ratio:.2}x the image)",
         image.len()
+    );
+}
+
+#[test]
+fn restoring_a_traced_image_allocates_the_same_blocks_for_any_ring_size() {
+    let boot = || {
+        Power8System::boot(
+            layouts::one_contutto_six_cdimm(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
+            3,
+        )
+        .expect("boot")
+    };
+    let restore_blocks = |ring: usize| {
+        let mut sys = boot();
+        let tracer = sys.enable_tracing(ring);
+        for i in 0..64u64 {
+            sys.store_line(0x10_0000 + i * 128, CacheLine::patterned(i))
+                .expect("store");
+        }
+        assert_eq!(tracer.len(), ring, "the ring must be full when imaged");
+        let image = sys.snapshot();
+        let mut twin = boot();
+        let blocks = blocks_during(|| twin.restore(&image).expect("restore"));
+        assert_eq!(twin.tracer().snapshot(), tracer.snapshot());
+        blocks
+    };
+    let (small, large) = (restore_blocks(1 << 8), restore_blocks(1 << 12));
+    assert_eq!(
+        small, large,
+        "restoring a 2^8 ring took {small} heap blocks, a 2^12 ring {large}: restored records allocate"
     );
 }

@@ -114,8 +114,8 @@ fn poison_line(sys: &mut Power8System, idx: u64) {
 }
 
 #[test]
-fn image_format_version_is_three() {
-    assert_eq!(SNAPSHOT_VERSION, 3);
+fn image_format_version_is_four() {
+    assert_eq!(SNAPSHOT_VERSION, 4);
 }
 
 fn dram_testbed() -> Power8System {
@@ -142,7 +142,7 @@ fn mid_steady() -> Power8System {
 
 #[test]
 fn mid_steady_image_matches_its_golden_digest() {
-    check("mid-steady", &mid_steady().snapshot(), 69_318, 0x4d91_7ddf);
+    check("mid-steady", &mid_steady().snapshot(), 37_995, 0xf5b6_17a0);
 }
 
 fn mid_fault() -> Power8System {
@@ -161,7 +161,7 @@ fn mid_fault() -> Power8System {
 
 #[test]
 fn mid_fault_image_matches_its_golden_digest() {
-    check("mid-fault", &mid_fault().snapshot(), 62_051, 0xb523_96d3);
+    check("mid-fault", &mid_fault().snapshot(), 30_787, 0x5bf9_f2dd);
 }
 
 fn mid_evacuation() -> Power8System {
@@ -181,8 +181,8 @@ fn mid_evacuation_image_matches_its_golden_digest() {
     check(
         "mid-evacuation",
         &mid_evacuation().snapshot(),
-        62_297,
-        0x6437_a0e8,
+        31_006,
+        0x4c0a_90ae,
     );
 }
 
@@ -218,7 +218,7 @@ fn post_epow() -> Power8System {
 
 #[test]
 fn post_epow_image_matches_its_golden_digest() {
-    check("post-EPOW", &post_epow().snapshot(), 1_110_520, 0x34d5_f1c1);
+    check("post-EPOW", &post_epow().snapshot(), 1_079_369, 0x1dbf_0fb4);
 }
 
 fn mram_testbed() -> Power8System {
@@ -266,7 +266,7 @@ fn mram() -> Power8System {
 
 #[test]
 fn mram_image_matches_its_golden_digest() {
-    check("mram", &mram().snapshot(), 69_443, 0x7b5d_4aa5);
+    check("mram", &mram().snapshot(), 38_125, 0xbf64_6e88);
 }
 
 /// A mirrored pair with admission, retry budget, breakers, hedging and
@@ -339,8 +339,8 @@ fn overload_image_matches_its_golden_digest() {
     check(
         "overload",
         &overload_system().snapshot(),
-        77_297,
-        0xf4b2_e714,
+        45_921,
+        0x686a_b861,
     );
 }
 
@@ -596,8 +596,8 @@ fn browned_out_system_image_matches_its_golden_digest() {
     check(
         "browned out",
         &browned_out().snapshot(),
-        78_983,
-        0x275f_5143,
+        47_923,
+        0x1456_a889,
     );
 }
 
