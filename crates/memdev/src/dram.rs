@@ -67,17 +67,6 @@ persist_fields!(BankState {
     busy_until
 });
 
-/// Outcome classification of a single DRAM access, for stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowOutcome {
-    /// Row already open: column access only.
-    Hit,
-    /// Bank idle: activate + column access.
-    Miss,
-    /// Different row open: precharge + activate + column access.
-    Conflict,
-}
-
 /// Cumulative DRAM statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
@@ -173,11 +162,11 @@ impl Dram {
         pub {
             same array.capacity => "dram capacity",
             each banks,
-            array.store,
+            apply array (MediaArray::persist_data, MediaArray::restore_data => MediaArray::lay_data),
             next_refresh,
             last_data_out,
             stats,
-            array.ras,
+            apply array (MediaArray::persist_ras, MediaArray::restore_ras => MediaArray::lay_ras),
         }
     }
 
@@ -208,16 +197,14 @@ impl Dram {
         let bank = &mut self.banks[bank_idx];
         start = start.max(bank.busy_until);
 
-        let (outcome, array_time) = match bank.open_row {
-            Some(open) if open == row => (RowOutcome::Hit, t.cl),
-            Some(_) => (RowOutcome::Conflict, t.trp + t.trcd + t.cl),
-            None => (RowOutcome::Miss, t.trcd + t.cl),
+        // A row hit is a column access; an idle bank activates first; a
+        // row conflict precharges before that.
+        let (count, array_time) = match bank.open_row {
+            Some(open) if open == row => (&mut self.stats.hits, t.cl),
+            Some(_) => (&mut self.stats.conflicts, t.trp + t.trcd + t.cl),
+            None => (&mut self.stats.misses, t.trcd + t.cl),
         };
-        match outcome {
-            RowOutcome::Hit => self.stats.hits += 1,
-            RowOutcome::Miss => self.stats.misses += 1,
-            RowOutcome::Conflict => self.stats.conflicts += 1,
-        }
+        *count += 1;
         bank.open_row = Some(row);
         let service_done = start + SimTime::from_ps(array_time + t.tburst);
         // CAS pipelining: the bank is free again once its activation
@@ -415,7 +402,6 @@ mod tests {
     #[test]
     fn stuck_cell_drives_page_retirement() {
         let mut d = dram();
-        d.array_mut().set_retire_threshold(3);
         d.array_mut().attach_media_faults_at(
             SimTime::ZERO,
             FaultConfig {
@@ -428,10 +414,11 @@ mod tests {
                 wear_acceleration: 0.0,
             },
         );
-        // Data whose bits disagree with the stuck level roughly half
-        // the time; alternate patterns so the cell shows up.
+        // Data whose bits disagree with the stuck level every other
+        // pass; alternate patterns so the cell shows up until its
+        // corrections reach the retirement threshold.
         let mut retired = false;
-        for pass in 0..16u64 {
+        for pass in 0..64u64 {
             let fill = if pass % 2 == 0 { 0x00 } else { 0xFF };
             d.write(SimTime::from_us(pass), 0, &[fill; 128]);
             let report = d.scrub_pass(SimTime::from_us(pass) + SimTime::from_ns(500));

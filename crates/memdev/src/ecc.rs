@@ -5,14 +5,15 @@
 //! double-bit error per word. This module implements that
 //! Hamming(72,64) code — one check byte per `u64`, sixteen check bytes
 //! per 128-byte cache line — plus the per-device RAS bookkeeping
-//! ([`MediaRas`]): check-byte storage, demand-read verification,
-//! patrol scrubbing and page retirement.
+//! ([`MediaRas`]): demand-read verification, patrol scrubbing and page
+//! retirement, one line at a time. The check bytes themselves live with
+//! the data in the page table of [`crate::MediaArray`].
 //!
 //! Design invariants:
 //!
-//! * `encode(0) == 0`, so lines that were never written (which
-//!   [`crate::SparseMemory`] reads back as zeros) verify clean without
-//!   materializing check bytes.
+//! * `encode(0) == 0`, so lines that were never written (which the
+//!   page table reads back as zeros, with zero check bytes) verify
+//!   clean without materializing check bytes.
 //! * Verification and scrubbing take **zero simulated time** — the
 //!   ECC pipeline is part of the array access in real hardware, and
 //!   the repo's latency tests pin exact picosecond values.
@@ -22,15 +23,14 @@
 //!   scrubbed accumulate until two land in the same word and the line
 //!   goes uncorrectable.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use contutto_sim::persist_fields;
-use contutto_sim::snapshot::{persist_sorted_map, restore_map, Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::SimTime;
 
-use crate::endurance::EnduranceClass;
+use crate::array::PAGE_BYTES;
 use crate::fault::MediaFaultInjector;
-use crate::store::SparseMemory;
 
 /// Bytes per ECC-protected cache line.
 pub const ECC_LINE_BYTES: usize = 128;
@@ -177,16 +177,17 @@ pub fn decode(word: &mut u64, check: u8) -> WordDecode {
     }
 }
 
+/// One 128-byte line of data.
+pub type Line = [u8; ECC_LINE_BYTES];
+
 /// Check bytes for one 128-byte line.
 pub type LineCheck = [u8; ECC_WORDS_PER_LINE];
 
 /// Encodes all sixteen words of a 128-byte line.
-pub fn encode_line(line: &[u8; ECC_LINE_BYTES]) -> LineCheck {
+pub fn encode_line(line: &Line) -> LineCheck {
     let mut check = [0u8; ECC_WORDS_PER_LINE];
-    for (chunk, c) in line.chunks_exact(8).zip(check.iter_mut()) {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(chunk);
-        *c = encode(u64::from_le_bytes(bytes));
+    for (word, c) in line.as_chunks::<8>().0.iter().zip(&mut check) {
+        *c = encode(u64::from_le_bytes(*word));
     }
     check
 }
@@ -199,27 +200,22 @@ pub fn encode_line(line: &[u8; ECC_LINE_BYTES]) -> LineCheck {
 /// whose check byte equals its encoding has a zero syndrome and even
 /// codeword parity. Only a mismatch runs the per-word decode, which is
 /// the path that corrects.
-pub fn decode_line(line: &mut [u8; ECC_LINE_BYTES], check: &LineCheck) -> ReadOutcome {
+pub fn decode_line(line: &mut Line, check: &LineCheck) -> ReadOutcome {
     if encode_line(line) == *check {
         return ReadOutcome::Clean;
     }
     let mut outcome = ReadOutcome::Clean;
-    for (w, c) in check.iter().enumerate() {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&line[w * 8..w * 8 + 8]);
-        let mut word = u64::from_le_bytes(bytes);
-        let d = decode(&mut word, *c);
-        match d {
-            WordDecode::Clean => {}
-            WordDecode::CorrectedData { .. } => {
-                line[w * 8..w * 8 + 8].copy_from_slice(&word.to_le_bytes());
-                outcome = outcome.merge(ReadOutcome::Corrected { bits: 1 });
+    for (bytes, &c) in line.as_chunks_mut::<8>().0.iter_mut().zip(check) {
+        let mut word = u64::from_le_bytes(*bytes);
+        outcome = outcome.merge(match decode(&mut word, c) {
+            WordDecode::Clean => ReadOutcome::Clean,
+            WordDecode::CorrectedData { .. } | WordDecode::CorrectedCheck => {
+                ReadOutcome::Corrected { bits: 1 }
             }
-            WordDecode::CorrectedCheck => {
-                outcome = outcome.merge(ReadOutcome::Corrected { bits: 1 });
-            }
-            WordDecode::Uncorrectable => outcome = outcome.merge(ReadOutcome::Uncorrectable),
-        }
+            WordDecode::Uncorrectable => ReadOutcome::Uncorrectable,
+        });
+        // Only a corrected data bit changed the word.
+        *bytes = word.to_le_bytes();
     }
     outcome
 }
@@ -331,300 +327,160 @@ impl std::iter::Sum for RasCounters {
     }
 }
 
-const PAGE_BYTES: u64 = 4096;
-
 /// Correctable errors a page may accumulate before the scrubber
 /// retires it.
 pub const DEFAULT_RETIRE_THRESHOLD: u32 = 16;
 
-/// Per-device RAS state: check-byte store, optional fault injector,
-/// per-page health accounting and the patrol-scrub walker.
-///
-/// Devices embed one of these next to their [`SparseMemory`]; the
-/// split keeps borrows simple (`&mut self.ras` alongside
-/// `&mut self.store`).
+/// Per-device RAS state: optional fault injector, per-page health
+/// accounting, poison markers and counters. The check bytes live with
+/// the data in [`crate::MediaArray`]'s page table, which hands the
+/// methods here one line and its check bytes at a time.
 #[derive(Debug, Clone, Default)]
 pub struct MediaRas {
-    check: HashMap<u64, LineCheck>,
-    injector: Option<MediaFaultInjector>,
-    page_correctable: HashMap<u64, u32>,
-    retired: BTreeSet<u64>,
+    pub(crate) injector: Option<MediaFaultInjector>,
+    page_correctable: BTreeMap<u64, u32>,
+    pub(crate) retired: BTreeSet<u64>,
     /// Lines known uncorrectable. The entry survives until the line
     /// is fully rewritten, so a partial write merging fresh bytes
     /// into a rotten line cannot launder the garbage into "clean".
     poisoned: BTreeSet<u64>,
-    retire_threshold: u32,
-    counters: RasCounters,
+    pub(crate) counters: RasCounters,
 }
 
 impl MediaRas {
-    /// Fresh state with the default retirement threshold.
-    pub fn new() -> Self {
-        MediaRas {
-            retire_threshold: DEFAULT_RETIRE_THRESHOLD,
-            ..MediaRas::default()
-        }
-    }
-
-    /// Installs a fault injector (replacing any previous one).
-    pub fn attach_injector(&mut self, injector: MediaFaultInjector) {
-        self.injector = Some(injector);
-    }
-
-    /// Forwards a per-line write count to the injector's wear model
-    /// (see [`MediaFaultInjector::note_write`]). Returns `true` when
-    /// a new wear-induced stuck cell appeared.
-    pub fn note_write(&mut self, line_addr: u64, writes: u64, endurance: EnduranceClass) -> bool {
-        match &mut self.injector {
-            Some(inj) => inj.note_write(line_addr, writes, endurance),
-            None => false,
-        }
-    }
-
-    /// Correctable errors per page before retirement.
-    pub fn set_retire_threshold(&mut self, threshold: u32) {
-        assert!(threshold > 0, "retire threshold must be positive");
-        self.retire_threshold = threshold;
-    }
-
-    /// Cumulative counters.
-    pub fn counters(&self) -> RasCounters {
-        self.counters
-    }
-
-    /// Pages retired so far (4 KiB base addresses, ascending).
-    pub fn retired_pages(&self) -> Vec<u64> {
-        self.retired.iter().copied().collect()
-    }
-
-    /// Plants any injector events due by `now` into the array, then
-    /// re-encodes nothing — the flips are exactly what ECC exists to
-    /// catch. Call before every array access.
-    fn plant_due(&mut self, now: SimTime, store: &mut SparseMemory) {
-        if let Some(inj) = &mut self.injector {
-            inj.plant_due(now, store, &self.retired);
-        }
-    }
-
-    /// Prepares the array for a write of `len` bytes at `addr`: plants
-    /// due faults, then corrects (in the array) any latent single-bit
-    /// errors in partially-covered lines so the post-write re-encode
-    /// cannot bless corrupted neighbor bytes as clean. Lines that are
-    /// uncorrectable and not fully overwritten stay poisoned.
-    /// Call **before** the store write.
-    pub fn pre_write(&mut self, now: SimTime, addr: u64, len: usize, store: &mut SparseMemory) {
-        if len == 0 {
-            return;
-        }
-        self.plant_due(now, store);
-        let end = addr + len as u64;
-        let first = addr / ECC_LINE_BYTES as u64;
-        let last = (end - 1) / ECC_LINE_BYTES as u64;
-        for line_idx in first..=last {
-            let base = line_idx * ECC_LINE_BYTES as u64;
-            if addr <= base && end >= base + ECC_LINE_BYTES as u64 {
-                // Fully overwritten: fresh data supersedes any rot.
-                self.poisoned.remove(&base);
-                continue;
-            }
-            let mut line = [0u8; ECC_LINE_BYTES];
-            store.read(base, &mut line);
-            let check = self.check.get(&base).copied().unwrap_or_default();
-            match decode_line(&mut line, &check) {
-                ReadOutcome::Clean => {}
-                ReadOutcome::Corrected { bits } => {
-                    store.write(base, &line);
-                    self.counters.demand_corrected += u64::from(bits);
-                    self.account(base, ReadOutcome::Corrected { bits });
-                }
-                ReadOutcome::Uncorrectable => {
-                    self.poisoned.insert(base);
-                }
-            }
-        }
-    }
-
-    /// Records a write: re-encodes the check bytes of every line the
-    /// write touched (reading the merged line back from the store).
-    /// Call **after** the store write, paired with [`Self::pre_write`].
-    pub fn record_write(&mut self, addr: u64, len: usize, store: &SparseMemory) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / ECC_LINE_BYTES as u64;
-        let last = (addr + len as u64 - 1) / ECC_LINE_BYTES as u64;
-        for line_idx in first..=last {
-            let base = line_idx * ECC_LINE_BYTES as u64;
-            let mut line = [0u8; ECC_LINE_BYTES];
-            store.read(base, &mut line);
-            self.check.insert(base, encode_line(&line));
-        }
-    }
-
-    /// Maintenance-path read of one full line through the service
-    /// interface (FSI → I²C on ConTutto, paper §3.4): functional, zero
-    /// simulated time, and independent of the DMI link. Plants due
-    /// faults so the sideband sees the same array state a demand read
-    /// at `now` would, runs the ECC check on a private copy of the
-    /// line, and reports whether the line must travel as poison — but
-    /// charges no demand/scrub counters and heals nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_base` is not line-aligned.
-    pub fn sideband_read(
-        &mut self,
-        now: SimTime,
-        line_base: u64,
-        store: &mut SparseMemory,
-    ) -> ([u8; ECC_LINE_BYTES], bool) {
-        assert_eq!(line_base % ECC_LINE_BYTES as u64, 0, "line-aligned reads");
-        self.plant_due(now, store);
-        let mut line = [0u8; ECC_LINE_BYTES];
-        store.read(line_base, &mut line);
+    /// The line at `base` as a read senses it: `line` with the
+    /// injector's stuck cells overlaid.
+    fn sense(&self, base: u64, line: &Line) -> Line {
+        let mut sensed = *line;
         if let Some(inj) = &self.injector {
-            inj.overlay(line_base, &mut line, &self.retired);
+            inj.overlay(base, &mut sensed, &self.retired);
         }
-        let check = self.check.get(&line_base).copied().unwrap_or_default();
-        let outcome = decode_line(&mut line, &check);
-        let poisoned = outcome.is_uncorrectable() || self.poisoned.contains(&line_base);
-        (line, poisoned)
+        sensed
     }
 
-    /// Maintenance-path write of one full line. Unlike the demand path
-    /// ([`Self::pre_write`]), a sideband write can deposit a line
-    /// *with* its poison marker: evacuation must move rot as rot,
-    /// never launder it into clean data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_base` is not line-aligned.
-    pub fn sideband_write(
-        &mut self,
-        line_base: u64,
-        data: &[u8; ECC_LINE_BYTES],
-        poison: bool,
-        store: &mut SparseMemory,
-    ) {
-        assert_eq!(line_base % ECC_LINE_BYTES as u64, 0, "line-aligned writes");
-        store.write(line_base, data);
-        self.check.insert(line_base, encode_line(data));
-        if poison {
-            self.poisoned.insert(line_base);
-        } else {
-            self.poisoned.remove(&line_base);
+    /// Decodes `sensed`, the line at `base` as sensed, against its check
+    /// bytes. A correctable line is healed in the array (`line` takes
+    /// the corrected bytes) and counted toward its page's retirement;
+    /// an uncorrectable one is marked poisoned.
+    fn heal(&mut self, base: u64, line: &mut Line, sensed: Line, check: &LineCheck) -> ReadOutcome {
+        let mut corrected = sensed;
+        let outcome = decode_line(&mut corrected, check);
+        if let ReadOutcome::Corrected { bits } = outcome {
+            *line = corrected;
+            self.account(base, bits);
+        } else if outcome.is_uncorrectable() {
+            self.poisoned.insert(base);
+        }
+        outcome
+    }
+
+    /// Prepares the line at `base` for a demand write that covers it
+    /// `whole` or in part. Fresh data for the whole line supersedes any
+    /// rot. Before a partial write, latent single-bit errors are healed
+    /// so the re-encode after the merge cannot bless corrupted neighbor
+    /// bytes as clean, and an uncorrectable line stays poisoned.
+    pub fn pre_write(&mut self, base: u64, line: &mut Line, check: &LineCheck, whole: bool) {
+        if whole {
+            self.poisoned.remove(&base);
+        } else if let ReadOutcome::Corrected { bits } = self.heal(base, line, *line, check) {
+            self.counters.demand_corrected += u64::from(bits);
         }
     }
 
-    /// Whether `line_base` is currently marked poisoned.
-    pub fn is_poisoned(&self, line_base: u64) -> bool {
-        self.poisoned.contains(&line_base)
-    }
-
-    /// Resets contents-derived state after the array lost power:
-    /// check bytes, per-page accumulation and poison all describe
-    /// data that no longer exists. Retirement records and the fault
-    /// plan (physical defects) survive.
-    pub fn on_power_loss(&mut self) {
-        self.check.clear();
-        self.page_correctable.clear();
-        self.poisoned.clear();
-    }
-
-    /// Verifies (and corrects, in `buf` only) a demand read of `len`
-    /// bytes at `addr`. `buf` already holds the raw store contents.
+    /// Verifies one line of a demand read: the line as sensed and
+    /// corrected (in the returned copy only; the patrol scrubber heals
+    /// the array) and its verdict. A poisoned line reads uncorrectable.
     pub fn verify_read(
         &mut self,
-        now: SimTime,
-        addr: u64,
-        buf: &mut [u8],
-        store: &mut SparseMemory,
-    ) -> ReadOutcome {
-        if buf.is_empty() {
-            return ReadOutcome::Clean;
+        base: u64,
+        line: &Line,
+        check: &LineCheck,
+    ) -> (Line, ReadOutcome) {
+        let mut sensed = self.sense(base, line);
+        let mut outcome = decode_line(&mut sensed, check);
+        if outcome.is_uncorrectable() {
+            self.poisoned.insert(base);
+        } else if self.poisoned.contains(&base) {
+            outcome = ReadOutcome::Uncorrectable;
         }
-        self.plant_due(now, store);
-        let first = addr / ECC_LINE_BYTES as u64;
-        let last = (addr + buf.len() as u64 - 1) / ECC_LINE_BYTES as u64;
-        let mut outcome = ReadOutcome::Clean;
-        for line_idx in first..=last {
-            let base = line_idx * ECC_LINE_BYTES as u64;
-            let mut line = [0u8; ECC_LINE_BYTES];
-            store.read(base, &mut line);
-            if let Some(inj) = &self.injector {
-                inj.overlay(base, &mut line, &self.retired);
-            }
-            let check = self.check.get(&base).copied().unwrap_or_default();
-            let mut line_outcome = decode_line(&mut line, &check);
-            if line_outcome.is_uncorrectable() {
-                self.poisoned.insert(base);
-            } else if self.poisoned.contains(&base) {
-                line_outcome = ReadOutcome::Uncorrectable;
-            }
-            self.account(base, line_outcome);
-            outcome = outcome.merge(line_outcome);
-            // Copy the verified slice back into the caller's view.
-            let copy_start = base.max(addr);
-            let copy_end = (base + ECC_LINE_BYTES as u64).min(addr + buf.len() as u64);
-            let src = (copy_start - base) as usize..(copy_end - base) as usize;
-            let dst = (copy_start - addr) as usize..(copy_end - addr) as usize;
-            buf[dst].copy_from_slice(&line[src]);
+        if let ReadOutcome::Corrected { bits } = outcome {
+            self.account(base, bits);
         }
+        (sensed, outcome)
+    }
+
+    /// Charges a demand read's merged verdict to the counters.
+    pub fn count_read(&mut self, outcome: ReadOutcome) {
         match outcome {
             ReadOutcome::Corrected { bits } => self.counters.demand_corrected += u64::from(bits),
             ReadOutcome::Uncorrectable => self.counters.demand_uncorrectable += 1,
             ReadOutcome::Clean => {}
         }
-        outcome
     }
 
-    fn account(&mut self, line_base: u64, outcome: ReadOutcome) {
-        if let ReadOutcome::Corrected { bits } = outcome {
-            let page = line_base / PAGE_BYTES * PAGE_BYTES;
-            if !self.retired.contains(&page) {
-                *self.page_correctable.entry(page).or_insert(0) += bits;
-            }
+    /// Maintenance-path read of one full line through the service
+    /// interface (FSI → I²C on ConTutto, paper §3.4): the line as
+    /// sensed and corrected in a private copy, and whether it must
+    /// travel as poison. Charges no counters and heals nothing.
+    pub fn sideband_read(&self, base: u64, line: &Line, check: &LineCheck) -> (Line, bool) {
+        let mut sensed = self.sense(base, line);
+        let poisoned = decode_line(&mut sensed, check).is_uncorrectable();
+        (sensed, poisoned || self.poisoned.contains(&base))
+    }
+
+    /// Marks a line the sideband wrote: unlike a demand write, it can
+    /// deposit the line *with* its poison marker, since evacuation must
+    /// move rot as rot, never launder it into clean data.
+    pub fn sideband_write(&mut self, base: u64, poison: bool) {
+        if poison {
+            self.poisoned.insert(base);
+        } else {
+            self.poisoned.remove(&base);
         }
     }
 
-    /// One patrol-scrub pass: walks every resident page in address
-    /// order, corrects latent single-bit errors **in the array**, and
-    /// retires pages whose accumulated correctable count crossed the
-    /// threshold. Zero simulated time.
-    pub fn scrub(&mut self, now: SimTime, store: &mut SparseMemory) -> ScrubReport {
-        self.plant_due(now, store);
+    /// Resets contents-derived state after the array lost power:
+    /// per-page accumulation and poison describe data that no longer
+    /// exists. Retirement records and the fault plan (physical
+    /// defects) survive.
+    pub fn on_power_loss(&mut self) {
+        self.page_correctable.clear();
+        self.poisoned.clear();
+    }
+
+    fn account(&mut self, line_base: u64, bits: u32) {
+        let page = line_base / PAGE_BYTES * PAGE_BYTES;
+        if !self.retired.contains(&page) {
+            *self.page_correctable.entry(page).or_insert(0) += bits;
+        }
+    }
+
+    /// One patrol-scrub pass over `pages`, each a base address and its
+    /// lines in order with their check bytes (zero simulated time):
+    /// heals latent single-bit errors **in the array**, and retires a
+    /// page once its correctable count reaches [`DEFAULT_RETIRE_THRESHOLD`].
+    pub fn scrub<'a, L>(&mut self, pages: impl Iterator<Item = (u64, L)>) -> ScrubReport
+    where
+        L: Iterator<Item = (&'a mut Line, &'a LineCheck)>,
+    {
         let mut report = ScrubReport::default();
-        for page in store.resident_page_addrs() {
+        for (page, lines) in pages {
             if self.retired.contains(&page) {
                 continue;
             }
-            for line_idx in 0..(PAGE_BYTES / ECC_LINE_BYTES as u64) {
-                let base = page + line_idx * ECC_LINE_BYTES as u64;
+            for (i, (line, check)) in lines.enumerate() {
+                let base = page + (i * ECC_LINE_BYTES) as u64;
                 report.lines_scanned += 1;
-                let mut line = [0u8; ECC_LINE_BYTES];
-                store.read(base, &mut line);
-                if let Some(inj) = &self.injector {
-                    inj.overlay(base, &mut line, &self.retired);
-                }
-                let check = self.check.get(&base).copied().unwrap_or_default();
-                match decode_line(&mut line, &check) {
+                // Stuck cells re-assert on the next read after a heal,
+                // which is how they accumulate toward retirement.
+                match self.heal(base, line, self.sense(base, line), check) {
                     ReadOutcome::Clean => {}
-                    ReadOutcome::Corrected { bits } => {
-                        // Heal the array copy. Stuck cells re-assert on
-                        // the next read, which is exactly how they keep
-                        // accumulating toward retirement.
-                        store.write(base, &line);
-                        report.corrected += u64::from(bits);
-                        self.account(base, ReadOutcome::Corrected { bits });
-                    }
-                    ReadOutcome::Uncorrectable => {
-                        self.poisoned.insert(base);
-                        report.uncorrectable += 1;
-                    }
+                    ReadOutcome::Corrected { bits } => report.corrected += u64::from(bits),
+                    ReadOutcome::Uncorrectable => report.uncorrectable += 1,
                 }
             }
             let count = self.page_correctable.get(&page).copied().unwrap_or(0);
-            if count >= self.retire_threshold {
+            if count >= DEFAULT_RETIRE_THRESHOLD {
                 self.retired.insert(page);
                 self.page_correctable.remove(&page);
                 report.retired_pages.push(page);
@@ -647,36 +503,34 @@ persist_fields!(RasCounters {
     pages_retired
 });
 
+/// The RAS state after the array's list of checked lines. The image
+/// keeps a retire-threshold field, which holds
+/// [`DEFAULT_RETIRE_THRESHOLD`].
 impl Persist for MediaRas {
     fn persist(&self, out: &mut Vec<u8>) {
-        persist_sorted_map(&self.check, out);
         self.injector.persist(out);
-        persist_sorted_map(&self.page_correctable, out);
+        self.page_correctable.persist(out);
         self.retired.persist(out);
         self.poisoned.persist(out);
-        self.retire_threshold.persist(out);
+        DEFAULT_RETIRE_THRESHOLD.persist(out);
         self.counters.persist(out);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let check = restore_map::<u64, LineCheck>(r)?;
         let injector = Option::<MediaFaultInjector>::restore(r)?;
-        let page_correctable = restore_map::<u64, u32>(r)?;
+        let page_correctable = BTreeMap::restore(r)?;
         let retired = BTreeSet::restore(r)?;
         let poisoned = BTreeSet::restore(r)?;
-        let retire_threshold = r.u32()?;
-        if retire_threshold == 0 {
+        if r.u32()? != DEFAULT_RETIRE_THRESHOLD {
             return Err(RestoreError::Malformed {
-                context: "zero retire threshold",
+                context: "retire threshold other than 16",
             });
         }
         Ok(MediaRas {
-            check,
             injector,
             page_correctable,
             retired,
             poisoned,
-            retire_threshold,
             counters: RasCounters::restore(r)?,
         })
     }
@@ -685,58 +539,6 @@ impl Persist for MediaRas {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sideband_write_preserves_poison_across_migration() {
-        let mut src_ras = MediaRas::new();
-        let mut src = SparseMemory::new();
-        let mut dst_ras = MediaRas::new();
-        let mut dst = SparseMemory::new();
-
-        let data = [0x5Au8; ECC_LINE_BYTES];
-        src_ras.pre_write(SimTime::ZERO, 0, ECC_LINE_BYTES, &mut src);
-        src.write(0, &data);
-        src_ras.record_write(0, ECC_LINE_BYTES, &src);
-
-        // Rot the line beyond correction: two flips in one word.
-        let mut raw = [0u8; ECC_LINE_BYTES];
-        src.read(0, &mut raw);
-        raw[0] ^= 0b11;
-        src.write(0, &raw);
-
-        let (moved, poisoned) = src_ras.sideband_read(SimTime::from_us(1), 0, &mut src);
-        assert!(poisoned, "double flip must travel as poison");
-
-        dst_ras.sideband_write(0, &moved, poisoned, &mut dst);
-        assert!(dst_ras.is_poisoned(0), "poison marker survives the move");
-        let mut buf = [0u8; ECC_LINE_BYTES];
-        let outcome = dst_ras.verify_read(SimTime::from_us(2), 0, &mut buf, &mut dst);
-        assert!(outcome.is_uncorrectable(), "destination read is poisoned");
-
-        // A fully-covering demand write supersedes the rot as usual.
-        dst_ras.pre_write(SimTime::from_us(3), 0, ECC_LINE_BYTES, &mut dst);
-        dst.write(0, &data);
-        dst_ras.record_write(0, ECC_LINE_BYTES, &dst);
-        let outcome = dst_ras.verify_read(SimTime::from_us(4), 0, &mut buf, &mut dst);
-        assert!(outcome.is_clean());
-        assert_eq!(buf, data);
-    }
-
-    #[test]
-    fn sideband_read_returns_verified_clean_line() {
-        let mut ras = MediaRas::new();
-        let mut store = SparseMemory::new();
-        let data = [0xC3u8; ECC_LINE_BYTES];
-        ras.pre_write(SimTime::ZERO, 128, ECC_LINE_BYTES, &mut store);
-        store.write(128, &data);
-        ras.record_write(128, ECC_LINE_BYTES, &store);
-        let before = ras.counters();
-        let (line, poisoned) = ras.sideband_read(SimTime::from_us(1), 128, &mut store);
-        assert_eq!(line, data);
-        assert!(!poisoned);
-        // Maintenance reads never perturb the demand accounting.
-        assert_eq!(ras.counters(), before);
-    }
 
     /// A complete proof, not a sample: `encode` and `encode_reference`
     /// are both linear maps from GF(2)^64 to GF(2)^8 (every check bit,
@@ -878,6 +680,24 @@ mod tests {
     }
 
     #[test]
+    fn a_retire_threshold_other_than_16_is_refused() {
+        let mut img = Vec::new();
+        MediaRas::default().persist(&mut img);
+        // No injector (1 byte), then three empty maps (8 bytes each).
+        let at = 1 + 3 * 8;
+        assert_eq!(img[at..at + 4], DEFAULT_RETIRE_THRESHOLD.to_le_bytes());
+        assert!(MediaRas::restore(&mut SnapReader::new(&img)).is_ok());
+        for threshold in [0u32, 3, 15, 17, u32::MAX] {
+            img[at..at + 4].copy_from_slice(&threshold.to_le_bytes());
+            let err = MediaRas::restore(&mut SnapReader::new(&img)).unwrap_err();
+            assert!(
+                matches!(err, RestoreError::Malformed { .. }),
+                "{threshold}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn outcome_merge_is_worst_of() {
         let c = ReadOutcome::Corrected { bits: 2 };
         assert_eq!(ReadOutcome::Clean.merge(c), c);
@@ -890,128 +710,5 @@ mod tests {
             ReadOutcome::Uncorrectable
         );
         assert!(ReadOutcome::Clean.merge(ReadOutcome::Clean).is_clean());
-    }
-
-    #[test]
-    fn ras_demand_read_corrects_buffer_not_store() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        let data = [0xA5u8; 128];
-        store.write(0, &data);
-        ras.record_write(0, 128, &store);
-        // Plant a latent flip directly.
-        let mut b = [0u8; 1];
-        store.read(3, &mut b);
-        store.write(3, &[b[0] ^ 0x08]);
-
-        let mut buf = [0u8; 128];
-        store.read(0, &mut buf);
-        let outcome = ras.verify_read(SimTime::ZERO, 0, &mut buf, &mut store);
-        assert_eq!(outcome, ReadOutcome::Corrected { bits: 1 });
-        assert_eq!(buf, data, "returned data corrected");
-        store.read(3, &mut b);
-        assert_eq!(b[0], 0xA5 ^ 0x08, "store still has the flip");
-
-        // A scrub pass heals the array.
-        let report = ras.scrub(SimTime::ZERO, &mut store);
-        assert_eq!(report.corrected, 1);
-        store.read(3, &mut b);
-        assert_eq!(b[0], 0xA5, "scrub healed the store");
-    }
-
-    #[test]
-    fn two_flips_in_one_word_go_uncorrectable() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        store.write(0, &[0u8; 128]);
-        ras.record_write(0, 128, &store);
-        store.write(16, &[0x05]); // two bits of word 2
-        let mut buf = [0u8; 128];
-        store.read(0, &mut buf);
-        let outcome = ras.verify_read(SimTime::ZERO, 0, &mut buf, &mut store);
-        assert!(outcome.is_uncorrectable());
-        assert_eq!(ras.counters().demand_uncorrectable, 1);
-    }
-
-    #[test]
-    fn scrub_retires_noisy_pages() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        ras.set_retire_threshold(3);
-        store.write(0, &[0xFFu8; 128]);
-        ras.record_write(0, 128, &store);
-        // Same single-bit fault re-planted across passes (a stuck cell
-        // without an injector): flip, scrub, repeat.
-        let mut retired = Vec::new();
-        for _ in 0..4 {
-            let mut b = [0u8; 1];
-            store.read(0, &mut b);
-            store.write(0, &[b[0] ^ 0x01]);
-            let report = ras.scrub(SimTime::ZERO, &mut store);
-            retired.extend(report.retired_pages);
-        }
-        assert_eq!(retired, vec![0]);
-        assert_eq!(ras.counters().pages_retired, 1);
-        assert_eq!(ras.retired_pages(), vec![0]);
-    }
-
-    #[test]
-    fn partial_write_cannot_launder_a_poisoned_line() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        store.write(0, &[0x5Au8; 128]);
-        ras.record_write(0, 128, &store);
-        store.write(0, &[0x5A ^ 0x03]); // double-bit error in word 0
-
-        let mut buf = [0u8; 128];
-        assert!(ras
-            .verify_read(SimTime::ZERO, 0, &mut buf, &mut store)
-            .is_uncorrectable());
-
-        // Partial write to the same line: the fresh bytes merge, but
-        // the line must stay poisoned.
-        ras.pre_write(SimTime::ZERO, 64, 16, &mut store);
-        store.write(64, &[0x11u8; 16]);
-        ras.record_write(64, 16, &store);
-        assert!(ras
-            .verify_read(SimTime::ZERO, 0, &mut buf, &mut store)
-            .is_uncorrectable());
-
-        // A full-line rewrite clears the poison.
-        ras.pre_write(SimTime::ZERO, 0, 128, &mut store);
-        store.write(0, &[0x22u8; 128]);
-        ras.record_write(0, 128, &store);
-        let outcome = ras.verify_read(SimTime::ZERO, 0, &mut buf, &mut store);
-        assert!(outcome.is_clean());
-        assert_eq!(buf, [0x22u8; 128]);
-    }
-
-    #[test]
-    fn unwritten_lines_verify_clean() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        let mut buf = [0u8; 256];
-        store.read(4096, &mut buf);
-        let outcome = ras.verify_read(SimTime::ZERO, 4096, &mut buf, &mut store);
-        assert!(outcome.is_clean());
-        assert_eq!(buf, [0u8; 256]);
-    }
-
-    #[test]
-    fn unaligned_spans_verify_whole_lines() {
-        let mut store = SparseMemory::new();
-        let mut ras = MediaRas::new();
-        let data: Vec<u8> = (0..512u32).map(|i| (i % 249) as u8).collect();
-        store.write(64, &data);
-        ras.record_write(64, data.len(), &store);
-        // Flip a bit outside the read span but inside an overlapped line.
-        let mut b = [0u8; 1];
-        store.read(70, &mut b);
-        store.write(70, &[b[0] ^ 0x80]);
-        let mut buf = [0u8; 100];
-        store.read(96, &mut buf);
-        let outcome = ras.verify_read(SimTime::ZERO, 96, &mut buf, &mut store);
-        assert_eq!(outcome, ReadOutcome::Corrected { bits: 1 });
-        assert_eq!(&buf[..], &data[32..132]);
     }
 }

@@ -26,10 +26,8 @@ use contutto_sim::persist_fields;
 use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
 use contutto_sim::{SimRng, SimTime};
 
+use crate::array::{flip_cell, PageTable, PAGE_BYTES};
 use crate::endurance::EnduranceClass;
-use crate::store::SparseMemory;
-
-const PAGE_BYTES: u64 = 4096;
 
 /// Configuration of a [`MediaFaultInjector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +84,8 @@ struct TransientFlip {
 pub struct InjectorStats {
     /// Transient flips planted into the array so far.
     pub planted: u64,
-    /// Scheduled flips suppressed because their page was retired.
+    /// Scheduled flips suppressed because their page was retired or
+    /// lies past the array's capacity.
     pub suppressed: u64,
     /// Stuck cells currently active (configured + wear-induced).
     pub stuck_cells: u64,
@@ -107,20 +106,14 @@ pub struct MediaFaultInjector {
 
 impl MediaFaultInjector {
     /// Builds the full fault plan from `cfg` (all randomness is
-    /// consumed here; injection itself is pure replay). Flips are
-    /// scheduled over `[0, window)`.
-    pub fn new(cfg: FaultConfig) -> Self {
-        Self::new_at(cfg, SimTime::ZERO)
-    }
-
-    /// Like [`Self::new`] but scheduled relative to `start`: flips
-    /// land over `[start, start + window)`. This is what lets a chaos
-    /// plan arm a fault burst on a device mid-run without the burst
-    /// retroactively landing in the past. An empty hot range is
-    /// clamped to one byte, and a hot range running past the end of
-    /// the address space is clamped to end there, rather than
-    /// rejected — replayed plan files are external input and must not
-    /// abort the process.
+    /// consumed here; injection itself is pure replay), scheduled
+    /// relative to `start`: flips land over `[start, start + window)`.
+    /// This is what lets a chaos plan arm a fault burst on a device
+    /// mid-run without the burst retroactively landing in the past.
+    /// An empty hot range is clamped to one byte, and a hot range
+    /// running past the end of the address space is clamped to end
+    /// there, rather than rejected — replayed plan files are external
+    /// input and must not abort the process.
     pub fn new_at(cfg: FaultConfig, start: SimTime) -> Self {
         let hot_len = cfg.hot_len.min(u64::MAX - cfg.hot_start).max(1);
         let mut rng = SimRng::seed_from_u64(cfg.seed);
@@ -160,20 +153,25 @@ impl MediaFaultInjector {
     }
 
     /// Plants every scheduled transient flip due by `now` into the
-    /// array. Flips landing in retired pages are suppressed — the
-    /// page is out of service.
-    pub fn plant_due(&mut self, now: SimTime, store: &mut SparseMemory, retired: &BTreeSet<u64>) {
+    /// array of `capacity` bytes. Flips landing in retired pages are
+    /// suppressed (the page is out of service), and so are flips past
+    /// the capacity, which have no cell to land in.
+    pub(crate) fn plant_due(
+        &mut self,
+        now: SimTime,
+        pages: &mut PageTable,
+        retired: &BTreeSet<u64>,
+        capacity: u64,
+    ) {
         while let Some(flip) = self.schedule.get(self.cursor) {
             if flip.due > now {
                 break;
             }
             let page = flip.addr / PAGE_BYTES * PAGE_BYTES;
-            if retired.contains(&page) {
+            if retired.contains(&page) || flip.addr >= capacity {
                 self.stats.suppressed += 1;
             } else {
-                let mut b = [0u8; 1];
-                store.read(flip.addr, &mut b);
-                store.write(flip.addr, &[b[0] ^ (1 << flip.bit)]);
+                flip_cell(pages, flip.addr, flip.bit);
                 self.stats.planted += 1;
             }
             self.cursor += 1;
@@ -308,6 +306,13 @@ impl Persist for MediaFaultInjector {
 mod tests {
     use super::*;
 
+    const CAPACITY: u64 = 1 << 20;
+
+    /// An injector whose flips land over `[0, window)`.
+    fn injector(cfg: FaultConfig) -> MediaFaultInjector {
+        MediaFaultInjector::new_at(cfg, SimTime::ZERO)
+    }
+
     fn cfg() -> FaultConfig {
         FaultConfig {
             seed: 42,
@@ -322,37 +327,37 @@ mod tests {
 
     #[test]
     fn same_seed_same_plan() {
-        let a = MediaFaultInjector::new(cfg());
-        let b = MediaFaultInjector::new(cfg());
+        let a = injector(cfg());
+        let b = injector(cfg());
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.stuck, b.stuck);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = MediaFaultInjector::new(cfg());
-        let b = MediaFaultInjector::new(FaultConfig { seed: 43, ..cfg() });
+        let a = injector(cfg());
+        let b = injector(FaultConfig { seed: 43, ..cfg() });
         assert_ne!(a.schedule, b.schedule);
     }
 
     #[test]
     fn plant_due_is_monotonic_and_complete() {
-        let mut inj = MediaFaultInjector::new(cfg());
-        let mut store = SparseMemory::new();
+        let mut inj = injector(cfg());
+        let mut store = PageTable::default();
         let retired = BTreeSet::new();
-        inj.plant_due(SimTime::from_us(50), &mut store, &retired);
+        inj.plant_due(SimTime::from_us(50), &mut store, &retired, CAPACITY);
         let mid = inj.stats().planted;
         assert!(mid > 0 && mid < 20, "roughly half due at half window");
-        inj.plant_due(SimTime::from_us(100), &mut store, &retired);
+        inj.plant_due(SimTime::from_us(100), &mut store, &retired, CAPACITY);
         assert_eq!(inj.stats().planted, 20);
         // Replant is a no-op.
-        inj.plant_due(SimTime::from_ms(1), &mut store, &retired);
+        inj.plant_due(SimTime::from_ms(1), &mut store, &retired, CAPACITY);
         assert_eq!(inj.stats().planted, 20);
     }
 
     #[test]
     fn new_at_offsets_the_schedule_without_reordering_it() {
-        let base = MediaFaultInjector::new(cfg());
+        let base = injector(cfg());
         let start = SimTime::from_us(7);
         let shifted = MediaFaultInjector::new_at(cfg(), start);
         assert_eq!(base.schedule.len(), shifted.schedule.len());
@@ -362,15 +367,15 @@ mod tests {
         }
         // Nothing is due before the arm time.
         let mut inj = MediaFaultInjector::new_at(cfg(), start);
-        let mut store = SparseMemory::new();
+        let mut store = PageTable::default();
         let retired = BTreeSet::new();
-        inj.plant_due(start - SimTime::from_ps(1), &mut store, &retired);
+        inj.plant_due(start - SimTime::from_ps(1), &mut store, &retired, CAPACITY);
         assert_eq!(inj.stats().planted, 0);
     }
 
     #[test]
     fn empty_hot_range_is_clamped_not_fatal() {
-        let inj = MediaFaultInjector::new(FaultConfig {
+        let inj = injector(FaultConfig {
             hot_len: 0,
             hot_start: 64,
             ..cfg()
@@ -396,14 +401,14 @@ mod tests {
 
     #[test]
     fn retired_pages_suppress_flips_and_overlays() {
-        let mut inj = MediaFaultInjector::new(cfg());
-        let mut store = SparseMemory::new();
+        let mut inj = injector(cfg());
+        let mut store = PageTable::default();
         let mut retired = BTreeSet::new();
         retired.insert(0u64); // the whole hot range is page 0
-        inj.plant_due(SimTime::from_ms(1), &mut store, &retired);
+        inj.plant_due(SimTime::from_ms(1), &mut store, &retired, CAPACITY);
         assert_eq!(inj.stats().planted, 0);
         assert_eq!(inj.stats().suppressed, 20);
-        assert_eq!(store.resident_pages(), 0);
+        assert!(store.is_empty());
 
         let mut line = [0u8; 128];
         inj.overlay(0, &mut line, &retired);
@@ -412,7 +417,7 @@ mod tests {
 
     #[test]
     fn stuck_cells_force_their_level() {
-        let mut inj = MediaFaultInjector::new(FaultConfig {
+        let mut inj = injector(FaultConfig {
             stuck_cells: 8,
             transient_flips: 0,
             ..cfg()
@@ -434,7 +439,7 @@ mod tests {
 
     #[test]
     fn wear_out_crosses_the_endurance_band_once() {
-        let mut inj = MediaFaultInjector::new(FaultConfig {
+        let mut inj = injector(FaultConfig {
             wear_acceleration: 1e10,
             transient_flips: 0,
             stuck_cells: 0,
@@ -450,10 +455,10 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_mid_schedule() {
-        let mut inj = MediaFaultInjector::new(cfg());
-        let mut store = SparseMemory::new();
+        let mut inj = injector(cfg());
+        let mut store = PageTable::default();
         let retired = BTreeSet::new();
-        inj.plant_due(SimTime::from_us(50), &mut store, &retired);
+        inj.plant_due(SimTime::from_us(50), &mut store, &retired, CAPACITY);
         let planted_so_far = inj.stats().planted;
         assert!(planted_so_far > 0 && inj.cursor < inj.schedule.len());
 
@@ -464,16 +469,17 @@ mod tests {
         assert_eq!(restored.stats(), inj.stats());
 
         // The remaining schedule plants identically from both copies.
-        let mut store2 = store.clone();
-        inj.plant_due(SimTime::from_ms(1), &mut store, &retired);
-        restored.plant_due(SimTime::from_ms(1), &mut store2, &retired);
+        let (mut rest, mut rest_restored) = (PageTable::default(), PageTable::default());
+        inj.plant_due(SimTime::from_ms(1), &mut rest, &retired, CAPACITY);
+        restored.plant_due(SimTime::from_ms(1), &mut rest_restored, &retired, CAPACITY);
         assert_eq!(restored.stats(), inj.stats());
-        assert_eq!(store2.resident_page_addrs(), store.resident_page_addrs());
+        assert!(!rest.is_empty());
+        assert_eq!(rest_restored, rest);
     }
 
     #[test]
     fn snapshot_restore_rejects_cursor_past_schedule() {
-        let inj = MediaFaultInjector::new(FaultConfig {
+        let inj = injector(FaultConfig {
             transient_flips: 2,
             ..cfg()
         });

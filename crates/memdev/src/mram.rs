@@ -162,12 +162,12 @@ impl SttMram {
         pub {
             same array.capacity => "mram capacity or generation",
             same_as(Self::generation_code) => "mram capacity or generation",
-            array.store,
+            apply array (MediaArray::persist_data, MediaArray::restore_data => MediaArray::lay_data),
             busy_until,
             write_counts with (persist_sorted_map, restore_map),
             total_writes,
             total_write_energy_pj,
-            array.ras,
+            apply array (MediaArray::persist_ras, MediaArray::restore_ras => MediaArray::lay_ras),
         }
     }
 

@@ -3,13 +3,36 @@
 //! Devices in this crate can model terabytes of capacity; allocating
 //! that eagerly would be absurd. [`SparseMemory`] allocates 4 KiB pages
 //! on first write and reads zeros from untouched pages (matching how a
-//! scrubbed DIMM behaves after IPL).
+//! scrubbed DIMM behaves after IPL). It is the plain data store of the
+//! devices without ECC (NAND flash, the disk, the block devices); the
+//! DIMM arrays keep their pages, check bytes included, in
+//! [`crate::MediaArray`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{self, Persist, RestoreError, SnapReader};
 
 const PAGE_SIZE: u64 = 4096;
+
+/// One `unit`-aligned block a span touches: the block's base, where the
+/// span starts in it, and the part of the span it holds.
+pub(crate) type Span = (u64, usize, Range<usize>);
+
+/// The blocks of `unit` bytes a span of `len` bytes at `addr` touches.
+pub(crate) fn spans(addr: u64, len: usize, unit: u64) -> impl Iterator<Item = Span> {
+    let end = addr + len as u64;
+    (addr / unit * unit..end)
+        .step_by(unit as usize)
+        .map(move |base| {
+            let (start, stop) = (base.max(addr), (base + unit).min(end));
+            (
+                base,
+                (start - base) as usize,
+                (start - addr) as usize..(stop - addr) as usize,
+            )
+        })
+}
 
 /// A sparse, zero-initialized byte store.
 ///
@@ -25,7 +48,7 @@ const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
 }
 
 impl SparseMemory {
@@ -36,102 +59,38 @@ impl SparseMemory {
 
     /// Reads `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let mut offset = 0usize;
-        while offset < buf.len() {
-            let cur = addr + offset as u64;
-            let page_idx = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - offset);
-            match self.pages.get(&page_idx) {
-                Some(page) => buf[offset..offset + n].copy_from_slice(&page[in_page..in_page + n]),
-                None => buf[offset..offset + n].fill(0),
+        for (base, at, span) in spans(addr, buf.len(), PAGE_SIZE) {
+            match self.pages.get(&(base / PAGE_SIZE)) {
+                Some(page) => buf[span.clone()].copy_from_slice(&page[at..at + span.len()]),
+                None => buf[span].fill(0),
             }
-            offset += n;
         }
     }
 
     /// Writes `data` starting at `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let cur = addr + offset as u64;
-            let page_idx = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(data.len() - offset);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page[in_page..in_page + n].copy_from_slice(&data[offset..offset + n]);
-            offset += n;
-        }
-    }
-
-    /// Number of 4 KiB pages materialized so far.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Base addresses of all materialized pages, ascending. The sort
-    /// makes walkers (e.g. the patrol scrubber) deterministic despite
-    /// the hash-map backing.
-    pub fn resident_page_addrs(&self) -> Vec<u64> {
-        let mut addrs: Vec<u64> = self.pages.keys().map(|idx| idx * PAGE_SIZE).collect();
-        addrs.sort_unstable();
-        addrs
-    }
-
-    /// Drops all contents (simulated power loss on volatile media).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-    }
-
-    /// Copies `len` bytes from `src_addr` in `src` into `self` at
-    /// `dst_addr` (used by the NVDIMM save/restore engine).
-    pub fn copy_from(&mut self, src: &SparseMemory, src_addr: u64, dst_addr: u64, len: u64) {
-        let mut buf = vec![0u8; 64 * 1024];
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(buf.len() as u64) as usize;
-            src.read(src_addr + done, &mut buf[..n]);
-            self.write(dst_addr + done, &buf[..n]);
-            done += n as u64;
+        for (base, at, span) in spans(addr, data.len(), PAGE_SIZE) {
+            let page = self.pages.entry(base / PAGE_SIZE);
+            let page = page.or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
+            page[at..at + span.len()].copy_from_slice(&data[span]);
         }
     }
 }
 
 impl Persist for SparseMemory {
     fn persist(&self, out: &mut Vec<u8>) {
-        // The hash map iterates in arbitrary order; sort page indices
-        // so the same contents always serialize to the same bytes.
-        let mut idxs: Vec<u64> = self.pages.keys().copied().collect();
-        idxs.sort_unstable();
-        (idxs.len() as u64).persist(out);
-        for idx in idxs {
+        (self.pages.len() as u64).persist(out);
+        for (idx, page) in &self.pages {
             idx.persist(out);
-            out.extend_from_slice(&self.pages[&idx][..]);
+            out.extend_from_slice(&page[..]);
         }
     }
 
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        // The map is built entry by entry, so a count claiming more
+        // entries than remain fails on the first missing one.
         let n = r.len()?;
-        // Each entry is 8 + PAGE_SIZE bytes; a length prefix claiming
-        // more entries than could possibly remain is a truncation.
-        if n > r.remaining() / 8 {
-            return Err(RestoreError::Truncated {
-                context: "sparse memory page table",
-            });
-        }
-        let mut pages = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let idx = u64::restore(r)?;
-            let bytes = <[u8; PAGE_SIZE as usize]>::restore(r)?;
-            if pages.insert(idx, Box::new(bytes)).is_some() {
-                return Err(RestoreError::Malformed {
-                    context: "duplicate sparse page",
-                });
-            }
-        }
+        let pages = snapshot::restore_entries(r, n, |r| Ok(Box::new(Persist::restore(r)?)))?;
         Ok(SparseMemory { pages })
     }
 }
@@ -146,7 +105,7 @@ mod tests {
         let mut buf = [0xFFu8; 64];
         m.read(123_456, &mut buf);
         assert_eq!(buf, [0u8; 64]);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.pages.len(), 0);
     }
 
     #[test]
@@ -156,7 +115,7 @@ mod tests {
         let mut buf = [0u8; 4];
         m.read(100, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
-        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.pages.len(), 1);
     }
 
     #[test]
@@ -167,7 +126,7 @@ mod tests {
         let mut buf = vec![0u8; 100];
         m.read(PAGE_SIZE - 50, &mut buf);
         assert_eq!(buf, data);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.pages.len(), 2);
     }
 
     #[test]
@@ -180,28 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_forgets_everything() {
-        let mut m = SparseMemory::new();
-        m.write(0, &[9; 32]);
-        m.clear();
-        let mut buf = [1u8; 32];
-        m.read(0, &mut buf);
-        assert_eq!(buf, [0u8; 32]);
-    }
-
-    #[test]
-    fn resident_page_addrs_are_sorted() {
-        let mut m = SparseMemory::new();
-        for addr in [9 * PAGE_SIZE, PAGE_SIZE, 5 * PAGE_SIZE] {
-            m.write(addr, &[1]);
-        }
-        assert_eq!(
-            m.resident_page_addrs(),
-            vec![PAGE_SIZE, 5 * PAGE_SIZE, 9 * PAGE_SIZE]
-        );
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_contents() {
         let mut m = SparseMemory::new();
         m.write(100, &[1, 2, 3]);
@@ -209,7 +146,7 @@ mod tests {
         let mut img = Vec::new();
         m.persist(&mut img);
         let restored = SparseMemory::restore(&mut SnapReader::new(&img)).unwrap();
-        assert_eq!(restored.resident_page_addrs(), m.resident_page_addrs());
+        assert_eq!(restored.pages.keys().collect::<Vec<_>>(), [&0, &9]);
         let mut buf = [0u8; 3];
         restored.read(100, &mut buf);
         assert_eq!(buf, [1, 2, 3]);
@@ -221,17 +158,5 @@ mod tests {
         (u64::MAX).persist(&mut img);
         let err = SparseMemory::restore(&mut SnapReader::new(&img)).unwrap_err();
         assert!(matches!(err, RestoreError::Truncated { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn copy_from_transfers_large_region() {
-        let mut src = SparseMemory::new();
-        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        src.write(5_000, &data);
-        let mut dst = SparseMemory::new();
-        dst.copy_from(&src, 5_000, 77_000, data.len() as u64);
-        let mut buf = vec![0u8; data.len()];
-        dst.read(77_000, &mut buf);
-        assert_eq!(buf, data);
     }
 }

@@ -599,7 +599,9 @@ macro_rules! persist_fields {
 /// * `state a.b,` — a nested owner, through its own pair;
 ///   `state each a.b,` — every owner in a collection, no length.
 /// * `apply (encode, decode => apply),` — state that is not one field:
-///   `encode(&self, out)`, `decode(&self, r)`, `apply(&mut self, v)`.
+///   `encode(&self, out)`, `decode(&self, r)`, `apply(&mut self, v)`;
+///   `apply a.b (encode, decode => apply),` does the same on the field
+///   `a.b`, for a part that images one field in more than one place.
 /// * `check check,` — `check(&self)` vets the restored owner, for an
 ///   invariant across fields.
 ///
@@ -678,6 +680,11 @@ macro_rules! state_fields {
         $crate::state_fields!(@persist $s $o [$($rest)*]);
     };
     (@persist $s:ident $o:ident
+        [apply $($f:ident).+ ($enc:path, $dec:path => $apply:path), $($rest:tt)*]) => {
+        $enc(&$s.$($f).+, $o);
+        $crate::state_fields!(@persist $s $o [$($rest)*]);
+    };
+    (@persist $s:ident $o:ident
         [$($f:ident).+ with ($enc:path, $dec:path), $($rest:tt)*]) => {
         $enc(&$s.$($f).+, $o);
         $crate::state_fields!(@persist $s $o [$($rest)*]);
@@ -731,6 +738,12 @@ macro_rules! state_fields {
         [apply ($enc:path, $dec:path => $apply:path), $($rest:tt)*]) => {
         let v = $dec($s, $r)?;
         $crate::state_fields!(@restore $s $r [$($a)* $apply($s, v)?;] [$($c)*] [$($rest)*]);
+    };
+    (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
+        [apply $($f:ident).+ ($enc:path, $dec:path => $apply:path), $($rest:tt)*]) => {
+        let v = $dec(&$s.$($f).+, $r)?;
+        $crate::state_fields!(@restore $s $r
+            [$($a)* $apply(&mut $s.$($f).+, v)?;] [$($c)*] [$($rest)*]);
     };
     (@restore $s:ident $r:ident [$($a:tt)*] [$($c:tt)*]
         [$($f:ident).+ with ($enc:path, $dec:path), $($rest:tt)*]) => {
@@ -1100,6 +1113,21 @@ pub fn restore_sparse<E: Persist>(
     len: usize,
     entry_bytes: usize,
 ) -> Result<Vec<(usize, E)>, RestoreError> {
+    restore_sparse_with(r, len, entry_bytes, E::restore)
+}
+
+/// [`restore_sparse`] with each entry, after its index, read by
+/// `entry`: for entries that are not a [`Persist`] value of their own.
+///
+/// # Errors
+///
+/// As [`restore_sparse`].
+pub fn restore_sparse_with<E>(
+    r: &mut SnapReader<'_>,
+    len: usize,
+    entry_bytes: usize,
+    mut entry: impl FnMut(&mut SnapReader<'_>) -> Result<E, RestoreError>,
+) -> Result<Vec<(usize, E)>, RestoreError> {
     let count = r.len()?;
     if count > r.remaining() / entry_bytes {
         return Err(RestoreError::Truncated {
@@ -1120,7 +1148,7 @@ pub fn restore_sparse<E: Persist>(
                 context: "sparse table indices not strictly increasing",
             });
         }
-        listed.push((idx, E::restore(r)?));
+        listed.push((idx, entry(r)?));
         lowest = idx + 1;
     }
     Ok(listed)

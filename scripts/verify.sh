@@ -21,6 +21,11 @@ echo "==> cargo test --release -p contutto-sim"
 # profile the campaigns run in, not only in the dev profile above.
 cargo test --release -p contutto-sim --quiet
 
+echo "==> cargo test --release -p contutto-memdev"
+# Page-index arithmetic that would panic on overflow in the dev profile
+# wraps silently in release, where the campaigns run.
+cargo test --release -p contutto-memdev --quiet
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

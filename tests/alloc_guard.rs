@@ -5,8 +5,9 @@
 //! stretch passed with `run_until` allocates a few blocks in total, a
 //! closed loop of pipelined reads allocates at most two blocks per
 //! read, a snapshot encodes its sections in place in the image
-//! instead of copying each one through buffers of its own, and a
-//! restore allocates nothing per retained trace record.
+//! instead of copying each one through buffers of its own, a restore
+//! allocates nothing per retained trace record, and a warm DRAM's
+//! demand writes, demand reads and snapshots allocate nothing.
 //!
 //! A counting global allocator tallies heap blocks and bytes per
 //! thread, so the tests in this binary can run in parallel without
@@ -17,6 +18,7 @@ use std::cell::Cell;
 
 use contutto_system::contutto::{ConTutto, ContuttoConfig, MemoryPopulation};
 use contutto_system::dmi::CacheLine;
+use contutto_system::memdev::{DdrTimings, Dram, MemoryDevice};
 use contutto_system::power8::channel::{ChannelConfig, DmiChannel};
 use contutto_system::power8::firmware::layouts;
 use contutto_system::power8::Power8System;
@@ -226,6 +228,37 @@ fn a_snapshot_encodes_in_place_in_one_image_buffer() {
         "{bytes} heap bytes for one {}-byte snapshot ({ratio:.2}x the image)",
         image.len()
     );
+}
+
+#[test]
+fn the_media_hot_paths_of_a_warm_dram_allocate_nothing() {
+    const PAGES: u64 = 64;
+    let mut dram = Dram::new(1 << 24, DdrTimings::ddr3_1600());
+    for page in 0..PAGES {
+        dram.write(SimTime::ZERO, page * 4096, &[page as u8; 4096]);
+    }
+    let (t, addr) = (SimTime::from_us(1), 5 * 4096 + 256);
+    let write = blocks_during(|| {
+        dram.write(t, addr, &[7; 128]);
+    });
+    assert_eq!(write, 0, "a demand write to a resident page allocated");
+    let mut line = [0u8; 128];
+    let read = blocks_during(|| {
+        dram.read(t, addr, &mut line);
+    });
+    assert_eq!(read, 0, "a demand read of a resident page allocated");
+    assert_eq!(line, [7; 128]);
+
+    let mut image = Vec::new();
+    dram.snapshot_state(&mut image);
+    let len = image.len();
+    image.clear();
+    let snapshot = blocks_during(|| dram.snapshot_state(&mut image));
+    assert_eq!(
+        snapshot, 0,
+        "imaging {PAGES} pages into a reserved buffer allocated"
+    );
+    assert_eq!(image.len(), len);
 }
 
 #[test]
